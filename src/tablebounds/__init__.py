@@ -5,7 +5,7 @@ The package splits into:
 - ``table``: dense tables, marginalization, anchored marginal functions
 - ``lattice``: functions on 2^L, monotonicity/supermodularity checkers,
   cumulative constructions, the Fan inequality evaluator
-- ``bounds``: every bound family computed from a MarginalFamily
+- ``bounds``: every bound family of a MarginalFamily, one whole-grid kernel each
 - ``positivity``: MTP2 checks, relabeling search, lattice exponential
   families, FKG covariances
 - ``oracle``: exact enumeration of all tables matching a family, sharp
@@ -20,6 +20,7 @@ from .bounds import (
     KwerelStats,
     MarginalFamily,
     best_bounds,
+    bounds_grid,
     compare_fan_vs_decomposition,
     decomposition_bound,
     fan_lower_bound,
@@ -33,6 +34,7 @@ from .datasets import lead_path, lead_table
 from .errors import (
     BudgetExhaustedError,
     CertificationError,
+    CountRangeError,
     InconsistentFamilyError,
     LatticeCapError,
     MissingMarginalError,

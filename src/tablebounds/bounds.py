@@ -18,17 +18,27 @@ Bound families implemented, each per target cell and with provenance:
 - a comparison showing the decomposition bound dominates the Fan route on
   three-set covers.
 
-Lower bounds that involve division are computed in exact rational arithmetic;
-for integer families the reported value is the ceiling (a count is an
-integer, so rounding up is still sound and strictly tighter).
+Each bound is a closed form in the marginals, so the first call for a family
+evaluates it for every cell at once on ``MarginalFamily.grid`` arrays and
+caches the result on the family (``bounds_grid`` returns it); the per-cell
+functions are views that validate the cell and read their report from that
+cache. It holds O(cells x candidates) values per bound, which suits
+desk-scale tables (a binary 10-way table has 1,024 cells), not millions.
+
+Divisions are exact: integer families report the ceiling of the rational
+bound (a count is an integer, so rounding up is sound and tighter), by
+integer ceiling division, and quote the rational in ``terms``. Integer
+arrays are int64 while a bound's largest intermediate (at most C(l, d)
+times the total for the d-dimensional bound) fits, Python ints beyond.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, comb
+from math import comb
 from typing import Literal, Mapping, Optional, Sequence
 
 import numpy as np
@@ -38,11 +48,15 @@ from .errors import (
     MissingMarginalError,
     RangeError,
 )
+from .lattice import fan_terms
 from .table import (
+    INT64_MAX,
     INTEGER,
     CellIndex,
     ContingencyTable,
     MarginalTable,
+    check_cell,
+    lift_marginal,
     marginalize,
 )
 from .varset import VarSet
@@ -96,8 +110,8 @@ class MarginalFamily:
             raise RangeError("cannot mix integer and real marginals in one family")
         self.kind = kinds.pop()
         self._cache: dict[int, MarginalTable] = dict(self.released)
-        self._accessors: dict[int, tuple] = {}
-        self._total = None
+        self._grids: dict[int, np.ndarray] = {}
+        self._plans: dict[tuple, object] = {}  # bound plans, built on first use
         self._validate_consistency()
 
     @classmethod
@@ -112,42 +126,26 @@ class MarginalFamily:
         )
 
     def _validate_consistency(self) -> None:
-        items = sorted(self.released.items())
-        for (mask_a, marg_a), (mask_b, marg_b) in itertools.combinations(items, 2):
-            common = VarSet(mask_a & mask_b, self.num_vars)
-            if common.mask == 0:
-                va = np.asarray([marg_a.table.counts.sum()])
-                vb = np.asarray([marg_b.table.counts.sum()])
-            else:
-                sub_a = marginalize(marg_a.table, _relative(marg_a.vars, common))
-                sub_b = marginalize(marg_b.table, _relative(marg_b.vars, common))
-                va, vb = sub_a.table.flat, sub_b.table.flat
+        margs = [self.released[m] for m in sorted(self.released)]
+        for pair in itertools.combinations(margs, 2):
+            a, b = (m.vars for m in pair)
+            common = a & b
+            # n(a & b) as each side sums it out of its own marginal.
+            va, vb = (m.table.counts.sum(axis=_outside(m.vars, common)) for m in pair)
             if self.kind == INTEGER:
                 agree = np.array_equal(va, vb)
             else:
-                scale = max(1.0, float(np.max(np.abs(va)))) if va.size else 1.0
+                scale = max(1.0, float(np.max(np.abs(va))))
                 agree = np.allclose(va, vb, rtol=0, atol=CONSISTENCY_RTOL * scale)
             if not agree:
-                bad = int(np.argmax(va != vb))
-                common_cards = tuple(self.cardinalities[j] for j in common.axes)
-                cell = (
-                    np.unravel_index(bad, common_cards) if common_cards else ()
-                )
+                bad = np.unravel_index(int(np.argmax(va != vb)), va.shape)
+                cell = tuple(int(x) for x in bad)
+                vals = (va[bad].item(), vb[bad].item())
                 raise InconsistentFamilyError(
-                    witness={
-                        "subsets": (
-                            VarSet(mask_a, self.num_vars),
-                            VarSet(mask_b, self.num_vars),
-                        ),
-                        "common": common,
-                        "cell": tuple(int(x) for x in cell),
-                        "values": (va[bad].item(), vb[bad].item()),
-                    },
+                    witness=dict(subsets=(a, b), common=common, cell=cell, values=vals),
                     message=(
-                        f"marginals over {VarSet(mask_a, self.num_vars)} and "
-                        f"{VarSet(mask_b, self.num_vars)} disagree on {common} "
-                        f"at cell {tuple(int(x) for x in cell)}: "
-                        f"{va[bad].item()} vs {vb[bad].item()}"
+                        f"marginals over {a} and {b} disagree on {common} "
+                        f"at cell {cell}: {vals[0]} vs {vals[1]}"
                     ),
                 )
 
@@ -156,9 +154,7 @@ class MarginalFamily:
 
     def is_derivable(self, a: VarSet) -> bool:
         """True when some released superset of ``a`` exists (or a is empty)."""
-        if a.mask == 0 or a.mask in self.released:
-            return True
-        return any(a.mask & ~m == 0 for m in self.released)
+        return a.mask == 0 or any(a.mask & ~m == 0 for m in self.released)
 
     def marginal(self, a: VarSet) -> MarginalTable:
         """n(a), released directly or derived from the smallest released superset."""
@@ -176,52 +172,39 @@ class MarginalFamily:
         self._cache[a.mask] = result
         return result
 
-    def _value(self, a: VarSet, cell: CellIndex):
-        """Marginal count at the projection of an already-validated cell."""
-        entry = self._accessors.get(a.mask)
-        if entry is None:
-            marg = self.marginal(a)
-            axes = a.axes
-            strides = [0] * len(axes)
-            acc = 1
-            for i in range(len(axes) - 1, -1, -1):
-                strides[i] = acc
-                acc *= self.cardinalities[axes[i]]
-            entry = (marg.table.flat, tuple(zip(axes, strides)))
-            self._accessors[a.mask] = entry
-        flat, axstrides = entry
-        idx = 0
-        for ax, st in axstrides:
-            idx += cell[ax] * st
-        return flat[idx].item()
+    def grid(self, a: VarSet) -> np.ndarray:
+        """n(a) at every cell of the full grid, read-only: the marginal
+        reshaped with a singleton axis for each variable outside ``a`` and
+        broadcast. Cached per subset."""
+        g = self._grids.get(a.mask)
+        if g is None or a.num_vars != self.num_vars:  # marginal() refuses the latter
+            counts = self.marginal(a).table.counts
+            g = self._grids[a.mask] = np.empty(self.cardinalities, counts.dtype)
+            g[...] = lift_marginal(counts, a, self.cardinalities)
+            g.setflags(write=False)
+        return g
 
     def value(self, a: VarSet, cell: CellIndex):
         """The marginal count n(a) at the projection of a full cell index."""
-        return self._value(a, self.check_cell(cell))
+        cell = self.check_cell(cell)
+        return self.grid(a).item(cell)
 
-    @property
+    @functools.cached_property
     def total(self):
-        if self._total is None:
-            self._total = self.marginal(VarSet.empty(self.num_vars)).table.total
-        return self._total
+        return self.marginal(VarSet.empty(self.num_vars)).table.total
 
     def check_cell(self, cell: CellIndex) -> CellIndex:
-        cell = tuple(int(x) for x in cell)
-        if len(cell) != self.num_vars:
-            raise RangeError(
-                f"cell {cell} has {len(cell)} coordinates, family has {self.num_vars}"
-            )
-        for j, (x, c) in enumerate(zip(cell, self.cardinalities)):
-            if not 0 <= x < c:
-                raise RangeError(
-                    f"coordinate {x} out of range 0..{c - 1} on axis {j + 1}"
-                )
-        return cell
+        return check_cell(self, cell, "family")
 
     def require(self, subsets: Sequence[VarSet]) -> None:
         missing = [a for a in subsets if not self.is_derivable(a)]
         if missing:
             raise MissingMarginalError(sorted(set(missing), key=lambda a: a.mask))
+
+
+def _outside(outer: VarSet, inner: VarSet) -> tuple[int, ...]:
+    """Positions, among ``outer``'s axes, of the variables not in ``inner``."""
+    return tuple(i for i, j in enumerate(outer.axes) if not inner.mask >> j & 1)
 
 
 def _relative(outer: VarSet, inner: VarSet) -> VarSet:
@@ -260,38 +243,98 @@ class BoundReport:
         return self.lower <= value <= self.upper
 
 
-def _emit_lower(raw, integer_mode: bool):
-    """Clamp at zero; integer families report the (still sound) ceiling."""
-    if raw <= 0:
-        return 0 if integer_mode else 0.0
-    if integer_mode:
-        return raw if isinstance(raw, int) else ceil(raw)
-    return float(raw)
+def _planned(build):
+    """Memoise a whole-grid plan on its family, keyed by the builder's
+    (hashable) arguments, so that later calls for any cell reuse it."""
+    def cached(fam: MarginalFamily, *key):
+        if (build, key) not in fam._plans:
+            fam._plans[build, key] = build(fam, *key)
+        return fam._plans[build, key]
+    return cached
 
 
-def _as_number(x, integer_mode: bool):
-    return int(x) if integer_mode else float(x)
+@functools.lru_cache(maxsize=256)
+def _dsubsets(l: int, d: int) -> tuple[VarSet, ...]:
+    """All C(l, d) subsets of size d, in lexicographic order."""
+    return tuple(
+        VarSet.from_vars(c, l) for c in itertools.combinations(range(1, l + 1), d)
+    )
+
+
+def _operands(fam: MarginalFamily, subsets: Sequence[VarSet], reach: int) -> list:
+    """The grids of derivable ``subsets`` for a formula whose intermediates
+    stay within ``reach`` times the total: int64 if that fits, else Python ints."""
+    fam.require(subsets)
+    grids = [fam.grid(a) for a in subsets]
+    if fam.kind == INTEGER and reach * fam.total > INT64_MAX:
+        grids = [g.astype(object) for g in grids]
+    return grids
+
+
+def _clamp(raw):  # a lower bound never reports below zero
+    return np.where(raw <= 0, 0, raw)
+
+
+def _ceil_div(num, den: int):  # exact ceiling of num / den, clamped at zero
+    return np.maximum(-(-num // den), 0)
+
+
+def _min(grids):
+    return functools.reduce(np.minimum, grids)
+
+
+def _at(terms, cell: CellIndex):
+    """Read whole-grid terms at one cell: arrays give their entry, callables
+    are called with the cell, lists and dicts are read item by item."""
+    if isinstance(terms, np.ndarray):
+        return terms.item(cell)
+    if callable(terms):
+        return terms(cell)
+    if isinstance(terms, dict):
+        return {k: _at(v, cell) for k, v in terms.items()}
+    if isinstance(terms, list):
+        return [_at(v, cell) for v in terms]
+    return terms
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One bound family evaluated for every cell at once, with its terms as
+    whole-grid arrays; ``report`` is the per-cell view."""
+
+    formula: str
+    subsets: tuple[VarSet, ...]
+    lower: np.ndarray
+    upper: np.ndarray
+    terms: dict
+
+    def __post_init__(self) -> None:
+        self.lower.setflags(write=False)
+        self.upper.setflags(write=False)
+
+    def report(self, cell: CellIndex) -> BoundReport:
+        lower, upper = self.lower.item(cell), self.upper.item(cell)
+        terms = _at(self.terms, cell)
+        return BoundReport(cell, lower, upper, self.formula, self.subsets, terms)
 
 
 def simple_frechet(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
     """Two-margin bounds on a 2-way cell: min of the margins above,
     their sum minus the total (clamped at zero) below."""
+    cell = fam.check_cell(cell)
+    return _simple_plan(fam).report(cell)
+
+
+@_planned
+def _simple_plan(fam: MarginalFamily) -> _Plan:
     if fam.num_vars != 2:
         raise RangeError("simple_frechet applies to 2-way tables")
-    cell = fam.check_cell(cell)
-    a1, a2 = VarSet.from_vars([1], 2), VarSet.from_vars([2], 2)
-    fam.require([a1, a2])
-    row, col = fam._value(a1, cell), fam._value(a2, cell)
+    subsets = _dsubsets(2, 1)
+    row, col = _operands(fam, subsets, 2)
     total = fam.total
-    integer_mode = fam.kind == INTEGER
-    lower = _emit_lower(row + col - total, integer_mode)
-    return BoundReport(
-        cell=cell,
-        lower=lower,
-        upper=min(row, col),
-        formula="simple",
-        subsets=(a1, a2),
-        terms={"row": row, "col": col, "total": total},
+    terms = {"row": row, "col": col, "total": total}
+    return _Plan(
+        "simple", subsets, _clamp(row + col - total), np.minimum(row, col), terms
     )
 
 
@@ -299,44 +342,29 @@ def frechet_3way(
     fam: MarginalFamily, cell: CellIndex, basis: Literal["one-dim", "two-dim"]
 ) -> BoundReport:
     """3-way bounds from the three 1-way margins or the three 2-way margins."""
+    cell = fam.check_cell(cell)
+    return _3way_plan(fam, basis).report(cell)
+
+
+@_planned
+def _3way_plan(fam: MarginalFamily, basis: str) -> _Plan:
     if fam.num_vars != 3:
         raise RangeError("frechet_3way applies to 3-way tables")
-    cell = fam.check_cell(cell)
-    integer_mode = fam.kind == INTEGER
     if basis == "one-dim":
-        singles = [VarSet.from_vars([j], 3) for j in (1, 2, 3)]
-        fam.require(singles)
-        vals = [fam._value(a, cell) for a in singles]
-        total = fam.total
-        lower = _emit_lower(sum(vals) - 2 * total, integer_mode)
-        return BoundReport(
-            cell=cell,
-            lower=lower,
-            upper=min(vals),
-            formula="3way:one-dim",
-            subsets=tuple(singles),
-            terms={"margins": vals, "total": total},
-        )
+        singles = _dsubsets(3, 1)
+        vals = _operands(fam, singles, 3)
+        lower = _clamp(sum(vals) - 2 * fam.total)
+        terms = {"margins": vals, "total": fam.total}
+        return _Plan("3way:one-dim", singles, lower, _min(vals), terms)
     if basis == "two-dim":
-        pairs = [VarSet.from_vars(v, 3) for v in ([1, 2], [1, 3], [2, 3])]
-        fam.require(pairs)
-        pair_vals = {a.mask: fam._value(a, cell) for a in pairs}
+        pairs = _dsubsets(3, 2)
+        upper = _min(_operands(fam, pairs, 2))
         lower_terms = {}
-        best = 0
         for a, b in itertools.combinations(pairs, 2):
-            common = a & b
-            term = pair_vals[a.mask] + pair_vals[b.mask] - fam._value(common, cell)
-            lower_terms[f"{a}+{b}-{common}"] = term
-            best = max(best, term)
-        lower = _emit_lower(best, integer_mode)
-        return BoundReport(
-            cell=cell,
-            lower=lower,
-            upper=min(pair_vals.values()),
-            formula="3way:two-dim",
-            subsets=tuple(pairs),
-            terms=lower_terms,
-        )
+            va, vb, vab = _operands(fam, (a, b, a & b), 2)
+            lower_terms[f"{a}+{b}-{a & b}"] = va + vb - vab
+        lower = _clamp(functools.reduce(np.maximum, lower_terms.values()))
+        return _Plan("3way:two-dim", pairs, lower, upper, lower_terms)
     raise RangeError(f"unknown basis {basis!r}")
 
 
@@ -345,38 +373,32 @@ def frechet_ddim(fam: MarginalFamily, cell: CellIndex, d: int) -> BoundReport:
 
     Upper: the minimum d-subset margin. Lower: the margin sum scaled by
     1/C(l-1, d-1), minus (C(l,d)/C(l-1,d-1) - 1) times the total, clamped at
-    zero. Exact rationals internally; integer families report the ceiling.
+    zero. Integer families report the exact ceiling and quote the exact
+    rational in ``terms``.
     """
+    cell = fam.check_cell(cell)
+    return _ddim_plan(fam, d).report(cell)
+
+
+@_planned
+def _ddim_plan(fam: MarginalFamily, d: int) -> _Plan:
     l = fam.num_vars
     if not 1 <= d <= l:
         raise RangeError(f"d={d} out of range 1..{l}")
-    cell = fam.check_cell(cell)
-    subsets = [
-        VarSet.from_vars(combo, l)
-        for combo in itertools.combinations(range(1, l + 1), d)
-    ]
-    fam.require(subsets)
-    vals = [fam._value(a, cell) for a in subsets]
+    subsets = _dsubsets(l, d)
+    vals = _operands(fam, subsets, comb(l, d))
     total = fam.total
     denom = comb(l - 1, d - 1)
-    integer_mode = fam.kind == INTEGER
-    if integer_mode:
-        raw = Fraction(sum(vals), denom) - (Fraction(comb(l, d), denom) - 1) * total
+    margin_sum = sum(vals)
+    terms = {"margin_sum": margin_sum, "total": total, "denominator": denom}
+    if fam.kind == INTEGER:
+        raw = margin_sum - (comb(l, d) - denom) * total  # denom times the bound
+        lower = _ceil_div(raw, denom)
+        terms["lower_exact"] = lambda cell: Fraction(raw.item(cell), denom)
     else:
-        raw = sum(vals) / denom - (comb(l, d) / denom - 1) * total
-    return BoundReport(
-        cell=cell,
-        lower=_emit_lower(raw, integer_mode),
-        upper=min(vals),
-        formula=f"ddim:{d}",
-        subsets=tuple(subsets),
-        terms={
-            "margin_sum": sum(vals),
-            "total": total,
-            "denominator": denom,
-            "lower_exact": raw,
-        },
-    )
+        raw = margin_sum / denom - (comb(l, d) / denom - 1) * total
+        lower, terms["lower_exact"] = _clamp(raw), raw
+    return _Plan(f"ddim:{d}", subsets, lower, _min(vals), terms)
 
 
 @dataclass(frozen=True)
@@ -401,18 +423,11 @@ def kwerel_form(fam: MarginalFamily, cell: CellIndex, d: int) -> KwerelStats:
     lower bound exactly (rational identity, relying on C(l,d)/C(l-1,d-1)=l/d).
     """
     l = fam.num_vars
-    if not 1 <= d <= l:
-        raise RangeError(f"d={d} out of range 1..{l}")
     cell = fam.check_cell(cell)
     total = fam.total
     if total == 0:
         raise RangeError("normalized form undefined for a zero grand total")
-    subsets = [
-        VarSet.from_vars(combo, l)
-        for combo in itertools.combinations(range(1, l + 1), d)
-    ]
-    fam.require(subsets)
-    margin_sum = sum(fam._value(a, cell) for a in subsets)
+    margin_sum = _ddim_plan(fam, d).terms["margin_sum"].item(cell)
     s_d = Fraction(margin_sum) / Fraction(total)
     p_full = s_d / comb(l - 1, d - 1) - Fraction(l, d) + 1
     return KwerelStats(s_d=s_d, p_full=p_full, d=d, num_vars=l)
@@ -429,11 +444,8 @@ class Decomposition:
         if not self.cover:
             raise RangeError("a decomposition needs at least one cover set")
         cover = tuple(self.cover)
-        l = cover[0].num_vars
-        union = VarSet.empty(l)
-        for c in cover:
-            union = union | c
-        if union.mask != VarSet.full(l).mask:
+        union = functools.reduce(VarSet.__or__, cover)
+        if union.mask != VarSet.full(union.num_vars).mask:
             raise RangeError(f"cover {[str(c) for c in cover]} does not equal L")
         object.__setattr__(self, "cover", cover)
 
@@ -463,24 +475,27 @@ def decomposition_bound(
     if decomp.num_vars != fam.num_vars:
         raise RangeError("decomposition over a different variable count")
     cell = fam.check_cell(cell)
-    fam.require(decomp.cover)
-    cover_vals = [fam._value(c, cell) for c in decomp.cover]
-    sep_vals = [fam._value(s, cell) for s in decomp.separators]
-    integer_mode = fam.kind == INTEGER
+    # Plans are keyed by masks: callers may build a fresh Decomposition per call.
+    return _decomp_plan(fam, tuple(c.mask for c in decomp.cover)).report(cell)
+
+
+@_planned
+def _decomp_plan(fam: MarginalFamily, masks: tuple[int, ...]) -> _Plan:
+    decomp = Decomposition(tuple(VarSet(m, fam.num_vars) for m in masks))
+    cover, seps = decomp.cover, decomp.separators
+    fam.require(cover)  # the separators lie inside it
+    k = len(cover)
+    vals = _operands(fam, cover + seps, k + len(seps))
+    cover_vals, sep_vals = vals[:k], vals[k:]
     raw = sum(cover_vals) - sum(sep_vals)
-    return BoundReport(
-        cell=cell,
-        lower=_emit_lower(raw, integer_mode),
-        upper=min(cover_vals),
-        formula="decomp:" + "|".join(str(c) for c in decomp.cover),
-        subsets=tuple(decomp.cover),
-        terms={
-            "cover_values": cover_vals,
-            "separator_values": sep_vals,
-            "separators": tuple(str(s) for s in decomp.separators),
-            "lower_exact": raw,
-        },
-    )
+    terms = {
+        "cover_values": cover_vals,
+        "separator_values": sep_vals,
+        "separators": tuple(str(s) for s in seps),
+        "lower_exact": raw,
+    }
+    formula = "decomp:" + "|".join(str(c) for c in cover)
+    return _Plan(formula, cover, _clamp(raw), _min(cover_vals), terms)
 
 
 def fan_lower_bound(
@@ -508,43 +523,32 @@ def fan_lower_bound(
     strictly tighter than the cover/separator bound on the same inputs; see
     compare_fan_vs_decomposition for the value-for-value comparison.
     """
-    l = fam.num_vars
-    q = len(xs)
-    if not 1 <= p <= q:
-        raise RangeError(f"p={p} out of range 1..{q}")
     cell = fam.check_cell(cell)
     for x in xs:
-        if x.num_vars != l:
+        if x.num_vars != fam.num_vars:
             raise RangeError("sequence element over a different variable count")
+    return _fan_plan(fam, tuple(x.mask for x in xs), p).report(cell)
+
+
+@_planned
+def _fan_plan(fam: MarginalFamily, masks: tuple[int, ...], p: int) -> _Plan:
+    l, q = fam.num_vars, len(masks)
+    if not 1 <= p <= q:
+        raise RangeError(f"p={p} out of range 1..{q}")
     full = VarSet.full(l)
-    masks = [x.mask for x in xs]
-
-    lhs_subsets = []
-    for combo in itertools.combinations(masks, p):
-        m = combo[0]
-        for x in combo[1:]:
-            m &= x
-        lhs_subsets.append(VarSet(m, l))
-
-    rhs = []  # (k, coefficient, join-of-meets subset)
-    for k in range(p, q + 1):
-        agg = 0
-        for combo in itertools.combinations(masks, k):
-            m = combo[0]
-            for x in combo[1:]:
-                m &= x
-            agg |= m
-        rhs.append((k, comb(k - 1, p - 1), VarSet(agg, l)))
-
+    lhs_masks, rhs_masks = fan_terms(masks, p)
+    lhs_subsets = [VarSet(m, l) for m in lhs_masks]
+    rhs = [(k, c, VarSet(m, l)) for k, c, m in rhs_masks]  # k, coefficient, join
     moved = [(k, c) for k, c, sub in rhs if sub.mask == full.mask]
-    kept = [(k, c, sub) for k, c, sub in rhs if sub.mask != full.mask]
-    fam.require(lhs_subsets + [sub for _, _, sub in kept])
+    kept = [(c, sub) for _, c, sub in rhs if sub.mask != full.mask]
+    fam.require(lhs_subsets + [sub for _, sub in kept])
 
-    lhs = sum(fam._value(s, cell) for s in lhs_subsets)
-    kept_value = sum(c * fam._value(sub, cell) for _, c, sub in kept)
+    # Each side sums at most C(q, p) total-bounded terms.
+    reach = comb(q, p)
+    lhs = sum(_operands(fam, lhs_subsets, reach))
+    kept_vals = _operands(fam, [sub for _, sub in kept], reach)
+    kept_value = sum(c * v for (c, _), v in zip(kept, kept_vals))
     weight = sum(c for _, c in moved)
-
-    integer_mode = fam.kind == INTEGER
     terms = {
         "lhs": lhs,
         "lhs_subsets": tuple(str(s) for s in lhs_subsets),
@@ -553,29 +557,22 @@ def fan_lower_bound(
         "full_weight": weight,
         "has_cell_bound": bool(moved),
     }
-    if moved:
-        if integer_mode:
-            raw = Fraction(lhs - kept_value, weight)
-        else:
-            raw = (lhs - kept_value) / weight
-        terms["lower_exact"] = raw
-        lower = _emit_lower(raw, integer_mode)
+    if not moved:
+        lower = np.zeros_like(lhs)
+    elif fam.kind == INTEGER:
+        raw = lhs - kept_value  # weight times the bound
+        lower = _ceil_div(raw, weight)
+        terms["lower_exact"] = lambda cell: Fraction(raw.item(cell), weight)
     else:
-        lower = _as_number(0, integer_mode)
+        raw = (lhs - kept_value) / weight
+        lower, terms["lower_exact"] = _clamp(raw), raw
 
     # n decreasing makes any derivable sequence element a valid upper bound;
     # fall back to the total, always derivable and always valid.
-    cand = [fam._value(x, cell) for x in xs if fam.is_derivable(x)]
-    upper = min(cand) if cand else fam.total
-
-    return BoundReport(
-        cell=cell,
-        lower=lower,
-        upper=upper,
-        formula=f"fan:p={p},q={q}",
-        subsets=tuple(xs),
-        terms=terms,
-    )
+    xs = tuple(VarSet(m, l) for m in masks)
+    cand = [x for x in xs if fam.is_derivable(x)]
+    upper = _min(_operands(fam, cand, 1)) if cand else np.full_like(lhs, fam.total)
+    return _Plan(f"fan:p={p},q={q}", xs, lower, upper, terms)
 
 
 @dataclass(frozen=True)
@@ -622,35 +619,34 @@ def compare_fan_vs_decomposition(
         raise RangeError("comparison is defined for covers of exactly 3 sets")
     cell = fam.check_cell(cell)
     dec = decomposition_bound(fam, decomp, cell)
-    s2, s3 = decomp.separators
-    join, meet = s2 | s3, s2 & s3
-    needed = list(decomp.cover) + [join, meet]
-    missing = tuple(a for a in needed if not fam.is_derivable(a))
+    missing, plan = _literal_fan_plan(fam, tuple(c.mask for c in decomp.cover))
     if missing:
         return FanDecompositionComparison(
             cell=cell, decomposition=dec, fan=None, fan_missing=missing
         )
-    cover_vals = [fam._value(c, cell) for c in decomp.cover]
-    raw = sum(cover_vals) - fam._value(join, cell) - fam._value(meet, cell)
-    integer_mode = fam.kind == INTEGER
-    fan = BoundReport(
-        cell=cell,
-        lower=_emit_lower(raw, integer_mode),
-        upper=min(cover_vals),
-        formula="fan-literal:d=3",
-        subsets=tuple(decomp.cover),
-        terms={
-            "separator_join": str(join),
-            "separator_meet": str(meet),
-            "lower_exact": raw,
-        },
-    )
+    fan = plan.report(cell)
     if dec.lower < fan.lower:
         raise RangeError(
             f"separator bound {dec.lower} fell below the literal fan bound "
             f"{fan.lower} at cell {cell}; this falsifies the implementation"
         )
     return FanDecompositionComparison(cell=cell, decomposition=dec, fan=fan)
+
+
+@_planned
+def _literal_fan_plan(fam: MarginalFamily, masks: tuple[int, ...]):
+    """(missing subsets, plan) for the Fan side of the comparison."""
+    cover = tuple(VarSet(m, fam.num_vars) for m in masks)
+    s2, s3 = Decomposition(cover).separators
+    join, meet = s2 | s3, s2 & s3
+    missing = tuple(a for a in cover + (join, meet) if not fam.is_derivable(a))
+    if missing:
+        return missing, None
+    *cover_vals, join_val, meet_val = _operands(fam, cover + (join, meet), 5)
+    raw = sum(cover_vals) - join_val - meet_val
+    terms = {"separator_join": str(join), "separator_meet": str(meet)}
+    terms["lower_exact"] = raw
+    return (), _Plan("fan-literal:d=3", cover, _clamp(raw), _min(cover_vals), terms)
 
 
 def best_bounds(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
@@ -664,48 +660,84 @@ def best_bounds(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
     the family can only add candidates, so the best bound never loosens.
     """
     cell = fam.check_cell(cell)
+    return _best_plan(fam).report(cell)
+
+
+@_planned
+def _best_plan(fam: MarginalFamily) -> _Plan:
     l = fam.num_vars
-    integer_mode = fam.kind == INTEGER
     full = VarSet.full(l)
-
-    uppers: dict[str, float] = {}
-    for a in fam.subsets():
-        uppers[f"n({a})"] = fam._value(a, cell)
-    uppers["total"] = fam.total
-
-    lowers: dict[str, object] = {"zero": _as_number(0, integer_mode)}
-    for d in range(1, l + 1):
-        subsets = [
-            VarSet.from_vars(c, l)
-            for c in itertools.combinations(range(1, l + 1), d)
-        ]
-        if all(fam.is_derivable(a) for a in subsets):
-            lowers[f"ddim:{d}"] = frechet_ddim(fam, cell, d).lower
     released = fam.subsets()
+    # Candidates by name; on a tie the first in dict order wins.
+    uppers = {f"n({a})": fam.grid(a) for a in released}
+    uppers["total"] = np.full(fam.cardinalities, fam.total)
+    lowers = {"zero": np.zeros(fam.cardinalities, dtype=int)}
+    for d in range(1, l + 1):
+        if all(fam.is_derivable(a) for a in _dsubsets(l, d)):
+            lowers[f"ddim:{d}"] = _ddim_plan(fam, d).lower
     for a, b in itertools.combinations(released, 2):
         if (a | b).mask == full.mask:
-            term = fam._value(a, cell) + fam._value(b, cell) - fam._value(a & b, cell)
-            lowers[f"pair:{a}|{b}"] = max(term, _as_number(0, integer_mode))
+            va, vb, vab = _operands(fam, (a, b, a & b), 2)
+            lowers[f"pair:{a}|{b}"] = _clamp(va + vb - vab)
     if fam.is_derivable(full):
-        exact = fam._value(full, cell)
-        lowers["exact"] = exact
-        uppers["exact"] = exact
+        lowers["exact"] = uppers["exact"] = fam.grid(full)
+    low, up = np.stack(list(lowers.values())), np.stack(list(uppers.values()))
+    terms = {
+        "lowers": dict(zip(lowers, low)),
+        "uppers": dict(zip(uppers, up)),
+        "lower_from": np.array(list(lowers), dtype=object)[low.argmax(axis=0)],
+        "upper_from": np.array(list(uppers), dtype=object)[up.argmin(axis=0)],
+    }
+    return _Plan("best", released, low.max(axis=0), up.min(axis=0), terms)
 
-    lower_name = max(lowers, key=lambda k: lowers[k])
-    upper_name = min(uppers, key=lambda k: uppers[k])
-    return BoundReport(
-        cell=cell,
-        lower=lowers[lower_name],
-        upper=uppers[upper_name],
-        formula="best",
-        subsets=tuple(released),
-        terms={
-            "lowers": lowers,
-            "uppers": uppers,
-            "lower_from": lower_name,
-            "upper_from": upper_name,
-        },
-    )
+
+def _parse_int(text: str, what: str, method: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise RangeError(f"cannot parse {what} in {method!r}") from None
+
+
+def _method_plan(fam: MarginalFamily, method: str) -> _Plan:
+    """The plan for a method spelled as on the command line."""
+    name, colon, arg = method.partition(":")
+    if method == "simple":
+        return _simple_plan(fam)
+    if method == "best":
+        return _best_plan(fam)
+    if method == "3way":
+        two = fam.num_vars == 3 and all(map(fam.is_derivable, _dsubsets(3, 2)))
+        return _3way_plan(fam, "two-dim" if two else "one-dim")
+    if colon and name == "3way":
+        return _3way_plan(fam, arg)
+    if colon and name == "ddim":
+        return _ddim_plan(fam, _parse_int(arg, "dimension", method))
+    if colon and name == "decomp":
+        cover = [VarSet.parse(part, fam.num_vars) for part in arg.split("|")]
+        return _decomp_plan(fam, tuple(c.mask for c in cover))
+    if colon and name == "fan":
+        xs_text, _, p_text = arg.rpartition(",")
+        if not xs_text:
+            raise RangeError(f"fan method needs '<xs>,<p>', got {method!r}")
+        xs = [VarSet.parse(part, fam.num_vars).mask for part in xs_text.split("|")]
+        return _fan_plan(fam, tuple(xs), _parse_int(p_text, "p", method))
+    raise RangeError(f"unknown bounds method {method!r}")
+
+
+def bounds_grid(fam: MarginalFamily, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (lower, upper) arrays over the whole cell grid; entry
+    ``[cell]`` equals the per-cell function's bounds. ``method`` is spelled
+    as in ``method_report``. Computed once per family and method."""
+    plan = _method_plan(fam, method)
+    return plan.lower, plan.upper
+
+
+def method_report(fam: MarginalFamily, method: str, cell: CellIndex) -> BoundReport:
+    """The report of the bound named by ``method``, spelled as on the command
+    line: simple | 3way[:one-dim|:two-dim] | ddim:<d> | decomp:<cover> |
+    fan:<xs>,<p> | best, with covers and sequences like {1,2}|{1,3}."""
+    cell = fam.check_cell(cell)
+    return _method_plan(fam, method).report(cell)
 
 
 def validate_report_against_table(

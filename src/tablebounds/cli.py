@@ -27,17 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import io as tbio
-from .bounds import (
-    BoundReport,
-    Decomposition,
-    MarginalFamily,
-    best_bounds,
-    decomposition_bound,
-    fan_lower_bound,
-    frechet_3way,
-    frechet_ddim,
-    simple_frechet,
-)
+from .bounds import BoundReport, method_report
 from .errors import (
     BudgetExhaustedError,
     CertificationError,
@@ -62,7 +52,7 @@ from .positivity import (
     is_mtp2_multiplicative,
     search_mtp2_relabeling,
 )
-from .table import cell_margin_fn
+from .table import cell_margin_fn, parse_cell
 from .varset import VarSet
 
 SCHEMA = tbio.SCHEMA_VERSION
@@ -126,90 +116,9 @@ def _report_doc(report: BoundReport) -> dict:
     }
 
 
-def _parse_vars(text: str, num_vars: int) -> VarSet:
-    text = text.strip()
-    if not text:
-        return VarSet.empty(num_vars)
-    try:
-        indices = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise RangeError(f"cannot parse variable list {text!r}") from None
-    return VarSet.from_vars(indices, num_vars)
-
-
-def _parse_braced_set(text: str, num_vars: int) -> VarSet:
-    text = text.strip()
-    if text.startswith("{") and text.endswith("}"):
-        text = text[1:-1]
-    return _parse_vars(text, num_vars)
-
-
-def _parse_cell(text: str, cardinalities, labels) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != len(cardinalities):
-        raise RangeError(
-            f"cell {text!r} has {len(parts)} coordinates, "
-            f"expected {len(cardinalities)}"
-        )
-    cell = []
-    for j, part in enumerate(parts):
-        if labels is not None and part in labels[j]:
-            cell.append(labels[j].index(part))
-            continue
-        try:
-            cell.append(int(part))
-        except ValueError:
-            raise RangeError(
-                f"coordinate {part!r} is neither an index nor a known "
-                f"category on axis {j + 1}"
-            ) from None
-    return tuple(cell)
-
-
-def _compute_bounds(fam: MarginalFamily, method: str, cell) -> BoundReport:
-    if method == "simple":
-        return simple_frechet(fam, cell)
-    if method == "best":
-        return best_bounds(fam, cell)
-    if method == "3way" or method.startswith("3way:"):
-        if ":" in method:
-            basis = method.split(":", 1)[1]
-        else:
-            pairs = [VarSet.from_vars(v, 3) for v in ([1, 2], [1, 3], [2, 3])]
-            if fam.num_vars == 3 and all(fam.is_derivable(a) for a in pairs):
-                basis = "two-dim"
-            else:
-                basis = "one-dim"
-        return frechet_3way(fam, cell, basis)
-    if method.startswith("ddim:"):
-        try:
-            d = int(method.split(":", 1)[1])
-        except ValueError:
-            raise RangeError(f"cannot parse dimension in {method!r}") from None
-        return frechet_ddim(fam, cell, d)
-    if method.startswith("decomp:"):
-        cover = [
-            _parse_braced_set(part, fam.num_vars)
-            for part in method.split(":", 1)[1].split("|")
-        ]
-        return decomposition_bound(fam, Decomposition(tuple(cover)), cell)
-    if method.startswith("fan:"):
-        body = method.split(":", 1)[1]
-        xs_text, _, p_text = body.rpartition(",")
-        if not xs_text:
-            raise RangeError(f"fan method needs '<xs>,<p>', got {method!r}")
-        xs = [_parse_braced_set(part, fam.num_vars) for part in xs_text.split("|")]
-        try:
-            p = int(p_text)
-        except ValueError:
-            raise RangeError(f"cannot parse p in {method!r}") from None
-        return fan_lower_bound(fam, xs, p, cell)
-    raise RangeError(f"unknown bounds method {method!r}")
-
-
 def cmd_marginalize(args) -> tuple[dict, int]:
     table = tbio.load_table(args.table)
-    subset = _parse_vars(args.vars, table.num_vars)
+    subset = VarSet.parse(args.vars, table.num_vars)
     from .table import marginalize
 
     marg = marginalize(table, subset)
@@ -218,8 +127,8 @@ def cmd_marginalize(args) -> tuple[dict, int]:
 
 def cmd_bounds(args) -> tuple[dict, int]:
     fam = tbio.load_family(args.family)
-    cell = _parse_cell(args.cell, fam.cardinalities, fam.labels)
-    report = _compute_bounds(fam, args.method, cell)
+    cell = parse_cell(args.cell.split(","), fam.cardinalities, fam.labels)
+    report = method_report(fam, args.method, cell)
     return _report_doc(report), 0
 
 
@@ -231,7 +140,7 @@ def cmd_check(args) -> tuple[dict, int]:
     def anchor_fn():
         if args.anchor is None:
             raise RangeError(f"property {prop!r} needs --anchor")
-        anchor = _parse_cell(args.anchor, table.cardinalities, table.labels)
+        anchor = parse_cell(args.anchor.split(","), table.cardinalities, table.labels)
         doc["anchor"] = list(anchor)
         return cell_margin_fn(table, anchor)
 
@@ -265,12 +174,12 @@ def cmd_check(args) -> tuple[dict, int]:
 
 def cmd_oracle(args) -> tuple[dict, int]:
     fam = tbio.load_family(args.family)
-    cell = _parse_cell(args.cell, fam.cardinalities, fam.labels)
+    cell = parse_cell(args.cell.split(","), fam.cardinalities, fam.labels)
     budget = EnumerationBudget()
     if args.budget is not None:
         budget.max_nodes = args.budget
     if args.certify is not None:
-        report = _compute_bounds(fam, args.certify, cell)
+        report = method_report(fam, args.certify, cell)
         try:
             cert = certify(report, fam, budget)
         except CertificationError as err:
@@ -316,12 +225,12 @@ def cmd_oracle(args) -> tuple[dict, int]:
 def cmd_expfam(args) -> tuple[dict, int]:
     table = tbio.load_table(args.table)
     anchors = tuple(
-        _parse_cell(part, table.cardinalities, table.labels)
+        parse_cell(part.split(","), table.cardinalities, table.labels)
         for part in args.anchors.split("|")
     )
     theta = tuple(float(t) for t in args.theta.split(","))
     alpha = (
-        _parse_braced_set(args.alpha, table.num_vars)
+        VarSet.parse(args.alpha, table.num_vars)
         if args.alpha is not None
         else None
     )
@@ -350,8 +259,8 @@ def cmd_expfam(args) -> tuple[dict, int]:
             raise RangeError(
                 f"fkg action needs 'fkg:{{...}},{{...}}', got {args.action!r}"
             )
-        set_a = _parse_braced_set(parts[0] + "}", table.num_vars)
-        set_b = _parse_braced_set("{" + parts[1], table.num_vars)
+        set_a = VarSet.parse(parts[0] + "}", table.num_vars)
+        set_b = VarSet.parse("{" + parts[1], table.num_vars)
         h1 = anchored_margin_observable(table, anchors[0], set_a)
         h2 = anchored_margin_observable(
             table, anchors[min(1, len(anchors) - 1)], set_b
@@ -372,9 +281,9 @@ def cmd_expfam(args) -> tuple[dict, int]:
 
 def cmd_fan(args) -> tuple[dict, int]:
     table = tbio.load_table(args.table)
-    anchor = _parse_cell(args.anchor, table.cardinalities, table.labels)
+    anchor = parse_cell(args.anchor.split(","), table.cardinalities, table.labels)
     fn = cell_margin_fn(table, anchor)
-    xs = [_parse_braced_set(part, table.num_vars) for part in args.xs.split("|")]
+    xs = [VarSet.parse(part, table.num_vars) for part in args.xs.split("|")]
     ev = fan_evaluate(fn, xs, args.p, args.form)
     return (
         {

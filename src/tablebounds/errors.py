@@ -13,6 +13,10 @@ class RangeError(TableBoundsError):
     """An index, variable, cell, or parameter is out of range."""
 
 
+class CountRangeError(RangeError):
+    """An integer count, or the grand total of a table, does not fit in int64."""
+
+
 class LatticeCapError(RangeError):
     """The number of variables exceeds the configured subset-lattice cap."""
 

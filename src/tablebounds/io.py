@@ -2,7 +2,8 @@
 
 Documents are versioned with ``"schema": 1``. Variable indices in files are
 1-based (matching written usage); cell coordinates are 0-based or category
-names. Validation failures raise SchemaError with a pointed message; family
+names. Validation failures and unreadable files raise SchemaError with a
+pointed message, integer counts beyond int64 a CountRangeError; family
 consistency failures surface the witness from the bounds layer.
 
 TableFile:  {"schema": 1, "kind": "integer"|"real", "cardinalities": [...],
@@ -18,7 +19,7 @@ import json
 from math import prod
 
 from .bounds import MarginalFamily
-from .errors import RangeError, SchemaError
+from .errors import CountRangeError, RangeError, SchemaError
 from .table import INTEGER, REAL, ContingencyTable, MarginalTable
 from .varset import VarSet
 
@@ -53,6 +54,16 @@ def _check_counts(counts, cards, where: str) -> None:
             raise SchemaError(f"{where}: non-numeric count {v!r}")
 
 
+def _build(where: str, make):
+    """Run a constructor, reporting its range errors as document errors;
+    counts beyond int64 stay range errors."""
+    try:
+        return make()
+    except RangeError as err:
+        kind = CountRangeError if isinstance(err, CountRangeError) else SchemaError
+        raise kind(f"{where}: {err}") from err
+
+
 def table_from_doc(doc: dict, where: str = "table") -> ContingencyTable:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a JSON object")
@@ -71,10 +82,10 @@ def table_from_doc(doc: dict, where: str = "table") -> ContingencyTable:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(cards):
             raise SchemaError(f"{where}: labels must list one name set per axis")
-    try:
-        return ContingencyTable.from_flat(cards, counts, labels=labels, kind=kind)
-    except RangeError as err:
-        raise SchemaError(f"{where}: {err}") from err
+    return _build(
+        where,
+        lambda: ContingencyTable.from_flat(cards, counts, labels=labels, kind=kind),
+    )
 
 
 def table_to_doc(table: ContingencyTable) -> dict:
@@ -114,10 +125,7 @@ def family_from_doc(doc: dict, where: str = "family") -> MarginalFamily:
             raise SchemaError(f"{where_m}: vars must be 1-based integers")
         if len(set(vars_)) != len(vars_):
             raise SchemaError(f"{where_m}: repeated variable in {vars_}")
-        try:
-            subset = VarSet.from_vars(vars_, num_vars)
-        except RangeError as err:
-            raise SchemaError(f"{where_m}: {err}") from err
+        subset = _build(where_m, lambda: VarSet.from_vars(vars_, num_vars))
         sub_cards = tuple(cards[j] for j in subset.axes)
         counts = _require(entry, "counts", list, where_m)
         _check_counts(counts, sub_cards, where_m)
@@ -126,21 +134,14 @@ def family_from_doc(doc: dict, where: str = "family") -> MarginalFamily:
         sub_labels = (
             [labels[j] for j in subset.axes] if labels is not None else None
         )
-        try:
-            marginals.append(
-                MarginalTable(
-                    subset,
-                    ContingencyTable.from_flat(
-                        sub_cards, counts, labels=sub_labels, kind=kind
-                    ),
-                )
-            )
-        except RangeError as err:
-            raise SchemaError(f"{where_m}: {err}") from err
-    try:
-        return MarginalFamily(cards, marginals, labels=labels)
-    except RangeError as err:
-        raise SchemaError(f"{where}: {err}") from err
+        table = _build(
+            where_m,
+            lambda: ContingencyTable.from_flat(
+                sub_cards, counts, labels=sub_labels, kind=kind
+            ),
+        )
+        marginals.append(MarginalTable(subset, table))
+    return _build(where, lambda: MarginalFamily(cards, marginals, labels=labels))
 
 
 def family_to_doc(fam: MarginalFamily) -> dict:
@@ -194,25 +195,30 @@ def _table_from_csv(text: str, where: str) -> ContingencyTable:
     )
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err  # decode errors have none
+        raise SchemaError(f"{path}: cannot read file: {reason}") from err
+
+
+def _load_json(path: str):
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as err:
+        raise SchemaError(f"{path}: invalid JSON: {err}") from err
+
+
 def load_table(path: str) -> ContingencyTable:
     if path.lower().endswith(".csv"):
-        with open(path, newline="") as fh:
-            return _table_from_csv(fh.read(), path)
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{path}: invalid JSON: {err}") from err
-    return table_from_doc(doc, path)
+        return _table_from_csv(_read(path), path)
+    return table_from_doc(_load_json(path), path)
 
 
 def load_family(path: str) -> MarginalFamily:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise SchemaError(f"{path}: invalid JSON: {err}") from err
-    return family_from_doc(doc, path)
+    return family_from_doc(_load_json(path), path)
 
 
 def marginal_to_doc(marg: MarginalTable) -> dict:

@@ -16,6 +16,8 @@ absolute tolerance of 1e-9 scaled by max|F|.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -299,14 +301,21 @@ class FanEvaluation:
         return self.lhs <= self.rhs + self.tolerance
 
 
-def _meets_of_tuples(xs_masks: Sequence[int], size: int, op) -> list[int]:
-    out = []
-    for combo in combinations(xs_masks, size):
-        m = combo[0]
-        for x in combo[1:]:
-            m = op(m, x)
-        out.append(m)
-    return out
+def fan_terms(
+    masks: Sequence[int], p: int, inner=operator.and_, outer=operator.or_
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The Fan inequality's lattice elements for a sequence of masks: the
+    inner combination (meet) of each p-subset, summed on the left, and per
+    k = p..q the right side's (k, C(k-1, p-1), outer of all k-subset inners)."""
+
+    def inners(k):
+        return [functools.reduce(inner, c) for c in combinations(masks, k)]
+
+    rhs = [
+        (k, comb(k - 1, p - 1), functools.reduce(outer, inners(k)))
+        for k in range(p, len(masks) + 1)
+    ]
+    return inners(p), rhs
 
 
 def fan_evaluate(
@@ -339,32 +348,25 @@ def fan_evaluate(
         if x.num_vars != fn.num_vars:
             raise RangeError("sequence element over a different variable count")
     if form == "primal":
-        inner, outer = (lambda a, b: a & b), (lambda a, b: a | b)
+        inner, outer = operator.and_, operator.or_
     elif form == "dual":
-        inner, outer = (lambda a, b: a | b), (lambda a, b: a & b)
+        inner, outer = operator.or_, operator.and_
     else:
         raise RangeError(f"unknown form {form!r}")
 
     vals = fn.values
-    masks = [x.mask for x in xs]
-    lhs = sum(vals[m].item() for m in _meets_of_tuples(masks, p, inner))
-    terms = []
-    rhs = 0
-    for k in range(p, q + 1):
-        inners = _meets_of_tuples(masks, k, inner)
-        agg = inners[0]
-        for m in inners[1:]:
-            agg = outer(agg, m)
-        coeff = comb(k - 1, p - 1)
-        value = vals[agg].item()
-        term = coeff * value
-        rhs += term
-        terms.append(FanTerm(k, coeff, VarSet(agg, fn.num_vars), value, term))
+    lhs_masks, rhs_masks = fan_terms([x.mask for x in xs], p, inner, outer)
+    lhs = sum(vals[m].item() for m in lhs_masks)
+    terms = tuple(
+        FanTerm(k, c, VarSet(m, fn.num_vars), vals[m].item(), c * vals[m].item())
+        for k, c, m in rhs_masks
+    )
+    rhs = sum(t.term for t in terms)
     return FanEvaluation(
         form=form,
         p=p,
         lhs=lhs,
         rhs=rhs,
-        rhs_terms=tuple(terms),
+        rhs_terms=terms,
         tolerance=fn.tolerance(),
     )

@@ -14,7 +14,7 @@ bounds, flagged as such, never silently truncated.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Optional
@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BoundReport, MarginalFamily
 from .errors import BudgetExhaustedError, CertificationError, RangeError
-from .table import INTEGER, CellIndex, ContingencyTable
+from .table import INTEGER, CellIndex, ContingencyTable, lift_marginal
 from .varset import VarSet
 
 COMPLETE = "complete"
@@ -73,43 +73,32 @@ def _build_constraints(fam: MarginalFamily):
     targets[g]; cell k belongs to cell_groups[k]; closing_groups[k] lists the
     groups whose last member cell (row-major) is k.
     """
-    cards = fam.cardinalities
-    l = len(cards)
-    n_cells = prod(cards)
-    coords = list(itertools.product(*(range(c) for c in cards)))
-    targets: list[int] = []
-    cell_groups: list[list[int]] = [[] for _ in range(n_cells)]
-    group_last: list[int] = []
-
     subsets = list(fam.subsets())
     if not any(a.mask == 0 for a in subsets):
-        subsets.append(VarSet.empty(l))  # the grand total always prunes
-    for a in subsets:
-        marg = fam.marginal(a)
-        axes = a.axes
-        # Row-major strides over the member axes only.
-        strides = [0] * len(axes)
-        acc = 1
-        for i in range(len(axes) - 1, -1, -1):
-            strides[i] = acc
-            acc *= cards[axes[i]]
-        flat_targets = marg.table.flat
-        base = len(targets)
-        targets.extend(int(t) for t in flat_targets)
-        last = [0] * flat_targets.size
-        for k in range(n_cells):
-            x = coords[k]
-            g = base
-            for ax, st in zip(axes, strides):
-                g += x[ax] * st
-            cell_groups[k].append(g)
-            last[g - base] = k
-        group_last.extend(last)
+        subsets.append(VarSet.empty(fam.num_vars))  # the grand total always prunes
+    targets = [int(t) for a in subsets for t in fam.marginal(a).table.flat]
+    return (targets, *_constraint_groups(fam.cardinalities, tuple(subsets)))
 
-    closing_groups: list[list[int]] = [[] for _ in range(n_cells)]
-    for g, k in enumerate(group_last):
-        closing_groups[k].append(g)
-    return targets, cell_groups, closing_groups
+
+@functools.lru_cache(maxsize=256)
+def _constraint_groups(cards: tuple[int, ...], subsets: tuple[VarSet, ...]):
+    """(cell_groups, closing_groups) for marginals over ``subsets``: they depend
+    on the shape alone, so families of one shape share them. Groups are
+    numbered marginal by marginal, each in its marginal's row-major order."""
+    columns, groups = [], 0
+    for a in subsets:
+        size = prod(cards[j] for j in a.axes)
+        # A cell's group is its projection's row-major index within n(a).
+        ids = np.empty(cards, dtype=np.int64)
+        ids[...] = lift_marginal(np.arange(groups, groups + size), a, cards)
+        columns.append(ids.reshape(-1))
+        groups += size
+    cell_groups = np.stack(columns, axis=1).tolist()
+    last = {g: k for k, gs in enumerate(cell_groups) for g in gs}  # later k wins
+    closing_groups: list[list[int]] = [[] for _ in cell_groups]
+    for g in range(groups):
+        closing_groups[last[g]].append(g)
+    return tuple(map(tuple, cell_groups)), tuple(map(tuple, closing_groups))
 
 
 def _iter_flat(fam: MarginalFamily, budget: EnumerationBudget) -> Iterator[list[int]]:
@@ -216,10 +205,15 @@ def enumerate_tables(
 
 def count_tables(fam: MarginalFamily, budget: Optional[EnumerationBudget] = None) -> int:
     budget = budget if budget is not None else EnumerationBudget()
-    n = 0
-    for _ in _iter_flat(fam, budget):
-        n += 1
-    return n
+    return sum(1 for _ in _iter_flat(fam, budget))
+
+
+def _no_table(budget: EnumerationBudget) -> None:
+    if budget.outcome == COMPLETE:
+        raise RangeError("family admits no integer table; no sharp bounds exist")
+    raise BudgetExhaustedError(
+        f"budget exhausted after {budget.nodes} nodes before any table was found"
+    )
 
 
 def sharp_bounds_all(
@@ -240,11 +234,7 @@ def sharp_bounds_all(
             elif v > maxs[i]:
                 maxs[i] = v
     if not mins:
-        if budget.outcome == COMPLETE:
-            raise RangeError("family admits no integer table; no sharp bounds exist")
-        raise BudgetExhaustedError(
-            f"budget exhausted after {budget.nodes} nodes before any table was found"
-        )
+        _no_table(budget)
     return (
         np.asarray(mins).reshape(fam.cardinalities),
         np.asarray(maxs).reshape(fam.cardinalities),
@@ -273,11 +263,7 @@ def sharp_bounds(
             hi = v
             hi_tab = tuple(flat) if keep_tables else None
     if lo is None:
-        if budget.outcome == COMPLETE:
-            raise RangeError("family admits no integer table; no sharp bounds exist")
-        raise BudgetExhaustedError(
-            f"budget exhausted after {budget.nodes} nodes before any table was found"
-        )
+        _no_table(budget)
     return SharpBounds(
         cell=cell,
         min_count=int(lo),

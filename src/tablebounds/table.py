@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import CountRangeError, RangeError
 from .lattice import LatticeFunction, subset_sum_transform
 from .varset import VarSet, check_lattice_cap
 
@@ -28,6 +28,10 @@ CellIndex = tuple[int, ...]
 
 INTEGER = "integer"
 REAL = "real"
+
+# Integer tables whose grand total would pass this are refused.
+INT64_MAX = 2**63 - 1
+_TOO_WIDE = f"counts sum beyond the int64 limit {INT64_MAX}"
 
 
 @dataclass(frozen=True)
@@ -46,16 +50,13 @@ class ContingencyTable:
         object.__setattr__(self, "cardinalities", cards)
         if self.kind not in (INTEGER, REAL):
             raise RangeError(f"kind must be 'integer' or 'real', got {self.kind!r}")
-        dtype = np.int64 if self.kind == INTEGER else np.float64
         counts = np.asarray(self.counts)
-        if self.kind == INTEGER and not np.issubdtype(counts.dtype, np.integer):
-            rounded = np.rint(counts)
-            if not np.allclose(counts, rounded, rtol=0, atol=0):
-                raise RangeError("integer table given non-integer counts")
-            counts = rounded
-        counts = counts.astype(dtype).reshape(cards)
-        if self.kind == REAL and not np.all(np.isfinite(counts)):
-            raise RangeError("counts must be finite")
+        if self.kind == INTEGER:
+            counts = _int64_counts(counts).reshape(cards)
+        else:
+            counts = counts.astype(np.float64).reshape(cards)
+            if not np.all(np.isfinite(counts)):
+                raise RangeError("counts must be finite")
         if np.any(counts < 0):
             raise RangeError("counts must be nonnegative")
         counts.setflags(write=False)
@@ -114,26 +115,62 @@ class ContingencyTable:
         """Translate per-axis category names into a 0-based cell index."""
         if self.labels is None:
             raise RangeError("table carries no category labels")
-        if len(names) != self.num_vars:
+        return parse_cell(names, self.cardinalities, self.labels)
+
+
+def parse_cell(parts: Sequence, cardinalities, labels=None) -> CellIndex:
+    """A cell index from per-axis category names or 0-based indices (names
+    win); coordinates are not range-checked here."""
+    parts = [str(p).strip() for p in parts]
+    if len(parts) != len(cardinalities):
+        raise RangeError(
+            f"cell {','.join(parts)!r} has {len(parts)} coordinates, "
+            f"expected {len(cardinalities)}"
+        )
+    cell = []
+    for j, part in enumerate(parts):
+        if labels is not None and part in labels[j]:
+            cell.append(labels[j].index(part))
+            continue
+        try:
+            cell.append(int(part))
+        except ValueError:
             raise RangeError(
-                f"expected {self.num_vars} coordinates, got {len(names)}"
-            )
-        cell = []
-        for j, name in enumerate(names):
-            try:
-                cell.append(self.labels[j].index(str(name)))
-            except ValueError:
-                raise RangeError(
-                    f"unknown category {name!r} on axis {j + 1}"
-                ) from None
-        return tuple(cell)
+                f"coordinate {part!r} is neither an index nor a known "
+                f"category on axis {j + 1}"
+            ) from None
+    return tuple(cell)
 
 
-def check_cell(table: ContingencyTable, cell: CellIndex) -> CellIndex:
+def _int64_counts(counts: np.ndarray) -> np.ndarray:
+    """Integer counts as int64, refusing fractions and any grand total beyond
+    INT64_MAX; no marginal sum exceeds the total, so none can then wrap."""
+    if counts.dtype == object:  # Python ints wider than any numpy dtype
+        if counts.size and np.abs(counts.astype(np.float64)).max() >= 2**63:
+            raise CountRangeError(_TOO_WIDE)
+        counts = np.array(counts.tolist())
+    if not np.issubdtype(counts.dtype, np.integer):
+        rounded = np.rint(counts)
+        if not (np.isfinite(counts).all() and np.array_equal(counts, rounded)):
+            raise RangeError("integer table given non-integer counts")
+        counts = rounded
+    if counts.dtype != np.int64:
+        if counts.size and np.abs(counts).max() >= 2**63:
+            raise CountRangeError(_TOO_WIDE)
+        counts = counts.astype(np.int64)
+    # Only large counts can reach the limit; sum those exactly.
+    if counts.size and counts.max() > INT64_MAX // counts.size:
+        if sum(int(x) for x in counts.flat) > INT64_MAX:
+            raise CountRangeError(_TOO_WIDE)
+    return counts
+
+
+def check_cell(table, cell: CellIndex, owner: str = "table") -> CellIndex:
+    """Validate a full cell index against the shape of a table or family."""
     cell = tuple(int(x) for x in cell)
     if len(cell) != table.num_vars:
         raise RangeError(
-            f"cell {cell} has {len(cell)} coordinates, table has {table.num_vars}"
+            f"cell {cell} has {len(cell)} coordinates, {owner} has {table.num_vars}"
         )
     for j, (x, c) in enumerate(zip(cell, table.cardinalities)):
         if not 0 <= x < c:
@@ -190,6 +227,14 @@ def project_cell(cell: CellIndex, a: VarSet) -> CellIndex:
             f"cell {cell} has {len(cell)} coordinates, subset is over {a.num_vars}"
         )
     return tuple(cell[j] for j in a.axes)
+
+
+def lift_marginal(values: np.ndarray, a: VarSet, cardinalities) -> np.ndarray:
+    """Values over the axes of ``a`` (row-major) reshaped onto all l axes, a
+    singleton axis for each variable outside ``a``: they broadcast on the grid."""
+    return values.reshape(
+        tuple(c if a.mask >> j & 1 else 1 for j, c in enumerate(cardinalities))
+    )
 
 
 def cell_margin_fn(table: ContingencyTable, anchor: CellIndex) -> LatticeFunction:

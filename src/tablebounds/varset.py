@@ -53,6 +53,18 @@ class VarSet:
         return cls(mask, num_vars)
 
     @classmethod
+    def parse(cls, text: str, num_vars: int) -> "VarSet":
+        """Read 1-based variables written "1,3" or "{1,3}"; blank is empty."""
+        text = text.strip()
+        if text.startswith("{") and text.endswith("}"):
+            text = text[1:-1].strip()
+        try:
+            indices = [int(part) for part in text.split(",") if part.strip()]
+        except ValueError:
+            raise RangeError(f"cannot parse variable list {text!r}") from None
+        return cls.from_vars(indices, num_vars)
+
+    @classmethod
     def empty(cls, num_vars: int) -> "VarSet":
         return cls(0, num_vars)
 

@@ -394,3 +394,53 @@ class TestEnvironment:
         monkeypatch.setenv("TABLEBOUNDS_THREADS", "0")
         code, _, _ = run_cli(capsys, "marginalize", lead_path(), "--vars", "1")
         assert code == 0
+
+
+class TestInputContract:
+    """Unreadable files and absurd counts map to documented exit codes with a
+    one-line message, never a traceback."""
+
+    def test_missing_file_exit_2(self, capsys, tmp_path):
+        missing = str(tmp_path / "nonexistent.json")
+        code, doc, err = run_cli(
+            capsys, "bounds", missing, "--cell", "0,0", "--method", "best"
+        )
+        assert code == 2
+        assert doc is None
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert missing in err and "No such file" in err
+
+    def test_directory_as_table_exit_2(self, capsys, tmp_path):
+        code, doc, err = run_cli(capsys, "marginalize", str(tmp_path), "--vars", "1")
+        assert code == 2 and doc is None and err.startswith("error: ")
+
+    def test_json_count_beyond_int64_exit_3(self, capsys, tmp_path):
+        doc = dict(LEAD_FAMILY_DOC)
+        doc["marginals"] = [
+            {"vars": [1], "counts": [2**64, 0, 0]},
+            {"vars": [2], "counts": [2**64, 0, 0]},
+        ]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "bounds", str(path), "--cell", "0,0", "--method", "best"
+        )
+        assert code == 3
+        assert out is None
+        assert "int64 limit" in err and err.count("\n") == 1
+
+    def test_family_doc_total_beyond_int64_exit_3(self, capsys, tmp_path):
+        doc = dict(LEAD_FAMILY_DOC)
+        doc["cardinalities"] = [2, 2]
+        del doc["labels"]
+        doc["marginals"] = [
+            {"vars": [1], "counts": [2**62, 2**62]},
+            {"vars": [2], "counts": [2**62, 2**62]},
+        ]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "bounds", str(path), "--cell", "0,0", "--method", "simple"
+        )
+        assert code == 3
+        assert "int64 limit" in err

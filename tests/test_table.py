@@ -7,7 +7,10 @@ import pytest
 
 from tablebounds import (
     ContingencyTable,
+    CountRangeError,
     LatticeCapError,
+    MarginalFamily,
+    MarginalTable,
     RangeError,
     VarSet,
     cell_margin_fn,
@@ -210,3 +213,35 @@ class TestCellMarginFn:
     def test_bad_anchor(self, lead):
         with pytest.raises(RangeError):
             cell_margin_fn(lead, (3, 0))
+
+
+class TestInt64Limit:
+    """Counts whose grand total cannot fit in int64 are refused, naming the
+    limit, before any sum can wrap."""
+
+    def test_flat_total_beyond_int64_rejected(self):
+        # int64 would have wrapped this total to -2**63.
+        with pytest.raises(CountRangeError, match=str(2**63 - 1)):
+            ContingencyTable.from_flat((2,), [2**62, 2**62])
+
+    def test_total_at_limit_accepted(self):
+        table = ContingencyTable.from_flat((2,), [2**62, 2**62 - 1])
+        assert table.total == 2**63 - 1
+
+    def test_family_of_2pow61_cells_names_limit(self):
+        # Used to fail with a misleading "counts must be nonnegative".
+        with pytest.raises(CountRangeError, match="int64 limit"):
+            MarginalFamily.from_table(
+                ContingencyTable.from_flat((2, 2), [2**61] * 4),
+                [VarSet.from_vars([1], 2), VarSet.from_vars([2], 2)],
+            )
+        # A released marginal whose own total passes the limit is refused too.
+        with pytest.raises(CountRangeError, match="int64 limit"):
+            MarginalTable(
+                VarSet.from_vars([1], 2), ContingencyTable.from_flat((2,), [2**62] * 2)
+            )
+
+    @pytest.mark.parametrize("count", [2**63, 2**64, 2**70, 2.0**63])
+    def test_single_count_beyond_int64_rejected(self, count):
+        with pytest.raises(CountRangeError):
+            ContingencyTable.from_flat((2,), [count, 1])
