@@ -44,12 +44,14 @@ from typing import Literal, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    CountRangeError,
     InconsistentFamilyError,
     MissingMarginalError,
     RangeError,
 )
 from .lattice import fan_terms
 from .table import (
+    FLOAT64_MAX,
     INT64_MAX,
     INTEGER,
     CellIndex,
@@ -263,11 +265,17 @@ def _dsubsets(l: int, d: int) -> tuple[VarSet, ...]:
 
 def _operands(fam: MarginalFamily, subsets: Sequence[VarSet], reach: int) -> list:
     """The grids of derivable ``subsets`` for a formula whose intermediates
-    stay within ``reach`` times the total: int64 if that fits, else Python ints."""
+    stay within ``reach`` times the total: int64 if that fits, else Python ints.
+    A real family whose intermediates could overflow float64 is refused."""
     fam.require(subsets)
     grids = [fam.grid(a) for a in subsets]
     if fam.kind == INTEGER and reach * fam.total > INT64_MAX:
         grids = [g.astype(object) for g in grids]
+    elif fam.kind != INTEGER and reach * fam.total > FLOAT64_MAX:
+        raise CountRangeError(
+            f"bound terms reach {reach} times the total {fam.total}, "
+            f"beyond the float64 limit {FLOAT64_MAX}"
+        )
     return grids
 
 

@@ -11,17 +11,13 @@ stderr. Exit codes are a stable contract:
     5  enumeration budget exhausted where completeness was required
 
 Variable indices in flags and files are 1-based; cell coordinates are
-0-based integers or category names when the file carries labels. The
-environment variable TABLEBOUNDS_THREADS (0 = auto) caps internal
-parallelism; the numeric kernels are vectorized and run on one worker, so
-any cap is honored.
+0-based integers or category names when the file carries labels.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -56,18 +52,6 @@ from .table import cell_margin_fn, parse_cell
 from .varset import VarSet
 
 SCHEMA = tbio.SCHEMA_VERSION
-
-
-def thread_cap() -> int:
-    """Resolve TABLEBOUNDS_THREADS; 0 or unset means auto (one worker here)."""
-    raw = os.environ.get("TABLEBOUNDS_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SchemaError(f"TABLEBOUNDS_THREADS={raw!r} is not an integer") from None
-    if cap < 0:
-        raise SchemaError("TABLEBOUNDS_THREADS must be >= 0")
-    return cap
 
 
 def _jsonify(value):
@@ -411,7 +395,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         doc, code = args.func(args)
     except TableBoundsError as err:
         for cls, code in _EXIT_CODES:

@@ -4,12 +4,19 @@ Enumerates every nonnegative integer table whose marginals match a released
 family, by depth-first assignment of cells in row-major order. A partial
 assignment is pruned as soon as any running marginal sum would overshoot its
 target, and the last free cell of each fully-constrained marginal line is
-forced rather than searched. Sharp per-cell bounds are the min/max over the
-stream; a bound report is certified by checking it contains them.
+forced rather than searched. ``enumerate_tables`` and ``count_tables`` stream
+every table. Sharp per-cell bounds are the min/max over all tables; they come
+from the same search memoized on residual states (the residual margin sums
+before a cell, on which the rest of the search depends alone), so each state
+is expanded once and a revisit adds its stored table count. A bound report is
+certified by checking it contains them.
 
-Budgets are explicit and machine-readable: a result is sharp only when the
-outcome is ``complete``; an exhausted budget yields valid-but-possibly-loose
-bounds, flagged as such, never silently truncated.
+Budgets are explicit and machine-readable. ``nodes`` counts the values tried
+at expanded states (every value, for the streaming search) and ``tables`` the
+matching tables found, cached subtrees included. A result is sharp only when
+the outcome is ``complete``; an exhausted budget yields valid-but-possibly-
+loose bounds made of attained values, flagged as such, never silently
+truncated.
 """
 
 from __future__ import annotations
@@ -32,7 +39,11 @@ EXHAUSTED = "exhausted"
 
 @dataclass
 class EnumerationBudget:
-    """Node/table limits for one enumeration run, plus its outcome."""
+    """Node/table limits for one enumeration run, plus its outcome.
+
+    A run stops, ``exhausted``, on its next node past ``max_nodes`` or once
+    ``tables`` reaches ``max_tables``; the memoized search adds a cached
+    subtree's tables at once, so it may stop past ``max_tables``."""
 
     max_nodes: int = 10_000_000
     max_tables: int = 1_000_000
@@ -73,6 +84,8 @@ def _build_constraints(fam: MarginalFamily):
     targets[g]; cell k belongs to cell_groups[k]; closing_groups[k] lists the
     groups whose last member cell (row-major) is k.
     """
+    if fam.kind != INTEGER:
+        raise RangeError("enumeration requires an integer family")
     subsets = list(fam.subsets())
     if not any(a.mask == 0 for a in subsets):
         subsets.append(VarSet.empty(fam.num_vars))  # the grand total always prunes
@@ -101,17 +114,37 @@ def _constraint_groups(cards: tuple[int, ...], subsets: tuple[VarSet, ...]):
     return tuple(map(tuple, cell_groups)), tuple(map(tuple, closing_groups))
 
 
+def _cell_range(residual: list[int], grp: tuple[int, ...], closing: tuple[int, ...]):
+    """(lo, hi) of the values a cell may take given the running residuals of
+    its groups ``grp``. A cell that closes groups (is their last member) is
+    forced to their common residual; lo > hi means no value fits. Shared by
+    the streaming and the memoized search."""
+    if closing:
+        v = residual[closing[0]]
+        if v < 0:
+            return 0, -1
+        for g in closing:
+            if residual[g] != v:
+                return 0, -1
+        for g in grp:
+            if residual[g] < v:
+                return 0, -1
+        return v, v
+    m = residual[grp[0]]
+    for g in grp:
+        r = residual[g]
+        if r < m:
+            m = r
+    return 0, m
+
+
 def _iter_flat(fam: MarginalFamily, budget: EnumerationBudget) -> Iterator[list[int]]:
     """Yield each matching table as a shared flat buffer (copy to retain)."""
-    if fam.kind != INTEGER:
-        raise RangeError("enumeration requires an integer family")
-    targets, cell_groups_l, closing_groups_l = _build_constraints(fam)
-    n_cells = len(cell_groups_l)
+    targets, cell_groups, closing_groups = _build_constraints(fam)
+    n_cells = len(cell_groups)
     if n_cells == 0:
         budget.outcome = COMPLETE
         return
-    cell_groups = [tuple(g) for g in cell_groups_l]
-    closing_groups = [tuple(g) for g in closing_groups_l]
     residual = list(targets)
     buf = [0] * n_cells
     lo = [0] * n_cells
@@ -123,38 +156,9 @@ def _iter_flat(fam: MarginalFamily, budget: EnumerationBudget) -> Iterator[list[
     max_nodes = budget.max_nodes
     max_tables = budget.max_tables
 
-    def enter(k: int) -> None:
-        grp = cell_groups[k]
-        closing = closing_groups[k]
-        if closing:
-            v = residual[closing[0]]
-            ok = v >= 0
-            if ok:
-                for g in closing:
-                    if residual[g] != v:
-                        ok = False
-                        break
-            if ok:
-                for g in grp:
-                    if residual[g] < v:
-                        ok = False
-                        break
-            if ok:
-                lo[k] = hi[k] = v
-            else:
-                lo[k], hi[k] = 0, -1
-        else:
-            lo[k] = 0
-            m = residual[grp[0]]
-            for g in grp:
-                r = residual[g]
-                if r < m:
-                    m = r
-            hi[k] = m
-        cur[k] = lo[k] - 1
-
     try:
-        enter(0)
+        lo[0], hi[0] = _cell_range(residual, cell_groups[0], closing_groups[0])
+        cur[0] = lo[0] - 1
         k = 0
         while k >= 0:
             v = cur[k]
@@ -182,7 +186,8 @@ def _iter_flat(fam: MarginalFamily, budget: EnumerationBudget) -> Iterator[list[
                     return
             else:
                 k += 1
-                enter(k)
+                lo[k], hi[k] = _cell_range(residual, cell_groups[k], closing_groups[k])
+                cur[k] = lo[k] - 1
         budget.outcome = COMPLETE
     finally:
         budget.nodes = nodes
@@ -216,24 +221,125 @@ def _no_table(budget: EnumerationBudget) -> None:
     )
 
 
+def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[int] = None):
+    """Per-cell extremes over every matching table, by memoized DFS.
+
+    Returns (mins, maxs, min_table, max_table): lists of each flat cell's
+    least and greatest value over the tables found (``mins[k] > maxs[k]`` when
+    none was), and for the flat cell ``track`` the first tables in DFS order
+    attaining them (None without ``track``).
+
+    The search takes the row-major order, forcing and pruning of
+    ``_iter_flat``, but expands each state -- the residual vector before cell
+    k -- once. The vector is keyed as one mixed-radix integer: residual g lies
+    in [0, targets[g]], so it is digit g with weight prod(targets[h] + 1 for
+    h < g), and assigning v to cell k subtracts ``v * step[k]``. A revisited
+    state adds the table count stored for it and skips its subtree: its first
+    visit, earlier in DFS order, already showed every value its subtree holds.
+    Cell k's extremes take value v when the search leaves v at k and the
+    subtree below produced a table; when the budget runs out the current path
+    is left the same way, so a partial range holds only attained values.
+    """
+    targets, cell_groups, closing_groups = _build_constraints(fam)
+    n = len(cell_groups)
+    mins, maxs = [max(targets) + 1] * n, [-1] * n
+    weights, w = [], 1
+    for t in targets:
+        weights.append(w)
+        w *= t + 1
+    step = [sum(weights[g] for g in grp) for grp in cell_groups]
+    # memo[k]: state code before cell k -> tables below it. Past the last
+    # cell every residual is 0, and that state is one table.
+    memo: list[dict[int, int]] = [{} for _ in range(n)]
+    memo.append({0: 1})
+    residual = list(targets)
+    code = [0] * n
+    code[0] = sum(t * w for t, w in zip(targets, weights))
+    hi, cur, below = [0] * n, [0] * n, [0] * n
+    nodes, tables = budget.nodes, budget.tables
+    max_nodes, max_tables = budget.max_nodes, budget.max_tables
+    outcome = COMPLETE
+    min_at = max_at = None  # (path through cell track, state code after it)
+    lo, hi[0] = _cell_range(residual, cell_groups[0], closing_groups[0])
+    cur[0] = lo - 1
+    k = 0
+    while True:
+        v = cur[k] + 1
+        if v > hi[k]:  # state k is done: store it and leave cur[k - 1]
+            count = below[k]
+            memo[k][code[k]] = count
+            if k == 0:
+                break
+            k -= 1
+            v = cur[k]
+            for g in cell_groups[k]:
+                residual[g] += v
+        else:
+            nodes += 1
+            if nodes > max_nodes:
+                outcome = EXHAUSTED
+                hi[: k + 1] = [-1] * (k + 1)  # unwind: every open state is done
+                continue
+            cur[k] = v
+            child = code[k] - v * step[k]
+            count = memo[k + 1].get(child)
+            if count is None:
+                for g in cell_groups[k]:
+                    residual[g] -= v
+                k += 1
+                code[k] = child
+                below[k] = 0
+                lo, hi[k] = _cell_range(residual, cell_groups[k], closing_groups[k])
+                cur[k] = lo - 1
+                continue
+            tables += count
+            if tables >= max_tables:
+                outcome = EXHAUSTED
+                hi[: k + 1] = [-1] * (k + 1)
+        if count:
+            below[k] += count
+            if v < mins[k]:
+                mins[k] = v
+                if k == track:
+                    min_at = (cur[: k + 1], code[k] - v * step[k])
+            if v > maxs[k]:
+                maxs[k] = v
+                if k == track:
+                    max_at = (cur[: k + 1], code[k] - v * step[k])
+    budget.nodes, budget.tables, budget.outcome = nodes, tables, outcome
+
+    def first_table(path: list[int], state: int) -> tuple[int, ...]:
+        """Extend ``path`` by the first table in DFS order below ``state``:
+        at each cell the least value whose stored subtree holds a table."""
+        rest = list(targets)
+        for j, x in enumerate(path):
+            for g in cell_groups[j]:
+                rest[g] -= x
+        for j in range(len(path), n):
+            x, _ = _cell_range(rest, cell_groups[j], closing_groups[j])
+            while not memo[j + 1].get(state - x * step[j]):
+                x += 1
+            state -= x * step[j]
+            for g in cell_groups[j]:
+                rest[g] -= x
+            path.append(x)
+        return tuple(path)
+
+    return (
+        mins,
+        maxs,
+        first_table(*min_at) if min_at else None,
+        first_table(*max_at) if max_at else None,
+    )
+
+
 def sharp_bounds_all(
     fam: MarginalFamily, budget: Optional[EnumerationBudget] = None
 ) -> tuple[np.ndarray, np.ndarray, EnumerationBudget]:
     """Per-cell (min, max) arrays over the whole enumeration in one pass."""
     budget = budget if budget is not None else EnumerationBudget()
-    mins: list[int] = []
-    maxs: list[int] = []
-    for flat in _iter_flat(fam, budget):
-        if not mins:
-            mins = list(flat)
-            maxs = list(flat)
-            continue
-        for i, v in enumerate(flat):
-            if v < mins[i]:
-                mins[i] = v
-            elif v > maxs[i]:
-                maxs[i] = v
-    if not mins:
+    mins, maxs, _, _ = _extremes(fam, budget)
+    if mins[0] > maxs[0]:  # no table found: no cell has a value
         _no_table(budget)
     return (
         np.asarray(mins).reshape(fam.cardinalities),
@@ -248,26 +354,20 @@ def sharp_bounds(
     budget: Optional[EnumerationBudget] = None,
     keep_tables: bool = False,
 ) -> SharpBounds:
-    """Min/max of one cell over the enumeration; sharp when complete."""
+    """Min/max of one cell over the enumeration; sharp when complete. With
+    ``keep_tables``, the first tables in DFS order attaining each."""
     budget = budget if budget is not None else EnumerationBudget()
     cell = fam.check_cell(cell)
     flat_cell = int(np.ravel_multi_index(cell, fam.cardinalities)) if cell else 0
-    lo, hi = None, None
-    lo_tab, hi_tab = None, None
-    for flat in _iter_flat(fam, budget):
-        v = flat[flat_cell]
-        if lo is None or v < lo:
-            lo = v
-            lo_tab = tuple(flat) if keep_tables else None
-        if hi is None or v > hi:
-            hi = v
-            hi_tab = tuple(flat) if keep_tables else None
-    if lo is None:
+    mins, maxs, lo_tab, hi_tab = _extremes(
+        fam, budget, flat_cell if keep_tables else None
+    )
+    if mins[flat_cell] > maxs[flat_cell]:
         _no_table(budget)
     return SharpBounds(
         cell=cell,
-        min_count=int(lo),
-        max_count=int(hi),
+        min_count=mins[flat_cell],
+        max_count=maxs[flat_cell],
         tables_found=budget.tables,
         outcome=budget.outcome,
         min_table=lo_tab,

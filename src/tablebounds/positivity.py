@@ -37,7 +37,14 @@ from .lattice import (
     is_supermodular,
     meet_restriction,
 )
-from .table import CellIndex, ContingencyTable, cell_margin_fn, check_cell
+from .table import (
+    INT64_MAX,
+    INTEGER,
+    CellIndex,
+    ContingencyTable,
+    cell_margin_fn,
+    check_cell,
+)
 from .varset import VarSet, check_lattice_cap
 
 RELABEL_SEARCH_CAP = 10**6
@@ -52,10 +59,13 @@ def _pair_scan(table: ContingencyTable, multiplicative: bool, local: bool) -> Ch
     coords = np.stack(
         np.unravel_index(np.arange(n_cells), cards), axis=1
     ) if table.num_vars else np.zeros((n_cells, 0), dtype=np.int64)
-    tol = 0.0
-    if table.kind != "integer":
+    values = counts.tolist()  # exact Python numbers for single pairs
+    tol = 0
+    if table.kind != INTEGER:
         scale = float(np.max(np.abs(counts))) if n_cells else 0.0
         tol = 1e-9 * max(1.0, scale * scale if multiplicative else scale)
+    elif multiplicative and n_cells and int(counts.max()) ** 2 > INT64_MAX:
+        counts = counts.astype(object)  # products would wrap in int64
 
     def violation(x_flat: int, y_flat: int) -> Optional[Witness]:
         x, y = coords[x_flat], coords[y_flat]
@@ -64,18 +74,18 @@ def _pair_scan(table: ContingencyTable, multiplicative: bool, local: bool) -> Ch
         lo_flat = int(np.ravel_multi_index(tuple(lo), cards)) if cards else 0
         hi_flat = int(np.ravel_multi_index(tuple(hi), cards)) if cards else 0
         if multiplicative:
-            lhs = counts[x_flat] * counts[y_flat]
-            rhs = counts[lo_flat] * counts[hi_flat]
+            lhs = values[x_flat] * values[y_flat]
+            rhs = values[lo_flat] * values[hi_flat]
         else:
-            lhs = counts[x_flat] + counts[y_flat]
-            rhs = counts[lo_flat] + counts[hi_flat]
+            lhs = values[x_flat] + values[y_flat]
+            rhs = values[lo_flat] + values[hi_flat]
         if lhs > rhs + tol:
             return Witness(
                 kind="mtp2-violation",
                 a=tuple(int(v) for v in x),
                 b=tuple(int(v) for v in y),
-                lhs=lhs.item(),
-                rhs=rhs.item(),
+                lhs=lhs,
+                rhs=rhs,
             )
         return None
 

@@ -32,6 +32,8 @@ REAL = "real"
 # Integer tables whose grand total would pass this are refused.
 INT64_MAX = 2**63 - 1
 _TOO_WIDE = f"counts sum beyond the int64 limit {INT64_MAX}"
+# Real tables whose grand total would overflow float64 are refused.
+FLOAT64_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,7 @@ class ContingencyTable:
         if self.kind == INTEGER:
             counts = _int64_counts(counts).reshape(cards)
         else:
-            counts = counts.astype(np.float64).reshape(cards)
-            if not np.all(np.isfinite(counts)):
-                raise RangeError("counts must be finite")
+            counts = _float64_counts(counts).reshape(cards)
         if np.any(counts < 0):
             raise RangeError("counts must be nonnegative")
         counts.setflags(write=False)
@@ -162,6 +162,20 @@ def _int64_counts(counts: np.ndarray) -> np.ndarray:
     if counts.size and counts.max() > INT64_MAX // counts.size:
         if sum(int(x) for x in counts.flat) > INT64_MAX:
             raise CountRangeError(_TOO_WIDE)
+    return counts
+
+
+def _float64_counts(counts: np.ndarray) -> np.ndarray:
+    """Real counts as float64, refusing non-finite counts and any grand total
+    beyond FLOAT64_MAX; no marginal sum exceeds the total, so none can then
+    overflow."""
+    counts = counts.astype(np.float64)
+    if not np.all(np.isfinite(counts)):
+        raise RangeError("counts must be finite")
+    with np.errstate(over="ignore"):
+        total = counts.sum()
+    if not np.isfinite(total):
+        raise CountRangeError(f"counts sum beyond the float64 limit {FLOAT64_MAX}")
     return counts
 
 

@@ -1,10 +1,15 @@
 """Command-line surface: formats, round-trips, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tablebounds
 from tablebounds import ContingencyTable, SchemaError, VarSet
 from tablebounds.bounds import MarginalFamily
 from tablebounds.cli import main
@@ -384,18 +389,6 @@ class TestFanCommand:
         assert doc["lhs"] == doc["rhs"]
 
 
-class TestEnvironment:
-    def test_thread_cap_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("TABLEBOUNDS_THREADS", "zebra")
-        code, _, _ = run_cli(capsys, "marginalize", lead_path(), "--vars", "1")
-        assert code == 2
-
-    def test_thread_cap_zero_auto(self, capsys, monkeypatch):
-        monkeypatch.setenv("TABLEBOUNDS_THREADS", "0")
-        code, _, _ = run_cli(capsys, "marginalize", lead_path(), "--vars", "1")
-        assert code == 0
-
-
 class TestInputContract:
     """Unreadable files and absurd counts map to documented exit codes with a
     one-line message, never a traceback."""
@@ -444,3 +437,28 @@ class TestInputContract:
         )
         assert code == 3
         assert "int64 limit" in err
+
+    @pytest.mark.parametrize(
+        "rows", [[1e308, 1e308], [1e308, 0.0]], ids=["total", "terms"]
+    )
+    def test_real_family_beyond_float64_exit_3(self, tmp_path, rows):
+        # Run as a child process: numpy's RuntimeWarnings print to its stderr.
+        doc = {
+            "schema": 1,
+            "kind": "real",
+            "cardinalities": [2, 2],
+            "marginals": [{"vars": [1], "counts": rows}, {"vars": [2], "counts": rows}],
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(tablebounds.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "tablebounds.cli", "bounds", str(path),
+             "--cell", "0,0", "--method", "simple"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+        assert "float64 limit 1.7976931348623157e+308" in proc.stderr

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tablebounds import (
     BudgetExhaustedError,
@@ -14,6 +16,7 @@ from tablebounds import (
     MarginalTable,
     RangeError,
     VarSet,
+    best_bounds,
     certify,
     count_tables,
     enumerate_tables,
@@ -249,3 +252,107 @@ class TestCertify:
                 assert cert.ok
                 # 1-way margins on a 2-way table: classically zero slack
                 assert (cert.slack_lower, cert.slack_upper) == (0, 0)
+
+
+MARGINS = {
+    "one-way": lambda l: [[j] for j in range(1, l + 1)],
+    "pairs": lambda l: [list(p) for p in itertools.combinations(range(1, l + 1), 2)],
+    "chain": lambda l: [[j, j + 1] for j in range(1, l)],
+}
+
+
+@st.composite
+def small_families(draw):
+    """Integer families on 2-4 variables of cardinality 2-3, released from a
+    signed table: a few units, and maybe a hole -- one unit removed, one added
+    at a neighbour along each axis. For three or more variables its pair
+    margins stay counts yet may admit no table (as 2x2x2 with a lone hole
+    does); margins with a negative entry fall back to the unsigned units.
+    Totals stay small enough for the streaming reference to list every table."""
+    l = draw(st.integers(2, 4))
+    cards = tuple(draw(st.lists(st.integers(2, 3), min_size=l, max_size=l)))
+    n = int(np.prod(cards))
+    signed = np.zeros(cards, dtype=np.int64)
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=6 if n <= 12 else 4)):
+        signed.flat[k] += 1
+    if draw(st.booleans()):
+        hole = [draw(st.integers(0, c - 1)) for c in cards]
+        signed[tuple(hole)] -= 1
+        for j, c in enumerate(cards):
+            shift = draw(st.integers(1, c - 1))
+            signed[tuple(hole[:j] + [(hole[j] + shift) % c] + hole[j + 1:])] += 1
+    subsets = [VarSet.from_vars(v, l) for v in MARGINS[draw(st.sampled_from(sorted(MARGINS)))](l)]
+
+    def margins_of(counts):
+        return [
+            counts.sum(axis=tuple(j for j in range(l) if j not in a.axes))
+            for a in subsets
+        ]
+
+    sums = margins_of(signed)
+    if any((m < 0).any() for m in sums):
+        sums = margins_of(np.maximum(signed, 0))  # drop the removals
+    return MarginalFamily(
+        cards,
+        [MarginalTable(a, ContingencyTable(m.shape, m)) for a, m in zip(subsets, sums)],
+    )
+
+
+def stream_reference(fam):
+    """Per-flat-cell value sets and the table list, from the streaming DFS."""
+    tables = [tuple(t.flat.tolist()) for t in enumerate_tables(fam)]
+    values = [{t[k] for t in tables} for k in range(int(np.prod(fam.cardinalities)))]
+    return tables, values
+
+
+def reproduces_margins(fam, flat):
+    found = ContingencyTable.from_flat(fam.cardinalities, list(flat))
+    return all(
+        np.array_equal(marginalize(found, a).table.counts, fam.marginal(a).table.counts)
+        for a in fam.subsets()
+    )
+
+
+class TestMemoizedSearchProperties:
+    """The memoized extremes search against the streaming enumeration."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_families(), st.data())
+    def test_extremes_match_stream(self, fam, data):
+        tables, values = stream_reference(fam)
+        cell_list = list(itertools.product(*(range(c) for c in fam.cardinalities)))
+        if not tables:
+            with pytest.raises(RangeError):
+                sharp_bounds_all(fam)
+            return
+        mins, maxs, budget = sharp_bounds_all(fam)
+        assert budget.outcome == "complete"
+        assert budget.tables == len(tables)
+        assert mins.reshape(-1).tolist() == [min(v) for v in values]
+        assert maxs.reshape(-1).tolist() == [max(v) for v in values]
+
+        k = data.draw(st.integers(0, len(cell_list) - 1), label="flat cell")
+        sb = sharp_bounds(fam, cell_list[k], keep_tables=True)
+        assert (sb.min_count, sb.max_count, sb.tables_found) == (
+            min(values[k]), max(values[k]), len(tables)
+        )
+        assert sb.min_table == next(t for t in tables if t[k] == sb.min_count)
+        assert sb.max_table == next(t for t in tables if t[k] == sb.max_count)
+        assert reproduces_margins(fam, sb.min_table)
+        assert reproduces_margins(fam, sb.max_table)
+
+        for cell in cell_list:
+            rep = best_bounds(fam, cell)
+            assert rep.lower <= mins[cell] and maxs[cell] <= rep.upper, (cell, rep)
+
+        max_nodes = data.draw(st.integers(1, budget.nodes), label="max_nodes")
+        partial = EnumerationBudget(max_nodes=max_nodes)
+        try:
+            pmins, pmaxs, partial = sharp_bounds_all(fam, partial)
+        except BudgetExhaustedError:
+            assert partial.tables == 0  # only a run that found no table may refuse
+            return
+        assert partial.outcome == ("complete" if max_nodes == budget.nodes else "exhausted")
+        assert (mins <= pmins).all() and (pmaxs <= maxs).all()
+        for j, (lo, hi) in enumerate(zip(pmins.reshape(-1), pmaxs.reshape(-1))):
+            assert lo in values[j] and hi in values[j]  # attained, not guessed

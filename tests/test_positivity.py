@@ -119,6 +119,15 @@ class TestMultiplicative:
         assert not res.ok
         assert (res.witness.lhs, res.witness.rhs) == (1, 0)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "local"])
+    def test_products_beyond_int64_compared_exactly(self, mode):
+        # 2**32 * 2**32 wraps to 0 in int64; the violation is 2**64 > 1.
+        t = ContingencyTable.from_flat((2, 2), [1, 2**32, 2**32, 1])
+        res = is_mtp2_multiplicative(t, mode)
+        assert not res.ok
+        assert (res.witness.a, res.witness.b) == ((0, 1), (1, 0))
+        assert (res.witness.lhs, res.witness.rhs) == (2**64, 1)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
