@@ -5,13 +5,17 @@ bitmask. The checkers decide monotonicity and supermodularity
 
     F(a | b) + F(a & b) >= F(a) + F(b)
 
-and return an explicit witness pair on failure. Constructors cover the
-indicator of an up-set, cumulative (subset-sum) functions via the fast zeta
-transform, and the two-sided Ky Fan inequality evaluator for sequences of
-lattice elements.
+and return an explicit witness pair on failure: the lexicographically first
+violating pair by mask. Constructors cover the indicator of an up-set,
+cumulative (subset-sum) functions via the fast zeta transform, and the
+two-sided Ky Fan inequality evaluator for sequences of lattice elements.
 
-Integer-valued functions are compared exactly; real-valued comparisons use an
-absolute tolerance of 1e-9 scaled by max|F|.
+2^L is the grid (2,)*l with flat index equal to the mask, and supermodularity
+there is the additive MTP2 condition on a table's cell grid: both checks run
+the one local kernel ``_first_local_violation`` under the one comparison rule
+``_exact``. Integer values are compared exactly, in Python integers once a sum
+could pass their dtype; real values with an absolute tolerance of 1e-9 scaled by
+max(1, max|F|).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from typing import Literal, Optional, Sequence
 
 import numpy as np
@@ -70,9 +74,9 @@ class LatticeFunction:
         return self.value(a)
 
     def tolerance(self) -> float:
-        """Comparison slack: exact for integers, scaled 1e-9 for reals."""
+        """Comparison slack: the integer 0 for integers, scaled 1e-9 for reals."""
         if self.integer_valued:
-            return 0.0
+            return 0
         scale = float(np.max(np.abs(self.values))) if self.values.size else 0.0
         return REAL_RTOL * max(1.0, scale)
 
@@ -108,10 +112,57 @@ class CheckResult:
         return self.ok
 
 
+def _exact(values: np.ndarray, multiplicative: bool = False):
+    """(values, slack) under the one comparison rule of every pair checker.
+
+    Integer values keep the integer slack 0 and become Python ints when a
+    two-term sum (``multiplicative``: product) could pass their dtype. Real
+    values are divided by max(1, max|v|) and get slack REAL_RTOL: the
+    absolute 1e-9 max(1, max|v|) (products: max(1, max|v|^2)) rescaled, so
+    it and the compared terms stay finite.
+    """
+    values = np.asarray(values)
+    if np.issubdtype(values.dtype, np.integer):
+        big = max(-int(values.min()), int(values.max()))
+        limit = int(np.iinfo(values.dtype).max)
+        if big > (isqrt(limit) if multiplicative else limit // 2):
+            values = values.astype(object)
+        return values, 0
+    return values / max(1.0, float(np.abs(values).max())), REAL_RTOL
+
+
+def _first_local_violation(
+    grid: np.ndarray, multiplicative: bool, tol
+) -> Optional[tuple[int, int]]:
+    """The lexicographically first flat pair (x, y) of a grid's local pairs
+    x = lo + e_q, y = lo + e_p (axes p < q) with x + y > lo + hi + tol
+    (``multiplicative``: x * y > lo * hi + tol), hi = lo + e_p + e_q; None
+    when there is none. Each axis pair compares four shifted views."""
+    best = None
+    for p, q in combinations(range(grid.ndim), 2):
+
+        def shifted(dp, dq):
+            index = [slice(None)] * grid.ndim
+            index[p] = slice(dp, grid.shape[p] - 1 + dp)
+            index[q] = slice(dq, grid.shape[q] - 1 + dq)
+            return grid[tuple(index)]
+
+        lo, x, y, hi = shifted(0, 0), shifted(0, 1), shifted(1, 0), shifted(1, 1)
+        bad = x * y > lo * hi + tol if multiplicative else x + y > lo + hi + tol
+        if bad.any():
+            at = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            x_at, y_at = list(at), list(at)
+            x_at[q] += 1
+            y_at[p] += 1
+            pair = tuple(int(np.ravel_multi_index(c, grid.shape)) for c in (x_at, y_at))
+            if best is None or pair < best:
+                best = pair
+    return best
+
+
 def _monotone_check(fn: LatticeFunction, increasing: bool) -> CheckResult:
     """Check all covering pairs (a, a|{i}); equivalent to all pairs by transitivity."""
-    vals = fn.values
-    tol = fn.tolerance()
+    vals, tol = _exact(fn.values)
     size = 1 << fn.num_vars
     best: Optional[tuple[int, int]] = None
     masks = np.arange(size)
@@ -132,8 +183,8 @@ def _monotone_check(fn: LatticeFunction, increasing: bool) -> CheckResult:
         kind="monotone-violation",
         a=VarSet(a, fn.num_vars),
         b=VarSet(b, fn.num_vars),
-        lhs=vals[a].item(),
-        rhs=vals[b].item(),
+        lhs=fn.values[a].item(),
+        rhs=fn.values[b].item(),
     )
     return CheckResult(False, witness)
 
@@ -149,13 +200,13 @@ def is_increasing(fn: LatticeFunction) -> CheckResult:
 
 
 def _supermodular_witness(fn: LatticeFunction, a: int, b: int) -> Witness:
-    vals = fn.values
+    value = fn.values.item
     return Witness(
         kind="supermodular-violation",
         a=VarSet(a, fn.num_vars),
         b=VarSet(b, fn.num_vars),
-        lhs=(vals[a | b] + vals[a & b]).item(),
-        rhs=(vals[a] + vals[b]).item(),
+        lhs=value(a | b) + value(a & b),
+        rhs=value(a) + value(b),
     )
 
 
@@ -167,38 +218,23 @@ def is_supermodular(
     ``local`` checks F(a|{i,j}) + F(a) >= F(a|{i}) + F(a|{j}) for all a and
     i != j outside a, which is equivalent on 2^L and costs O(l^2 2^l).
     ``exhaustive`` scans all 4^l ordered pairs and serves as the oracle mode.
-    The witness, when present, is the lexicographically first violating pair.
+    The witness, when present, is the lexicographically first violating pair
+    the mode scans; ``local`` gives (a|{i}, a|{j}) with bit i below bit j.
     """
-    vals = fn.values
-    tol = fn.tolerance()
-    size = 1 << fn.num_vars
+    vals, tol = _exact(fn.values)
     if mode == "exhaustive":
-        masks = np.arange(size)
-        for a in range(size):
-            union = masks | a
-            inter = masks & a
-            bad = vals[union] + vals[inter] + tol < vals[a] + vals
+        masks = np.arange(1 << fn.num_vars)
+        for a in masks.tolist():
+            bad = vals[masks | a] + vals[masks & a] + tol < vals[a] + vals
             if bad.any():
-                b = int(np.argmax(bad))
-                return CheckResult(False, _supermodular_witness(fn, a, b))
+                return CheckResult(False, _supermodular_witness(fn, a, int(np.argmax(bad))))
         return CheckResult(True)
     if mode != "local":
         raise RangeError(f"unknown supermodularity mode {mode!r}")
-    masks = np.arange(size)
-    best: Optional[tuple[int, int]] = None
-    for i in range(fn.num_vars):
-        for j in range(i + 1, fn.num_vars):
-            bi, bj = 1 << i, 1 << j
-            base = masks[(masks & (bi | bj)) == 0]
-            bad = vals[base | bi | bj] + vals[base] + tol < vals[base | bi] + vals[base | bj]
-            if bad.any():
-                a = int(base[np.argmax(bad)])
-                cand = (a | bi, a | bj)
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
+    pair = _first_local_violation(vals.reshape((2,) * fn.num_vars), False, tol)
+    if pair is None:
         return CheckResult(True)
-    return CheckResult(False, _supermodular_witness(fn, *best))
+    return CheckResult(False, _supermodular_witness(fn, *pair))
 
 
 def is_submodular(

@@ -6,6 +6,11 @@ cell indices, are implemented side by side and never conflated:
 - additive:        n_x + n_y <= n_{x^y} + n_{xvy}
 - multiplicative:  n_x * n_y <= n_{x^y} * n_{xvy}   (the MTP2 product form)
 
+Both checks return the lexicographically first violating pair as witness,
+among all pairs or, in ``local`` mode, among local pairs, which share their
+kernel with the local supermodularity scan on 2^L. Comparisons are exact for
+integer counts, past int64 too.
+
 Both depend on how categories are ordered, so a brute-force search over
 per-axis relabelings is provided (quotiented by global reversal, which
 preserves either condition).
@@ -18,6 +23,7 @@ and FKG covariances are computed by exact summation over all 2^l subsets.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import factorial, prod
 from typing import Literal, Optional
@@ -34,12 +40,12 @@ from .lattice import (
     CheckResult,
     LatticeFunction,
     Witness,
+    _exact,
+    _first_local_violation,
     is_supermodular,
     meet_restriction,
 )
 from .table import (
-    INT64_MAX,
-    INTEGER,
     CellIndex,
     ContingencyTable,
     cell_margin_fn,
@@ -52,86 +58,53 @@ NORMALIZATION_ATOL = 1e-9
 DENSITY_SUM_ATOL = 1e-12
 
 
-def _pair_scan(table: ContingencyTable, multiplicative: bool, local: bool) -> CheckResult:
-    counts = table.flat
-    cards = table.cardinalities
-    n_cells = counts.size
-    coords = np.stack(
-        np.unravel_index(np.arange(n_cells), cards), axis=1
-    ) if table.num_vars else np.zeros((n_cells, 0), dtype=np.int64)
-    values = counts.tolist()  # exact Python numbers for single pairs
-    tol = 0
-    if table.kind != INTEGER:
-        scale = float(np.max(np.abs(counts))) if n_cells else 0.0
-        tol = 1e-9 * max(1.0, scale * scale if multiplicative else scale)
-    elif multiplicative and n_cells and int(counts.max()) ** 2 > INT64_MAX:
-        counts = counts.astype(object)  # products would wrap in int64
+def _first_violation(flat: np.ndarray, cards, multiplicative: bool, tol):
+    """The first violating pair (x, y), x < y, in flat lexicographic order.
 
-    def violation(x_flat: int, y_flat: int) -> Optional[Witness]:
-        x, y = coords[x_flat], coords[y_flat]
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        lo_flat = int(np.ravel_multi_index(tuple(lo), cards)) if cards else 0
-        hi_flat = int(np.ravel_multi_index(tuple(hi), cards)) if cards else 0
+    ``parts`` holds each cell's coordinate times stride per axis, so the meet and
+    join of a pair have flat index the row sums of its elementwise min and max.
+    Comparable pairs satisfy the condition with equality; no need to skip.
+    """
+    strides = [prod(cards[k + 1 :]) for k in range(len(cards))]
+    parts = np.indices(cards).reshape(len(cards), flat.size).T * strides
+    for x in range(flat.size - 1):
+        lo = flat[np.minimum(parts[x], parts[x + 1 :]).sum(axis=1)]
+        hi = flat[np.maximum(parts[x], parts[x + 1 :]).sum(axis=1)]
         if multiplicative:
-            lhs = values[x_flat] * values[y_flat]
-            rhs = values[lo_flat] * values[hi_flat]
+            bad = flat[x] * flat[x + 1 :] > lo * hi + tol
         else:
-            lhs = values[x_flat] + values[y_flat]
-            rhs = values[lo_flat] + values[hi_flat]
-        if lhs > rhs + tol:
-            return Witness(
-                kind="mtp2-violation",
-                a=tuple(int(v) for v in x),
-                b=tuple(int(v) for v in y),
-                lhs=lhs,
-                rhs=rhs,
-            )
-        return None
-
-    if local:
-        # Pairs one step apart in exactly two coordinates.
-        for x_flat in range(n_cells):
-            x = coords[x_flat]
-            for i, j in itertools.combinations(range(table.num_vars), 2):
-                if x[i] + 1 >= cards[i] or x[j] < 1:
-                    continue
-                y = x.copy()
-                y[i] += 1
-                y[j] -= 1
-                w = violation(x_flat, int(np.ravel_multi_index(tuple(y), cards)))
-                if w is not None:
-                    return CheckResult(False, w)
-        return CheckResult(True)
-
-    for x_flat in range(n_cells):
-        x = coords[x_flat]
-        rest = coords[x_flat + 1 :]
-        if rest.size == 0:
-            continue
-        # Comparable pairs satisfy the condition with equality; no need to skip.
-        lo = np.minimum(x, rest)
-        hi = np.maximum(x, rest)
-        lo_flat = np.ravel_multi_index(tuple(lo.T), cards) if cards else np.zeros(1, int)
-        hi_flat = np.ravel_multi_index(tuple(hi.T), cards) if cards else np.zeros(1, int)
-        if multiplicative:
-            lhs = counts[x_flat] * counts[x_flat + 1 :]
-            rhs = counts[lo_flat] * counts[hi_flat]
-        else:
-            lhs = counts[x_flat] + counts[x_flat + 1 :]
-            rhs = counts[lo_flat] + counts[hi_flat]
-        bad = lhs > rhs + tol
+            bad = flat[x] + flat[x + 1 :] > lo + hi + tol
         if bad.any():
-            return CheckResult(False, violation(x_flat, x_flat + 1 + int(np.argmax(bad))))
-    return CheckResult(True)
+            return x, x + 1 + int(np.argmax(bad))
+    return None
+
+
+def _pair_scan(table: ContingencyTable, multiplicative: bool, local: bool) -> CheckResult:
+    counts, tol = _exact(table.counts, multiplicative)
+    cards = table.cardinalities
+    if local:
+        pair = _first_local_violation(counts, multiplicative, tol)
+    else:
+        pair = _first_violation(counts.reshape(-1), cards, multiplicative, tol)
+    if pair is None:
+        return CheckResult(True)
+    # The witness reads exact Python numbers, whatever the scan compared.
+    x, y = (tuple(int(i) for i in np.unravel_index(f, cards)) for f in pair)
+    lo, hi = tuple(map(min, x, y)), tuple(map(max, x, y))
+    vx, vy, vlo, vhi = (table.counts[c].item() for c in (x, y, lo, hi))
+    combine = operator.mul if multiplicative else operator.add
+    witness = Witness("mtp2-violation", x, y, combine(vx, vy), combine(vlo, vhi))
+    return CheckResult(False, witness)
 
 
 def is_mtp2_additive(
     table: ContingencyTable, mode: Literal["exhaustive", "local"] = "exhaustive"
 ) -> CheckResult:
     """Check n_x + n_y <= n at the componentwise min plus n at the max,
-    over all cell pairs (axes ordered by index). The witness is the first
-    violating pair in flat lexicographic order."""
+    over all cell pairs (axes ordered by index) or, in ``local`` mode, over
+    cells one step apart on exactly two axes, which decide it: the condition
+    is supermodularity on the cell grid. The witness is the lexicographically
+    first violating pair (x, y) the mode scans, x before y in flat order."""
     return _pair_scan(table, multiplicative=False, local=(mode == "local"))
 
 
@@ -139,6 +112,7 @@ def is_mtp2_multiplicative(
     table: ContingencyTable, mode: Literal["exhaustive", "local"] = "exhaustive"
 ) -> CheckResult:
     """The product form n_x * n_y <= n_{x^y} * n_{xvy}; zeros handled exactly.
+    Witnesses follow the rule of ``is_mtp2_additive``.
 
     With zeros present the local mode can miss global violations, which is
     why exhaustive is the default."""
@@ -164,21 +138,13 @@ class Relabeling:
         if tuple(len(p) for p in self.perms) != table.cardinalities:
             raise RangeError("relabeling shape does not match the table")
         new = np.empty_like(table.counts)
-        it = np.nditer(table.counts, flags=["multi_index"])
-        for value in it:
-            target = tuple(
-                self.perms[j][i] for j, i in enumerate(it.multi_index)
-            )
-            new[target] = value
+        new[np.ix_(*self.perms)] = table.counts
         labels = None
         if table.labels is not None:
-            labels = []
-            for j, axis in enumerate(table.labels):
-                out = [""] * len(axis)
-                for i, name in enumerate(axis):
-                    out[self.perms[j][i]] = name
-                labels.append(tuple(out))
-            labels = tuple(labels)
+            labels = tuple(
+                tuple(axis[i] for i in np.argsort(perm))
+                for axis, perm in zip(table.labels, self.perms)
+            )
         return ContingencyTable(table.cardinalities, new, labels, table.kind)
 
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CountRangeError, RangeError
-from .lattice import LatticeFunction, subset_sum_transform
+from .lattice import LatticeFunction
 from .varset import VarSet, check_lattice_cap
 
 # A cell is a full multi-index, 0-based per axis.
@@ -258,20 +258,14 @@ def cell_margin_fn(table: ContingencyTable, anchor: CellIndex) -> LatticeFunctio
     coordinates, so F(empty) is the grand total and F(L) the anchor's own
     count. F is decreasing and supermodular on 2^L for every table and anchor.
 
-    Computed by collapsing each axis to (at anchor, elsewhere) and running one
-    subset-sum transform, O(#cells + l 2^l) overall.
+    Computed by stacking (summed out, at the anchor) along each axis in turn,
+    which leaves F on the (2,)*l grid, O(#cells + l 2^l) overall.
     """
     anchor = check_cell(table, anchor)
     l = table.num_vars
     check_lattice_cap(l)
-    collapsed = table.counts
+    grid = table.counts
     for j, x0 in enumerate(anchor):
-        at = np.take(collapsed, [x0], axis=j)
-        rest = collapsed.sum(axis=j, keepdims=True) - at
-        collapsed = np.concatenate([at, rest], axis=j)
-    # Axis j out of place -> bit j; transpose so C-order ravel matches masks.
-    flat = collapsed.transpose(tuple(reversed(range(l)))).reshape(-1)
-    accum = subset_sum_transform(flat, l)
-    full = (1 << l) - 1
-    masks = np.arange(1 << l)
-    return LatticeFunction(l, accum[full ^ masks])
+        grid = np.stack([grid.sum(axis=j), grid.take(x0, axis=j)], axis=j)
+    # Axis j in ``a`` -> bit j; transpose so the C-order ravel matches masks.
+    return LatticeFunction(l, grid.transpose(tuple(reversed(range(l)))).reshape(-1))

@@ -438,6 +438,22 @@ class TestInputContract:
         assert code == 3
         assert "int64 limit" in err
 
+    def test_check_supermodular_sums_beyond_int64(self, tmp_path):
+        # The total 7 * 2**60 fits int64; sums of two marginal counts do not.
+        doc = {"schema": 1, "cardinalities": [2, 2, 2], "counts": [2**60] * 7 + [0]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(tablebounds.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "tablebounds.cli", "check", str(path),
+             "--property", "supermodular", "--anchor", "0,0,0"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["ok"] is True
+
     @pytest.mark.parametrize(
         "rows", [[1e308, 1e308], [1e308, 0.0]], ids=["total", "terms"]
     )

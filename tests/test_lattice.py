@@ -152,6 +152,36 @@ class TestSupermodular:
         assert not is_supermodular(LatticeFunction(2, vals), "exhaustive").ok
 
 
+class TestExactness:
+    """Integer functions compare exactly: no int64 wrap, no float rounding."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("mode", ["local", "exhaustive"])
+    def test_sums_beyond_the_dtype(self, mode, dtype):
+        # F(a) + F(b) = 2**63 wraps to -2**63 in int64 (2**31 in int32).
+        big = 2 ** (np.iinfo(dtype).bits - 2)
+        fn = LatticeFunction(2, np.array([0, big, big, big], dtype=dtype))
+        res = is_supermodular(fn, mode)
+        assert not res.ok
+        assert (res.witness.a, res.witness.b) == (VarSet(1, 2), VarSet(2, 2))
+        assert (res.witness.lhs, res.witness.rhs) == (big, 2 * big)
+
+    @pytest.mark.parametrize("mode", ["local", "exhaustive"])
+    def test_violation_by_one_at_2_pow_60(self, mode):
+        # float64 rounds 2**60 + 1 to 2**60, which hides the violation.
+        fn = LatticeFunction(2, [2**60, 2**59 + 1, 2**59, 0])
+        res = is_supermodular(fn, mode)
+        assert not res.ok
+        assert (res.witness.a, res.witness.b) == (VarSet(1, 2), VarSet(2, 2))
+        assert (res.witness.lhs, res.witness.rhs) == (2**60, 2**60 + 1)
+
+    def test_monotone_step_of_one_at_2_pow_60(self):
+        res = is_decreasing(LatticeFunction(1, [2**60, 2**60 + 1]))
+        assert not res.ok
+        assert (res.witness.a, res.witness.b) == (VarSet(0, 1), VarSet(1, 1))
+        assert (res.witness.lhs, res.witness.rhs) == (2**60, 2**60 + 1)
+
+
 class TestIndicator:
     def test_empty_base(self):
         fn = indicator_fn(VarSet.empty(3))

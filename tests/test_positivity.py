@@ -1,9 +1,13 @@
 """Total-positivity checks, relabeling search, exponential families, FKG."""
 
 import itertools
+import operator
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tablebounds import (
     ContingencyTable,
@@ -22,6 +26,7 @@ from tablebounds import (
     is_log_supermodular,
     is_mtp2_additive,
     is_mtp2_multiplicative,
+    is_supermodular,
     search_mtp2_relabeling,
 )
 from tablebounds.datasets import lead_table
@@ -128,6 +133,18 @@ class TestMultiplicative:
         assert (res.witness.a, res.witness.b) == ((0, 1), (1, 0))
         assert (res.witness.lhs, res.witness.rhs) == (2**64, 1)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "local"])
+    def test_real_counts_beyond_float64_products(self, mode):
+        # 1e200 * 1e200 overflows float64, and so did a slack of 1e-9 * 1e400.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bad = ContingencyTable((2, 2), [[1, 1e200], [1e200, 1]], kind="real")
+            res = is_mtp2_multiplicative(bad, mode)
+            assert not res.ok
+            assert (res.witness.a, res.witness.b) == ((0, 1), (1, 0))
+            good = ContingencyTable((2, 2), [[1e200, 1], [1, 1e200]], kind="real")
+            assert is_mtp2_multiplicative(good, mode).ok
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -146,6 +163,81 @@ class TestMultiplicative:
         lead = lead_table()  # product form holds, additive does not
         assert not is_mtp2_additive(lead).ok
         assert is_mtp2_multiplicative(lead)
+
+
+def local_pairs(cards):
+    """Every local pair as flat indices (x, y, lo, hi): x = lo + e_q and
+    y = lo + e_p for axes p < q, hi = lo + e_p + e_q."""
+    cells = list(itertools.product(*(range(c) for c in cards)))
+    flat = {cell: i for i, cell in enumerate(cells)}
+    for lo in cells:
+        for p, q in itertools.combinations(range(len(cards)), 2):
+            x, y, hi = list(lo), list(lo), list(lo)
+            x[q] += 1
+            y[p] += 1
+            hi[p] += 1
+            hi[q] += 1
+            if hi[p] < cards[p] and hi[q] < cards[q]:
+                yield flat[tuple(x)], flat[tuple(y)], flat[lo], flat[tuple(hi)]
+
+
+def first_local_violation(values, cards, combine):
+    """The lexicographically first local pair (x, y) with
+    combine(x, y) > combine(lo, hi), or None; plain Python."""
+    bad = [
+        (x, y)
+        for x, y, lo, hi in local_pairs(cards)
+        if combine(values[x], values[y]) > combine(values[lo], values[hi])
+    ]
+    return min(bad, default=None)
+
+
+class TestWitnessRule:
+    """Local witnesses are the lexicographically first violating local pair."""
+
+    @pytest.mark.parametrize("check", [is_mtp2_additive, is_mtp2_multiplicative])
+    def test_local_witness_is_exhaustive_witness(self, check):
+        t = ContingencyTable.from_flat((2, 2, 2), [0, 5, 1, 0, 1, 0, 0, 0])
+        local, full = check(t, "local"), check(t, "exhaustive")
+        assert (local.witness.a, local.witness.b) == ((0, 0, 1), (0, 1, 0))
+        assert local.witness == full.witness
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).flatmap(
+            lambda cards: st.tuples(
+                st.just(tuple(cards)),
+                st.lists(
+                    st.integers(0, 4), min_size=int(np.prod(cards)),
+                    max_size=int(np.prod(cards)),
+                ),
+            )
+        ),
+        st.lists(st.integers(-4, 4), min_size=16, max_size=16),
+        st.integers(0, 4),
+        st.sampled_from([1, 2**60]),
+    )
+    def test_local_witnesses_match_reference(self, grid, fn_values, l, scale):
+        cards, counts = grid
+        t = ContingencyTable.from_flat(cards, counts)
+        flat = {cell: i for i, cell in enumerate(itertools.product(*map(range, cards)))}
+        for check, combine in (
+            (is_mtp2_additive, operator.add),
+            (is_mtp2_multiplicative, operator.mul),
+        ):
+            res = check(t, "local")
+            expected = first_local_violation(counts, cards, combine)
+            got = None if res.ok else (flat[res.witness.a], flat[res.witness.b])
+            assert got == expected
+            if expected is not None:
+                x, y = (counts[i] for i in expected)
+                assert res.witness.lhs == combine(x, y)
+        # On 2^L the flat index of the (2,)*l grid is the mask.
+        values = [v * scale for v in fn_values[: 1 << l]]
+        res = is_supermodular(LatticeFunction(l, values), "local")
+        expected = first_local_violation(values, (2,) * l, operator.add)
+        got = None if res.ok else (res.witness.a.mask, res.witness.b.mask)
+        assert got == expected
 
 
 class TestRelabelingSearch:
