@@ -161,7 +161,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
     cell = parse_cell(args.cell.split(","), fam.cardinalities, fam.labels)
     budget = EnumerationBudget()
     if args.budget is not None:
-        budget.max_nodes = args.budget
+        budget = EnumerationBudget(max_nodes=args.budget)
     if args.certify is not None:
         report = method_report(fam, args.certify, cell)
         try:
@@ -185,6 +185,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
                     "min": cert.sharp.min_count,
                     "max": cert.sharp.max_count,
                     "tables": cert.sharp.tables_found,
+                    "nodes": budget.nodes,
                     "outcome": cert.sharp.outcome,
                 },
                 "slack": [_jsonify(cert.slack_lower), _jsonify(cert.slack_upper)],
@@ -199,6 +200,7 @@ def cmd_oracle(args) -> tuple[dict, int]:
             "min": sharp.min_count,
             "max": sharp.max_count,
             "tables": sharp.tables_found,
+            "nodes": budget.nodes,
             "outcome": sharp.outcome,
             "sharp": sharp.is_sharp,
         },
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="enumeration-sharp bounds / certification")
     p.add_argument("family", help="family file (.json)")
     p.add_argument("--cell", required=True)
-    p.add_argument("--budget", type=int, help="max DFS nodes (default 10^7)")
+    p.add_argument("--budget", type=int, help="max search nodes (default 10^7)")
     p.add_argument("--certify", help="bounds method to certify against the oracle")
     p.set_defaults(func=cmd_oracle)
 

@@ -112,23 +112,28 @@ class CheckResult:
         return self.ok
 
 
-def _exact(values: np.ndarray, multiplicative: bool = False):
+def _exact(values: np.ndarray, multiplicative: bool = False, negate: bool = False):
     """(values, slack) under the one comparison rule of every pair checker.
 
     Integer values keep the integer slack 0 and become Python ints when a
     two-term sum (``multiplicative``: product) could pass their dtype. Real
     values are divided by max(1, max|v|) and get slack REAL_RTOL: the
     absolute 1e-9 max(1, max|v|) (products: max(1, max|v|^2)) rescaled, so
-    it and the compared terms stay finite.
+    it and the compared terms stay finite. ``negate`` returns -values, which
+    integers take in int64 while its two-term sums fit, else in Python ints.
     """
     values = np.asarray(values)
     if np.issubdtype(values.dtype, np.integer):
         big = max(-int(values.min()), int(values.max()))
+        if negate:
+            wide = np.int64 if big <= np.iinfo(np.int64).max // 2 else object
+            return -values.astype(wide), 0
         limit = int(np.iinfo(values.dtype).max)
         if big > (isqrt(limit) if multiplicative else limit // 2):
             values = values.astype(object)
         return values, 0
-    return values / max(1.0, float(np.abs(values).max())), REAL_RTOL
+    scaled = values / max(1.0, float(np.abs(values).max()))
+    return (-scaled if negate else scaled), REAL_RTOL
 
 
 def _first_local_violation(
@@ -210,18 +215,10 @@ def _supermodular_witness(fn: LatticeFunction, a: int, b: int) -> Witness:
     )
 
 
-def is_supermodular(
-    fn: LatticeFunction, mode: Literal["local", "exhaustive"] = "local"
-) -> CheckResult:
-    """Check F(a|b) + F(a&b) >= F(a) + F(b).
-
-    ``local`` checks F(a|{i,j}) + F(a) >= F(a|{i}) + F(a|{j}) for all a and
-    i != j outside a, which is equivalent on 2^L and costs O(l^2 2^l).
-    ``exhaustive`` scans all 4^l ordered pairs and serves as the oracle mode.
-    The witness, when present, is the lexicographically first violating pair
-    the mode scans; ``local`` gives (a|{i}, a|{j}) with bit i below bit j.
-    """
-    vals, tol = _exact(fn.values)
+def _supermodular_check(fn: LatticeFunction, mode: str, negate: bool) -> CheckResult:
+    """Scan for the first pair (a, b) with G(a|b) + G(a&b) < G(a) + G(b),
+    where G is F (``negate``: -F, taken without wrapping)."""
+    vals, tol = _exact(fn.values, negate=negate)
     if mode == "exhaustive":
         masks = np.arange(1 << fn.num_vars)
         for a in masks.tolist():
@@ -237,17 +234,25 @@ def is_supermodular(
     return CheckResult(False, _supermodular_witness(fn, *pair))
 
 
+def is_supermodular(
+    fn: LatticeFunction, mode: Literal["local", "exhaustive"] = "local"
+) -> CheckResult:
+    """Check F(a|b) + F(a&b) >= F(a) + F(b).
+
+    ``local`` checks F(a|{i,j}) + F(a) >= F(a|{i}) + F(a|{j}) for all a and
+    i != j outside a, which is equivalent on 2^L and costs O(l^2 2^l).
+    ``exhaustive`` scans all 4^l ordered pairs and serves as the oracle mode.
+    The witness, when present, is the lexicographically first violating pair
+    the mode scans; ``local`` gives (a|{i}, a|{j}) with bit i below bit j.
+    """
+    return _supermodular_check(fn, mode, negate=False)
+
+
 def is_submodular(
     fn: LatticeFunction, mode: Literal["local", "exhaustive"] = "local"
 ) -> CheckResult:
     """Dual check, F(a|b) + F(a&b) <= F(a) + F(b); equivalent to -F supermodular."""
-    negated = LatticeFunction(fn.num_vars, -np.asarray(fn.values))
-    result = is_supermodular(negated, mode)
-    if result.ok:
-        return result
-    w = result.witness
-    witness = Witness(kind=w.kind, a=w.a, b=w.b, lhs=-w.lhs, rhs=-w.rhs)
-    return CheckResult(False, witness)
+    return _supermodular_check(fn, mode, negate=True)
 
 
 def indicator_fn(s: VarSet, num_vars: int | None = None) -> LatticeFunction:

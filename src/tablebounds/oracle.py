@@ -11,6 +11,19 @@ before a cell, on which the rest of the search depends alone), so each state
 is expanded once and a revisit adds its stored table count. A bound report is
 certified by checking it contains them.
 
+Two engines expand those states and give identical results, node counts
+included. The memoized DFS costs about 0.5 us of interpreted Python per node
+and keeps about 73 bytes per node in its memo. The layered engine expands one
+cell's states at a time in a few numpy operations: it costs about 30-40 us
+per cell however small the layer, keeps about 5 bytes per node (an edge's
+value and child index) plus per-state offsets and counts, and while it
+builds a layer up to about 250 bytes per edge of that layer (keys, sort
+order, residuals widened to int64). Every search starts as the DFS;
+past DFS_ALLOWANCE nodes, where the two break even, it restarts in the
+layered engine. When the layered engine finds the caller's budget would be
+reached, before it builds the layer that reaches it, the DFS runs under that
+budget, so an exhausted result is the DFS's.
+
 Budgets are explicit and machine-readable. ``nodes`` counts the values tried
 at expanded states (every value, for the streaming search) and ``tables`` the
 matching tables found, cached subtrees included. A result is sharp only when
@@ -22,7 +35,7 @@ truncated.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 from typing import Iterator, Optional
 
@@ -35,6 +48,9 @@ from .varset import VarSet
 
 COMPLETE = "complete"
 EXHAUSTED = "exhausted"
+# Nodes the memoized DFS may take before the layered engine takes over: where
+# the two engines' times cross on random 2-4 variable families (CHANGES.md).
+DFS_ALLOWANCE = 1_000
 
 
 @dataclass
@@ -43,13 +59,19 @@ class EnumerationBudget:
 
     A run stops, ``exhausted``, on its next node past ``max_nodes`` or once
     ``tables`` reaches ``max_tables``; the memoized search adds a cached
-    subtree's tables at once, so it may stop past ``max_tables``."""
+    subtree's tables at once, so it may stop past ``max_tables``. Both limits
+    must be at least 1."""
 
     max_nodes: int = 10_000_000
     max_tables: int = 1_000_000
     nodes: int = 0
     tables: int = 0
     outcome: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_nodes", "max_tables"):
+            if getattr(self, name) < 1:
+                raise RangeError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     @property
     def complete(self) -> bool:
@@ -222,12 +244,29 @@ def _no_table(budget: EnumerationBudget) -> None:
 
 
 def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[int] = None):
-    """Per-cell extremes over every matching table, by memoized DFS.
+    """Per-cell extremes over every matching table.
 
     Returns (mins, maxs, min_table, max_table): lists of each flat cell's
     least and greatest value over the tables found (``mins[k] > maxs[k]`` when
     none was), and for the flat cell ``track`` the first tables in DFS order
     attaining them (None without ``track``).
+
+    The memoized DFS runs first, under DFS_ALLOWANCE nodes. A search still
+    open there is run again by the layered engine from the caller's counts,
+    and when that finds the caller's budget would be reached, by the DFS under
+    that budget, whose partial result is made of attained values.
+    """
+    cons = _build_constraints(fam)
+    probe = replace(budget, max_nodes=min(budget.max_nodes, budget.nodes + DFS_ALLOWANCE))
+    found = _dfs_extremes(*cons, probe, track)
+    if probe.nodes <= probe.max_nodes or probe.max_nodes == budget.max_nodes:
+        budget.nodes, budget.tables, budget.outcome = probe.nodes, probe.tables, probe.outcome
+        return found
+    return _layered_extremes(*cons, budget, track) or _dfs_extremes(*cons, budget, track)
+
+
+def _dfs_extremes(targets, cell_groups, closing_groups, budget, track):
+    """``_extremes`` by memoized DFS.
 
     The search takes the row-major order, forcing and pruning of
     ``_iter_flat``, but expands each state -- the residual vector before cell
@@ -240,7 +279,6 @@ def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[in
     subtree below produced a table; when the budget runs out the current path
     is left the same way, so a partial range holds only attained values.
     """
-    targets, cell_groups, closing_groups = _build_constraints(fam)
     n = len(cell_groups)
     mins, maxs = [max(targets) + 1] * n, [-1] * n
     weights, w = [], 1
@@ -331,6 +369,168 @@ def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[in
         first_table(*min_at) if min_at else None,
         first_table(*max_at) if max_at else None,
     )
+
+
+@functools.lru_cache(maxsize=256)
+def _layer_plan(cell_groups, closing_groups):
+    """Per cell: its groups as an index array, and the groups open after it
+    (touched by it or an earlier cell, closed by a later one). Like the
+    groups, they depend on the shape alone."""
+    plan, opened = [], set()
+    for grp, closing in zip(cell_groups, closing_groups):
+        opened.update(grp)
+        opened.difference_update(closing)
+        plan.append((np.array(grp, dtype=np.intp), sorted(opened)))
+    return plan
+
+
+def _key_layout(targets, groups, cell):
+    """Mixed-radix key of a child of ``cell`` over its residuals in
+    ``groups``: (weights, step) with one column per int64 word, so the key is
+    ``residuals @ weights`` and assigning v to the cell subtracts
+    ``v * step``. Residual g lies in [0, targets[g]], so it is one digit of
+    radix targets[g] + 1; a word ends before its radix product would pass
+    2**63, so no key wraps."""
+    words, steps, size = [[]], [0], 1
+    for g in groups:
+        radix = targets[g] + 1
+        if size * radix > 2**63:
+            words.append([0] * len(words[-1]))
+            steps.append(0)
+            size = 1
+        for column in words[:-1]:
+            column.append(0)
+        words[-1].append(size)
+        if g in cell:
+            steps[-1] += size
+        size *= radix
+    return np.array(words, dtype=np.int64).T, np.array(steps, dtype=np.int64)
+
+
+def _dedup(keys: np.ndarray):
+    """(first, inverse) of the distinct rows of ``keys``: ``first`` indexes
+    one row of each, ``inverse`` maps every row to its distinct one."""
+    m, words = keys.shape
+    if m == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    columns = keys.T
+    order = np.lexsort(columns) if words > 1 else np.argsort(columns[0])
+    new = np.zeros(m, dtype=bool)
+    new[0] = True
+    for column in columns:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    inverse = np.empty(m, dtype=np.int32 if m < 2**31 else np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _layered_extremes(targets, cell_groups, closing_groups, budget, track):
+    """``_extremes`` breadth-first, one cell layer at a time in numpy; None,
+    leaving ``budget`` alone, when the caller's budget would be reached.
+
+    Layer k holds the distinct states before cell k that the DFS expands, as
+    rows of residuals. The forward pass gives each state the ``[lo, hi]`` of
+    ``_cell_range`` and one edge per value, and merges equal children by
+    their residuals over the groups still open with a positive target,
+    packed in mixed-radix words; so ``nodes`` is the DFS's. The backward pass
+    counts tables per state, saturated where the caller's ``max_tables``
+    would be reached, and takes a cell's extremes over the edges into states
+    that hold a table.
+    """
+    n = len(cell_groups)
+    cap = budget.max_tables - budget.tables
+    nodes_left = budget.max_nodes - budget.nodes
+    if cap <= 0:
+        return None
+    # Residuals fit the least signed dtype that holds every target + 1.
+    small = next(
+        (t for t in (np.int8, np.int16, np.int32) if max(targets) < np.iinfo(t).max), np.int64
+    )
+    R = np.array([targets], dtype=small)  # residuals of the states before cell k
+    layers = []  # per cell: (start, width, value, inverse)
+    nodes = 0
+    for k, (grp, opened) in enumerate(_layer_plan(cell_groups, closing_groups)):
+        closing = closing_groups[k]
+        hi = R[:, grp].min(axis=1)
+        if closing:
+            # Forced to the closing groups' common residual, which every
+            # group of the cell must still hold.
+            lo = R[:, closing[0]]
+            ok = hi == lo
+            if len(closing) > 1:
+                ok &= R[:, closing].max(axis=1) == lo
+            width = ok.view(np.int8)
+        else:
+            top = int(hi.max(initial=-1))
+            # One state past the budget, or a sum of widths that could wrap.
+            if top >= nodes_left - nodes or len(R) * (top + 1) >= 2**63:
+                return None
+            lo, width = None, hi + 1
+        edges = int(width.sum())
+        nodes += edges
+        if nodes > nodes_left:
+            return None
+        start = np.cumsum(width) - width
+        parent = np.repeat(np.arange(len(R)), width)
+        value = lo[parent] if closing else (np.arange(edges) - start[parent]).astype(small)
+        keyed = [g for g in opened if targets[g] > 0]
+        weights, step = _key_layout(targets, keyed, cell_groups[k])
+        keys = (R[:, keyed].astype(np.int64) @ weights)[parent]
+        keys -= value[:, None] * step
+        first, inverse = _dedup(keys)
+        R, taken = R[parent[first]], value[first]
+        for g in grp:
+            R[:, g] -= taken
+        layers.append((start, width, value, inverse))
+
+    # Backward: counts[k][s] = tables below state s of layer k, saturated at
+    # ``limit`` (at most ``cap``, and small enough that a state's sum over
+    # its edges, at most max(targets) + 1 of them, fits int64).
+    limit = min(cap, (2**63 - 1) // (max(targets) + 1))
+    counts = [None] * n + [np.ones(len(R), dtype=np.int64)]
+    mins, maxs = [max(targets) + 1] * n, [-1] * n
+    for k in reversed(range(n)):
+        start, width, value, inverse = layers[k]
+        below = counts[k + 1][inverse]
+        live = value[below > 0]
+        if live.size:
+            mins[k], maxs[k] = int(live.min()), int(live.max())
+        total = np.zeros(len(width), dtype=np.int64)
+        some = width > 0
+        if below.size:
+            total[some] = np.add.reduceat(below, start[some])
+        counts[k] = np.minimum(total, limit)
+    tables = int(counts[0][0])
+    if tables >= limit:
+        return None
+
+    def first_table(v: int) -> tuple[int, ...]:
+        """The first table in DFS order with value v at cell ``track``: at
+        each cell the least value whose edge leads on to such a table."""
+        _, _, value, inverse = layers[track]
+        # reach[j]: the edges of layer j <= track on a path to such a table.
+        reach = [(value == v) & (counts[track + 1][inverse] > 0)]
+        for j in reversed(range(track)):
+            _, width, _, _ = layers[j + 1]
+            good = np.zeros(len(width), dtype=bool)
+            good[np.repeat(np.arange(len(width)), width)[reach[0]]] = True
+            reach.insert(0, good[layers[j][3]])
+        path, s = [], 0
+        for j, (start, width, value, inverse) in enumerate(layers):
+            a, b = start[s], start[s] + width[s]
+            ok = reach[j][a:b] if j <= track else counts[j + 1][inverse[a:b]] > 0
+            e = a + int(np.argmax(ok))
+            path.append(int(value[e]))
+            s = inverse[e]
+        return tuple(path)
+
+    budget.nodes += nodes
+    budget.tables += tables
+    budget.outcome = COMPLETE
+    if track is None or not tables:
+        return mins, maxs, None, None
+    return mins, maxs, first_table(mins[track]), first_table(maxs[track])
 
 
 def sharp_bounds_all(

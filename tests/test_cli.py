@@ -302,6 +302,7 @@ class TestOracleCommand:
         assert code == 0
         assert (doc["min"], doc["max"]) == (0, 8)
         assert doc["outcome"] == "complete" and doc["sharp"] is True
+        assert (doc["tables"], doc["nodes"]) == (309, 978)
 
     def test_certify_simple(self, capsys, lead_family_file):
         code, doc, _ = run_cli(
@@ -311,6 +312,7 @@ class TestOracleCommand:
         assert code == 0
         assert doc["certified"] is True
         assert doc["slack"] == [0, 0]
+        assert (doc["sharp"]["tables"], doc["sharp"]["nodes"]) == (309, 978)
 
     def test_budget_partial_flagged(self, capsys, lead_family_file):
         code, doc, _ = run_cli(
@@ -325,6 +327,14 @@ class TestOracleCommand:
             capsys, "oracle", lead_family_file, "--cell", "0,0", "--budget", "1"
         )
         assert code == 5
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exit_3(self, capsys, lead_family_file, budget):
+        code, doc, err = run_cli(
+            capsys, "oracle", lead_family_file, "--cell", "0,0", "--budget", budget
+        )
+        assert (code, doc) == (3, None)
+        assert err == f"error: max_nodes must be at least 1, got {budget}\n"
 
     def test_certify_needs_complete_exit_5(self, capsys, lead_family_file):
         code, _, _ = run_cli(

@@ -175,6 +175,27 @@ class TestExactness:
         assert (res.witness.a, res.witness.b) == (VarSet(1, 2), VarSet(2, 2))
         assert (res.witness.lhs, res.witness.rhs) == (2**60, 2**60 + 1)
 
+    @pytest.mark.parametrize("mode", ["local", "exhaustive"])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0, 1, 1, 1], dtype=np.uint64),
+            np.array([-(2**63), 0, 0, 0], dtype=np.int64),
+        ],
+        ids=["uint64", "int64-min"],
+    )
+    def test_submodular_negation_does_not_wrap(self, mode, values):
+        # F(3) + F(0) <= F(1) + F(2) holds; -F wraps in either dtype.
+        assert is_submodular(LatticeFunction(2, values), mode).ok
+
+    @pytest.mark.parametrize("mode", ["local", "exhaustive"])
+    def test_submodular_witness_beyond_int64(self, mode):
+        fn = LatticeFunction(2, np.array([0, 0, 0, 2**63], dtype=np.uint64))
+        res = is_submodular(fn, mode)
+        assert not res.ok
+        assert (res.witness.a, res.witness.b) == (VarSet(1, 2), VarSet(2, 2))
+        assert (res.witness.lhs, res.witness.rhs) == (2**63, 0)
+
     def test_monotone_step_of_one_at_2_pow_60(self):
         res = is_decreasing(LatticeFunction(1, [2**60, 2**60 + 1]))
         assert not res.ok

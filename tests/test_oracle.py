@@ -25,6 +25,7 @@ from tablebounds import (
     sharp_bounds_all,
     simple_frechet,
 )
+from tablebounds import oracle
 from tablebounds.bounds import BoundReport
 
 
@@ -212,6 +213,12 @@ class TestBudget:
         assert n == 5
         assert budget.outcome == "exhausted"
 
+    @pytest.mark.parametrize("field", ["max_nodes", "max_tables"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_limits_below_one_refused(self, field, value):
+        with pytest.raises(RangeError, match=f"{field} must be at least 1, got {value}"):
+            EnumerationBudget(**{field: value})
+
     def test_tiny_budget_raises_before_any_table(self):
         fam = two_way_family([25, 5, 4], [8, 7, 19])
         with pytest.raises(BudgetExhaustedError):
@@ -356,3 +363,83 @@ class TestMemoizedSearchProperties:
         assert (mins <= pmins).all() and (pmaxs <= maxs).all()
         for j, (lo, hi) in enumerate(zip(pmins.reshape(-1), pmaxs.reshape(-1))):
             assert lo in values[j] and hi in values[j]  # attained, not guessed
+
+
+class TestLayeredEngine:
+    """The breadth-first engine against the streaming enumeration and the
+    memoized DFS, which it must match node for node."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_families(), st.data())
+    def test_layered_matches_stream(self, fam, data):
+        tables, values = stream_reference(fam)
+        cons = oracle._build_constraints(fam)
+        k = data.draw(st.integers(0, len(cons[1]) - 1), label="flat cell")
+        budget, dfs = EnumerationBudget(), EnumerationBudget()
+        mins, maxs, lo_tab, hi_tab = oracle._layered_extremes(*cons, budget, k)
+        oracle._dfs_extremes(*cons, dfs, k)
+        assert budget.nodes == dfs.nodes
+        assert (budget.tables, budget.outcome) == (len(tables), "complete")
+        if not tables:
+            assert all(lo > hi for lo, hi in zip(mins, maxs))
+            assert lo_tab is None and hi_tab is None
+            return
+        assert mins == [min(v) for v in values]
+        assert maxs == [max(v) for v in values]
+        assert lo_tab == next(t for t in tables if t[k] == mins[k])
+        assert hi_tab == next(t for t in tables if t[k] == maxs[k])
+
+    def test_key_past_63_bits(self):
+        # One unit in each of rows 0 and 1. In row 1 the open residuals (row
+        # 1, the four columns, the total) take three words, and states that
+        # differ only in columns 2 and 3 agree on the first word.
+        wide, narrow = 2**30, 2**20
+        cols = [wide, wide, narrow, narrow]
+        rows = [1, 1, sum(cols) - 2]
+        fam = MarginalFamily(
+            (3, 4),
+            [
+                MarginalTable(VarSet.from_vars([1], 2), ContingencyTable.from_flat((3,), rows)),
+                MarginalTable(VarSet.from_vars([2], 2), ContingencyTable.from_flat((4,), cols)),
+            ],
+        )
+        targets, cell_groups, closing_groups = cons = oracle._build_constraints(fam)
+        words = max(
+            oracle._key_layout(targets, [g for g in opened if targets[g]], ())[0].shape[1]
+            for _, opened in oracle._layer_plan(cell_groups, closing_groups)
+        )
+        assert words == 3
+        budget = EnumerationBudget()
+        mins, maxs, lo_tab, hi_tab = oracle._layered_extremes(*cons, budget, 10)
+        assert mins == [0] * 8 + [c - 2 for c in cols]
+        assert maxs == [1] * 8 + cols
+        assert budget.tables == 16 and budget.outcome == "complete"
+        assert lo_tab == (0, 0, 1, 0, 0, 0, 1, 0, wide, wide, narrow - 2, narrow)
+        assert hi_tab == (0, 0, 0, 1, 0, 0, 0, 1, wide, wide, narrow, narrow - 2)
+        dfs = EnumerationBudget()
+        assert oracle._dfs_extremes(*cons, dfs, 10) == (mins, maxs, lo_tab, hi_tab)
+        assert dfs.nodes == budget.nodes
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{}, {"max_nodes": 1500}, {"max_nodes": 2132}, {"max_tables": 500},
+         {"max_tables": 1035}],
+        ids=["complete", "nodes-1500", "nodes-2132", "tables-500", "tables-1035"],
+    )
+    def test_above_allowance_equals_dfs(self, monkeypatch, limits):
+        fam = two_way_family([8, 8, 8], [8, 8, 8])  # 2,133 nodes, 1,035 tables
+        calls, layered = [], oracle._layered_extremes
+
+        def counted(*args):
+            calls.append(args)
+            return layered(*args)
+
+        monkeypatch.setattr(oracle, "_layered_extremes", counted)
+        budget, dfs = EnumerationBudget(**limits), EnumerationBudget(**limits)
+        got = oracle._extremes(fam, budget, 4)
+        want = oracle._dfs_extremes(*oracle._build_constraints(fam), dfs, 4)
+        assert len(calls) == 1  # the search passed the allowance
+        assert got == want
+        assert (budget.nodes, budget.tables) == (dfs.nodes, dfs.tables)
+        assert budget.outcome == dfs.outcome
+        assert budget.outcome == ("complete" if not limits else "exhausted")
