@@ -129,11 +129,19 @@ class MarginalFamily:
 
     def _validate_consistency(self) -> None:
         margs = [self.released[m] for m in sorted(self.released)]
+        sums: dict[tuple[int, int], np.ndarray] = {}
+
+        def summed(m: MarginalTable, common: VarSet) -> np.ndarray:
+            """n(common) as marginal m sums it out, once per (m, common)."""
+            key = (m.vars.mask, common.mask)
+            if key not in sums:
+                sums[key] = m.table.counts.sum(axis=_outside(m.vars, common))
+            return sums[key]
+
         for pair in itertools.combinations(margs, 2):
             a, b = (m.vars for m in pair)
             common = a & b
-            # n(a & b) as each side sums it out of its own marginal.
-            va, vb = (m.table.counts.sum(axis=_outside(m.vars, common)) for m in pair)
+            va, vb = (summed(m, common) for m in pair)
             if self.kind == INTEGER:
                 agree = np.array_equal(va, vb)
             else:

@@ -117,8 +117,12 @@ def cmd_bounds(args) -> tuple[dict, int]:
 
 
 def cmd_check(args) -> tuple[dict, int]:
-    table = tbio.load_table(args.table)
     prop = args.property
+    if args.relabel and not prop.startswith("mtp2-"):
+        raise RangeError(f"--relabel applies to the mtp2 properties, not {prop!r}")
+    if args.relabel and args.mode == "local":
+        raise RangeError("--relabel searches with the exhaustive scan; drop --mode local")
+    table = tbio.load_table(args.table)
     doc: dict = {"schema": SCHEMA, "property": prop}
 
     def anchor_fn():
@@ -347,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--relabel",
         action="store_true",
-        help="search for a category relabeling satisfying the mtp2 property",
+        help="search for a category relabeling satisfying the mtp2 property "
+        "(exhaustive scan; mtp2 properties only)",
     )
     p.set_defaults(func=cmd_check)
 

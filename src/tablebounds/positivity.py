@@ -22,6 +22,7 @@ and FKG covariances are computed by exact summation over all 2^l subsets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from .lattice import (
     LatticeFunction,
     Witness,
     _exact,
+    _first_in_blocks,
     _first_local_violation,
     is_supermodular,
     meet_restriction,
@@ -54,29 +56,68 @@ from .table import (
 from .varset import VarSet, check_lattice_cap
 
 RELABEL_SEARCH_CAP = 10**6
+# Cells per axis group of the exhaustive scan's meet tables, which hold
+# MEET_GROUP^2 entries each.
+MEET_GROUP = 64
 NORMALIZATION_ATOL = 1e-9
 DENSITY_SUM_ATOL = 1e-12
+
+
+@functools.lru_cache(maxsize=32)
+def _meet_groups(cards: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Lookup tables for the meet of two cells, per group of adjacent axes
+    with at most MEET_GROUP cells. A group's digit d(x) is the index of
+    cell x's coordinates on its axes; ``table[d(x) * size + d(y)]`` is the
+    flat offset of the meet's coordinates there (stride times the smaller
+    coordinate, summed over the group's axes). Per group the read-only
+    arrays are (d * size, d, table); the meet's flat index is the sum of the
+    groups' lookups."""
+    groups: list[list[int]] = []
+    for k in reversed(range(len(cards))):
+        if groups and prod(cards[j] for j in groups[-1]) * cards[k] <= MEET_GROUP:
+            groups[-1].insert(0, k)
+        else:
+            groups.append([k])
+    out = []
+    for axes in groups:
+        sub = [cards[k] for k in axes]
+        size, stride = prod(sub), prod(cards[axes[-1] + 1 :])
+        digit = np.arange(prod(cards)) // stride % size
+        coords = np.indices(sub).reshape(len(sub), size)
+        inner = [prod(sub[j + 1 :]) for j in range(len(sub))]
+        lows = np.minimum(coords[:, :, None], coords[:, None, :])
+        table = stride * np.tensordot(inner, lows, axes=1).reshape(-1)
+        arrays = (digit * size, digit, table)
+        for a in arrays:
+            a.setflags(write=False)
+        out.append(arrays)
+    return tuple(out)
 
 
 def _first_violation(flat: np.ndarray, cards, multiplicative: bool, tol):
     """The first violating pair (x, y), x < y, in flat lexicographic order.
 
-    ``parts`` holds each cell's coordinate times stride per axis, so the meet and
-    join of a pair have flat index the row sums of its elementwise min and max.
-    Comparable pairs satisfy the condition with equality; no need to skip.
+    Rows x are compared in blocks with every y past the block's first row
+    (``_first_in_blocks``). The meet of a pair has flat index the sum over
+    axes of stride times the smaller coordinate, read per group of axes from
+    ``_meet_groups``, and the join x + y - meet. Comparable pairs satisfy
+    the condition with equality; no need to skip.
     """
-    strides = [prod(cards[k + 1 :]) for k in range(len(cards))]
-    parts = np.indices(cards).reshape(len(cards), flat.size).T * strides
-    for x in range(flat.size - 1):
-        lo = flat[np.minimum(parts[x], parts[x + 1 :]).sum(axis=1)]
-        hi = flat[np.maximum(parts[x], parts[x + 1 :]).sum(axis=1)]
-        if multiplicative:
-            bad = flat[x] * flat[x + 1 :] > lo * hi + tol
-        else:
-            bad = flat[x] + flat[x + 1 :] > lo + hi + tol
-        if bad.any():
-            return x, x + 1 + int(np.argmax(bad))
-    return None
+    n = flat.size
+    groups = _meet_groups(cards)
+    cells = np.arange(n)
+
+    def bad_rows(start, stop):
+        cols = slice(start + 1, n)
+        meet = sum(
+            table[scaled[start:stop, None] + digit[cols]] for scaled, digit, table in groups
+        )
+        join = cells[start:stop, None] + cells[cols] - meet
+        x, y, lo, hi = flat[start:stop, None], flat[cols], flat.take(meet), flat.take(join)
+        bad = x * y > lo * hi + tol if multiplicative else x + y > lo + hi + tol
+        return bad, start + 1
+
+    return _first_in_blocks(n - 1, n - 1, bad_rows)
 
 
 def _pair_scan(table: ContingencyTable, multiplicative: bool, local: bool) -> CheckResult:

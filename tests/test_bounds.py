@@ -23,6 +23,7 @@ from tablebounds import (
     frechet_3way,
     frechet_ddim,
     kwerel_form,
+    marginalize,
     simple_frechet,
     validate_report_against_table,
 )
@@ -86,12 +87,37 @@ class TestMarginalFamily:
         with pytest.raises(InconsistentFamilyError):
             MarginalFamily((2, 2, 2), [m_a, m_b])
 
+    def test_first_disagreeing_pair_reported(self):
+        # Three tables with one total; five of the ten pairs of released
+        # marginals disagree. Pairs are checked in order of their masks, and
+        # the first to disagree is ({2}, {2,3}), after {2} was summed over
+        # {2} for an earlier pair.
+        a, b, c = (
+            ContingencyTable.from_flat((2, 3, 2), counts)
+            for counts in (
+                [1, 2, 0, 3, 1, 1, 2, 0, 4, 1, 0, 3],
+                [2, 1, 1, 3, 0, 1, 2, 1, 3, 1, 1, 2],
+                [0, 2, 1, 2, 1, 2, 3, 0, 2, 1, 1, 3],
+            )
+        )
+        sources = [(a, [1, 2]), (a, [3]), (b, [1, 3]), (c, [2, 3]), (a, [2])]
+        margs = [marginalize(t, VarSet.from_vars(v, 3)) for t, v in sources]
+        with pytest.raises(InconsistentFamilyError) as err:
+            MarginalFamily((2, 3, 2), margs)
+        assert str(err.value) == (
+            "marginals over {2} and {2,3} disagree on {2} at cell (1,): 8 vs 6"
+        )
+        assert err.value.witness == dict(
+            subsets=(VarSet.from_vars([2], 3), VarSet.from_vars([2, 3], 3)),
+            common=VarSet.from_vars([2], 3),
+            cell=(1,),
+            values=(8, 6),
+        )
+
     def test_derivation_from_released_superset(self):
         t = random_table(np.random.default_rng(0), 3)
         fam = family_of(t, [[1, 2]])
         derived = fam.marginal(VarSet.from_vars([1], 3))
-        from tablebounds import marginalize
-
         assert np.array_equal(
             derived.table.counts,
             marginalize(t, VarSet.from_vars([1], 3)).table.counts,

@@ -272,6 +272,32 @@ class TestCheckCommand:
         assert code == 1
         assert doc["relabeling"] is None
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--property", "supermodular", "--anchor", "0,0"],
+            ["--property", "decreasing", "--anchor", "0,0"],
+            ["--property", "log-supermodular", "--anchor", "0,0"],
+            ["--property", "mtp2-additive", "--mode", "local"],
+            ["--property", "mtp2-multiplicative", "--mode", "local"],
+        ],
+        ids=["supermodular", "decreasing", "log-supermodular", "add-local", "mult-local"],
+    )
+    def test_relabel_that_would_do_nothing_exit_3(self, capsys, extra):
+        # --relabel runs only for the mtp2 properties, and only exhaustively.
+        code, doc, err = run_cli(capsys, "check", lead_path(), "--relabel", *extra)
+        assert code == 3
+        assert doc is None
+        assert err.startswith("error: --relabel") and err.count("\n") == 1
+
+    def test_relabel_with_exhaustive_mode(self, capsys):
+        code, doc, _ = run_cli(
+            capsys, "check", lead_path(), "--property", "mtp2-multiplicative",
+            "--relabel", "--mode", "exhaustive",
+        )
+        assert code == 0
+        assert doc["relabeling"] == [[0, 1, 2], [0, 1, 2]]
+
     def test_supermodular_with_anchor(self, capsys):
         code, doc, _ = run_cli(
             capsys, "check", lead_path(), "--property", "supermodular",

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tablebounds import (
     ContingencyTable,
@@ -22,6 +24,7 @@ from tablebounds import (
     random_supermodular_fn,
     subset_sum_transform,
 )
+from tablebounds import lattice
 from tablebounds.datasets import lead_table
 
 
@@ -201,6 +204,162 @@ class TestExactness:
         assert not res.ok
         assert (res.witness.a, res.witness.b) == (VarSet(0, 1), VarSet(1, 1))
         assert (res.witness.lhs, res.witness.rhs) == (2**60, 2**60 + 1)
+
+
+def first_supermodular_violation(values, l):
+    """The lexicographically first ordered pair (a, b) of all pairs with
+    F(a|b) + F(a&b) < F(a) + F(b), or None; plain Python."""
+    for a in range(1 << l):
+        for b in range(1 << l):
+            if values[a | b] + values[a & b] < values[a] + values[b]:
+                return a, b
+    return None
+
+
+def first_monotone_violation(values, l, increasing):
+    """The lexicographically first covering pair (a, a|{j}) that breaks the
+    direction, or None; plain Python."""
+    for a in range(1 << l):
+        for b in sorted(a | 1 << j for j in range(l) if not a >> j & 1):
+            if (values[b] < values[a]) if increasing else (values[a] < values[b]):
+                return a, b
+    return None
+
+
+def block_starts(rows, width_at):
+    """First rows of the blocks a blocked scan visits, row r being
+    width_at(r) long."""
+    starts = []
+
+    def record(start, stop):
+        starts.append(start)
+        return np.zeros((stop - start, width_at(start)), dtype=bool), 0
+
+    assert lattice._first_in_blocks(rows, width_at(0), record) is None
+    return starts
+
+
+def exhaustive_starts(size):
+    """Block starts of the exhaustive supermodularity scan, whose row a
+    holds the masks b > a."""
+    return block_starts(size - 1, lambda a: size - 1 - a)
+
+
+def planted_pair(l, m, i, j):
+    """F(a) = 4 * 2^|a|, raised by 3 * 2^|m| at u = m|{i} and v = m|{j}: the
+    pair's slack 4 * 2^|m| is the least of any pair through u or v, so
+    {u, v} is the only violating pair."""
+    values = [4 << bin(a).count("1") for a in range(1 << l)]
+    u, v = m | 1 << i, m | 1 << j
+    for a in (u, v):
+        values[a] += 3 << bin(m).count("1")
+    return values, min(u, v), max(u, v)
+
+
+class TestReferenceWitnesses:
+    """Every scan's witness is the first violation of a plain-Python scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda l: st.tuples(
+                st.just(l),
+                st.lists(st.integers(-4, 4), min_size=1 << l, max_size=1 << l),
+            )
+        ),
+        st.sampled_from([1, 2**60]),
+    )
+    def test_exhaustive_and_monotone_match_reference(self, fn_values, scale):
+        l, raw = fn_values
+        values = [v * scale for v in raw]
+        negated = [-v for v in values]
+        fn = LatticeFunction(l, values)
+
+        def got(res):
+            return None if res.ok else (res.witness.a.mask, res.witness.b.mask)
+
+        sup = is_supermodular(fn, "exhaustive")
+        assert got(sup) == first_supermodular_violation(values, l)
+        sub = is_submodular(fn, "exhaustive")
+        assert got(sub) == first_supermodular_violation(negated, l)
+        for res in (sup, sub):
+            if not res.ok:
+                a, b = res.witness.a.mask, res.witness.b.mask
+                assert res.witness.lhs == values[a | b] + values[a & b]
+                assert res.witness.rhs == values[a] + values[b]
+        for check, increasing in ((is_increasing, True), (is_decreasing, False)):
+            res = check(fn)
+            assert got(res) == first_monotone_violation(values, l, increasing)
+            if not res.ok:
+                assert (res.witness.lhs, res.witness.rhs) == (
+                    values[res.witness.a.mask], values[res.witness.b.mask]
+                )
+
+    @pytest.mark.parametrize(
+        "where", ["later-block", "block-first-row", "block-last-row", "last-pair"]
+    )
+    def test_exhaustive_single_planted_violation(self, where):
+        l = 10
+        size = 1 << l
+        if where == "last-pair":
+            m, i, j = size - 4, 0, 1  # u, v = size - 3, size - 2
+        else:
+            starts = exhaustive_starts(size)
+            row = {
+                "later-block": starts[6] + 5,
+                "block-first-row": starts[6],
+                "block-last-row": starts[7] - 1,
+            }[where]
+            i = (row & -row).bit_length() - 1  # the lowest bit of the row
+            j = next(k for k in range(i + 1, l) if not row >> k & 1)
+            m = row & ~(1 << i)
+        values, u, v = planted_pair(l, m, i, j)
+        res = is_supermodular(LatticeFunction(l, values), "exhaustive")
+        assert not res.ok
+        assert (res.witness.a.mask, res.witness.b.mask) == (u, v)
+        if where == "block-first-row":
+            assert u in exhaustive_starts(size)
+
+    @pytest.mark.parametrize(
+        "where", ["later-block", "block-first-row", "block-last-row", "last-pair"]
+    )
+    def test_monotone_single_planted_violation(self, where):
+        # F(a) = -2|a| drops by 2 per element; F lowered by 3 at a alone
+        # breaks only the covering pairs (a, a|{j}).
+        l = 12
+        size = 1 << l
+        starts = block_starts(size, lambda a: l)
+        a = {
+            "later-block": starts[3] + 7,
+            "block-first-row": starts[3],
+            "block-last-row": starts[4] - 1,
+            "last-pair": size - 2,
+        }[where]
+        values = [-2 * bin(b).count("1") for b in range(size)]
+        values[a] -= 3
+        res = is_decreasing(LatticeFunction(l, values))
+        lowest_missing = next(j for j in range(l) if not a >> j & 1)
+        assert (res.witness.a.mask, res.witness.b.mask) == (a, a | 1 << lowest_missing)
+        assert len(starts) > 4
+
+    def test_local_past_the_index_cap(self):
+        # 78 axis pairs times 2^13 cells pass LOCAL_PAIR_CAP: the shifted
+        # views run instead of the cached index arrays.
+        l = 13
+        assert 78 << l > lattice.LOCAL_PAIR_CAP
+        for m, i, j in ((0b1011001110000, 0, 2), ((1 << l) - 4, 0, 1), (0, 11, 12)):
+            values, u, v = planted_pair(l, m, i, j)
+            sup = is_supermodular(LatticeFunction(l, values), "local")
+            sub = is_submodular(LatticeFunction(l, [-x for x in values]), "local")
+            for res in (sup, sub):
+                assert (res.witness.a.mask, res.witness.b.mask) == (u, v)
+
+    def test_cached_local_pairs_are_read_only(self):
+        pairs = lattice._local_pairs((2, 3, 2))
+        assert not pairs.flags.writeable
+        with pytest.raises(ValueError):
+            pairs[0, 0] = 1
+        assert lattice._local_pairs((2, 3, 2)) is pairs
 
 
 class TestIndicator:

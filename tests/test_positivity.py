@@ -29,6 +29,7 @@ from tablebounds import (
     is_supermodular,
     search_mtp2_relabeling,
 )
+from tablebounds import lattice, positivity
 from tablebounds.datasets import lead_table
 
 
@@ -192,6 +193,32 @@ def first_local_violation(values, cards, combine):
     return min(bad, default=None)
 
 
+def first_violation(values, cards, combine):
+    """The lexicographically first pair (x, y), x < y in flat order, of all
+    cell pairs with combine(x, y) > combine(meet, join), or None; plain
+    Python."""
+    cells = list(itertools.product(*(range(c) for c in cards)))
+    flat = {cell: i for i, cell in enumerate(cells)}
+    for (i, x), (j, y) in itertools.combinations(enumerate(cells), 2):
+        lo = flat[tuple(map(min, x, y))]
+        hi = flat[tuple(map(max, x, y))]
+        if combine(values[i], values[j]) > combine(values[lo], values[hi]):
+            return i, j
+    return None
+
+
+def block_starts(n):
+    """First rows x of the blocks the exhaustive scan of n cells visits."""
+    starts = []
+
+    def record(start, stop):
+        starts.append(start)
+        return np.zeros((stop - start, n - start - 1), dtype=bool), start + 1
+
+    assert lattice._first_in_blocks(n - 1, n - 1, record) is None
+    return starts
+
+
 class TestWitnessRule:
     """Local witnesses are the lexicographically first violating local pair."""
 
@@ -239,6 +266,87 @@ class TestWitnessRule:
         got = None if res.ok else (res.witness.a.mask, res.witness.b.mask)
         assert got == expected
 
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).flatmap(
+            lambda cards: st.tuples(
+                st.just(tuple(cards)),
+                st.lists(
+                    st.integers(0, 4), min_size=int(np.prod(cards)),
+                    max_size=int(np.prod(cards)),
+                ),
+            )
+        ),
+        st.sampled_from([1, 2**30]),
+    )
+    def test_exhaustive_witnesses_match_reference(self, grid, scale):
+        # At 2**30 the products pass int64 and compare as Python ints.
+        cards, raw = grid
+        counts = [v * scale for v in raw]
+        t = ContingencyTable.from_flat(cards, counts)
+        flat = {cell: i for i, cell in enumerate(itertools.product(*map(range, cards)))}
+        for check, combine in (
+            (is_mtp2_additive, operator.add),
+            (is_mtp2_multiplicative, operator.mul),
+        ):
+            res = check(t, "exhaustive")
+            got = None if res.ok else (flat[res.witness.a], flat[res.witness.b])
+            assert got == first_violation(counts, cards, combine)
+            if got is not None:
+                assert res.witness.lhs == combine(*(counts[i] for i in got))
+
+    @pytest.mark.parametrize(
+        "where", ["later-block", "block-first-row", "block-last-row", "last-pair"]
+    )
+    @pytest.mark.parametrize(
+        "check", [is_mtp2_additive, is_mtp2_multiplicative], ids=["add", "mult"]
+    )
+    def test_single_planted_violation_past_one_block(self, check, where):
+        # Binary 10-way grid: flat index bit k is the coordinate of axis 9 - k,
+        # so meet and join are & and |. Additive: 4 * 2^|x| plus 3 * 2^|m| at
+        # u = m|{i} and v = m|{j}; multiplicative: 2^C(|x|,2), doubled at u
+        # and v. Either way {u, v} is the only violating pair.
+        l, n = 10, 1 << 10
+        if where == "last-pair":
+            m, i = n - 4, 0  # u, v = n - 3, n - 2
+        else:
+            starts = block_starts(n)
+            row = {
+                "later-block": starts[6] + 5,
+                "block-first-row": starts[6],
+                "block-last-row": starts[7] - 1,
+            }[where]
+            i = (row & -row).bit_length() - 1  # the lowest bit of the row
+            m = row & ~(1 << i)
+        j = next(k for k in range(i + 1, l) if not m >> k & 1)
+        u, v = m | 1 << i, m | 1 << j
+        size = [bin(x).count("1") for x in range(n)]
+        if check is is_mtp2_additive:
+            counts = [4 << s for s in size]
+            for x in (u, v):
+                counts[x] += 3 << size[m]
+        else:
+            counts = [1 << s * (s - 1) // 2 for s in size]
+            for x in (u, v):
+                counts[x] *= 2
+        res = check(ContingencyTable.from_flat((2,) * l, counts), "exhaustive")
+        cells = [tuple(int(b) for b in format(x, "010b")) for x in (u, v)]
+        assert (res.witness.a, res.witness.b) == tuple(cells)
+        if where == "block-first-row":
+            assert u in block_starts(n)
+        assert res.witness.lhs > res.witness.rhs
+
+    @pytest.mark.parametrize("cards", [(2,) * 8, (3, 3, 3, 3), (5, 4, 4, 3), (70, 2)])
+    def test_meet_tables_give_the_meet(self, cards):
+        # Grids of one, two and three axis groups, and one axis past MEET_GROUP.
+        cells = np.indices(cards).reshape(len(cards), -1)
+        lows = np.minimum(cells[:, :, None], cells[:, None, :])
+        expected = np.ravel_multi_index(tuple(lows), cards)
+        groups = positivity._meet_groups(cards)
+        got = sum(table[scaled[:, None] + digit] for scaled, digit, table in groups)
+        assert np.array_equal(got, expected)
+        assert not any(a.flags.writeable for group in groups for a in group)
 
 class TestRelabelingSearch:
     def test_lead_additive_has_no_relabeling(self):
