@@ -20,10 +20,13 @@ Bound families implemented, each per target cell and with provenance:
 
 Each bound is a closed form in the marginals, so the first call for a family
 evaluates it for every cell at once on ``MarginalFamily.grid`` arrays and
-caches the result on the family (``bounds_grid`` returns it); the per-cell
-functions are views that validate the cell and read their report from that
-cache. It holds O(cells x candidates) values per bound, which suits
-desk-scale tables (a binary 10-way table has 1,024 cells), not millions.
+caches the result on the family as a plan of read-only arrays
+(``bounds_grid`` returns its lower and upper). The per-cell functions are
+views: they validate the cell, read the two bounds, and hand back terms as
+a read-only mapping over the plan's whole-grid terms at that cell, each
+entry read when it is looked up. A plan holds O(cells x candidates) values,
+which suits desk-scale tables (a binary 10-way table has 1,024 cells), not
+millions.
 
 Divisions are exact: integer families report the ceiling of the rational
 bound (a count is an integer, so rounding up is sound and tighter), by
@@ -39,7 +42,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Literal, Mapping, Optional, Sequence
+from typing import Iterator, Literal, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -111,6 +114,7 @@ class MarginalFamily:
         if len(kinds) > 1:
             raise RangeError("cannot mix integer and real marginals in one family")
         self.kind = kinds.pop()
+        self._subsets = tuple(self.released[m].vars for m in sorted(self.released))
         self._cache: dict[int, MarginalTable] = dict(self.released)
         self._grids: dict[int, np.ndarray] = {}
         self._plans: dict[tuple, object] = {}  # bound plans, built on first use
@@ -128,43 +132,47 @@ class MarginalFamily:
         )
 
     def _validate_consistency(self) -> None:
-        margs = [self.released[m] for m in sorted(self.released)]
         sums: dict[tuple[int, int], np.ndarray] = {}
 
-        def summed(m: MarginalTable, common: VarSet) -> np.ndarray:
+        def summed(m: MarginalTable, common: int) -> np.ndarray:
             """n(common) as marginal m sums it out, once per (m, common)."""
-            key = (m.vars.mask, common.mask)
+            key = (m.vars.mask, common)
             if key not in sums:
-                sums[key] = m.table.counts.sum(axis=_outside(m.vars, common))
+                drop = tuple(i for i, j in enumerate(m.vars.axes) if not common >> j & 1)
+                sums[key] = m.table.counts.sum(axis=drop)
             return sums[key]
 
-        for pair in itertools.combinations(margs, 2):
-            a, b = (m.vars for m in pair)
-            common = a & b
-            va, vb = (summed(m, common) for m in pair)
+        margs = [self.released[a.mask] for a in self._subsets]
+        for ma, mb in itertools.combinations(margs, 2):
+            common = ma.vars.mask & mb.vars.mask
+            va, vb = summed(ma, common), summed(mb, common)
             if self.kind == INTEGER:
-                agree = np.array_equal(va, vb)
+                # Both are int64 over the same axes: equal bytes, equal counts.
+                agree = va.tobytes() == vb.tobytes()
             else:
                 scale = max(1.0, float(np.max(np.abs(va))))
                 agree = np.allclose(va, vb, rtol=0, atol=CONSISTENCY_RTOL * scale)
             if not agree:
+                a, b = ma.vars, mb.vars
                 bad = np.unravel_index(int(np.argmax(va != vb)), va.shape)
                 cell = tuple(int(x) for x in bad)
                 vals = (va[bad].item(), vb[bad].item())
                 raise InconsistentFamilyError(
-                    witness=dict(subsets=(a, b), common=common, cell=cell, values=vals),
+                    witness=dict(subsets=(a, b), common=a & b, cell=cell, values=vals),
                     message=(
-                        f"marginals over {a} and {b} disagree on {common} "
+                        f"marginals over {a} and {b} disagree on {a & b} "
                         f"at cell {cell}: {vals[0]} vs {vals[1]}"
                     ),
                 )
 
     def subsets(self) -> tuple[VarSet, ...]:
-        return tuple(VarSet(m, self.num_vars) for m in sorted(self.released))
+        """The released subsets, ascending by mask."""
+        return self._subsets
 
     def is_derivable(self, a: VarSet) -> bool:
         """True when some released superset of ``a`` exists (or a is empty)."""
-        return a.mask == 0 or any(a.mask & ~m == 0 for m in self.released)
+        mask = a.mask
+        return mask in self._cache or mask == 0 or any(mask & ~m == 0 for m in self.released)
 
     def marginal(self, a: VarSet) -> MarginalTable:
         """n(a), released directly or derived from the smallest released superset."""
@@ -172,11 +180,9 @@ class MarginalFamily:
             raise RangeError("subset over a different variable count")
         if a.mask in self._cache:
             return self._cache[a.mask]
-        supersets = [m for m in self.released if a.mask & ~m == 0]
-        if not supersets:
+        src = self._source(a.mask)
+        if src is None:
             raise MissingMarginalError([a])
-        src_mask = min(supersets, key=lambda m: (m.bit_count(), m))
-        src = self.released[src_mask]
         derived = marginalize(src.table, _relative(src.vars, a))
         result = MarginalTable(a, derived.table)
         self._cache[a.mask] = result
@@ -199,9 +205,19 @@ class MarginalFamily:
         cell = self.check_cell(cell)
         return self.grid(a).item(cell)
 
+    def _source(self, mask: int) -> Optional[MarginalTable]:
+        """The smallest released marginal over a superset of ``mask``, which
+        n(mask) is derived from; None when nothing released contains it."""
+        supersets = [m for m in self.released if mask & ~m == 0]
+        if not supersets:
+            return None
+        return self.released[min(supersets, key=lambda m: (m.bit_count(), m))]
+
     @functools.cached_property
     def total(self):
-        return self.marginal(VarSet.empty(self.num_vars)).table.total
+        """The grand total, summed out of the marginal n(∅) is derived from."""
+        src = self._source(0).table
+        return marginalize(src, VarSet.empty(src.num_vars)).table.total
 
     def check_cell(self, cell: CellIndex) -> CellIndex:
         return check_cell(self, cell, "family")
@@ -210,11 +226,6 @@ class MarginalFamily:
         missing = [a for a in subsets if not self.is_derivable(a)]
         if missing:
             raise MissingMarginalError(sorted(set(missing), key=lambda a: a.mask))
-
-
-def _outside(outer: VarSet, inner: VarSet) -> tuple[int, ...]:
-    """Positions, among ``outer``'s axes, of the variables not in ``inner``."""
-    return tuple(i for i, j in enumerate(outer.axes) if not inner.mask >> j & 1)
 
 
 def _relative(outer: VarSet, inner: VarSet) -> VarSet:
@@ -227,7 +238,12 @@ def _relative(outer: VarSet, inner: VarSet) -> VarSet:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-cell lower/upper bounds with the formula and inputs that made them."""
+    """Per-cell lower/upper bounds with the formula and inputs that made them.
+
+    ``terms`` is a read-only Mapping from term names to values at the cell;
+    a report from a bound plan reads each value from the plan's whole-grid
+    terms when it is looked up, so ``dict(report.terms)`` takes them all.
+    """
 
     cell: CellIndex
     lower: float
@@ -257,9 +273,10 @@ def _planned(build):
     """Memoise a whole-grid plan on its family, keyed by the builder's
     (hashable) arguments, so that later calls for any cell reuse it."""
     def cached(fam: MarginalFamily, *key):
-        if (build, key) not in fam._plans:
-            fam._plans[build, key] = build(fam, *key)
-        return fam._plans[build, key]
+        plan = fam._plans.get((build, key))
+        if plan is None:
+            plan = fam._plans[build, key] = build(fam, *key)
+        return plan
     return cached
 
 
@@ -299,6 +316,23 @@ def _min(grids):
     return functools.reduce(np.minimum, grids)
 
 
+def _fraction(num: np.ndarray, den: int):
+    """Per cell, the exact rational num[cell] / den; ``num`` is made
+    read-only, like every array a plan holds."""
+    num.setflags(write=False)
+    return lambda cell: Fraction(num.item(cell), den)
+
+
+def _freeze(values) -> None:
+    """Make every array among whole-grid terms read-only, in nested dicts
+    and lists too."""
+    for v in values:
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+        elif isinstance(v, (dict, list)):
+            _freeze(v.values() if isinstance(v, dict) else v)
+
+
 def _at(terms, cell: CellIndex):
     """Read whole-grid terms at one cell: arrays give their entry, callables
     are called with the cell, lists and dicts are read item by item."""
@@ -325,13 +359,38 @@ class _Plan:
     terms: dict
 
     def __post_init__(self) -> None:
-        self.lower.setflags(write=False)
-        self.upper.setflags(write=False)
+        _freeze([self.lower, self.upper, self.terms])
 
     def report(self, cell: CellIndex) -> BoundReport:
         lower, upper = self.lower.item(cell), self.upper.item(cell)
-        terms = _at(self.terms, cell)
+        terms = _TermsAt(self.terms, cell)
         return BoundReport(cell, lower, upper, self.formula, self.subsets, terms)
+
+
+class _TermsAt(Mapping):
+    """A plan's whole-grid terms at one cell; an entry is read (``_at``) each
+    time it is looked up, and the plan's arrays are read-only, so the view
+    shows the same values for as long as it lives."""
+
+    __slots__ = ("_terms", "_cell")
+
+    def __init__(self, terms: dict, cell: CellIndex):
+        self._terms, self._cell = terms, cell
+
+    def __getitem__(self, key):
+        return _at(self._terms[key], self._cell)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):  # pickles as the plain dict it reads as
+        return dict, (dict(self),)
 
 
 def simple_frechet(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
@@ -410,7 +469,7 @@ def _ddim_plan(fam: MarginalFamily, d: int) -> _Plan:
     if fam.kind == INTEGER:
         raw = margin_sum - (comb(l, d) - denom) * total  # denom times the bound
         lower = _ceil_div(raw, denom)
-        terms["lower_exact"] = lambda cell: Fraction(raw.item(cell), denom)
+        terms["lower_exact"] = _fraction(raw, denom)
     else:
         raw = margin_sum / denom - (comb(l, d) / denom - 1) * total
         lower, terms["lower_exact"] = _clamp(raw), raw
@@ -460,8 +519,10 @@ class Decomposition:
         if not self.cover:
             raise RangeError("a decomposition needs at least one cover set")
         cover = tuple(self.cover)
-        union = functools.reduce(VarSet.__or__, cover)
-        if union.mask != VarSet.full(union.num_vars).mask:
+        for c in cover[1:]:
+            cover[0]._check_same(c)
+        union = functools.reduce(int.__or__, (c.mask for c in cover))
+        if union != VarSet.full(cover[0].num_vars).mask:
             raise RangeError(f"cover {[str(c) for c in cover]} does not equal L")
         object.__setattr__(self, "cover", cover)
 
@@ -578,7 +639,7 @@ def _fan_plan(fam: MarginalFamily, masks: tuple[int, ...], p: int) -> _Plan:
     elif fam.kind == INTEGER:
         raw = lhs - kept_value  # weight times the bound
         lower = _ceil_div(raw, weight)
-        terms["lower_exact"] = lambda cell: Fraction(raw.item(cell), weight)
+        terms["lower_exact"] = _fraction(raw, weight)
     else:
         raw = (lhs - kept_value) / weight
         lower, terms["lower_exact"] = _clamp(raw), raw
@@ -701,10 +762,18 @@ def _best_plan(fam: MarginalFamily) -> _Plan:
     terms = {
         "lowers": dict(zip(lowers, low)),
         "uppers": dict(zip(uppers, up)),
-        "lower_from": np.array(list(lowers), dtype=object)[low.argmax(axis=0)],
-        "upper_from": np.array(list(uppers), dtype=object)[up.argmin(axis=0)],
+        "lower_from": _winner(list(lowers), low, np.argmax),
+        "upper_from": _winner(list(uppers), up, np.argmin),
     }
     return _Plan("best", released, low.max(axis=0), up.min(axis=0), terms)
+
+
+def _winner(names: list, stacked: np.ndarray, pick):
+    """Per cell, the name of the candidate that ``pick`` (``np.argmax`` or
+    ``np.argmin``) takes from the stacked candidates, made read-only: the
+    first on a tie."""
+    stacked.setflags(write=False)
+    return lambda cell: names[int(pick(stacked[(slice(None), *cell)]))]
 
 
 def _parse_int(text: str, what: str, method: str) -> int:

@@ -122,6 +122,9 @@ def cmd_check(args) -> tuple[dict, int]:
         raise RangeError(f"--relabel applies to the mtp2 properties, not {prop!r}")
     if args.relabel and args.mode == "local":
         raise RangeError("--relabel searches with the exhaustive scan; drop --mode local")
+    if args.mode is not None and prop in ("decreasing", "log-supermodular"):
+        raise RangeError(f"--mode applies to supermodular and the mtp2 properties, not {prop!r}")
+    mode = args.mode or "exhaustive"
     table = tbio.load_table(args.table)
     doc: dict = {"schema": SCHEMA, "property": prop}
 
@@ -135,7 +138,7 @@ def cmd_check(args) -> tuple[dict, int]:
     if prop == "decreasing":
         result = is_decreasing(anchor_fn())
     elif prop == "supermodular":
-        result = is_supermodular(anchor_fn(), args.mode)
+        result = is_supermodular(anchor_fn(), mode)
     elif prop == "log-supermodular":
         result = is_log_supermodular(anchor_fn())
     elif prop in ("mtp2-additive", "mtp2-multiplicative"):
@@ -152,7 +155,7 @@ def cmd_check(args) -> tuple[dict, int]:
             doc["relabeling"] = [list(p) for p in relabeling.perms]
             doc["ok"] = True
             return doc, 0
-        result = checker(table, args.mode)
+        result = checker(table, mode)
     else:
         raise RangeError(f"unknown property {prop!r}")
     doc["ok"] = result.ok
@@ -344,9 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor", help="anchor cell for the lattice properties")
     p.add_argument(
         "--mode",
-        default="exhaustive",
         choices=["exhaustive", "local"],
-        help="pair scan mode for supermodular/mtp2 checks",
+        help="pair scan mode for supermodular/mtp2 checks (default exhaustive; "
+        "log-supermodular always runs the local scan)",
     )
     p.add_argument(
         "--relabel",

@@ -35,7 +35,7 @@ truncated.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Optional
 
@@ -108,11 +108,12 @@ def _build_constraints(fam: MarginalFamily):
     """
     if fam.kind != INTEGER:
         raise RangeError("enumeration requires an integer family")
-    subsets = list(fam.subsets())
-    if not any(a.mask == 0 for a in subsets):
-        subsets.append(VarSet.empty(fam.num_vars))  # the grand total always prunes
-    targets = [int(t) for a in subsets for t in fam.marginal(a).table.flat]
-    return (targets, *_constraint_groups(fam.cardinalities, tuple(subsets)))
+    subsets = fam.subsets()
+    targets = [t for a in subsets for t in fam.released[a.mask].table.flat.tolist()]
+    if subsets[0].mask != 0:  # the grand total always prunes
+        subsets += (VarSet.empty(fam.num_vars),)
+        targets.append(fam.total)
+    return (targets, *_constraint_groups(fam.cardinalities, subsets))
 
 
 @functools.lru_cache(maxsize=256)
@@ -257,16 +258,18 @@ def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[in
     that budget, whose partial result is made of attained values.
     """
     cons = _build_constraints(fam)
-    probe = replace(budget, max_nodes=min(budget.max_nodes, budget.nodes + DFS_ALLOWANCE))
-    found = _dfs_extremes(*cons, probe, track)
-    if probe.nodes <= probe.max_nodes or probe.max_nodes == budget.max_nodes:
-        budget.nodes, budget.tables, budget.outcome = probe.nodes, probe.tables, probe.outcome
+    start = budget.nodes, budget.tables
+    probe = min(budget.max_nodes, budget.nodes + DFS_ALLOWANCE)
+    found = _dfs_extremes(*cons, budget, track, probe)
+    if budget.nodes <= probe or probe == budget.max_nodes:
         return found
+    budget.nodes, budget.tables = start
     return _layered_extremes(*cons, budget, track) or _dfs_extremes(*cons, budget, track)
 
 
-def _dfs_extremes(targets, cell_groups, closing_groups, budget, track):
-    """``_extremes`` by memoized DFS.
+def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes=None):
+    """``_extremes`` by memoized DFS, stopping past ``max_nodes`` (by default
+    the budget's own limit) and recording its counts and outcome in ``budget``.
 
     The search takes the row-major order, forcing and pruning of
     ``_iter_flat``, but expands each state -- the residual vector before cell
@@ -295,7 +298,9 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track):
     code[0] = sum(t * w for t, w in zip(targets, weights))
     hi, cur, below = [0] * n, [0] * n, [0] * n
     nodes, tables = budget.nodes, budget.tables
-    max_nodes, max_tables = budget.max_nodes, budget.max_tables
+    max_tables = budget.max_tables
+    if max_nodes is None:
+        max_nodes = budget.max_nodes
     outcome = COMPLETE
     min_at = max_at = None  # (path through cell track, state code after it)
     lo, hi[0] = _cell_range(residual, cell_groups[0], closing_groups[0])

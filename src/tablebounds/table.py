@@ -181,6 +181,12 @@ def _float64_counts(counts: np.ndarray) -> np.ndarray:
 
 def check_cell(table, cell: CellIndex, owner: str = "table") -> CellIndex:
     """Validate a full cell index against the shape of a table or family."""
+    if type(cell) is tuple and len(cell) == table.num_vars:
+        for x, c in zip(cell, table.cardinalities):
+            if type(x) is not int or not 0 <= x < c:
+                break
+        else:  # in-range Python ints already: the common case, returned as is
+            return cell
     cell = tuple(int(x) for x in cell)
     if len(cell) != table.num_vars:
         raise RangeError(
@@ -218,20 +224,28 @@ def marginalize(table: ContingencyTable, a: VarSet) -> MarginalTable:
     """Sum the table onto the axes in ``a``.
 
     ``a`` equal to all variables returns the table unchanged; the empty set
-    yields the grand total as a 0-way table with a single entry.
+    yields the grand total as a 0-way table with a single entry. The counts
+    are read-only sums of a validated table, so they keep its dtype, stay
+    nonnegative and stay within its total: the result is not validated again.
     """
     if a.num_vars != table.num_vars:
         raise RangeError(
             f"subset over {a.num_vars} variables applied to a "
             f"{table.num_vars}-way table"
         )
-    drop = tuple(j for j in range(table.num_vars) if j not in a.axes)
-    counts = table.counts.sum(axis=drop) if drop else table.counts
-    cards = tuple(table.cardinalities[j] for j in a.axes)
-    labels = (
-        tuple(table.labels[j] for j in a.axes) if table.labels is not None else None
+    axes = a.axes
+    drop = tuple(j for j in range(table.num_vars) if j not in axes)
+    counts = np.asarray(table.counts.sum(axis=drop)) if drop else table.counts
+    counts.setflags(write=False)
+    labels = tuple(table.labels[j] for j in axes) if table.labels is not None else None
+    marg = object.__new__(ContingencyTable)
+    marg.__dict__.update(
+        cardinalities=tuple(table.cardinalities[j] for j in axes),
+        counts=counts,
+        labels=labels,
+        kind=table.kind,
     )
-    return MarginalTable(a, ContingencyTable(cards, counts, labels, table.kind))
+    return MarginalTable(a, marg)
 
 
 def project_cell(cell: CellIndex, a: VarSet) -> CellIndex:

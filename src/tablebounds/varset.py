@@ -8,6 +8,7 @@ lattice join, meet and partial order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -75,12 +76,12 @@ class VarSet:
     @property
     def vars(self) -> tuple[int, ...]:
         """Member variables, 1-based, ascending."""
-        return tuple(j + 1 for j in range(self.num_vars) if self.mask >> j & 1)
+        return _members(self.mask, self.num_vars)[1]
 
     @property
     def axes(self) -> tuple[int, ...]:
         """Member variables as 0-based array axes, ascending."""
-        return tuple(j for j in range(self.num_vars) if self.mask >> j & 1)
+        return _members(self.mask, self.num_vars)[0]
 
     def _check_same(self, other: "VarSet") -> None:
         if self.num_vars != other.num_vars:
@@ -120,4 +121,11 @@ class VarSet:
         return iter(self.vars)
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(v) for v in self.vars) + "}"
+        return _members(self.mask, self.num_vars)[2]
+
+
+@functools.lru_cache(maxsize=4096)
+def _members(mask: int, num_vars: int) -> tuple[tuple[int, ...], tuple[int, ...], str]:
+    """(axes, vars, text) of a subset, shared by every VarSet equal to it."""
+    axes = tuple(j for j in range(num_vars) if mask >> j & 1)
+    return axes, tuple(j + 1 for j in axes), "{" + ",".join(str(j + 1) for j in axes) + "}"

@@ -298,6 +298,48 @@ class TestCheckCommand:
         assert code == 0
         assert doc["relabeling"] == [[0, 1, 2], [0, 1, 2]]
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "local"])
+    @pytest.mark.parametrize("prop", ["decreasing", "log-supermodular"])
+    def test_mode_that_would_do_nothing_exit_3(self, capsys, prop, mode):
+        # Neither property has a pair scan to choose: --mode used to be
+        # accepted and ignored.
+        code, doc, err = run_cli(
+            capsys, "check", lead_path(), "--property", prop, "--anchor", "0,0",
+            "--mode", mode,
+        )
+        assert code == 3
+        assert doc is None
+        assert err.startswith("error: --mode") and prop in err and err.count("\n") == 1
+
+    def test_mode_defaults_to_exhaustive(self, capsys):
+        # The lead table's first violating pair among all pairs differs from
+        # its first violating local pair.
+        witness = {}
+        for mode in (None, "exhaustive", "local"):
+            extra = ["--mode", mode] if mode else []
+            code, doc, _ = run_cli(
+                capsys, "check", lead_path(), "--property", "mtp2-additive", *extra
+            )
+            assert code == 1
+            witness[mode] = doc["witness"]
+        assert witness[None] == witness["exhaustive"] != witness["local"]
+
+    @pytest.mark.parametrize("mode", [None, "exhaustive", "local"])
+    def test_supermodular_scan_follows_mode(self, capsys, monkeypatch, mode):
+        import tablebounds.cli as cli
+
+        seen, check = [], cli.is_supermodular
+        monkeypatch.setattr(
+            cli, "is_supermodular", lambda fn, scan: seen.append(scan) or check(fn, scan)
+        )
+        extra = ["--mode", mode] if mode else []
+        code, doc, _ = run_cli(
+            capsys, "check", lead_path(), "--property", "supermodular",
+            "--anchor", "0,0", *extra,
+        )
+        assert code == 0 and doc["ok"] is True
+        assert seen == [mode or "exhaustive"]
+
     def test_supermodular_with_anchor(self, capsys):
         code, doc, _ = run_cli(
             capsys, "check", lead_path(), "--property", "supermodular",

@@ -2,6 +2,8 @@
 Python-integer references computed from the released marginals alone."""
 
 import itertools
+import json
+import pickle
 from fractions import Fraction
 from math import ceil, comb
 
@@ -24,6 +26,10 @@ from tablebounds import (
     frechet_ddim,
     simple_frechet,
 )
+from tablebounds import bounds as tb_bounds
+from tablebounds.bounds import method_report
+from tablebounds.cli import _report_doc
+from tablebounds.io import family_from_doc
 
 MARGINS = ("one-way", "pairs", "chain")
 
@@ -37,13 +43,17 @@ def groups_for(l, margins):
 
 
 @st.composite
-def families(draw, max_count=6):
+def families(draw, max_count=6, real=False):
     l = draw(st.integers(2, 4))
     cards = tuple(draw(st.lists(st.integers(2, 3), min_size=l, max_size=l)))
     n = int(np.prod(cards))
     counts = draw(st.lists(st.integers(0, max_count), min_size=n, max_size=n))
     margins = draw(st.sampled_from(MARGINS))
-    table = ContingencyTable.from_flat(cards, counts)
+    if real:
+        scale = draw(st.sampled_from([0.25, 0.1, 1 / 3]))
+        table = ContingencyTable.from_flat(cards, np.array(counts) * scale, kind="real")
+    else:
+        table = ContingencyTable.from_flat(cards, counts)
     subsets = [VarSet.from_vars(g, l) for g in groups_for(l, margins)]
     return MarginalFamily.from_table(table, subsets)
 
@@ -258,3 +268,160 @@ def test_grid_is_read_only_and_cached():
     assert not lower.flags.writeable and not upper.flags.writeable
     assert bounds_grid(fam, "simple")[0] is lower
     assert fam.grid(VarSet.from_vars([1], 2)).shape == (2, 3)
+
+
+# ------------------------------------------------ reports as views of a plan
+
+
+def eager_terms(terms, cell):
+    """Whole-grid terms read at one cell all at once, the way reports held
+    them before they became views: an array gives its entry, a callable is
+    called with the cell, dicts and lists are read item by item."""
+    if isinstance(terms, np.ndarray):
+        value = terms[cell]
+        return value.item() if isinstance(value, np.generic) else value
+    if callable(terms):
+        return terms(cell)
+    if isinstance(terms, dict):
+        return {k: eager_terms(v, cell) for k, v in terms.items()}
+    if isinstance(terms, list):
+        return [eager_terms(v, cell) for v in terms]
+    return terms
+
+
+def spellings(l):
+    """(method string, per-cell function) for every spelling that applies."""
+    out = [(method, view) for method, view, _ in methods(l)]
+    if l == 3:
+        out.append(("3way", lambda f, c: method_report(f, "3way", c)))
+    return out
+
+
+def first_winner(candidates, pick):
+    """The first name, in dict order, whose value is ``pick`` of them all."""
+    best = pick(candidates.values())
+    return next(name for name, value in candidates.items() if value == best)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans().flatmap(lambda real: families(real=real)))
+def test_reports_match_an_eager_term_walk(fam):
+    for method, view in spellings(fam.num_vars):
+        try:
+            plan = tb_bounds._method_plan(fam, method)
+        except MissingMarginalError:
+            continue
+        for cell in cells(fam):
+            want = eager_terms(plan.terms, cell)
+            lower, upper = eager_terms([plan.lower, plan.upper], cell)
+            for rep in (method_report(fam, method, cell), view(fam, cell)):
+                assert rep.cell == cell
+                assert (rep.lower, rep.upper) == (lower, upper), (method, cell)
+                assert (type(rep.lower), type(rep.upper)) == (type(lower), type(upper))
+                assert (rep.formula, rep.subsets) == (plan.formula, plan.subsets)
+                assert dict(rep.terms) == want and rep.terms == want, (method, cell)
+                assert list(rep.terms) == list(want) and len(rep.terms) == len(want)
+                assert all(rep.terms[k] == want[k] for k in want)
+                assert repr(rep.terms) == repr(want)
+            if method == "best":
+                assert want["lowers"][want["lower_from"]] == lower
+                assert want["uppers"][want["upper_from"]] == upper
+                assert want["lower_from"] == first_winner(want["lowers"], max)
+                assert want["upper_from"] == first_winner(want["uppers"], min)
+
+
+@pytest.mark.parametrize("scale", [1, 2**56], ids=["int64", "python-int"])
+def test_plan_arrays_and_report_terms_are_read_only(scale):
+    # At 2**56 the totals make the kernels copy their operands to Python
+    # ints, so the terms hold lists of arrays the plan made itself.
+    table = ContingencyTable.from_flat((2, 3, 2), [scale * k for k in range(12)])
+    fam = MarginalFamily.from_table(table, vs(3, [1, 2], [2, 3]))
+    for method in ("best", "ddim:1", "decomp:{1,2}|{2,3}", "fan:{1,2}|{2,3},1", "3way"):
+        plan = tb_bounds._method_plan(fam, method)
+        arrays = [plan.lower, plan.upper]
+        stack = [plan.terms]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, np.ndarray):
+                arrays.append(item)
+            elif isinstance(item, (dict, list)):
+                stack.extend(item.values() if isinstance(item, dict) else item)
+        assert len(arrays) > 2, method
+        for a in arrays:
+            assert not a.flags.writeable, method
+            with pytest.raises(ValueError):
+                a[...] = 0
+        rep = method_report(fam, method, (0, 0, 0))
+        before = dict(rep.terms)
+        with pytest.raises(TypeError):
+            rep.terms["lower_exact"] = 0  # a Mapping, not a dict
+        assert dict(rep.terms) == before
+        assert pickle.loads(pickle.dumps(rep)) == rep
+
+
+# Output of ``_report_doc`` for the README ``bounds`` commands, pinned from
+# the eager reports, so the views print exactly what they printed.
+LEAD_FAMILY = {
+    "schema": 1,
+    "cardinalities": [3, 3],
+    "labels": [["Poor", "Medium", "Good"], ["Low", "Medium", "High"]],
+    "marginals": [
+        {"vars": [1], "counts": [25, 5, 4]},
+        {"vars": [2], "counts": [8, 7, 19]},
+    ],
+}
+PAIRS_FAMILY = {
+    "schema": 1,
+    "cardinalities": [2, 2, 2],
+    "marginals": [
+        {"vars": [1, 2], "counts": [4, 5, 14, 8]},
+        {"vars": [1, 3], "counts": [7, 2, 7, 15]},
+        {"vars": [2, 3], "counts": [8, 10, 6, 7]},
+    ],
+}
+README_BOUNDS = [
+    (LEAD_FAMILY, (0, 0), "simple",
+     '{"schema": 1, "cell": [0, 0], "lower": 0, "upper": 8, "formula": "simple", '
+     '"subsets": [[1], [2]], "terms": {"row": 25, "col": 8, "total": 34}}'),
+    (PAIRS_FAMILY, (0, 0, 0), "ddim:2",
+     '{"schema": 1, "cell": [0, 0, 0], "lower": 0, "upper": 4, "formula": "ddim:2", '
+     '"subsets": [[1, 2], [1, 3], [2, 3]], "terms": {"margin_sum": 19, "total": 31, '
+     '"denominator": 2, "lower_exact": -6}}'),
+    (PAIRS_FAMILY, (0, 0, 0), "decomp:{1,2}|{1,3}",
+     '{"schema": 1, "cell": [0, 0, 0], "lower": 2, "upper": 4, '
+     '"formula": "decomp:{1,2}|{1,3}", "subsets": [[1, 2], [1, 3]], '
+     '"terms": {"cover_values": [4, 7], "separator_values": [9], '
+     '"separators": ["{1}"], "lower_exact": 2}}'),
+    (PAIRS_FAMILY, (0, 0, 0), "fan:{1}|{2}|{3},1",
+     '{"schema": 1, "cell": [0, 0, 0], "lower": 0, "upper": 9, '
+     '"formula": "fan:p=1,q=3", "subsets": [[1], [2], [3]], "terms": {"lhs": 41, '
+     '"lhs_subsets": ["{1}", "{2}", "{3}"], "rhs_terms": [[1, 1, "{1,2,3}"], '
+     '[2, 1, "{}"], [3, 1, "{}"]], "moved_k": [1], "full_weight": 1, '
+     '"has_cell_bound": true, "lower_exact": -21}}'),
+    (LEAD_FAMILY, (0, 0), "best",
+     '{"schema": 1, "cell": [0, 0], "lower": 0, "upper": 8, "formula": "best", '
+     '"subsets": [[1], [2]], "terms": {"lowers": {"zero": 0, "ddim:1": 0, '
+     '"pair:{1}|{2}": 0}, "uppers": {"n({1})": 25, "n({2})": 8, "total": 34}, '
+     '"lower_from": "zero", "upper_from": "n({2})"}}'),
+    (PAIRS_FAMILY, (1, 0, 1), "best",
+     '{"schema": 1, "cell": [1, 0, 1], "lower": 8, "upper": 10, "formula": "best", '
+     '"subsets": [[1, 2], [1, 3], [2, 3]], "terms": {"lowers": {"zero": 0, '
+     '"ddim:1": 0, "ddim:2": 4, "pair:{1,2}|{1,3}": 7, "pair:{1,2}|{2,3}": 6, '
+     '"pair:{1,3}|{2,3}": 8}, "uppers": {"n({1,2})": 14, "n({1,3})": 15, '
+     '"n({2,3})": 10, "total": 31}, "lower_from": "pair:{1,3}|{2,3}", '
+     '"upper_from": "n({2,3})"}}'),
+    (PAIRS_FAMILY, (0, 1, 0), "3way",
+     '{"schema": 1, "cell": [0, 1, 0], "lower": 3, "upper": 5, '
+     '"formula": "3way:two-dim", "subsets": [[1, 2], [1, 3], [2, 3]], '
+     '"terms": {"{1,2}+{1,3}-{1}": 3, "{1,2}+{2,3}-{2}": -2, "{1,3}+{2,3}-{3}": -1}}'),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, cell, method, expected",
+    README_BOUNDS,
+    ids=[f"{method}@{cell}" for _, cell, method, _ in README_BOUNDS],
+)
+def test_report_doc_of_readme_commands(doc, cell, method, expected):
+    fam = family_from_doc(doc)
+    assert json.dumps(_report_doc(method_report(fam, method, cell))) == expected

@@ -12,6 +12,7 @@ from tablebounds import (
     MarginalFamily,
     MarginalTable,
     RangeError,
+    SchemaError,
     VarSet,
     cell_margin_fn,
     is_decreasing,
@@ -21,6 +22,7 @@ from tablebounds import (
 )
 from tablebounds.bounds import _relative
 from tablebounds.datasets import lead_table
+from tablebounds.io import family_from_doc, table_from_doc
 
 
 @pytest.fixture
@@ -135,6 +137,39 @@ class TestMarginalize:
                     direct = marginalize(table, a)
                     assert np.array_equal(via_b.table.counts, direct.table.counts)
 
+    @pytest.mark.parametrize("kind", ["integer", "real"])
+    def test_derived_counts_equal_the_validated_constructor(self, kind):
+        # marginalize does not validate the sums again; the constructor,
+        # which validates in full, must give the same read-only counts.
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            base = random_table(rng)
+            cards, l = base.cardinalities, base.num_vars
+            labels = [[f"x{j}{i}" for i in range(c)] for j, c in enumerate(cards)]
+            counts = base.counts / 4 if kind == "real" else base.counts * 2**52
+            table = ContingencyTable(cards, counts, labels, kind)
+            for mask in range(1 << l):
+                a = VarSet(mask, l)
+                derived = marginalize(table, a).table
+                drop = tuple(j for j in range(l) if j not in a.axes)
+                full = ContingencyTable(
+                    tuple(cards[j] for j in a.axes),
+                    table.counts.sum(axis=drop),
+                    [labels[j] for j in a.axes],
+                    kind,
+                )
+                assert derived.counts.dtype == (np.int64 if kind == "integer" else np.float64)
+                assert derived.counts.dtype == full.counts.dtype
+                assert derived.counts.shape == full.counts.shape
+                assert derived.counts.tobytes() == full.counts.tobytes()
+                assert (derived.cardinalities, derived.labels, derived.kind) == (
+                    full.cardinalities, full.labels, full.kind
+                )
+                assert derived.total == full.total
+                assert not derived.counts.flags.writeable
+                with pytest.raises(ValueError):
+                    derived.counts[...] = 0
+
     def test_totals_conserved(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -142,6 +177,38 @@ class TestMarginalize:
             for mask in range(1 << table.num_vars):
                 m = marginalize(table, VarSet(mask, table.num_vars))
                 assert m.table.total == table.total
+
+
+class TestExternalTablesValidated:
+    """Tables from outside keep the full validation, through the
+    constructor, ``from_flat`` and the document readers, with the same
+    errors; only marginalize's own sums skip it."""
+
+    REFUSED = [
+        ([1, -1], "integer", RangeError, SchemaError, "counts must be nonnegative"),
+        ([1.5, 2], "integer", RangeError, SchemaError, "non-integer counts"),
+        ([2**62, 2**62], "integer", CountRangeError, CountRangeError,
+         "counts sum beyond the int64 limit 9223372036854775807"),
+        ([1e308, 1e308], "real", CountRangeError, CountRangeError,
+         "counts sum beyond the float64 limit"),
+    ]
+
+    @pytest.mark.parametrize(
+        "counts, kind, error, doc_error, message",
+        REFUSED,
+        ids=["negative", "fractional", "too-wide", "too-wide-real"],
+    )
+    def test_refused_with_todays_errors(self, counts, kind, error, doc_error, message):
+        with pytest.raises(error, match=message):
+            ContingencyTable((2,), np.array(counts), kind=kind)
+        with pytest.raises(error, match=message):
+            ContingencyTable.from_flat((2,), counts, kind=kind)
+        doc = {"schema": 1, "kind": kind, "cardinalities": [2]}
+        with pytest.raises(doc_error, match=f"^table: .*{message}"):
+            table_from_doc({**doc, "counts": counts})
+        marginals = [{"vars": [1], "counts": counts}]
+        with pytest.raises(doc_error, match=f"^family.marginals\\[0\\]: .*{message}"):
+            family_from_doc({**doc, "marginals": marginals})
 
 
 class TestProjectCell:
