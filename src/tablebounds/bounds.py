@@ -243,6 +243,9 @@ class BoundReport:
     ``terms`` is a read-only Mapping from term names to values at the cell;
     a report from a bound plan reads each value from the plan's whole-grid
     terms when it is looked up, so ``dict(report.terms)`` takes them all.
+    Such a report keeps the whole plan alive (one ``best_bounds`` report from
+    a binary 10-way family holds about 0.42 MB after the family is dropped);
+    ``dict(report.terms)`` detaches the values from it.
     """
 
     cell: CellIndex

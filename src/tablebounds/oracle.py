@@ -4,15 +4,16 @@ Enumerates every nonnegative integer table whose marginals match a released
 family, by depth-first assignment of cells in row-major order. A partial
 assignment is pruned as soon as any running marginal sum would overshoot its
 target, and the last free cell of each fully-constrained marginal line is
-forced rather than searched. ``enumerate_tables`` and ``count_tables`` stream
-every table. Sharp per-cell bounds are the min/max over all tables; they come
-from the same search memoized on residual states (the residual margin sums
-before a cell, on which the rest of the search depends alone), so each state
-is expanded once and a revisit adds its stored table count. A bound report is
-certified by checking it contains them.
+forced rather than searched. The search is memoized on residual states (the
+residual margin sums before a cell, on which the rest of the search depends
+alone): each state is expanded once and a revisit adds its stored table
+count. Sharp per-cell bounds are the min/max over all tables, ``count_tables``
+is the root's count, and ``enumerate_tables`` reads the tables back from the
+memo once the search is over. A bound report is certified by checking it
+contains the sharp bounds.
 
 Two engines expand those states and give identical results, node counts
-included. The memoized DFS costs about 0.5 us of interpreted Python per node
+included. The memoized DFS costs about 1.1 us of interpreted Python per node
 and keeps about 73 bytes per node in its memo. The layered engine expands one
 cell's states at a time in a few numpy operations: it costs about 30-40 us
 per cell however small the layer, keeps about 5 bytes per node (an edge's
@@ -22,19 +23,20 @@ order, residuals widened to int64). Every search starts as the DFS;
 past DFS_ALLOWANCE nodes, where the two break even, it restarts in the
 layered engine. When the layered engine finds the caller's budget would be
 reached, before it builds the layer that reaches it, the DFS runs under that
-budget, so an exhausted result is the DFS's.
+budget, so an exhausted result is the DFS's. ``enumerate_tables`` always runs
+the DFS, whose memo it reads.
 
 Budgets are explicit and machine-readable. ``nodes`` counts the values tried
-at expanded states (every value, for the streaming search) and ``tables`` the
-matching tables found, cached subtrees included. A result is sharp only when
-the outcome is ``complete``; an exhausted budget yields valid-but-possibly-
-loose bounds made of attained values, flagged as such, never silently
-truncated.
+at expanded states and ``tables`` the matching tables found, cached subtrees
+included. A result is sharp only when the outcome is ``complete``; an
+exhausted budget yields valid-but-possibly-loose bounds made of attained
+values, flagged as such, never silently truncated.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Optional
@@ -58,9 +60,11 @@ class EnumerationBudget:
     """Node/table limits for one enumeration run, plus its outcome.
 
     A run stops, ``exhausted``, on its next node past ``max_nodes`` or once
-    ``tables`` reaches ``max_tables``; the memoized search adds a cached
-    subtree's tables at once, so it may stop past ``max_tables``. Both limits
-    must be at least 1."""
+    ``tables`` reaches ``max_tables``; the search adds a cached subtree's
+    tables at once, so it may stop past ``max_tables``. Both limits must be
+    at least 1. A budget passed to several runs keeps running totals, so
+    ``nodes`` and ``tables`` are cumulative; each entry point reports its own
+    run's table count."""
 
     max_nodes: int = 10_000_000
     max_tables: int = 1_000_000
@@ -80,7 +84,8 @@ class EnumerationBudget:
 
 @dataclass(frozen=True)
 class SharpBounds:
-    """Certified-extremal cell values over all tables matching the family."""
+    """Certified-extremal cell values over all tables matching the family;
+    ``tables_found`` counts the tables this call's search found."""
 
     cell: CellIndex
     min_count: int
@@ -140,8 +145,7 @@ def _constraint_groups(cards: tuple[int, ...], subsets: tuple[VarSet, ...]):
 def _cell_range(residual: list[int], grp: tuple[int, ...], closing: tuple[int, ...]):
     """(lo, hi) of the values a cell may take given the running residuals of
     its groups ``grp``. A cell that closes groups (is their last member) is
-    forced to their common residual; lo > hi means no value fits. Shared by
-    the streaming and the memoized search."""
+    forced to their common residual; lo > hi means no value fits."""
     if closing:
         v = residual[closing[0]]
         if v < 0:
@@ -161,79 +165,31 @@ def _cell_range(residual: list[int], grp: tuple[int, ...], closing: tuple[int, .
     return 0, m
 
 
-def _iter_flat(fam: MarginalFamily, budget: EnumerationBudget) -> Iterator[list[int]]:
-    """Yield each matching table as a shared flat buffer (copy to retain)."""
-    targets, cell_groups, closing_groups = _build_constraints(fam)
-    n_cells = len(cell_groups)
-    if n_cells == 0:
-        budget.outcome = COMPLETE
-        return
-    residual = list(targets)
-    buf = [0] * n_cells
-    lo = [0] * n_cells
-    hi = [0] * n_cells
-    cur = [-1] * n_cells
-    last = n_cells - 1
-    nodes = budget.nodes
-    tables = budget.tables
-    max_nodes = budget.max_nodes
-    max_tables = budget.max_tables
-
-    try:
-        lo[0], hi[0] = _cell_range(residual, cell_groups[0], closing_groups[0])
-        cur[0] = lo[0] - 1
-        k = 0
-        while k >= 0:
-            v = cur[k]
-            grp = cell_groups[k]
-            if v >= lo[k]:
-                for g in grp:
-                    residual[g] += v
-            v += 1
-            cur[k] = v
-            if v > hi[k]:
-                k -= 1
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                budget.outcome = EXHAUSTED
-                return
-            for g in grp:
-                residual[g] -= v
-            buf[k] = v
-            if k == last:
-                tables += 1
-                yield buf
-                if tables >= max_tables:
-                    budget.outcome = EXHAUSTED
-                    return
-            else:
-                k += 1
-                lo[k], hi[k] = _cell_range(residual, cell_groups[k], closing_groups[k])
-                cur[k] = lo[k] - 1
-        budget.outcome = COMPLETE
-    finally:
-        budget.nodes = nodes
-        budget.tables = tables
-
-
 def enumerate_tables(
     fam: MarginalFamily, budget: Optional[EnumerationBudget] = None
 ) -> Iterator[ContingencyTable]:
-    """Stream every nonnegative integer table matching the family exactly,
-    in deterministic row-major DFS order. The budget object records node and
-    table counts and the final outcome."""
-    if budget is None:
-        budget = EnumerationBudget()
-    for flat in _iter_flat(fam, budget):
-        yield ContingencyTable.from_flat(
-            fam.cardinalities, list(flat), labels=fam.labels
-        )
+    """Every nonnegative integer table matching the family exactly, in
+    deterministic row-major DFS order. The budget object records node and
+    table counts and the final outcome.
+
+    The whole budgeted search runs before the first table is yielded, and its
+    memo (about 73 bytes per node) is kept while the tables are read from it;
+    an exhausted run yields the tables it found, a prefix of the full order,
+    and at most ``max_tables`` of them."""
+    budget = budget if budget is not None else EnumerationBudget()
+    before = budget.tables
+    walk = _dfs_extremes(*_build_constraints(fam), budget, None)[4]
+    for flat in itertools.islice(walk(), min(budget.tables - before, budget.max_tables)):
+        yield ContingencyTable.from_flat(fam.cardinalities, flat, labels=fam.labels)
 
 
 def count_tables(fam: MarginalFamily, budget: Optional[EnumerationBudget] = None) -> int:
+    """The number of matching tables, at most ``max_tables``; the budget
+    records the search's counts and outcome as in ``enumerate_tables``."""
     budget = budget if budget is not None else EnumerationBudget()
-    return sum(1 for _ in _iter_flat(fam, budget))
+    before = budget.tables
+    _extremes(fam, budget)
+    return min(budget.tables - before, budget.max_tables)
 
 
 def _no_table(budget: EnumerationBudget) -> None:
@@ -260,20 +216,22 @@ def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[in
     cons = _build_constraints(fam)
     start = budget.nodes, budget.tables
     probe = min(budget.max_nodes, budget.nodes + DFS_ALLOWANCE)
-    found = _dfs_extremes(*cons, budget, track, probe)
+    found = _dfs_extremes(*cons, budget, track, probe)[:4]
     if budget.nodes <= probe or probe == budget.max_nodes:
         return found
     budget.nodes, budget.tables = start
-    return _layered_extremes(*cons, budget, track) or _dfs_extremes(*cons, budget, track)
+    return _layered_extremes(*cons, budget, track) or _dfs_extremes(*cons, budget, track)[:4]
 
 
 def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes=None):
     """``_extremes`` by memoized DFS, stopping past ``max_nodes`` (by default
-    the budget's own limit) and recording its counts and outcome in ``budget``.
+    the budget's own limit) and recording its counts and outcome in ``budget``;
+    its result comes with a fifth item, ``walk``, the generator of the tables
+    the search found.
 
-    The search takes the row-major order, forcing and pruning of
-    ``_iter_flat``, but expands each state -- the residual vector before cell
-    k -- once. The vector is keyed as one mixed-radix integer: residual g lies
+    Cells take their values in row-major order, ascending, each in the
+    ``_cell_range`` of the residuals before it, and each state -- the
+    residual vector before cell k -- is expanded once. The vector is keyed as one mixed-radix integer: residual g lies
     in [0, targets[g]], so it is digit g with weight prod(targets[h] + 1 for
     h < g), and assigning v to cell k subtracts ``v * step[k]``. A revisited
     state adds the table count stored for it and skips its subtree: its first
@@ -281,6 +239,13 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
     Cell k's extremes take value v when the search leaves v at k and the
     subtree below produced a table; when the budget runs out the current path
     is left the same way, so a partial range holds only attained values.
+
+    ``walk`` follows the memo from the root, or from a path and the state
+    after it, in the same order, taking only values whose stored subtree
+    holds a table, so it never meets a dead end. Every table the search found
+    comes before the point where its budget ran out, so the first
+    ``budget.tables`` the walk yields are exactly those; an attaining table
+    is the first the walk yields below the path that attained it.
     """
     n = len(cell_groups)
     mins, maxs = [max(targets) + 1] * n, [-1] * n
@@ -351,29 +316,47 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
                     max_at = (cur[: k + 1], code[k] - v * step[k])
     budget.nodes, budget.tables, budget.outcome = nodes, tables, outcome
 
-    def first_table(path: list[int], state: int) -> tuple[int, ...]:
-        """Extend ``path`` by the first table in DFS order below ``state``:
-        at each cell the least value whose stored subtree holds a table."""
+    def walk(path=(), state=code[0]) -> Iterator[tuple[int, ...]]:
+        """Yield, in DFS order, each table extending ``path`` below ``state``:
+        at each cell only the values whose stored subtree holds a table."""
         rest = list(targets)
         for j, x in enumerate(path):
             for g in cell_groups[j]:
                 rest[g] -= x
-        for j in range(len(path), n):
-            x, _ = _cell_range(rest, cell_groups[j], closing_groups[j])
-            while not memo[j + 1].get(state - x * step[j]):
-                x += 1
-            state -= x * step[j]
+        top = j = len(path)
+        if top == n:  # ``path`` is a whole table
+            yield tuple(path)
+            return
+        val, hi, at = list(path) + [0] * (n - j), [0] * n, [0] * n
+        at[j] = state
+        lo, hi[j] = _cell_range(rest, cell_groups[j], closing_groups[j])
+        val[j] = lo - 1
+        while j >= top:
+            x = val[j] + 1
+            if x > hi[j]:  # leave cell j and the value of cell j - 1
+                j -= 1
+                if j >= top:
+                    for g in cell_groups[j]:
+                        rest[g] += val[j]
+                continue
+            val[j] = x
+            child = at[j] - x * step[j]
+            if not memo[j + 1].get(child):
+                continue
+            if j == n - 1:
+                yield tuple(val)
+                continue
             for g in cell_groups[j]:
                 rest[g] -= x
-            path.append(x)
-        return tuple(path)
+            j += 1
+            at[j] = child
+            lo, hi[j] = _cell_range(rest, cell_groups[j], closing_groups[j])
+            val[j] = lo - 1
 
-    return (
-        mins,
-        maxs,
-        first_table(*min_at) if min_at else None,
-        first_table(*max_at) if max_at else None,
-    )
+    def first(at) -> Optional[tuple[int, ...]]:
+        return next(walk(*at)) if at else None
+
+    return mins, maxs, first(min_at), first(max_at), walk
 
 
 @functools.lru_cache(maxsize=256)
@@ -564,6 +547,7 @@ def sharp_bounds(
     budget = budget if budget is not None else EnumerationBudget()
     cell = fam.check_cell(cell)
     flat_cell = int(np.ravel_multi_index(cell, fam.cardinalities)) if cell else 0
+    before = budget.tables
     mins, maxs, lo_tab, hi_tab = _extremes(
         fam, budget, flat_cell if keep_tables else None
     )
@@ -573,7 +557,7 @@ def sharp_bounds(
         cell=cell,
         min_count=mins[flat_cell],
         max_count=maxs[flat_cell],
-        tables_found=budget.tables,
+        tables_found=budget.tables - before,
         outcome=budget.outcome,
         min_table=lo_tab,
         max_table=hi_tab,

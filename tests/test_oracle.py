@@ -194,6 +194,11 @@ class TestSharpBounds:
         sb = sharp_bounds(fam, (0, 0), keep_tables=True)
         assert sb.min_table[0] == sb.min_count
         assert sb.max_table[0] == sb.max_count
+        # At the last cell the attaining path is a whole table already.
+        tables = flats(enumerate_tables(fam))
+        sb = sharp_bounds(fam, (1, 1), keep_tables=True)
+        assert sb.min_table == next(t for t in tables if t[-1] == sb.min_count)
+        assert sb.max_table == next(t for t in tables if t[-1] == sb.max_count)
 
 
 class TestBudget:
@@ -275,7 +280,7 @@ def small_families(draw):
     at a neighbour along each axis. For three or more variables its pair
     margins stay counts yet may admit no table (as 2x2x2 with a lone hole
     does); margins with a negative entry fall back to the unsigned units.
-    Totals stay small enough for the streaming reference to list every table."""
+    Totals stay small enough for ``reference`` to list every table."""
     l = draw(st.integers(2, 4))
     cards = tuple(draw(st.lists(st.integers(2, 3), min_size=l, max_size=l)))
     n = int(np.prod(cards))
@@ -305,11 +310,37 @@ def small_families(draw):
     )
 
 
-def stream_reference(fam):
-    """Per-flat-cell value sets and the table list, from the streaming DFS."""
-    tables = [tuple(t.flat.tolist()) for t in enumerate_tables(fam)]
-    values = [{t[k] for t in tables} for k in range(int(np.prod(fam.cardinalities)))]
-    return tables, values
+def reference(fam):
+    """The table list and per-flat-cell value sets, enumerated from the
+    definition alone: in row-major order each cell ranges up to the least
+    residual of the margin lines through it, and a line must be spent at its
+    last cell."""
+    cells = list(itertools.product(*(range(c) for c in fam.cardinalities)))
+    residual, lines = {}, []
+    for cell in cells:
+        lines.append([])
+        for a in fam.subsets():
+            line = (a.mask, tuple(cell[j] for j in a.axes))
+            residual[line] = int(fam.marginal(a).table.counts[line[1]])
+            lines[-1].append(line)
+    last = {line: i for i, through in enumerate(lines) for line in through}
+    tables = []
+
+    def extend(prefix):
+        i = len(prefix)
+        if i == len(cells):
+            tables.append(tuple(prefix))
+            return
+        for v in range(min(residual[line] for line in lines[i]) + 1):
+            if all(residual[line] == v for line in lines[i] if last[line] == i):
+                for line in lines[i]:
+                    residual[line] -= v
+                extend(prefix + [v])
+                for line in lines[i]:
+                    residual[line] += v
+
+    extend([])
+    return tables, [{t[k] for t in tables} for k in range(len(cells))]
 
 
 def reproduces_margins(fam, flat):
@@ -320,13 +351,84 @@ def reproduces_margins(fam, flat):
     )
 
 
-class TestMemoizedSearchProperties:
-    """The memoized extremes search against the streaming enumeration."""
+def flats(tables):
+    return [tuple(t.flat.tolist()) for t in tables]
+
+
+class TestEnumerateProperties:
+    """``enumerate_tables`` and ``count_tables`` against the reference
+    enumeration, complete and under drawn budgets."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_families(), st.data())
-    def test_extremes_match_stream(self, fam, data):
-        tables, values = stream_reference(fam)
+    def test_enumeration_matches_reference(self, fam, data):
+        tables, _ = reference(fam)
+        budget, counted = EnumerationBudget(), EnumerationBudget()
+        assert flats(enumerate_tables(fam, budget)) == tables
+        assert (budget.tables, budget.outcome) == (len(tables), "complete")
+        assert count_tables(fam, counted) == len(tables)
+        assert (counted.nodes, counted.tables) == (budget.nodes, budget.tables)
+
+        max_tables = data.draw(st.integers(1, max(1, len(tables))), label="max_tables")
+        assert flats(enumerate_tables(fam, EnumerationBudget(max_tables=max_tables))) == (
+            tables[:max_tables]
+        )
+        assert count_tables(fam, EnumerationBudget(max_tables=max_tables)) == len(
+            tables[:max_tables]
+        )
+
+        max_nodes = data.draw(st.integers(1, max(1, budget.nodes)), label="max_nodes")
+        partial = EnumerationBudget(max_nodes=max_nodes)
+        found = flats(enumerate_tables(fam, partial))
+        assert found == tables[: partial.tables]
+        assert count_tables(fam, EnumerationBudget(max_nodes=max_nodes)) == len(found)
+
+
+class TestEntryPoints:
+    """One search behind every entry point, and per-call table counts."""
+
+    def test_nodes_agree_on_lead_margins(self):
+        fam = two_way_family([25, 5, 4], [8, 7, 19])
+        counted, listed, extremes = (EnumerationBudget() for _ in range(3))
+        assert count_tables(fam, counted) == 309
+        assert len(list(enumerate_tables(fam, listed))) == 309
+        sharp_bounds_all(fam, extremes)
+        assert [b.nodes for b in (counted, listed, extremes)] == [978] * 3
+        assert [b.tables for b in (counted, listed, extremes)] == [309] * 3
+
+    def test_shared_budget_reports_each_call(self):
+        fam = two_way_family([25, 5, 4], [8, 7, 19])
+        budget = EnumerationBudget()
+        found = [sharp_bounds(fam, (0, c), budget).tables_found for c in range(3)]
+        assert found == [309] * 3
+        assert count_tables(fam, budget) == 309
+        assert len(list(enumerate_tables(fam, budget))) == 309
+        assert (budget.tables, budget.nodes) == (5 * 309, 5 * 978)
+
+    @pytest.mark.parametrize(
+        "rows, cols, limits, found",
+        [([25, 5, 4], [8, 7, 19], {"max_nodes": 500}, 113),
+         ([8, 8, 8], [8, 8, 8], {"max_tables": 500}, 500),
+         ([8, 8, 8], [8, 8, 8], {"max_nodes": 1500}, 607)],
+        ids=["lead-nodes-500", "eights-tables-500", "eights-nodes-1500"],
+    )
+    def test_exhausted_enumeration_is_the_found_prefix(self, rows, cols, limits, found):
+        # The memo holds states past where each run stopped, and the walk
+        # would reach them; only the run's own tables come out.
+        fam = two_way_family(rows, cols)
+        budget = EnumerationBudget(**limits)
+        tables = flats(enumerate_tables(fam, budget))
+        assert (len(tables), budget.outcome) == (found, "exhausted")
+        assert tables == flats(enumerate_tables(fam))[:found]
+
+
+class TestMemoizedSearchProperties:
+    """The memoized extremes search against the reference enumeration."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_families(), st.data())
+    def test_extremes_match_reference(self, fam, data):
+        tables, values = reference(fam)
         cell_list = list(itertools.product(*(range(c) for c in fam.cardinalities)))
         if not tables:
             with pytest.raises(RangeError):
@@ -366,13 +468,13 @@ class TestMemoizedSearchProperties:
 
 
 class TestLayeredEngine:
-    """The breadth-first engine against the streaming enumeration and the
+    """The breadth-first engine against the reference enumeration and the
     memoized DFS, which it must match node for node."""
 
     @settings(max_examples=150, deadline=None)
     @given(small_families(), st.data())
-    def test_layered_matches_stream(self, fam, data):
-        tables, values = stream_reference(fam)
+    def test_layered_matches_reference(self, fam, data):
+        tables, values = reference(fam)
         cons = oracle._build_constraints(fam)
         k = data.draw(st.integers(0, len(cons[1]) - 1), label="flat cell")
         budget, dfs = EnumerationBudget(), EnumerationBudget()
@@ -417,7 +519,7 @@ class TestLayeredEngine:
         assert lo_tab == (0, 0, 1, 0, 0, 0, 1, 0, wide, wide, narrow - 2, narrow)
         assert hi_tab == (0, 0, 0, 1, 0, 0, 0, 1, wide, wide, narrow, narrow - 2)
         dfs = EnumerationBudget()
-        assert oracle._dfs_extremes(*cons, dfs, 10) == (mins, maxs, lo_tab, hi_tab)
+        assert oracle._dfs_extremes(*cons, dfs, 10)[:4] == (mins, maxs, lo_tab, hi_tab)
         assert dfs.nodes == budget.nodes
 
     @pytest.mark.parametrize(
@@ -437,7 +539,7 @@ class TestLayeredEngine:
         monkeypatch.setattr(oracle, "_layered_extremes", counted)
         budget, dfs = EnumerationBudget(**limits), EnumerationBudget(**limits)
         got = oracle._extremes(fam, budget, 4)
-        want = oracle._dfs_extremes(*oracle._build_constraints(fam), dfs, 4)
+        want = oracle._dfs_extremes(*oracle._build_constraints(fam), dfs, 4)[:4]
         assert len(calls) == 1  # the search passed the allowance
         assert got == want
         assert (budget.nodes, budget.tables) == (dfs.nodes, dfs.tables)
