@@ -41,7 +41,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Iterator, Literal, Mapping, Optional, Sequence
 
 import numpy as np
@@ -51,6 +51,7 @@ from .errors import (
     InconsistentFamilyError,
     MissingMarginalError,
     RangeError,
+    SearchSpaceError,
 )
 from .lattice import fan_terms
 from .table import (
@@ -61,12 +62,16 @@ from .table import (
     ContingencyTable,
     MarginalTable,
     check_cell,
+    check_labels,
     lift_marginal,
     marginalize,
 )
 from .varset import VarSet
 
 CONSISTENCY_RTOL = 1e-9
+# The bound kernels and the oracle build arrays over a family's whole cell
+# grid, so a family past this many cells is refused before they run.
+GRID_CAP = 2**24
 
 
 class MarginalFamily:
@@ -86,12 +91,11 @@ class MarginalFamily:
         self.cardinalities = tuple(int(c) for c in cardinalities)
         if any(c < 1 for c in self.cardinalities):
             raise RangeError(f"cardinalities must be positive, got {cardinalities}")
+        cells = prod(self.cardinalities)
+        if cells > GRID_CAP:
+            raise SearchSpaceError(f"grid of {cells} cells exceeds cap {GRID_CAP}")
         self.num_vars = len(self.cardinalities)
-        self.labels = (
-            tuple(tuple(str(x) for x in axis) for axis in labels)
-            if labels is not None
-            else None
-        )
+        self.labels = check_labels(labels, self.cardinalities)
         if not marginals:
             raise RangeError("a family needs at least one marginal")
         self.released: dict[int, MarginalTable] = {}

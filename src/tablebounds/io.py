@@ -20,7 +20,7 @@ from math import prod
 
 from .bounds import MarginalFamily
 from .errors import CountRangeError, RangeError, SchemaError
-from .table import INTEGER, REAL, ContingencyTable, MarginalTable
+from .table import INTEGER, REAL, ContingencyTable, MarginalTable, check_labels
 from .varset import VarSet
 
 SCHEMA_VERSION = 1
@@ -37,13 +37,25 @@ def _require(doc: dict, key: str, kinds, where: str):
     return value
 
 
-def _check_schema_version(doc: dict, where: str) -> None:
+def _header(doc, where: str):
+    """(cardinalities, kind, labels) of a table or family document, checked."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
     version = doc.get("schema", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # JSON true == 1
         raise SchemaError(f"{where}: unsupported schema version {version!r}")
+    cards = _require(doc, "cardinalities", list, where)
+    if not cards or not all(type(c) is int and c >= 1 for c in cards):
+        raise SchemaError(f"{where}: cardinalities must be positive integers")
+    kind = doc.get("kind", INTEGER)
+    if kind not in (INTEGER, REAL):
+        raise SchemaError(f"{where}: kind must be 'integer' or 'real'")
+    return cards, kind, _build(where, lambda: check_labels(doc.get("labels"), cards))
 
 
-def _check_counts(counts, cards, where: str) -> None:
+def _counts(doc: dict, cards, kind: str, where: str) -> list:
+    """The document's flat counts, checked against its shape and kind."""
+    counts = _require(doc, "counts", list, where)
     if len(counts) != prod(cards):
         raise SchemaError(
             f"{where}: {len(counts)} counts for shape {tuple(cards)} "
@@ -52,6 +64,9 @@ def _check_counts(counts, cards, where: str) -> None:
     for v in counts:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise SchemaError(f"{where}: non-numeric count {v!r}")
+    if kind == INTEGER and not all(isinstance(v, int) for v in counts):
+        raise SchemaError(f"{where}: non-integer counts in an integer document")
+    return counts
 
 
 def _build(where: str, make):
@@ -65,23 +80,8 @@ def _build(where: str, make):
 
 
 def table_from_doc(doc: dict, where: str = "table") -> ContingencyTable:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected a JSON object")
-    _check_schema_version(doc, where)
-    cards = _require(doc, "cardinalities", list, where)
-    if not cards or not all(isinstance(c, int) and c >= 1 for c in cards):
-        raise SchemaError(f"{where}: cardinalities must be positive integers")
-    counts = _require(doc, "counts", list, where)
-    _check_counts(counts, cards, where)
-    kind = doc.get("kind", INTEGER)
-    if kind not in (INTEGER, REAL):
-        raise SchemaError(f"{where}: kind must be 'integer' or 'real'")
-    if kind == INTEGER and not all(isinstance(v, int) for v in counts):
-        raise SchemaError(f"{where}: integer table has non-integer counts")
-    labels = doc.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or len(labels) != len(cards):
-            raise SchemaError(f"{where}: labels must list one name set per axis")
+    cards, kind, labels = _header(doc, where)
+    counts = _counts(doc, cards, kind, where)
     return _build(
         where,
         lambda: ContingencyTable.from_flat(cards, counts, labels=labels, kind=kind),
@@ -101,20 +101,11 @@ def table_to_doc(table: ContingencyTable) -> dict:
 
 
 def family_from_doc(doc: dict, where: str = "family") -> MarginalFamily:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where}: expected a JSON object")
-    _check_schema_version(doc, where)
-    cards = _require(doc, "cardinalities", list, where)
-    if not cards or not all(isinstance(c, int) and c >= 1 for c in cards):
-        raise SchemaError(f"{where}: cardinalities must be positive integers")
+    cards, kind, labels = _header(doc, where)
     num_vars = len(cards)
     entries = _require(doc, "marginals", list, where)
     if not entries:
         raise SchemaError(f"{where}: at least one marginal is required")
-    kind = doc.get("kind", INTEGER)
-    if kind not in (INTEGER, REAL):
-        raise SchemaError(f"{where}: kind must be 'integer' or 'real'")
-    labels = doc.get("labels")
     marginals = []
     for idx, entry in enumerate(entries):
         where_m = f"{where}.marginals[{idx}]"
@@ -127,10 +118,7 @@ def family_from_doc(doc: dict, where: str = "family") -> MarginalFamily:
             raise SchemaError(f"{where_m}: repeated variable in {vars_}")
         subset = _build(where_m, lambda: VarSet.from_vars(vars_, num_vars))
         sub_cards = tuple(cards[j] for j in subset.axes)
-        counts = _require(entry, "counts", list, where_m)
-        _check_counts(counts, sub_cards, where_m)
-        if kind == INTEGER and not all(isinstance(v, int) for v in counts):
-            raise SchemaError(f"{where_m}: integer family has non-integer counts")
+        counts = _counts(entry, sub_cards, kind, where_m)
         sub_labels = (
             [labels[j] for j in subset.axes] if labels is not None else None
         )

@@ -23,12 +23,13 @@ order, residuals widened to int64). Every search starts as the DFS;
 past DFS_ALLOWANCE nodes, where the two break even, it restarts in the
 layered engine. When the layered engine finds the caller's budget would be
 reached, before it builds the layer that reaches it, the DFS runs under that
-budget, so an exhausted result is the DFS's. ``enumerate_tables`` always runs
-the DFS, whose memo it reads.
+budget, so an exhausted result is the DFS's, as is a count past int64.
+``enumerate_tables`` always runs the DFS, whose memo it reads.
 
-Budgets are explicit and machine-readable. ``nodes`` counts the values tried
-at expanded states and ``tables`` the matching tables found, cached subtrees
-included. A result is sharp only when the outcome is ``complete``; an
+Budgets are explicit and machine-readable; nodes are the only limit.
+``nodes`` counts the values tried at expanded states and ``tables`` the
+exact number of matching tables found, cached subtrees included. A result
+is sharp only when the outcome is ``complete``; an
 exhausted budget yields valid-but-possibly-loose bounds made of attained
 values, flagged as such, never silently truncated.
 """
@@ -45,7 +46,7 @@ import numpy as np
 
 from .bounds import BoundReport, MarginalFamily
 from .errors import BudgetExhaustedError, CertificationError, RangeError
-from .table import INTEGER, CellIndex, ContingencyTable, lift_marginal
+from .table import INTEGER, CellIndex, ContingencyTable, _trusted_table, lift_marginal
 from .varset import VarSet
 
 COMPLETE = "complete"
@@ -57,25 +58,21 @@ DFS_ALLOWANCE = 1_000
 
 @dataclass
 class EnumerationBudget:
-    """Node/table limits for one enumeration run, plus its outcome.
+    """The node limit for one enumeration run, plus its counts and outcome.
 
-    A run stops, ``exhausted``, on its next node past ``max_nodes`` or once
-    ``tables`` reaches ``max_tables``; the search adds a cached subtree's
-    tables at once, so it may stop past ``max_tables``. Both limits must be
-    at least 1. A budget passed to several runs keeps running totals, so
-    ``nodes`` and ``tables`` are cumulative; each entry point reports its own
-    run's table count."""
+    A run stops, ``exhausted``, on its next node past ``max_nodes``, at least
+    1. ``tables`` is the exact number of matching tables found. A budget
+    passed to several runs keeps running totals, so ``nodes`` and ``tables``
+    are cumulative; each entry point reports its own run's table count."""
 
     max_nodes: int = 10_000_000
-    max_tables: int = 1_000_000
     nodes: int = 0
     tables: int = 0
     outcome: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for name in ("max_nodes", "max_tables"):
-            if getattr(self, name) < 1:
-                raise RangeError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.max_nodes < 1:
+            raise RangeError(f"max_nodes must be at least 1, got {self.max_nodes}")
 
     @property
     def complete(self) -> bool:
@@ -173,23 +170,24 @@ def enumerate_tables(
     table counts and the final outcome.
 
     The whole budgeted search runs before the first table is yielded, and its
-    memo (about 73 bytes per node) is kept while the tables are read from it;
-    an exhausted run yields the tables it found, a prefix of the full order,
-    and at most ``max_tables`` of them."""
+    memo (about 73 bytes per node) is kept while the tables are read from it,
+    lazily (``itertools.islice`` takes a prefix); an exhausted run yields the
+    tables it found, a prefix of the full order."""
     budget = budget if budget is not None else EnumerationBudget()
     before = budget.tables
     walk = _dfs_extremes(*_build_constraints(fam), budget, None)[4]
-    for flat in itertools.islice(walk(), min(budget.tables - before, budget.max_tables)):
-        yield ContingencyTable.from_flat(fam.cardinalities, flat, labels=fam.labels)
+    for flat in itertools.islice(walk(), budget.tables - before):
+        counts = np.array(flat, dtype=np.int64).reshape(fam.cardinalities)
+        yield _trusted_table(fam.cardinalities, counts, fam.labels, INTEGER)
 
 
 def count_tables(fam: MarginalFamily, budget: Optional[EnumerationBudget] = None) -> int:
-    """The number of matching tables, at most ``max_tables``; the budget
+    """The exact number of matching tables this run found; the budget
     records the search's counts and outcome as in ``enumerate_tables``."""
     budget = budget if budget is not None else EnumerationBudget()
     before = budget.tables
     _extremes(fam, budget)
-    return min(budget.tables - before, budget.max_tables)
+    return budget.tables - before
 
 
 def _no_table(budget: EnumerationBudget) -> None:
@@ -210,8 +208,9 @@ def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[in
 
     The memoized DFS runs first, under DFS_ALLOWANCE nodes. A search still
     open there is run again by the layered engine from the caller's counts,
-    and when that finds the caller's budget would be reached, by the DFS under
-    that budget, whose partial result is made of attained values.
+    and when that finds the caller's budget would be reached or its counts
+    saturate, by the DFS under that budget, whose partial result is made of
+    attained values and whose counts are exact.
     """
     cons = _build_constraints(fam)
     start = budget.nodes, budget.tables
@@ -263,7 +262,6 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
     code[0] = sum(t * w for t, w in zip(targets, weights))
     hi, cur, below = [0] * n, [0] * n, [0] * n
     nodes, tables = budget.nodes, budget.tables
-    max_tables = budget.max_tables
     if max_nodes is None:
         max_nodes = budget.max_nodes
     outcome = COMPLETE
@@ -301,9 +299,6 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
                 cur[k] = lo - 1
                 continue
             tables += count
-            if tables >= max_tables:
-                outcome = EXHAUSTED
-                hi[: k + 1] = [-1] * (k + 1)
         if count:
             below[k] += count
             if v < mins[k]:
@@ -415,22 +410,20 @@ def _dedup(keys: np.ndarray):
 
 def _layered_extremes(targets, cell_groups, closing_groups, budget, track):
     """``_extremes`` breadth-first, one cell layer at a time in numpy; None,
-    leaving ``budget`` alone, when the caller's budget would be reached.
+    leaving ``budget`` alone, when the caller's budget would be reached or
+    the table counts saturate.
 
     Layer k holds the distinct states before cell k that the DFS expands, as
     rows of residuals. The forward pass gives each state the ``[lo, hi]`` of
     ``_cell_range`` and one edge per value, and merges equal children by
     their residuals over the groups still open with a positive target,
     packed in mixed-radix words; so ``nodes`` is the DFS's. The backward pass
-    counts tables per state, saturated where the caller's ``max_tables``
-    would be reached, and takes a cell's extremes over the edges into states
-    that hold a table.
+    counts tables per state, saturated as an int64 overflow guard (not a
+    budget: the DFS then counts exactly), and takes a cell's extremes over
+    the edges into states that hold a table.
     """
     n = len(cell_groups)
-    cap = budget.max_tables - budget.tables
     nodes_left = budget.max_nodes - budget.nodes
-    if cap <= 0:
-        return None
     # Residuals fit the least signed dtype that holds every target + 1.
     small = next(
         (t for t in (np.int8, np.int16, np.int32) if max(targets) < np.iinfo(t).max), np.int64
@@ -473,9 +466,9 @@ def _layered_extremes(targets, cell_groups, closing_groups, budget, track):
         layers.append((start, width, value, inverse))
 
     # Backward: counts[k][s] = tables below state s of layer k, saturated at
-    # ``limit`` (at most ``cap``, and small enough that a state's sum over
-    # its edges, at most max(targets) + 1 of them, fits int64).
-    limit = min(cap, (2**63 - 1) // (max(targets) + 1))
+    # ``limit`` as an overflow guard: a state's sum over its edges, at most
+    # max(targets) + 1 of them, then fits int64.
+    limit = (2**63 - 1) // (max(targets) + 1)
     counts = [None] * n + [np.ones(len(R), dtype=np.int64)]
     mins, maxs = [max(targets) + 1] * n, [-1] * n
     for k in reversed(range(n)):

@@ -61,17 +61,7 @@ class ContingencyTable:
             raise RangeError("counts must be nonnegative")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        if self.labels is not None:
-            labels = tuple(tuple(str(x) for x in axis) for axis in self.labels)
-            if len(labels) != len(cards):
-                raise RangeError("one label list per axis is required")
-            for j, axis in enumerate(labels):
-                if len(axis) != cards[j]:
-                    raise RangeError(
-                        f"axis {j + 1} has {cards[j]} categories but "
-                        f"{len(axis)} labels"
-                    )
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", check_labels(self.labels, cards))
 
     @classmethod
     def from_flat(
@@ -140,6 +130,19 @@ def parse_cell(parts: Sequence, cardinalities, labels=None) -> CellIndex:
                 f"category on axis {j + 1}"
             ) from None
     return tuple(cell)
+
+
+def check_labels(labels, cardinalities) -> Optional[tuple[tuple[str, ...], ...]]:
+    """Category labels as string tuples, from one list (or tuple) per axis
+    holding one name per category; None when there are none."""
+    if labels is None:
+        return None
+    if not isinstance(labels, (list, tuple)) or len(labels) != len(cardinalities):
+        raise RangeError("labels must hold one list of names per axis")
+    for j, (axis, c) in enumerate(zip(labels, cardinalities)):
+        if not isinstance(axis, (list, tuple)) or len(axis) != c:
+            raise RangeError(f"labels of axis {j + 1} must list its {c} categories")
+    return tuple(tuple(str(x) for x in axis) for axis in labels)
 
 
 def _int64_counts(counts: np.ndarray) -> np.ndarray:
@@ -236,16 +239,19 @@ def marginalize(table: ContingencyTable, a: VarSet) -> MarginalTable:
     axes = a.axes
     drop = tuple(j for j in range(table.num_vars) if j not in axes)
     counts = np.asarray(table.counts.sum(axis=drop)) if drop else table.counts
-    counts.setflags(write=False)
     labels = tuple(table.labels[j] for j in axes) if table.labels is not None else None
-    marg = object.__new__(ContingencyTable)
-    marg.__dict__.update(
-        cardinalities=tuple(table.cardinalities[j] for j in axes),
-        counts=counts,
-        labels=labels,
-        kind=table.kind,
-    )
-    return MarginalTable(a, marg)
+    cards = tuple(table.cardinalities[j] for j in axes)
+    return MarginalTable(a, _trusted_table(cards, counts, labels, table.kind))
+
+
+def _trusted_table(cardinalities, counts, labels, kind) -> ContingencyTable:
+    """A table from parts already in the form ``ContingencyTable`` validates
+    them into, built without validating them again; the counts become
+    read-only."""
+    counts.setflags(write=False)
+    table = object.__new__(ContingencyTable)
+    table.__dict__.update(cardinalities=cardinalities, counts=counts, labels=labels, kind=kind)
+    return table
 
 
 def project_cell(cell: CellIndex, a: VarSet) -> CellIndex:

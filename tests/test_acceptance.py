@@ -296,7 +296,7 @@ def test_c07_dominance():
 @criterion("C8 oracle certification of every bound method")
 def test_c08_validity_certification():
     rng = np.random.default_rng(808)
-    budget_template = dict(max_nodes=2_000_000, max_tables=200_000)
+    budget_template = dict(max_nodes=2_000_000)
     certified = 0
     for trial in range(1000):
         kind = trial % 4

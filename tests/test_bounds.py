@@ -57,6 +57,15 @@ class TestMarginalFamily:
         assert lead_family.total == 34
         assert lead_family.value(VarSet.from_vars([1], 2), (0, 0)) == 25
 
+    @pytest.mark.parametrize(
+        "labels", [[["a", "b", "c"]], [["a", "b", "c"], ["d", "e"]]], ids=["axes", "names"]
+    )
+    def test_labels_checked_per_axis(self, labels):
+        # Tables enumerated from a family carry its labels unchecked.
+        margs = [marginalize(lead_table(), VarSet.from_vars([j], 2)) for j in (1, 2)]
+        with pytest.raises(RangeError):
+            MarginalFamily((3, 3), margs, labels=labels)
+
     def test_inconsistent_rejected_with_witness(self):
         m1 = MarginalTable(
             VarSet.from_vars([1], 2), ContingencyTable.from_flat((2,), [3, 1])

@@ -1,13 +1,18 @@
 """Command-line surface: formats, round-trips, outputs, exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from math import prod
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tablebounds
 from tablebounds import ContingencyTable, SchemaError, VarSet
@@ -81,6 +86,16 @@ class TestSchemaValidation:
     def test_integer_kind_rejects_floats(self):
         with pytest.raises(SchemaError):
             table_from_doc({"cardinalities": [2], "counts": [1.5, 2.0]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"schema": True, "cardinalities": [2], "counts": [1, 2]},
+         {"cardinalities": [True, 2], "counts": [1, 2]}],
+        ids=["schema", "cardinality"],
+    )
+    def test_json_true_is_not_one(self, doc):
+        with pytest.raises(SchemaError):
+            table_from_doc(doc)
 
     def test_family_needs_marginals(self):
         with pytest.raises(SchemaError):
@@ -404,6 +419,20 @@ class TestOracleCommand:
         assert (code, doc) == (3, None)
         assert err == f"error: max_nodes must be at least 1, got {budget}\n"
 
+    def test_certify_past_a_million_tables(self, capsys, tmp_path):
+        # The 10! permutation matrices: nodes alone bound the search.
+        path = tmp_path / "perm.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "cardinalities": [10, 10],
+            "marginals": [{"vars": [1], "counts": [1] * 10}, {"vars": [2], "counts": [1] * 10}],
+        }))
+        code, doc, _ = run_cli(
+            capsys, "oracle", str(path), "--cell", "0,0", "--certify", "simple"
+        )
+        assert code == 0 and doc["certified"] is True
+        assert (doc["sharp"]["tables"], doc["sharp"]["outcome"]) == (3628800, "complete")
+
     def test_certify_needs_complete_exit_5(self, capsys, lead_family_file):
         code, _, _ = run_cli(
             capsys, "oracle", lead_family_file, "--cell", "0,0",
@@ -556,3 +585,141 @@ class TestInputContract:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
         assert "float64 limit 1.7976931348623157e+308" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "labels",
+        [5, "ab", [["a", "b"]], [5, 6], [None, None], [["a", "b"], ["c"]]],
+        ids=["number", "string", "one-axis", "numbers", "nulls", "short-axis"],
+    )
+    @pytest.mark.parametrize("kind", ["table", "family"])
+    def test_malformed_labels_exit_2(self, capsys, tmp_path, kind, labels):
+        path = tmp_path / "labels.json"
+        if kind == "table":
+            doc = {"schema": 1, "cardinalities": [2, 2], "counts": [1, 2, 3, 4]}
+            argv = ["check", str(path), "--property", "decreasing", "--anchor", "0,0"]
+        else:
+            doc = {
+                "schema": 1,
+                "cardinalities": [2, 2],
+                "marginals": [{"vars": [1], "counts": [3, 7]}, {"vars": [2], "counts": [4, 6]}],
+            }
+            argv = ["bounds", str(path), "--cell", "0,0", "--method", "simple"]
+        path.write_text(json.dumps(dict(doc, labels=labels)))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, None)
+        assert err.startswith("error: ") and "labels" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["bounds", "--method", "best"], ["oracle", "--budget", "50"]],
+        ids=["bounds", "oracle"],
+    )
+    def test_family_grid_past_cap_exit_3(self, capsys, tmp_path, argv):
+        # Only the first axis is released, so the document is small, but the
+        # kernels would build arrays over all 10^12 cells.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "cardinalities": [2, 10**12],
+            "marginals": [{"vars": [1], "counts": [3, 4]}],
+        }))
+        code, out, err = run_cli(capsys, argv[0], str(path), "--cell", "0,0", *argv[1:])
+        assert (code, out) == (3, None)
+        assert "exceeds cap" in err and err.count("\n") == 1
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.sampled_from([2**64, 10**12]),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(
+        st.one_of(st.integers(-1, 3), st.sampled_from([10**12, 2**64]), st.floats()), max_size=4
+    ),
+    st.lists(st.lists(st.one_of(st.none(), st.text(max_size=2)), max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def documents(draw):
+    """A table or family document released from a small random table, with
+    no labels, valid labels or junk ones, and up to three of its fields, or
+    of one marginal's, replaced by junk or dropped."""
+    l = draw(st.integers(1, 3))
+    cards = draw(st.lists(st.integers(1, 3), min_size=l, max_size=l))
+    counts = draw(st.lists(st.integers(0, 3), min_size=prod(cards), max_size=prod(cards)))
+    doc = {"schema": 1, "kind": "integer", "cardinalities": cards}
+    labels = draw(st.sampled_from(["none", "valid", "junk"]))
+    if labels == "valid":
+        doc["labels"] = [[f"{j}.{i}" for i in range(c)] for j, c in enumerate(cards)]
+    elif labels == "junk":
+        doc["labels"] = draw(JUNK)
+    if draw(st.booleans()):
+        doc["counts"] = counts
+    else:
+        table = np.array(counts).reshape(cards)
+        released = draw(st.lists(
+            st.lists(st.integers(1, l), min_size=1, max_size=l, unique=True),
+            min_size=1, max_size=3,
+        ))
+        doc["marginals"] = [
+            {
+                "vars": sorted(vars_),
+                "counts": table.sum(
+                    axis=tuple(j for j in range(l) if j + 1 not in vars_)
+                ).reshape(-1).tolist(),
+            }
+            for vars_ in released
+        ]
+    for _ in range(draw(st.integers(0, 3))):
+        entries = doc.get("marginals")
+        entries = [m for m in entries if isinstance(m, dict)] if isinstance(entries, list) else []
+        target = draw(st.sampled_from(entries)) if entries and draw(st.booleans()) else doc
+        if not target:
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            target[key] = draw(JUNK)
+        else:
+            target.pop(key, None)
+    return doc
+
+
+def run_contract(argv):
+    """Run the CLI in-process; check the exit code and output contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if code in (0, 1):
+        json.loads(out.getvalue())
+        assert err.getvalue() == ""
+    else:
+        assert code in (2, 3, 4, 5)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+class TestDocumentFuzz:
+    """Any document, valid or not, keeps the exit-code contract of every
+    subcommand that reads it: no exception escapes."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(documents(), st.data())
+    def test_exit_code_contract(self, tmp_path_factory, doc, data):
+        path = str(tmp_path_factory.mktemp("fuzz") / "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        cards = doc.get("cardinalities")
+        cell = ",".join("0" * len(cards)) if isinstance(cards, list) and cards else "0"
+        prop = data.draw(st.sampled_from(
+            ["decreasing", "supermodular", "mtp2-additive", "mtp2-multiplicative",
+             "log-supermodular"]
+        ), label="property")
+        method = data.draw(st.sampled_from(["simple", "best", "ddim:1", "3way"]), label="method")
+        run_contract(["marginalize", path, "--vars", "1"])
+        run_contract(["bounds", path, "--cell", cell, "--method", method])
+        run_contract(["check", path, "--property", prop, "--anchor", cell])
+        run_contract(["oracle", path, "--cell", cell, "--budget", "200"])
+        run_contract(["fan", path, "--anchor", cell, "--xs", "{1}|{2}", "--p", "1"])

@@ -1,6 +1,7 @@
 """Enumeration correctness, sharpness, budgets, and certification."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from tablebounds import (
 )
 from tablebounds import oracle
 from tablebounds.bounds import BoundReport
+from tablebounds.datasets import lead_table
 
 
 def two_way_family(rows, cols):
@@ -92,6 +94,20 @@ class TestEnumerate:
                         marginalize(found, a).table.counts,
                         fam.marginal(a).table.counts,
                     )
+
+    def test_yielded_tables_equal_validated_ones(self):
+        # The tables are built from the validated family without a second
+        # check; they must be what the validating constructor makes.
+        fam = family_of(lead_table(), [[1], [2]])
+        for found in enumerate_tables(fam):
+            want = ContingencyTable.from_flat(
+                fam.cardinalities, found.flat.tolist(), labels=fam.labels
+            )
+            assert (found.cardinalities, found.labels, found.kind) == (
+                want.cardinalities, fam.labels, want.kind
+            )
+            assert np.array_equal(found.counts, want.counts)
+            assert found.counts.dtype == np.int64 and not found.counts.flags.writeable
 
     def test_deterministic_order(self):
         fam = two_way_family([3, 2], [2, 3])
@@ -211,18 +227,36 @@ class TestBudget:
         # partial extremes sit inside the true sharp range
         assert 0 <= sb.min_count and sb.max_count <= 8
 
-    def test_table_budget_flags_exhausted(self):
-        fam = two_way_family([25, 5, 4], [8, 7, 19])
-        budget = EnumerationBudget(max_tables=5)
-        n = count_tables(fam, budget)
-        assert n == 5
-        assert budget.outcome == "exhausted"
-
-    @pytest.mark.parametrize("field", ["max_nodes", "max_tables"])
+    @pytest.mark.parametrize("field", ["max_nodes"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_limits_below_one_refused(self, field, value):
         with pytest.raises(RangeError, match=f"{field} must be at least 1, got {value}"):
             EnumerationBudget(**{field: value})
+
+    def test_permutation_family_past_a_million_tables(self):
+        # Its 10! tables are the permutation matrices; nodes alone bound the
+        # search, so it completes.
+        fam = two_way_family([1] * 10, [1] * 10)
+        budget = EnumerationBudget()
+        assert count_tables(fam, budget) == math.factorial(10)
+        assert budget.outcome == "complete"
+        sb = sharp_bounds(fam, (0, 0))
+        assert (sb.min_count, sb.max_count, sb.outcome) == (0, 1, "complete")
+
+    def test_count_past_int64_is_exact(self):
+        # 30 rows of sum 4 over two columns of 60: the x^60 coefficient of
+        # (1 + x + ... + x^4)^30, past 2^63, where the layered engine's int64
+        # counts saturate and the DFS counts in Python ints.
+        poly = [1]
+        for _ in range(30):
+            poly = [
+                sum(poly[i - j] for j in range(5) if 0 <= i - j < len(poly))
+                for i in range(len(poly) + 4)
+            ]
+        assert poly[60] > 2**63
+        budget = EnumerationBudget()
+        assert count_tables(two_way_family([4] * 30, [60, 60]), budget) == poly[60]
+        assert budget.outcome == "complete"
 
     def test_tiny_budget_raises_before_any_table(self):
         fam = two_way_family([25, 5, 4], [8, 7, 19])
@@ -369,13 +403,8 @@ class TestEnumerateProperties:
         assert count_tables(fam, counted) == len(tables)
         assert (counted.nodes, counted.tables) == (budget.nodes, budget.tables)
 
-        max_tables = data.draw(st.integers(1, max(1, len(tables))), label="max_tables")
-        assert flats(enumerate_tables(fam, EnumerationBudget(max_tables=max_tables))) == (
-            tables[:max_tables]
-        )
-        assert count_tables(fam, EnumerationBudget(max_tables=max_tables)) == len(
-            tables[:max_tables]
-        )
+        k = data.draw(st.integers(1, max(1, len(tables))), label="prefix")
+        assert flats(itertools.islice(enumerate_tables(fam), k)) == tables[:k]
 
         max_nodes = data.draw(st.integers(1, max(1, budget.nodes)), label="max_nodes")
         partial = EnumerationBudget(max_nodes=max_nodes)
@@ -408,9 +437,8 @@ class TestEntryPoints:
     @pytest.mark.parametrize(
         "rows, cols, limits, found",
         [([25, 5, 4], [8, 7, 19], {"max_nodes": 500}, 113),
-         ([8, 8, 8], [8, 8, 8], {"max_tables": 500}, 500),
          ([8, 8, 8], [8, 8, 8], {"max_nodes": 1500}, 607)],
-        ids=["lead-nodes-500", "eights-tables-500", "eights-nodes-1500"],
+        ids=["lead-nodes-500", "eights-nodes-1500"],
     )
     def test_exhausted_enumeration_is_the_found_prefix(self, rows, cols, limits, found):
         # The memo holds states past where each run stopped, and the walk
@@ -524,9 +552,8 @@ class TestLayeredEngine:
 
     @pytest.mark.parametrize(
         "limits",
-        [{}, {"max_nodes": 1500}, {"max_nodes": 2132}, {"max_tables": 500},
-         {"max_tables": 1035}],
-        ids=["complete", "nodes-1500", "nodes-2132", "tables-500", "tables-1035"],
+        [{}, {"max_nodes": 1500}, {"max_nodes": 2132}],
+        ids=["complete", "nodes-1500", "nodes-2132"],
     )
     def test_above_allowance_equals_dfs(self, monkeypatch, limits):
         fam = two_way_family([8, 8, 8], [8, 8, 8])  # 2,133 nodes, 1,035 tables
