@@ -18,6 +18,10 @@ Bound families implemented, each per target cell and with provenance:
 - a comparison showing the decomposition bound dominates the Fan route on
   three-set covers.
 
+The classical bounds read those kernels: ``simple`` and ``3way:one-dim``
+are the ``ddim:1`` arrays, and ``3way:two-dim`` and ``best``'s ``pair:``
+lowers are the decomposition bound over two-set covers.
+
 Each bound is a closed form in the marginals, so the first call for a family
 evaluates it for every cell at once on ``MarginalFamily.grid`` arrays and
 caches the result on the family as a plan of read-only arrays
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, prod
 from typing import Iterator, Literal, Mapping, Optional, Sequence
@@ -53,7 +57,7 @@ from .errors import (
     RangeError,
     SearchSpaceError,
 )
-from .lattice import fan_terms
+from .lattice import REAL_RTOL, fan_terms
 from .table import (
     FLOAT64_MAX,
     INT64_MAX,
@@ -262,11 +266,8 @@ class BoundReport:
     def __post_init__(self) -> None:
         if self.lower < 0:
             raise RangeError(f"negative lower bound {self.lower}")
-        slack = 0.0 if isinstance(self.lower, int) else 1e-9
-        if self.lower > self.upper + slack:
-            raise RangeError(
-                f"crossed bounds [{self.lower}, {self.upper}] from {self.formula}"
-            )
+        if self.lower > self.upper:
+            raise RangeError(f"crossed bounds [{self.lower}, {self.upper}] from {self.formula}")
 
     @property
     def width(self):
@@ -282,9 +283,22 @@ def _planned(build):
     def cached(fam: MarginalFamily, *key):
         plan = fam._plans.get((build, key))
         if plan is None:
-            plan = fam._plans[build, key] = build(fam, *key)
+            plan = fam._plans[build, key] = _settled(fam, build(fam, *key))
         return plan
     return cached
+
+
+def _settled(fam: MarginalFamily, plan: "_Plan") -> "_Plan":
+    """The plan, with a real family's lower set to its upper where it crosses
+    it by rounding alone, by at most REAL_RTOL * max(1, total); the report
+    at a cell refuses a wider crossing. Integer bounds are exact."""
+    if fam.kind == INTEGER:
+        return plan
+    gap = plan.lower - plan.upper
+    rounding = (gap > 0) & (gap <= REAL_RTOL * max(1.0, fam.total))
+    if rounding.any():
+        plan = replace(plan, lower=np.where(rounding, plan.upper, plan.lower))
+    return plan
 
 
 @functools.lru_cache(maxsize=256)
@@ -411,13 +425,10 @@ def simple_frechet(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
 def _simple_plan(fam: MarginalFamily) -> _Plan:
     if fam.num_vars != 2:
         raise RangeError("simple_frechet applies to 2-way tables")
-    subsets = _dsubsets(2, 1)
-    row, col = _operands(fam, subsets, 2)
-    total = fam.total
-    terms = {"row": row, "col": col, "total": total}
-    return _Plan(
-        "simple", subsets, _clamp(row + col - total), np.minimum(row, col), terms
-    )
+    ddim = _ddim_plan(fam, 1)  # the d = 1 case: n(row) + n(col) - total below
+    row, col = map(fam.grid, ddim.subsets)
+    terms = {"row": row, "col": col, "total": fam.total}
+    return _Plan("simple", ddim.subsets, ddim.lower, ddim.upper, terms)
 
 
 def frechet_3way(
@@ -432,21 +443,20 @@ def frechet_3way(
 def _3way_plan(fam: MarginalFamily, basis: str) -> _Plan:
     if fam.num_vars != 3:
         raise RangeError("frechet_3way applies to 3-way tables")
-    if basis == "one-dim":
-        singles = _dsubsets(3, 1)
-        vals = _operands(fam, singles, 3)
-        lower = _clamp(sum(vals) - 2 * fam.total)
-        terms = {"margins": vals, "total": fam.total}
-        return _Plan("3way:one-dim", singles, lower, _min(vals), terms)
-    if basis == "two-dim":
+    if basis == "one-dim":  # the d = 1 case of the d-dimensional bound
+        ddim = _ddim_plan(fam, 1)
+        terms = {"margins": list(map(fam.grid, ddim.subsets)), "total": fam.total}
+        return _Plan("3way:one-dim", ddim.subsets, ddim.lower, ddim.upper, terms)
+    if basis == "two-dim":  # the two-set covers of the decomposition bound
         pairs = _dsubsets(3, 2)
         upper = _min(_operands(fam, pairs, 2))
-        lower_terms = {}
-        for a, b in itertools.combinations(pairs, 2):
-            va, vb, vab = _operands(fam, (a, b, a & b), 2)
-            lower_terms[f"{a}+{b}-{a & b}"] = va + vb - vab
-        lower = _clamp(functools.reduce(np.maximum, lower_terms.values()))
-        return _Plan("3way:two-dim", pairs, lower, upper, lower_terms)
+        covers = {
+            f"{a}+{b}-{a & b}": _decomp_plan(fam, (a.mask, b.mask))
+            for a, b in itertools.combinations(pairs, 2)
+        }
+        lower = functools.reduce(np.maximum, [p.lower for p in covers.values()])
+        terms = {key: p.terms["lower_exact"] for key, p in covers.items()}
+        return _Plan("3way:two-dim", pairs, lower, upper, terms)
     raise RangeError(f"unknown basis {basis!r}")
 
 
@@ -703,12 +713,14 @@ def compare_fan_vs_decomposition(
         raise RangeError("comparison is defined for covers of exactly 3 sets")
     cell = fam.check_cell(cell)
     dec = decomposition_bound(fam, decomp, cell)
-    missing, plan = _literal_fan_plan(fam, tuple(c.mask for c in decomp.cover))
+    s2, s3 = decomp.separators
+    needed = decomp.cover + (s2 | s3, s2 & s3)
+    missing = tuple(a for a in needed if not fam.is_derivable(a))
     if missing:
         return FanDecompositionComparison(
             cell=cell, decomposition=dec, fan=None, fan_missing=missing
         )
-    fan = plan.report(cell)
+    fan = _literal_fan_plan(fam, tuple(a.mask for a in needed)).report(cell)
     if dec.lower < fan.lower:
         raise RangeError(
             f"separator bound {dec.lower} fell below the literal fan bound "
@@ -718,19 +730,14 @@ def compare_fan_vs_decomposition(
 
 
 @_planned
-def _literal_fan_plan(fam: MarginalFamily, masks: tuple[int, ...]):
-    """(missing subsets, plan) for the Fan side of the comparison."""
-    cover = tuple(VarSet(m, fam.num_vars) for m in masks)
-    s2, s3 = Decomposition(cover).separators
-    join, meet = s2 | s3, s2 & s3
-    missing = tuple(a for a in cover + (join, meet) if not fam.is_derivable(a))
-    if missing:
-        return missing, None
-    *cover_vals, join_val, meet_val = _operands(fam, cover + (join, meet), 5)
+def _literal_fan_plan(fam: MarginalFamily, masks: tuple[int, ...]) -> _Plan:
+    """The Fan side of the comparison from the masks of the three cover
+    sets and of their separators' join and meet, all derivable."""
+    *cover, join, meet = (VarSet(m, fam.num_vars) for m in masks)
+    *cover_vals, join_val, meet_val = _operands(fam, (*cover, join, meet), 5)
     raw = sum(cover_vals) - join_val - meet_val
-    terms = {"separator_join": str(join), "separator_meet": str(meet)}
-    terms["lower_exact"] = raw
-    return (), _Plan("fan-literal:d=3", cover, _clamp(raw), _min(cover_vals), terms)
+    terms = {"separator_join": str(join), "separator_meet": str(meet), "lower_exact": raw}
+    return _Plan("fan-literal:d=3", tuple(cover), _clamp(raw), _min(cover_vals), terms)
 
 
 def best_bounds(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
@@ -755,20 +762,19 @@ def _best_plan(fam: MarginalFamily) -> _Plan:
     # Candidates by name; on a tie the first in dict order wins.
     uppers = {f"n({a})": fam.grid(a) for a in released}
     uppers["total"] = np.full(fam.cardinalities, fam.total)
-    lowers = {"zero": np.zeros(fam.cardinalities, dtype=int)}
+    lowers = {"zero": np.zeros_like(uppers["total"])}
     for d in range(1, l + 1):
         if all(fam.is_derivable(a) for a in _dsubsets(l, d)):
             lowers[f"ddim:{d}"] = _ddim_plan(fam, d).lower
     for a, b in itertools.combinations(released, 2):
         if (a | b).mask == full.mask:
-            va, vb, vab = _operands(fam, (a, b, a & b), 2)
-            lowers[f"pair:{a}|{b}"] = _clamp(va + vb - vab)
+            lowers[f"pair:{a}|{b}"] = _decomp_plan(fam, (a.mask, b.mask)).lower
     if fam.is_derivable(full):
         lowers["exact"] = uppers["exact"] = fam.grid(full)
     low, up = np.stack(list(lowers.values())), np.stack(list(uppers.values()))
     terms = {
-        "lowers": dict(zip(lowers, low)),
-        "uppers": dict(zip(uppers, up)),
+        "lowers": lowers,
+        "uppers": uppers,
         "lower_from": _winner(list(lowers), low, np.argmax),
         "upper_from": _winner(list(uppers), up, np.argmin),
     }

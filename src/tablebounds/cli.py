@@ -124,6 +124,8 @@ def cmd_check(args) -> tuple[dict, int]:
         raise RangeError("--relabel searches with the exhaustive scan; drop --mode local")
     if args.mode is not None and prop in ("decreasing", "log-supermodular"):
         raise RangeError(f"--mode applies to supermodular and the mtp2 properties, not {prop!r}")
+    if args.anchor is not None and prop.startswith("mtp2-"):
+        raise RangeError(f"--anchor applies to the lattice properties, not {prop!r}")
     mode = args.mode or "exhaustive"
     table = tbio.load_table(args.table)
     doc: dict = {"schema": SCHEMA, "property": prop}
@@ -215,23 +217,22 @@ def cmd_oracle(args) -> tuple[dict, int]:
     )
 
 
+def _parameters(text: str, flag: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise RangeError(f"cannot parse {flag} {text!r} as comma-separated numbers") from None
+
+
 def cmd_expfam(args) -> tuple[dict, int]:
     table = tbio.load_table(args.table)
     anchors = tuple(
         parse_cell(part.split(","), table.cardinalities, table.labels)
         for part in args.anchors.split("|")
     )
-    theta = tuple(float(t) for t in args.theta.split(","))
-    alpha = (
-        VarSet.parse(args.alpha, table.num_vars)
-        if args.alpha is not None
-        else None
-    )
-    theta2 = (
-        tuple(float(t) for t in args.theta2.split(","))
-        if args.theta2 is not None
-        else None
-    )
+    theta = _parameters(args.theta, "--theta")
+    alpha = VarSet.parse(args.alpha, table.num_vars) if args.alpha is not None else None
+    theta2 = _parameters(args.theta2, "--theta2") if args.theta2 is not None else None
     fam = ExpFamily(anchors=anchors, theta=theta, alpha=alpha, theta2=theta2)
     mu = expfam_density(fam, table)
     if args.action == "density":

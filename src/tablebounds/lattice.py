@@ -335,15 +335,11 @@ def is_submodular(
     return _supermodular_check(fn, mode, negate=True)
 
 
-def indicator_fn(s: VarSet, num_vars: int | None = None) -> LatticeFunction:
+def indicator_fn(s: VarSet) -> LatticeFunction:
     """The indicator of the up-set of s: F(a) = 1 if s is a subset of a, else 0."""
-    if num_vars is None:
-        num_vars = s.num_vars
-    if s.num_vars != num_vars:
-        raise RangeError("indicator base set is over a different variable count")
-    check_lattice_cap(num_vars)
-    masks = np.arange(1 << num_vars)
-    return LatticeFunction(num_vars, ((masks & s.mask) == s.mask).astype(np.int64))
+    check_lattice_cap(s.num_vars)
+    masks = np.arange(1 << s.num_vars)
+    return LatticeFunction(s.num_vars, ((masks & s.mask) == s.mask).astype(np.int64))
 
 
 def subset_sum_transform(values: np.ndarray, num_vars: int) -> np.ndarray:

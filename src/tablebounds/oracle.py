@@ -23,7 +23,7 @@ order, residuals widened to int64). Every search starts as the DFS;
 past DFS_ALLOWANCE nodes, where the two break even, it restarts in the
 layered engine. When the layered engine finds the caller's budget would be
 reached, before it builds the layer that reaches it, the DFS runs under that
-budget, so an exhausted result is the DFS's, as is a count past int64.
+budget, so an exhausted result is the DFS's. Both count exactly past int64.
 ``enumerate_tables`` always runs the DFS, whose memo it reads.
 
 Budgets are explicit and machine-readable; nodes are the only limit.
@@ -208,9 +208,9 @@ def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[in
 
     The memoized DFS runs first, under DFS_ALLOWANCE nodes. A search still
     open there is run again by the layered engine from the caller's counts,
-    and when that finds the caller's budget would be reached or its counts
-    saturate, by the DFS under that budget, whose partial result is made of
-    attained values and whose counts are exact.
+    and when that finds the caller's budget would be reached, by the DFS
+    under that budget, whose partial result is made of attained values and
+    whose counts are exact.
     """
     cons = _build_constraints(fam)
     start = budget.nodes, budget.tables
@@ -410,17 +410,15 @@ def _dedup(keys: np.ndarray):
 
 def _layered_extremes(targets, cell_groups, closing_groups, budget, track):
     """``_extremes`` breadth-first, one cell layer at a time in numpy; None,
-    leaving ``budget`` alone, when the caller's budget would be reached or
-    the table counts saturate.
+    leaving ``budget`` alone, when the caller's budget would be reached.
 
     Layer k holds the distinct states before cell k that the DFS expands, as
     rows of residuals. The forward pass gives each state the ``[lo, hi]`` of
     ``_cell_range`` and one edge per value, and merges equal children by
     their residuals over the groups still open with a positive target,
     packed in mixed-radix words; so ``nodes`` is the DFS's. The backward pass
-    counts tables per state, saturated as an int64 overflow guard (not a
-    budget: the DFS then counts exactly), and takes a cell's extremes over
-    the edges into states that hold a table.
+    counts tables per state, exactly, and takes a cell's extremes over the
+    edges into states that hold a table.
     """
     n = len(cell_groups)
     nodes_left = budget.max_nodes - budget.nodes
@@ -465,9 +463,9 @@ def _layered_extremes(targets, cell_groups, closing_groups, budget, track):
             R[:, g] -= taken
         layers.append((start, width, value, inverse))
 
-    # Backward: counts[k][s] = tables below state s of layer k, saturated at
-    # ``limit`` as an overflow guard: a state's sum over its edges, at most
-    # max(targets) + 1 of them, then fits int64.
+    # Backward: counts[k][s] = tables below state s of layer k. A state sums
+    # at most max(targets) + 1 edges, so a layer whose counts all stay below
+    # ``limit`` is summed in int64 by the layer above; past it, in Python ints.
     limit = (2**63 - 1) // (max(targets) + 1)
     counts = [None] * n + [np.ones(len(R), dtype=np.int64)]
     mins, maxs = [max(targets) + 1] * n, [-1] * n
@@ -477,14 +475,12 @@ def _layered_extremes(targets, cell_groups, closing_groups, budget, track):
         live = value[below > 0]
         if live.size:
             mins[k], maxs[k] = int(live.min()), int(live.max())
-        total = np.zeros(len(width), dtype=np.int64)
+        total = np.zeros(len(width), dtype=below.dtype)
         some = width > 0
         if below.size:
             total[some] = np.add.reduceat(below, start[some])
-        counts[k] = np.minimum(total, limit)
+        counts[k] = total if total.max(initial=0) < limit else total.astype(object, copy=False)
     tables = int(counts[0][0])
-    if tables >= limit:
-        return None
 
     def first_table(v: int) -> tuple[int, ...]:
         """The first table in DFS order with value v at cell ``track``: at

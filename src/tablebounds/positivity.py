@@ -26,7 +26,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial, isfinite, prod
 from typing import Literal, Optional
 
 import numpy as np
@@ -249,22 +249,18 @@ class ExpFamily:
 
     def __post_init__(self) -> None:
         self.anchors = tuple(tuple(int(x) for x in a) for a in self.anchors)
-        self.theta = tuple(float(t) for t in self.theta)
-        if len(self.theta) != len(self.anchors):
-            raise RangeError(
-                f"{len(self.anchors)} anchors need {len(self.anchors)} "
-                f"parameters, got {len(self.theta)}"
-            )
-        if any(t < 0 for t in self.theta):
-            raise RangeError("parameters must be nonnegative")
         if (self.alpha is None) != (self.theta2 is None):
             raise RangeError("interaction needs both alpha and theta2")
-        if self.theta2 is not None:
-            self.theta2 = tuple(float(t) for t in self.theta2)
-            if len(self.theta2) != len(self.anchors):
-                raise RangeError("interaction parameters must match the anchors")
-            if any(t < 0 for t in self.theta2):
-                raise RangeError("interaction parameters must be nonnegative")
+        for name in ("theta", "theta2") if self.theta2 is not None else ("theta",):
+            params = tuple(float(t) for t in getattr(self, name))
+            if len(params) != len(self.anchors):
+                raise RangeError(
+                    f"{len(self.anchors)} anchors need {len(self.anchors)} "
+                    f"{name} parameters, got {len(params)}"
+                )
+            if not all(t >= 0 and isfinite(t) for t in params):
+                raise RangeError(f"{name} parameters must be finite and nonnegative")
+            setattr(self, name, params)
 
 
 def _expfam_exponent(fam: ExpFamily, table: ContingencyTable) -> np.ndarray:
@@ -277,12 +273,15 @@ def _expfam_exponent(fam: ExpFamily, table: ContingencyTable) -> np.ndarray:
     size = 1 << l
     exponent = np.zeros(size, dtype=np.float64)
     masks = np.arange(size)
-    for k, anchor in enumerate(fam.anchors):
-        fk = np.asarray(cell_margin_fn(table, anchor).values, dtype=np.float64)
-        if fam.theta[k]:
-            exponent += fam.theta[k] * fk
-        if fam.theta2 is not None and fam.theta2[k]:
-            exponent += fam.theta2[k] * fk[masks & fam.alpha.mask]
+    with np.errstate(over="ignore"):  # nonnegative terms: an overflow is inf
+        for k, anchor in enumerate(fam.anchors):
+            fk = np.asarray(cell_margin_fn(table, anchor).values, dtype=np.float64)
+            if fam.theta[k]:
+                exponent += fam.theta[k] * fk
+            if fam.theta2 is not None and fam.theta2[k]:
+                exponent += fam.theta2[k] * fk[masks & fam.alpha.mask]
+    if not np.isfinite(exponent).all():
+        raise RangeError("the exponent overflows float64; lower the parameters")
     return exponent
 
 

@@ -27,6 +27,7 @@ from tablebounds import (
     simple_frechet,
     validate_report_against_table,
 )
+from tablebounds.bounds import _3way_plan, _best_plan, _decomp_plan, bounds_grid
 from tablebounds.datasets import lead_table
 
 
@@ -556,6 +557,28 @@ class TestBestBounds:
         for cell in all_cells(table):
             rep = best_bounds(fam, cell)
             assert rep.lower == rep.upper == table.value(cell)
+
+
+class TestSharedKernels:
+    """The classical bounds are special cases of the general ones: their
+    arrays are the general plans' own, not a second evaluation."""
+
+    def test_simple_is_ddim_1(self, lead_family):
+        simple, ddim = bounds_grid(lead_family, "simple"), bounds_grid(lead_family, "ddim:1")
+        assert simple[0] is ddim[0] and simple[1] is ddim[1]
+
+    def test_3way_one_dim_is_ddim_1(self):
+        fam = family_of(random_table(np.random.default_rng(23), 3), [[1], [2], [3]])
+        one, ddim = bounds_grid(fam, "3way:one-dim"), bounds_grid(fam, "ddim:1")
+        assert one[0] is ddim[0] and one[1] is ddim[1]
+
+    def test_pair_lowers_are_decomposition_lowers(self):
+        fam = family_of(random_table(np.random.default_rng(24), 3), [[1, 2], [1, 3], [2, 3]])
+        lowers, two = _best_plan(fam).terms["lowers"], _3way_plan(fam, "two-dim")
+        for a, b in itertools.combinations(fam.subsets(), 2):
+            decomp = _decomp_plan(fam, (a.mask, b.mask))
+            assert lowers[f"pair:{a}|{b}"] is decomp.lower
+            assert two.terms[f"{a}+{b}-{a & b}"] is decomp.terms["lower_exact"]
 
 
 class TestBoundReport:

@@ -170,6 +170,42 @@ class TestBoundsCommand:
         assert code == 0
         assert (doc["lower"], doc["upper"]) == (0, 8)
 
+    @pytest.mark.parametrize("method", ["simple", "best", "ddim:1"])
+    def test_real_rounding_is_not_a_crossing(self, capsys, tmp_path, method):
+        # At cell (0, 1), row + col - total rounds to 0.300048828125, above the
+        # upper 0.3 by far less than 1e-9 of the total.
+        path = tmp_path / "real.json"
+        path.write_text(json.dumps({
+            "schema": 1, "kind": "real", "cardinalities": [2, 2],
+            "marginals": [
+                {"vars": [1], "counts": [1000000000000.3, 0.0]},
+                {"vars": [2], "counts": [1000000000000.0, 0.3]},
+            ],
+        }))
+        code, doc, _ = run_cli(capsys, "bounds", str(path), "--cell", "0,1", "--method", method)
+        assert code == 0
+        assert doc["lower"] == doc["upper"] == 0.3
+
+    @pytest.mark.parametrize("method", ["3way", "best"])
+    @pytest.mark.parametrize("kind", ["integer", "real"])
+    def test_infeasible_pair_family_exit_3(self, capsys, tmp_path, kind, method):
+        # The pairs agree on every 1-way margin, yet no table has them: at
+        # cell (0, 0, 1) a pair lower of 1 crosses the upper 0, in either kind.
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({
+            "schema": 1, "kind": kind, "cardinalities": [2, 2, 2],
+            "marginals": [
+                {"vars": [1, 2], "counts": [1, 0, 0, 1]},
+                {"vars": [1, 3], "counts": [0, 1, 1, 0]},
+                {"vars": [2, 3], "counts": [1, 0, 0, 1]},
+            ],
+        }))
+        code, doc, err = run_cli(
+            capsys, "bounds", str(path), "--cell", "0,0,1", "--method", method
+        )
+        assert (code, doc) == (3, None)
+        assert err.startswith("error: crossed bounds") and err.count("\n") == 1
+
     def test_ddim_on_uniform(self, capsys, tmp_path):
         fam = MarginalFamily.from_table(
             ContingencyTable.from_flat((2, 2, 2), [1] * 8),
@@ -326,6 +362,17 @@ class TestCheckCommand:
         assert doc is None
         assert err.startswith("error: --mode") and prop in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("anchor", ["0,0", "9,9", "x"])
+    @pytest.mark.parametrize("prop", ["mtp2-additive", "mtp2-multiplicative"])
+    def test_anchor_that_would_do_nothing_exit_3(self, capsys, prop, anchor):
+        # The mtp2 checks read the whole table: --anchor used to be accepted
+        # and ignored, even out of range.
+        code, doc, err = run_cli(
+            capsys, "check", lead_path(), "--property", prop, "--anchor", anchor
+        )
+        assert (code, doc) == (3, None)
+        assert err.startswith("error: --anchor") and prop in err and err.count("\n") == 1
+
     def test_mode_defaults_to_exhaustive(self, capsys):
         # The lead table's first violating pair among all pairs differs from
         # its first violating local pair.
@@ -468,6 +515,28 @@ class TestExpfamCommand:
         assert code == 0
         assert doc["covariance"] >= -1e-12
         assert doc["nonnegative"] is True
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ["--theta", "x"],
+            ["--theta", "0.1", "--alpha", "1", "--theta2", "y"],
+            ["--theta", "nan"],
+            ["--theta", "inf"],
+            ["--theta", "1e400"],
+            ["--theta", "0.1", "--alpha", "1", "--theta2", "inf"],
+            ["--theta", "1e308"],
+        ],
+        ids=["junk", "junk-theta2", "nan", "inf", "1e400", "inf-theta2", "overflow"],
+    )
+    def test_unusable_parameters_exit_3(self, capsys, params):
+        # Junk used to escape as a ValueError traceback (exit 1); an exponent
+        # that overflowed printed numpy warnings before its error line.
+        code, doc, err = run_cli(
+            capsys, "expfam", lead_path(), "--anchors", "0,0", *params, "--action", "density"
+        )
+        assert (code, doc) == (3, None)
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_negative_theta_exit_3(self, capsys):
         code, _, _ = run_cli(
@@ -687,6 +756,29 @@ def documents(draw):
     return doc
 
 
+# Per expfam flag: values that parse, values that reach the checks behind
+# the parser, and junk; every flag also draws arbitrary short text.
+EXPFAM_ARGS = {
+    "anchors": ["0,0", "Poor,Low", "0,0|1,1", "2,2|0,1|1,0", "9,9", "0", "|", ""],
+    "theta": ["0", "0.35", "0.2,0.1", "-1", "nan", "inf", "1e308", "1e400", "x", ""],
+    "alpha": ["1", "1,2", "{2}", "", "3", "x"],
+    "theta2": ["0", "0.5", "0.1,0.1", "-1", "nan", "1e308", "1e400", "y"],
+    "action": ["density", "fkg:{1},{2}", "fkg:{2},{1,2}", "fkg:{1}", "fkg:{3},{1}", "fkg:", "x"],
+}
+
+
+def expfam_args(data):
+    """``--flag=value`` arguments of one expfam run, the optional flags
+    sometimes left out."""
+    argv = []
+    for flag, values in EXPFAM_ARGS.items():
+        if flag in ("alpha", "theta2") and data.draw(st.booleans(), label=f"no {flag}"):
+            continue
+        value = data.draw(st.sampled_from(values) | st.text(max_size=4), label=flag)
+        argv.append(f"--{flag}={value}")
+    return argv
+
+
 def run_contract(argv):
     """Run the CLI in-process; check the exit code and output contract."""
     out, err = io.StringIO(), io.StringIO()
@@ -720,6 +812,10 @@ class TestDocumentFuzz:
         method = data.draw(st.sampled_from(["simple", "best", "ddim:1", "3way"]), label="method")
         run_contract(["marginalize", path, "--vars", "1"])
         run_contract(["bounds", path, "--cell", cell, "--method", method])
-        run_contract(["check", path, "--property", prop, "--anchor", cell])
+        anchor = [] if prop.startswith("mtp2-") else ["--anchor", cell]
+        run_contract(["check", path, "--property", prop, *anchor])
         run_contract(["oracle", path, "--cell", cell, "--budget", "200"])
         run_contract(["fan", path, "--anchor", cell, "--xs", "{1}|{2}", "--p", "1"])
+        expfam = expfam_args(data)
+        for table in (path, lead_path()):
+            run_contract(["expfam", table, *expfam])

@@ -245,8 +245,8 @@ class TestBudget:
 
     def test_count_past_int64_is_exact(self):
         # 30 rows of sum 4 over two columns of 60: the x^60 coefficient of
-        # (1 + x + ... + x^4)^30, past 2^63, where the layered engine's int64
-        # counts saturate and the DFS counts in Python ints.
+        # (1 + x + ... + x^4)^30, past 2^63, which the layered engine counts
+        # in Python ints.
         poly = [1]
         for _ in range(30):
             poly = [
@@ -549,6 +549,27 @@ class TestLayeredEngine:
         dfs = EnumerationBudget()
         assert oracle._dfs_extremes(*cons, dfs, 10)[:4] == (mins, maxs, lo_tab, hi_tab)
         assert dfs.nodes == budget.nodes
+
+    @pytest.mark.parametrize("rows", [[4] * 30, [12] * 20], ids=["30x2", "20x2"])
+    def test_counts_past_int64_without_the_dfs(self, monkeypatch, rows):
+        # Both count past 2^63, and the layered engine answers them with
+        # their attaining tables: no DFS runs past the probe.
+        fam = two_way_family(rows, [sum(rows) // 2] * 2)
+        cons = oracle._build_constraints(fam)
+        dfs = EnumerationBudget()
+        want = oracle._dfs_extremes(*cons, dfs, 5)[:4]
+        assert dfs.tables > 2**63
+        limits, reference = [], oracle._dfs_extremes
+
+        def counted(*args):
+            limits.append(args[5:])  # the probe passes its node limit
+            return reference(*args)
+
+        monkeypatch.setattr(oracle, "_dfs_extremes", counted)
+        budget = EnumerationBudget()
+        assert oracle._extremes(fam, budget, 5) == want
+        assert limits == [(oracle.DFS_ALLOWANCE,)]
+        assert (budget.nodes, budget.tables, budget.outcome) == (dfs.nodes, dfs.tables, "complete")
 
     @pytest.mark.parametrize(
         "limits",
