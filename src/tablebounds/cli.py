@@ -41,7 +41,8 @@ from .oracle import EnumerationBudget, certify, sharp_bounds
 from .positivity import (
     ExpFamily,
     anchored_margin_observable,
-    expfam_density,
+    _density,
+    expfam_log_density,
     fkg_covariance,
     is_log_supermodular,
     is_mtp2_additive,
@@ -234,7 +235,8 @@ def cmd_expfam(args) -> tuple[dict, int]:
     alpha = VarSet.parse(args.alpha, table.num_vars) if args.alpha is not None else None
     theta2 = _parameters(args.theta2, "--theta2") if args.theta2 is not None else None
     fam = ExpFamily(anchors=anchors, theta=theta, alpha=alpha, theta2=theta2)
-    mu = expfam_density(fam, table)
+    log_mu = expfam_log_density(fam, table)
+    mu = _density(log_mu)
     if args.action == "density":
         return (
             {
@@ -242,7 +244,7 @@ def cmd_expfam(args) -> tuple[dict, int]:
                 "log_norm": fam.log_norm,
                 "sum": float(mu.values.sum()),
                 "density": [float(v) for v in mu.values],
-                "is_log_supermodular": bool(is_log_supermodular(mu)),
+                "is_log_supermodular": bool(is_supermodular(log_mu, "local")),
             },
             0,
         )

@@ -13,17 +13,17 @@ memo once the search is over. A bound report is certified by checking it
 contains the sharp bounds.
 
 Two engines expand those states and give identical results, node counts
-included. The memoized DFS costs about 1.1 us of interpreted Python per node
-and keeps about 73 bytes per node in its memo. The layered engine expands one
-cell's states at a time in a few numpy operations: it costs about 30-40 us
-per cell however small the layer, keeps about 5 bytes per node (an edge's
-value and child index) plus per-state offsets and counts, and while it
-builds a layer up to about 250 bytes per edge of that layer (keys, sort
-order, residuals widened to int64). Every search starts as the DFS;
-past DFS_ALLOWANCE nodes, where the two break even, it restarts in the
-layered engine. When the layered engine finds the caller's budget would be
-reached, before it builds the layer that reaches it, the DFS runs under that
-budget, so an exhausted result is the DFS's. Both count exactly past int64.
+included. The memoized DFS costs about 0.6-1.7 us per node and keeps about 73
+bytes per node in its memo. The layered engine expands one cell's states at
+a time in a few numpy operations, at a fixed 35-60 us or so per cell plus
+about 0.1 us per node (``tools/oracle_costs.py`` measures both); it keeps
+about 5 bytes per node plus per-state offsets and counts, and up to about
+250 bytes per edge of the layer it builds. Every search starts as the DFS,
+which hands over to the layered engine once it has spent about that
+engine's fixed cost for the family: past DFS_NODES_PER_CELL nodes per cell.
+When the layered engine finds the caller's budget would be reached, before
+it builds the layer that reaches it, the DFS runs under that budget, so an
+exhausted result is the DFS's. Both count exactly past int64.
 ``enumerate_tables`` always runs the DFS, whose memo it reads.
 
 Budgets are explicit and machine-readable; nodes are the only limit.
@@ -51,9 +51,10 @@ from .varset import VarSet
 
 COMPLETE = "complete"
 EXHAUSTED = "exhausted"
-# Nodes the memoized DFS may take before the layered engine takes over: where
-# the two engines' times cross on random 2-4 variable families (CHANGES.md).
-DFS_ALLOWANCE = 1_000
+# Nodes per cell the memoized DFS may take before the layered engine takes
+# over: their break-even, 42.1 as `python3 tools/oracle_costs.py` printed it
+# (median of its seven shapes; 2 cores, Python 3.11.7, numpy 2.4).
+DFS_NODES_PER_CELL = 42
 
 
 @dataclass
@@ -206,20 +207,32 @@ def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[in
     none was), and for the flat cell ``track`` the first tables in DFS order
     attaining them (None without ``track``).
 
-    The memoized DFS runs first, under DFS_ALLOWANCE nodes. A search still
-    open there is run again by the layered engine from the caller's counts,
-    and when that finds the caller's budget would be reached, by the DFS
-    under that budget, whose partial result is made of attained values and
-    whose counts are exact.
+    The memoized DFS runs first, under DFS_NODES_PER_CELL nodes per cell. A
+    search still open there is run again by the layered engine from the
+    caller's counts, and when that finds the caller's budget would be
+    reached, by the DFS under that budget, whose partial result is made of
+    attained values and whose counts are exact.
     """
     cons = _build_constraints(fam)
     start = budget.nodes, budget.tables
-    probe = min(budget.max_nodes, budget.nodes + DFS_ALLOWANCE)
+    probe = min(budget.max_nodes, budget.nodes + DFS_NODES_PER_CELL * len(cons[1]))
     found = _dfs_extremes(*cons, budget, track, probe)[:4]
     if budget.nodes <= probe or probe == budget.max_nodes:
         return found
     budget.nodes, budget.tables = start
     return _layered_extremes(*cons, budget, track) or _dfs_extremes(*cons, budget, track)[:4]
+
+
+def _state_code(targets, cell_groups):
+    """(root, step, size) of the mixed-radix code of residual vectors: digit g
+    (in [0, targets[g]]) weighs prod(targets[h] + 1 for h < g), the targets'
+    code is ``root``, cell k's v subtracts ``v * step[k]``, all are < size."""
+    weights, size = [], 1
+    for t in targets:
+        weights.append(size)
+        size *= t + 1
+    step = [sum(weights[g] for g in grp) for grp in cell_groups]
+    return sum(t * w for t, w in zip(targets, weights)), step, size
 
 
 def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes=None):
@@ -230,11 +243,10 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
 
     Cells take their values in row-major order, ascending, each in the
     ``_cell_range`` of the residuals before it, and each state -- the
-    residual vector before cell k -- is expanded once. The vector is keyed as one mixed-radix integer: residual g lies
-    in [0, targets[g]], so it is digit g with weight prod(targets[h] + 1 for
-    h < g), and assigning v to cell k subtracts ``v * step[k]``. A revisited
-    state adds the table count stored for it and skips its subtree: its first
-    visit, earlier in DFS order, already showed every value its subtree holds.
+    residual vector before cell k -- is expanded once, keyed by its
+    ``_state_code``. A revisited state adds the table count stored for it and
+    skips its subtree: its first visit, earlier in DFS order, already showed
+    every value its subtree holds.
     Cell k's extremes take value v when the search leaves v at k and the
     subtree below produced a table; when the budget runs out the current path
     is left the same way, so a partial range holds only attained values.
@@ -248,18 +260,13 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
     """
     n = len(cell_groups)
     mins, maxs = [max(targets) + 1] * n, [-1] * n
-    weights, w = [], 1
-    for t in targets:
-        weights.append(w)
-        w *= t + 1
-    step = [sum(weights[g] for g in grp) for grp in cell_groups]
+    root, step, _ = _state_code(targets, cell_groups)
     # memo[k]: state code before cell k -> tables below it. Past the last
     # cell every residual is 0, and that state is one table.
     memo: list[dict[int, int]] = [{} for _ in range(n)]
     memo.append({0: 1})
     residual = list(targets)
-    code = [0] * n
-    code[0] = sum(t * w for t, w in zip(targets, weights))
+    code = [root] * n
     hi, cur, below = [0] * n, [0] * n, [0] * n
     nodes, tables = budget.nodes, budget.tables
     if max_nodes is None:
@@ -356,55 +363,56 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
 
 @functools.lru_cache(maxsize=256)
 def _layer_plan(cell_groups, closing_groups):
-    """Per cell: its groups as an index array, and the groups open after it
-    (touched by it or an earlier cell, closed by a later one). Like the
-    groups, they depend on the shape alone."""
+    """Per cell: its groups and closing groups (None for a free cell) as index
+    arrays, and the groups open after it (touched by it or an earlier cell,
+    closed by a later one). They depend on the shape alone."""
     plan, opened = [], set()
     for grp, closing in zip(cell_groups, closing_groups):
         opened.update(grp)
         opened.difference_update(closing)
-        plan.append((np.array(grp, dtype=np.intp), sorted(opened)))
+        forced = np.array(closing, dtype=np.intp) if closing else None
+        plan.append((np.array(grp, dtype=np.intp), forced, sorted(opened)))
     return plan
 
 
-def _key_layout(targets, groups, cell):
-    """Mixed-radix key of a child of ``cell`` over its residuals in
-    ``groups``: (weights, step) with one column per int64 word, so the key is
-    ``residuals @ weights`` and assigning v to the cell subtracts
+def _key_layout(targets, keyed, cell):
+    """Mixed-radix key of a child of ``cell`` over its residuals in the
+    groups ``keyed``: (weights, step) with one row per int64 word, so the key
+    is ``weights @ residuals`` and assigning v to the cell subtracts
     ``v * step``. Residual g lies in [0, targets[g]], so it is one digit of
     radix targets[g] + 1; a word ends before its radix product would pass
     2**63, so no key wraps."""
-    words, steps, size = [[]], [0], 1
-    for g in groups:
+    rows, steps, size = [[0] * len(keyed)], [0], 1
+    for i, g in enumerate(keyed):
         radix = targets[g] + 1
         if size * radix > 2**63:
-            words.append([0] * len(words[-1]))
+            rows.append([0] * len(keyed))
             steps.append(0)
             size = 1
-        for column in words[:-1]:
-            column.append(0)
-        words[-1].append(size)
+        rows[-1][i] = size
         if g in cell:
             steps[-1] += size
         size *= radix
-    return np.array(words, dtype=np.int64).T, np.array(steps, dtype=np.int64)
+    return np.array(rows, dtype=np.int64), np.array(steps, dtype=np.int64)[:, None]
 
 
 def _dedup(keys: np.ndarray):
-    """(first, inverse) of the distinct rows of ``keys``: ``first`` indexes
-    one row of each, ``inverse`` maps every row to its distinct one."""
-    m, words = keys.shape
-    if m == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    columns = keys.T
-    order = np.lexsort(columns) if words > 1 else np.argsort(columns[0])
-    new = np.zeros(m, dtype=bool)
-    new[0] = True
-    for column in columns:
-        ordered = column[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
+    """(first, inverse) of the distinct columns of ``keys``, one row per
+    word: ``first`` indexes one column of each, in key order, and ``inverse``
+    maps every column to its distinct one."""
+    m = keys.shape[1]
+    new = np.zeros(m, dtype=bool)  # new[i]: the i-th column in order starts a key
+    if len(keys) == 1:
+        order = keys[0].argsort()
+        ordered = keys[0][order]
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    else:
+        order = np.lexsort(keys)
+        ordered = keys[:, order]
+        np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=new[1:])
     inverse = np.empty(m, dtype=np.int32 if m < 2**31 else np.intp)
-    inverse[order] = np.cumsum(new) - 1
+    inverse[order] = new.cumsum()
+    new[:1] = True
     return order[new], inverse
 
 
@@ -413,91 +421,107 @@ def _layered_extremes(targets, cell_groups, closing_groups, budget, track):
     leaving ``budget`` alone, when the caller's budget would be reached.
 
     Layer k holds the distinct states before cell k that the DFS expands, as
-    rows of residuals. The forward pass gives each state the ``[lo, hi]`` of
-    ``_cell_range`` and one edge per value, and merges equal children by
-    their residuals over the groups still open with a positive target,
-    packed in mixed-radix words; so ``nodes`` is the DFS's. The backward pass
-    counts tables per state, exactly, and takes a cell's extremes over the
-    edges into states that hold a table.
+    columns of residuals, one row per group. The forward pass gives each
+    state the ``[lo, hi]`` of ``_cell_range`` and one edge per value (a
+    forced cell: one edge from each state that admits its value), and merges
+    equal children by key: their DFS codes where every code fits an int64
+    word, else their residuals over the groups still open with a positive
+    target, packed in mixed-radix words; so ``nodes`` is the DFS's. The
+    backward pass counts tables per state, exactly, and takes a cell's
+    extremes over the edges into states that hold a table.
     """
-    n = len(cell_groups)
+    n, top = len(cell_groups), max(targets)
     nodes_left = budget.max_nodes - budget.nodes
     # Residuals fit the least signed dtype that holds every target + 1.
-    small = next(
-        (t for t in (np.int8, np.int16, np.int32) if max(targets) < np.iinfo(t).max), np.int64
-    )
-    R = np.array([targets], dtype=small)  # residuals of the states before cell k
-    layers = []  # per cell: (start, width, value, inverse)
-    nodes = 0
-    for k, (grp, opened) in enumerate(_layer_plan(cell_groups, closing_groups)):
-        closing = closing_groups[k]
-        hi = R[:, grp].min(axis=1)
-        if closing:
+    small = np.min_scalar_type(-2 - top) if top < 2**31 else np.int64
+    R = np.array(targets, dtype=small)[:, None]  # R[g, s]: residual g of state s
+    root, steps, size = _state_code(targets, cell_groups)
+    code, steps = (np.array([[root]]), np.array(steps)) if size <= 2**63 else (None, None)
+    # Per cell: (value, inverse, start, ok), one edge per entry of ``value``
+    # and ``inverse`` (its child state). A free cell's edges run per state
+    # from ``start``; a forced cell's come one each from the states ``ok``.
+    layers, nodes = [], 0
+    for k, (grp, closing, opened) in enumerate(_layer_plan(cell_groups, closing_groups)):
+        hi = R[grp].min(axis=0)
+        if closing is not None:
             # Forced to the closing groups' common residual, which every
             # group of the cell must still hold.
-            lo = R[:, closing[0]]
-            ok = hi == lo
-            if len(closing) > 1:
-                ok &= R[:, closing].max(axis=1) == lo
-            width = ok.view(np.int8)
-        else:
-            top = int(hi.max(initial=-1))
-            # One state past the budget, or a sum of widths that could wrap.
-            if top >= nodes_left - nodes or len(R) * (top + 1) >= 2**63:
+            lo = R[closing[0]]
+            ok = hi == (lo if len(closing) == 1 else R[closing].max(axis=0))
+            parent, start = ok.nonzero()[0], None
+            nodes += len(parent)
+            if nodes > nodes_left:
                 return None
-            lo, width = None, hi + 1
-        edges = int(width.sum())
-        nodes += edges
-        if nodes > nodes_left:
-            return None
-        start = np.cumsum(width) - width
-        parent = np.repeat(np.arange(len(R)), width)
-        value = lo[parent] if closing else (np.arange(edges) - start[parent]).astype(small)
-        keyed = [g for g in opened if targets[g] > 0]
-        weights, step = _key_layout(targets, keyed, cell_groups[k])
-        keys = (R[:, keyed].astype(np.int64) @ weights)[parent]
-        keys -= value[:, None] * step
+            value = lo[parent]
+        else:
+            if R.shape[1] * (top + 1) >= 2**63:  # the widths' sum could wrap
+                return None
+            width = hi + 1
+            start = width.cumsum()
+            nodes += int(start[-1]) if len(start) else 0
+            if nodes > nodes_left:
+                return None
+            start -= width
+            parent, ok = np.repeat(np.arange(R.shape[1]), width), None
+            value = (np.arange(len(parent)) - start[parent]).astype(small)
+        if code is None:
+            keyed = [g for g in opened if targets[g] > 0]
+            weights, step = _key_layout(targets, keyed, cell_groups[k])
+            keys = (weights @ R[keyed]).take(parent, axis=1) - step * value
+        else:
+            keys = code.take(parent, axis=1) - steps[k] * value
         first, inverse = _dedup(keys)
-        R, taken = R[parent[first]], value[first]
-        for g in grp:
-            R[:, g] -= taken
-        layers.append((start, width, value, inverse))
-
+        code = None if code is None else keys.take(first, axis=1)
+        R, taken = R.take(parent[first], axis=1), value[first]
+        for g in cell_groups[k]:
+            R[g] -= taken
+        layers.append((value, inverse, start, ok))
     # Backward: counts[k][s] = tables below state s of layer k. A state sums
-    # at most max(targets) + 1 edges, so a layer whose counts all stay below
-    # ``limit`` is summed in int64 by the layer above; past it, in Python ints.
-    limit = (2**63 - 1) // (max(targets) + 1)
-    counts = [None] * n + [np.ones(len(R), dtype=np.int64)]
-    mins, maxs = [max(targets) + 1] * n, [-1] * n
+    # at most top + 1 edges, so a layer whose counts all stay below ``limit``
+    # is summed in int64 by the layer above; past it, in Python ints.
+    # ``bound`` caps the counts so far, so most layers skip the check.
+    limit, bound = (2**63 - 1) // (top + 1), 1
+    counts = [None] * n + [np.ones(R.shape[1], dtype=np.int64)]
+    mins, maxs = [top + 1] * n, [-1] * n
     for k in reversed(range(n)):
-        start, width, value, inverse = layers[k]
+        value, inverse, start, ok = layers[k]
         below = counts[k + 1][inverse]
-        live = value[below > 0]
-        if live.size:
-            mins[k], maxs[k] = int(live.min()), int(live.max())
-        total = np.zeros(len(width), dtype=below.dtype)
-        some = width > 0
-        if below.size:
-            total[some] = np.add.reduceat(below, start[some])
-        counts[k] = total if total.max(initial=0) < limit else total.astype(object, copy=False)
+        held = value[below > 0]
+        if held.size:
+            mins[k], maxs[k] = int(held.min()), int(held.max())
+        if ok is None:  # every state has at least one edge
+            total = np.add.reduceat(below, start)
+            bound *= top + 1
+        else:  # at most one edge per state
+            total = np.zeros(len(ok), dtype=below.dtype)
+            total[ok] = below
+        if bound >= limit and total.max(initial=0) >= limit:
+            total = total.astype(object, copy=False)
+        counts[k] = total
     tables = int(counts[0][0])
+
+    def parents(j: int) -> np.ndarray:
+        """The state of layer j that each of its edges leaves."""
+        value, _, start, ok = layers[j]
+        if ok is not None:
+            return ok.nonzero()[0]
+        return np.repeat(np.arange(len(start)), np.diff(start, append=len(value)))
 
     def first_table(v: int) -> tuple[int, ...]:
         """The first table in DFS order with value v at cell ``track``: at
         each cell the least value whose edge leads on to such a table."""
-        _, _, value, inverse = layers[track]
+        value, inverse, _, _ = layers[track]
         # reach[j]: the edges of layer j <= track on a path to such a table.
         reach = [(value == v) & (counts[track + 1][inverse] > 0)]
         for j in reversed(range(track)):
-            _, width, _, _ = layers[j + 1]
-            good = np.zeros(len(width), dtype=bool)
-            good[np.repeat(np.arange(len(width)), width)[reach[0]]] = True
-            reach.insert(0, good[layers[j][3]])
+            good = np.zeros(len(counts[j + 1]), dtype=bool)
+            good[parents(j + 1)[reach[0]]] = True
+            reach.insert(0, good[layers[j][1]])
         path, s = [], 0
-        for j, (start, width, value, inverse) in enumerate(layers):
-            a, b = start[s], start[s] + width[s]
-            ok = reach[j][a:b] if j <= track else counts[j + 1][inverse[a:b]] > 0
-            e = a + int(np.argmax(ok))
+        for j, (value, inverse, _, _) in enumerate(layers):
+            at = np.flatnonzero(parents(j) == s)  # in ascending value
+            ok = reach[j][at] if j <= track else counts[j + 1][inverse[at]] > 0
+            e = at[np.argmax(ok)]
             path.append(int(value[e]))
             s = inverse[e]
         return tuple(path)

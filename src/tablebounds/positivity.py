@@ -307,14 +307,18 @@ def expfam_density(fam: ExpFamily, table: ContingencyTable) -> LatticeFunction:
     where low-probability subsets underflow float64, check that property via
     expfam_log_density instead of the raw masses.
     """
-    log_mu = expfam_log_density(fam, table)
+    return _density(expfam_log_density(fam, table))
+
+
+def _density(log_mu: LatticeFunction) -> LatticeFunction:
+    """exp of a log density, checked to sum to one."""
     mu = np.exp(np.asarray(log_mu.values))
     total = mu.sum()
     if abs(total - 1.0) > DENSITY_SUM_ATOL:
         raise UnnormalizedError(
             f"density summed to {total!r}, off by more than {DENSITY_SUM_ATOL}"
         )
-    return LatticeFunction(table.num_vars, mu)
+    return LatticeFunction(log_mu.num_vars, mu)
 
 
 def is_log_supermodular(mu: LatticeFunction) -> CheckResult:

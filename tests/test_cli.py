@@ -507,6 +507,17 @@ class TestExpfamCommand:
         assert code == 0
         assert doc["is_log_supermodular"] is True
 
+    def test_underflowing_masses_log_supermodular(self, capsys):
+        # At theta 30 two masses underflow to 0.0; the property is read
+        # from the log density, which stays finite.
+        code, doc, _ = run_cli(
+            capsys, "expfam", lead_path(), "--anchors", "0,0", "--theta", "30",
+            "--action", "density",
+        )
+        assert code == 0
+        assert doc["density"][2:] == [0.0, 0.0]
+        assert doc["is_log_supermodular"] is True
+
     def test_fkg_nonnegative(self, capsys):
         code, doc, _ = run_cli(
             capsys, "expfam", lead_path(), "--anchors", "0,0", "--theta", "0.2",

@@ -1,7 +1,9 @@
 """Enumeration correctness, sharpness, budgets, and certification."""
 
+import contextlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +52,21 @@ def two_way_family(rows, cols):
 def family_of(table, subsets):
     return MarginalFamily.from_table(
         table, [VarSet.from_vars(v, table.num_vars) for v in subsets]
+    )
+
+
+def parity_family():
+    """Pairwise-consistent one-way margins with pair tables forcing x = y,
+    y = z, x != z: no integer table exists."""
+    eq = ContingencyTable.from_flat((2, 2), [1, 0, 0, 1])
+    ne = ContingencyTable.from_flat((2, 2), [0, 1, 1, 0])
+    return MarginalFamily(
+        (2, 2, 2),
+        [
+            MarginalTable(VarSet.from_vars([1, 2], 3), eq),
+            MarginalTable(VarSet.from_vars([2, 3], 3), eq),
+            MarginalTable(VarSet.from_vars([1, 3], 3), ne),
+        ],
     )
 
 
@@ -154,18 +171,7 @@ class TestEnumerate:
                 assert brute == len(found)
 
     def test_infeasible_parity_family(self):
-        # Pairwise-consistent one-way margins with pair tables forcing
-        # x = y, y = z, x != z: no integer table exists.
-        eq = ContingencyTable.from_flat((2, 2), [1, 0, 0, 1])
-        ne = ContingencyTable.from_flat((2, 2), [0, 1, 1, 0])
-        fam = MarginalFamily(
-            (2, 2, 2),
-            [
-                MarginalTable(VarSet.from_vars([1, 2], 3), eq),
-                MarginalTable(VarSet.from_vars([2, 3], 3), eq),
-                MarginalTable(VarSet.from_vars([1, 3], 3), ne),
-            ],
-        )
+        fam = parity_family()
         assert count_tables(fam) == 0
         with pytest.raises(RangeError):
             sharp_bounds(fam, (0, 0, 0))
@@ -495,6 +501,18 @@ class TestMemoizedSearchProperties:
             assert lo in values[j] and hi in values[j]  # attained, not guessed
 
 
+@contextlib.contextmanager
+def per_layer_keys(on=True):
+    """Make every DFS code look wider than an int64 word, so the layered
+    engine keys its states per layer over the open groups."""
+    if not on:
+        yield
+        return
+    code = oracle._state_code
+    with mock.patch.object(oracle, "_state_code", lambda *a: (*code(*a)[:2], 2**64)):
+        yield
+
+
 class TestLayeredEngine:
     """The breadth-first engine against the reference enumeration and the
     memoized DFS, which it must match node for node."""
@@ -506,7 +524,8 @@ class TestLayeredEngine:
         cons = oracle._build_constraints(fam)
         k = data.draw(st.integers(0, len(cons[1]) - 1), label="flat cell")
         budget, dfs = EnumerationBudget(), EnumerationBudget()
-        mins, maxs, lo_tab, hi_tab = oracle._layered_extremes(*cons, budget, k)
+        with per_layer_keys(data.draw(st.booleans(), label="per-layer keys")):
+            mins, maxs, lo_tab, hi_tab = oracle._layered_extremes(*cons, budget, k)
         oracle._dfs_extremes(*cons, dfs, k)
         assert budget.nodes == dfs.nodes
         assert (budget.tables, budget.outcome) == (len(tables), "complete")
@@ -534,11 +553,18 @@ class TestLayeredEngine:
             ],
         )
         targets, cell_groups, closing_groups = cons = oracle._build_constraints(fam)
-        words = max(
-            oracle._key_layout(targets, [g for g in opened if targets[g]], ())[0].shape[1]
-            for _, opened in oracle._layer_plan(cell_groups, closing_groups)
-        )
+        layouts = [
+            oracle._key_layout(targets, [g for g in opened if targets[g]], ())[0]
+            for _, _, opened in oracle._layer_plan(cell_groups, closing_groups)
+        ]
+        words = max(len(w) for w in layouts)
         assert words == 3
+        for (_, _, opened), w in zip(oracle._layer_plan(cell_groups, closing_groups), layouts):
+            keyed = [g for g in opened if targets[g]]
+            for row in w.tolist():  # no word's greatest key passes int64
+                assert sum(x * targets[g] for x, g in zip(row, keyed)) < 2**63
+        # Two digits whose radix product is about 2**65 take a word each.
+        assert len(oracle._key_layout([2**40, 2**25], [0, 1], ())[0]) == 2
         budget = EnumerationBudget()
         mins, maxs, lo_tab, hi_tab = oracle._layered_extremes(*cons, budget, 10)
         assert mins == [0] * 8 + [c - 2 for c in cols]
@@ -550,10 +576,63 @@ class TestLayeredEngine:
         assert oracle._dfs_extremes(*cons, dfs, 10)[:4] == (mins, maxs, lo_tab, hi_tab)
         assert dfs.nodes == budget.nodes
 
+    @staticmethod
+    def assert_engines_agree(fam):
+        """Both engines, tracking each cell in turn, the layered one keyed by
+        DFS codes and per layer: equal extremes, attaining tables, nodes,
+        tables and outcome."""
+        cons = oracle._build_constraints(fam)
+        for k, wide in itertools.product(range(len(cons[1])), (False, True)):
+            budget, dfs = EnumerationBudget(), EnumerationBudget()
+            with per_layer_keys(wide):
+                got = oracle._layered_extremes(*cons, budget, k)
+            assert got == oracle._dfs_extremes(*cons, dfs, k)[:4]
+            assert (budget.nodes, budget.tables, budget.outcome) == (
+                dfs.nodes, dfs.tables, dfs.outcome
+            )
+        return budget
+
+    def test_every_cell_but_one_forced(self):
+        # With 1-way margins on 2x2, cell 0 is free and closes nothing; each
+        # later cell closes its row or column.
+        fam = two_way_family([5, 3], [4, 4])
+        cons = oracle._build_constraints(fam)
+        assert [bool(c) for c in cons[2]] == [False, True, True, True]
+        assert self.assert_engines_agree(fam).tables == 4
+
+    def test_zero_target_group(self):
+        # Row 1 and column 2 sum to 0, so their residuals stay 0: radix-1
+        # digits of the DFS codes, and no digit of a per-layer key.
+        fam = two_way_family([3, 0, 4], [2, 5, 0])
+        targets = oracle._build_constraints(fam)[0]
+        assert targets.count(0) == 2
+        assert self.assert_engines_agree(fam).tables == 3
+
+    def test_one_cell_family(self):
+        fam = MarginalFamily(
+            (1,), [MarginalTable(VarSet.from_vars([1], 1), ContingencyTable.from_flat((1,), [7]))]
+        )
+        assert self.assert_engines_agree(fam).tables == 1
+        assert oracle._extremes(fam, EnumerationBudget(), 0) == ([7], [7], (7,), (7,))
+
+    def test_codes_wider_than_a_word(self):
+        # Every DFS code of these margins is below about 1.3e19, past int64:
+        # the engine keys its states per layer instead.
+        fam = two_way_family([5800, 5800], [5800, 5800])
+        targets, cell_groups, _ = oracle._build_constraints(fam)
+        assert 2**63 < oracle._state_code(targets, cell_groups)[2] < 2**64
+        assert self.assert_engines_agree(fam).tables == 5801
+
+    def test_no_state_left(self):
+        # Every state dies at a forced cell; the layers after it are empty
+        # and add no node, as the DFS stops there.
+        assert self.assert_engines_agree(parity_family()).tables == 0
+
     @pytest.mark.parametrize("rows", [[4] * 30, [12] * 20], ids=["30x2", "20x2"])
     def test_counts_past_int64_without_the_dfs(self, monkeypatch, rows):
         # Both count past 2^63, and the layered engine answers them with
-        # their attaining tables: no DFS runs past the probe.
+        # their attaining tables: no DFS runs past the probe, which stops
+        # at DFS_NODES_PER_CELL nodes per cell.
         fam = two_way_family(rows, [sum(rows) // 2] * 2)
         cons = oracle._build_constraints(fam)
         dfs = EnumerationBudget()
@@ -568,7 +647,7 @@ class TestLayeredEngine:
         monkeypatch.setattr(oracle, "_dfs_extremes", counted)
         budget = EnumerationBudget()
         assert oracle._extremes(fam, budget, 5) == want
-        assert limits == [(oracle.DFS_ALLOWANCE,)]
+        assert limits == [(oracle.DFS_NODES_PER_CELL * 2 * len(rows),)]
         assert (budget.nodes, budget.tables, budget.outcome) == (dfs.nodes, dfs.tables, "complete")
 
     @pytest.mark.parametrize(
@@ -593,3 +672,63 @@ class TestLayeredEngine:
         assert (budget.nodes, budget.tables) == (dfs.nodes, dfs.tables)
         assert budget.outcome == dfs.outcome
         assert budget.outcome == ("complete" if not limits else "exhausted")
+
+
+HAND_OFF_SHAPES = [
+    ((3, 3), [[1], [2]]),
+    ((2, 4), [[1], [2]]),
+    ((2, 2, 2), [[1], [2], [3]]),
+    ((2, 3, 2), [[1, 2], [2, 3]]),
+]
+
+
+@st.composite
+def hand_off_families(draw):
+    """Families of a few small shapes with cell counts up to 1-5, whose
+    searches take from a few nodes to several times the DFS's allowance of
+    DFS_NODES_PER_CELL nodes per cell."""
+    cards, margins = draw(st.sampled_from(HAND_OFF_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    counts = rng.integers(0, draw(st.integers(1, 5), label="max count") + 1, size=math.prod(cards))
+    subsets = [VarSet.from_vars(v, len(cards)) for v in margins]
+    return MarginalFamily.from_table(ContingencyTable.from_flat(cards, counts), subsets)
+
+
+class TestHandOff:
+    """``_extremes`` hands a search over from the DFS to the layered engine
+    past DFS_NODES_PER_CELL nodes per cell; either way its result is the
+    DFS's, node for node, under every budget."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hand_off_families(), st.data())
+    def test_extremes_equal_dfs(self, fam, data):
+        cons = oracle._build_constraints(fam)
+        allowance = oracle.DFS_NODES_PER_CELL * len(cons[1])
+        full = EnumerationBudget()
+        oracle._dfs_extremes(*cons, full, None)
+        max_nodes = data.draw(
+            st.one_of(
+                st.sampled_from([allowance - 1, allowance, allowance + 1, 10_000_000]),
+                st.integers(1, 2 * full.nodes + 1),
+            ),
+            label="max_nodes",
+        )
+        k = data.draw(st.integers(0, len(cons[1]) - 1), label="flat cell")
+        budget, dfs = EnumerationBudget(max_nodes), EnumerationBudget(max_nodes)
+        assert oracle._extremes(fam, budget, k) == oracle._dfs_extremes(*cons, dfs, k)[:4]
+        assert (budget.nodes, budget.tables, budget.outcome) == (dfs.nodes, dfs.tables, dfs.outcome)
+
+    def test_families_fall_on_both_sides(self):
+        # The strategy's shapes and counts reach past the allowance and stay
+        # under it, so the property above exercises both engines.
+        sides = set()
+        rng = np.random.default_rng(0)
+        for cards, margins in HAND_OFF_SHAPES:
+            subsets = [VarSet.from_vars(v, len(cards)) for v in margins]
+            for top in (1, 5):
+                counts = rng.integers(0, top + 1, size=math.prod(cards))
+                fam = MarginalFamily.from_table(ContingencyTable.from_flat(cards, counts), subsets)
+                budget = EnumerationBudget()
+                oracle._dfs_extremes(*oracle._build_constraints(fam), budget, None)
+                sides.add(budget.nodes > oracle.DFS_NODES_PER_CELL * math.prod(cards))
+        assert sides == {False, True}

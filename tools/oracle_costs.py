@@ -1,0 +1,131 @@
+"""Measure the two oracle engines' costs and their break-even.
+
+    python3 tools/oracle_costs.py [--quick]
+
+Draws seeded integer families of seven small shapes (cell counts 0-6), runs
+the memoized DFS and the layered engine of ``tablebounds.oracle`` on each to
+completion (best of 3), and prints one JSON line: per shape, the DFS's
+microseconds per node, the layered engine's fixed microseconds per cell,
+and their ratio, the break-even: the nodes per cell the DFS searches in the
+time the layered engine spends on a family apart from its edges. The median
+of the shapes' break-evens is the figure behind
+``oracle.DFS_NODES_PER_CELL``.
+
+The costs are least-squares fits in relative error: DFS time = fixed +
+per node x nodes, and layered time = per cell x cells + per node x nodes
+(also printed). Families whose search passes MAX_NODES are skipped and
+counted. Run from the root of a checkout; it imports tablebounds from
+``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import platform
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from tablebounds import ContingencyTable, EnumerationBudget, MarginalFamily, VarSet  # noqa: E402
+from tablebounds import oracle  # noqa: E402
+
+ONE_WAY = lambda l: [[j] for j in range(1, l + 1)]  # noqa: E731
+PAIRS = lambda l: [list(p) for p in itertools.combinations(range(1, l + 1), 2)]  # noqa: E731
+SHAPES = {
+    "3x3 one-way": ((3, 3), ONE_WAY),
+    "3x4 one-way": ((3, 4), ONE_WAY),
+    "2x2x2 one-way": ((2, 2, 2), ONE_WAY),
+    "2x2x2 pairs": ((2, 2, 2), PAIRS),
+    "2x2x2x2 pairs": ((2, 2, 2, 2), PAIRS),
+    "3x3x3 pairs": ((3, 3, 3), PAIRS),
+    "2x3x3 chain": ((2, 3, 3), lambda l: [[1, 2], [2, 3]]),
+}
+MAX_COUNT = 6
+MAX_NODES = 200_000  # larger searches are skipped, so a run stays short
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--quick", action="store_true", help="fewer families (under 20 s)")
+    return p.parse_args(argv)
+
+
+def best_of(fn, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        start = perf_counter()
+        fn()
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def costs(cons):
+    """(cells, nodes, DFS us, layered us) of one family, or None when its
+    search passes MAX_NODES."""
+    counted = EnumerationBudget(max_nodes=MAX_NODES)
+    oracle._dfs_extremes(*cons, counted, None)
+    if not counted.complete:
+        return None
+    dfs = best_of(lambda: oracle._dfs_extremes(*cons, EnumerationBudget(), None))
+    layered = best_of(lambda: oracle._layered_extremes(*cons, EnumerationBudget(), None))
+    return len(cons[1]), counted.nodes, 1e6 * dfs, 1e6 * layered
+
+
+def fit(columns, times):
+    """Least-squares coefficients of ``times`` on ``columns``, in relative
+    error, so small families weigh as much as large ones."""
+    x = np.array(columns, dtype=float).T / np.array(times)[:, None]
+    return np.linalg.lstsq(x, np.ones(len(times)), rcond=None)[0]
+
+
+def summary(rows):
+    cells, nodes, dfs, layered = (list(c) for c in zip(*rows))
+    _, dfs_per_node = fit([[1] * len(rows), nodes], dfs)
+    per_cell, per_node = fit([cells, nodes], layered)
+    return {
+        "families": len(rows),
+        "dfs_us_per_node": round(dfs_per_node, 3),
+        "layered_us_per_cell": round(per_cell, 1),
+        "layered_us_per_node": round(per_node, 3),
+        "break_even_nodes_per_cell": round(per_cell / dfs_per_node, 1),
+    }
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    per_shape = 10 if args.quick else 40
+    rng = np.random.default_rng(0)
+    shapes, skipped = {}, 0
+    for name, (cards, margins) in SHAPES.items():
+        subsets = [VarSet.from_vars(v, len(cards)) for v in margins(len(cards))]
+        rows = []
+        for _ in range(per_shape):
+            counts = rng.integers(0, MAX_COUNT + 1, size=int(np.prod(cards)))
+            fam = MarginalFamily.from_table(ContingencyTable.from_flat(cards, counts), subsets)
+            row = costs(oracle._build_constraints(fam))
+            if row is None:
+                skipped += 1
+            else:
+                rows.append(row)
+        if rows:
+            shapes[name] = summary(rows)
+    print(json.dumps({
+        "shapes": shapes,
+        "break_even_nodes_per_cell": round(
+            statistics.median(s["break_even_nodes_per_cell"] for s in shapes.values()), 1
+        ),
+        "skipped": skipped,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }))
+
+
+if __name__ == "__main__":
+    main()
