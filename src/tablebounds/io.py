@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from math import prod
+from math import isfinite, prod
 
 from .bounds import MarginalFamily
 from .errors import CountRangeError, RangeError, SchemaError
@@ -150,37 +150,37 @@ def family_to_doc(fam: MarginalFamily) -> dict:
     return doc
 
 
+def _csv_count(field: str, where: str):
+    """A CSV count: the integer ``int()`` reads, exactly, else a finite float."""
+    try:
+        return int(field)
+    except ValueError:
+        pass
+    try:
+        if isfinite(value := float(field)):
+            return value
+    except ValueError:
+        pass
+    raise SchemaError(f"{where}: count {field!r} is not a finite number")
+
+
 def _table_from_csv(text: str, where: str) -> ContingencyTable:
     """2-way CSV: header row holds column labels, first field of each data
-    row holds the row label; the corner cell is ignored."""
+    row holds the row label; the corner cell is ignored. The table is
+    integer when every count is a whole number."""
     rows = [r for r in csv.reader(text.splitlines()) if r]
     if len(rows) < 2 or len(rows[0]) < 2:
         raise SchemaError(f"{where}: CSV needs a header row and one data row")
-    col_labels = [c.strip() for c in rows[0][1:]]
-    row_labels = []
-    data = []
     for r in rows[1:]:
-        if len(r) != len(col_labels) + 1:
-            raise SchemaError(
-                f"{where}: row {r[0]!r} has {len(r) - 1} values, "
-                f"expected {len(col_labels)}"
-            )
-        row_labels.append(r[0].strip())
-        data.append([field.strip() for field in r[1:]])
-    try:
-        integral = all(float(v) == int(float(v)) for row in data for v in row)
-    except ValueError as err:
-        raise SchemaError(f"{where}: non-numeric count: {err}") from err
-    kind = INTEGER if integral else REAL
-    counts = [
-        int(float(v)) if integral else float(v) for row in data for v in row
-    ]
-    return ContingencyTable.from_flat(
-        (len(row_labels), len(col_labels)),
-        counts,
-        labels=[row_labels, col_labels],
-        kind=kind,
-    )
+        if len(r) != len(rows[0]):
+            got, expected = len(r) - 1, len(rows[0]) - 1
+            raise SchemaError(f"{where}: row {r[0]!r} has {got} values, expected {expected}")
+    labels = [[r[0].strip() for r in rows[1:]], [c.strip() for c in rows[0][1:]]]
+    counts = [_csv_count(field.strip(), where) for r in rows[1:] for field in r[1:]]
+    integral = all(isinstance(v, int) or v.is_integer() for v in counts)
+    counts, kind = ([int(v) for v in counts], INTEGER) if integral else (counts, REAL)
+    shape = (len(rows) - 1, len(rows[0]) - 1)
+    return _build(where, lambda: ContingencyTable.from_flat(shape, counts, labels, kind))
 
 
 def _read(path: str) -> str:
@@ -195,7 +195,7 @@ def _read(path: str) -> str:
 def _load_json(path: str):
     try:
         return json.loads(_read(path))
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad syntax, or an int past Python's digit limit
         raise SchemaError(f"{path}: invalid JSON: {err}") from err
 
 

@@ -6,11 +6,13 @@ assignment is pruned as soon as any running marginal sum would overshoot its
 target, and the last free cell of each fully-constrained marginal line is
 forced rather than searched. The search is memoized on residual states (the
 residual margin sums before a cell, on which the rest of the search depends
-alone): each state is expanded once and a revisit adds its stored table
-count. Sharp per-cell bounds are the min/max over all tables, ``count_tables``
-is the root's count, and ``enumerate_tables`` reads the tables back from the
-memo once the search is over. A bound report is certified by checking it
-contains the sharp bounds.
+alone), keyed by ``_state_code``: the residuals of the lines open before the
+cell, in digit slots shared by lines never open together. Each state is
+expanded once and a revisit adds its stored table count. Sharp per-cell
+bounds are the min/max over all tables, ``count_tables`` is the root's
+count, and ``enumerate_tables`` reads the tables back from the memo once the
+search is over. A bound report is certified by checking it contains the
+sharp bounds.
 
 Two engines expand those states and give identical results, node counts
 included. The memoized DFS costs about 0.6-1.7 us per node and keeps about 73
@@ -19,25 +21,23 @@ a time in a few numpy operations, at a fixed 35-60 us or so per cell plus
 about 0.1 us per node (``tools/oracle_costs.py`` measures both); it keeps
 about 5 bytes per node plus per-state offsets and counts, and up to about
 250 bytes per edge of the layer it builds. Every search starts as the DFS,
-which hands over to the layered engine once it has spent about that
-engine's fixed cost for the family: past DFS_NODES_PER_CELL nodes per cell.
-When the layered engine finds the caller's budget would be reached, before
-it builds the layer that reaches it, the DFS runs under that budget, so an
-exhausted result is the DFS's. Both count exactly past int64.
-``enumerate_tables`` always runs the DFS, whose memo it reads.
+which hands over to the layered engine past DFS_NODES_PER_CELL nodes per
+cell, about that engine's fixed cost. When the layered engine finds the
+caller's budget would be reached, before it builds the layer that reaches
+it, the DFS runs under that budget, so an exhausted result is the DFS's.
+Both count exactly past int64. ``enumerate_tables`` always runs the DFS.
 
 Budgets are explicit and machine-readable; nodes are the only limit.
 ``nodes`` counts the values tried at expanded states and ``tables`` the
 exact number of matching tables found, cached subtrees included. A result
-is sharp only when the outcome is ``complete``; an
-exhausted budget yields valid-but-possibly-loose bounds made of attained
-values, flagged as such, never silently truncated.
+is sharp only when the outcome is ``complete``; an exhausted budget yields
+valid-but-possibly-loose bounds made of attained values, flagged as such,
+never silently truncated.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Optional
@@ -105,9 +105,11 @@ class SharpBounds:
 def _build_constraints(fam: MarginalFamily):
     """Flatten the family into per-cell constraint-group memberships.
 
-    Returns (targets, cell_groups, closing_groups): group g must sum to
-    targets[g]; cell k belongs to cell_groups[k]; closing_groups[k] lists the
-    groups whose last member cell (row-major) is k.
+    Returns (targets, cell_groups, closing_groups, slots): group g must sum
+    to targets[g]; cell k belongs to cell_groups[k]; closing_groups[k] lists
+    the groups whose last member cell (row-major) is k; slots[s] lists the
+    groups whose digit in ``_state_code`` is in slot s, each with its first
+    cell.
     """
     if fam.kind != INTEGER:
         raise RangeError("enumeration requires an integer family")
@@ -121,9 +123,16 @@ def _build_constraints(fam: MarginalFamily):
 
 @functools.lru_cache(maxsize=256)
 def _constraint_groups(cards: tuple[int, ...], subsets: tuple[VarSet, ...]):
-    """(cell_groups, closing_groups) for marginals over ``subsets``: they depend
-    on the shape alone, so families of one shape share them. Groups are
-    numbered marginal by marginal, each in its marginal's row-major order."""
+    """(cell_groups, closing_groups, slots) for marginals over ``subsets``:
+    they depend on the shape alone, so families of one shape share them.
+    Groups are numbered marginal by marginal, each in row-major order. A
+    group is open before cell k when an earlier cell belongs to it and k or
+    a later one closes it. In the order of their first cells, groups take the
+    lowest slot whose last group closed at an earlier cell (linear-scan
+    allocation), so no two open groups share one. None is taken by a group
+    one cell opens and closes, nor, for each marginal after the first, by the
+    group the last cell closes: its residual is the total's, which the first
+    marginal fixes, less its siblings'."""
     columns, groups = [], 0
     for a in subsets:
         size = prod(cards[j] for j in a.axes)
@@ -133,11 +142,19 @@ def _constraint_groups(cards: tuple[int, ...], subsets: tuple[VarSet, ...]):
         columns.append(ids.reshape(-1))
         groups += size
     cell_groups = np.stack(columns, axis=1).tolist()
+    first = {g: k for k in reversed(range(len(cell_groups))) for g in cell_groups[k]}
     last = {g: k for k, gs in enumerate(cell_groups) for g in gs}  # later k wins
     closing_groups: list[list[int]] = [[] for _ in cell_groups]
     for g in range(groups):
         closing_groups[last[g]].append(g)
-    return tuple(map(tuple, cell_groups)), tuple(map(tuple, closing_groups))
+    slots: list[list[tuple[int, int]]] = []  # slots[s]: (group, first cell) in turn
+    for g in sorted(range(groups), key=first.__getitem__):
+        if first[g] < last[g] and g not in cell_groups[-1][1:]:
+            s = next((s for s in slots if last[s[-1][0]] < first[g]), None)
+            if s is None:
+                slots.append(s := [])
+            s.append((g, first[g]))
+    return tuple(tuple(map(tuple, x)) for x in (cell_groups, closing_groups, slots))
 
 
 def _cell_range(residual: list[int], grp: tuple[int, ...], closing: tuple[int, ...]):
@@ -177,7 +194,7 @@ def enumerate_tables(
     budget = budget if budget is not None else EnumerationBudget()
     before = budget.tables
     walk = _dfs_extremes(*_build_constraints(fam), budget, None)[4]
-    for flat in itertools.islice(walk(), budget.tables - before):
+    for _, flat in zip(range(budget.tables - before), walk()):  # islice fails past sys.maxsize
         counts = np.array(flat, dtype=np.int64).reshape(fam.cardinalities)
         yield _trusted_table(fam.cardinalities, counts, fam.labels, INTEGER)
 
@@ -223,19 +240,28 @@ def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[in
     return _layered_extremes(*cons, budget, track) or _dfs_extremes(*cons, budget, track)[:4]
 
 
-def _state_code(targets, cell_groups):
-    """(root, step, size) of the mixed-radix code of residual vectors: digit g
-    (in [0, targets[g]]) weighs prod(targets[h] + 1 for h < g), the targets'
-    code is ``root``, cell k's v subtracts ``v * step[k]``, all are < size."""
-    weights, size = [], 1
-    for t in targets:
-        weights.append(size)
-        size *= t + 1
-    step = [sum(weights[g] for g in grp) for grp in cell_groups]
-    return sum(t * w for t, w in zip(targets, weights)), step, size
+def _state_code(targets, cell_groups, slots):
+    """(step, add, words) of the code of residual states: the sum over the
+    groups open before a state's cell of residual times slot weight, 0 at the
+    root and past the last cell. Cell k's v takes code c to ``c + add[k + 1]
+    - v * step[k]``; ``add[k]`` holds target times weight of the groups cell
+    k - 1 opens. A slot's radix is its groups' greatest target + 1; weights
+    are mixed-radix over the slots in ``words`` words, word i a code's bits
+    from 63 * i: a word ends before its radix product would pass 2**63."""
+    weight, add, size, shift = [0] * len(targets), [0] * (len(cell_groups) + 1), 1, 0
+    for slot in slots:
+        radix = 1 + max([targets[g] for g, _ in slot])
+        if size * radix > 2**63:
+            size, shift = 1, shift + 63
+        if radix > 1:  # an always-0 digit weighs 0
+            for g, k in slot:  # cell k opens group g
+                weight[g] = size << shift
+                add[k + 1] += targets[g] * weight[g]
+        size *= radix
+    return [sum([weight[g] for g in grp]) for grp in cell_groups], add, shift // 63 + 1
 
 
-def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes=None):
+def _dfs_extremes(targets, cell_groups, closing_groups, slots, budget, track, max_nodes=None):
     """``_extremes`` by memoized DFS, stopping past ``max_nodes`` (by default
     the budget's own limit) and recording its counts and outcome in ``budget``;
     its result comes with a fifth item, ``walk``, the generator of the tables
@@ -244,9 +270,10 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
     Cells take their values in row-major order, ascending, each in the
     ``_cell_range`` of the residuals before it, and each state -- the
     residual vector before cell k -- is expanded once, keyed by its
-    ``_state_code``. A revisited state adds the table count stored for it and
-    skips its subtree: its first visit, earlier in DFS order, already showed
-    every value its subtree holds.
+    ``_state_code``, to which it adds ``add[k + 1]`` once, so each child's
+    code is one multiply and subtract. A revisited state adds the table count
+    stored for it and skips its subtree: its first visit, earlier in DFS
+    order, already showed every value its subtree holds.
     Cell k's extremes take value v when the search leaves v at k and the
     subtree below produced a table; when the budget runs out the current path
     is left the same way, so a partial range holds only attained values.
@@ -260,18 +287,15 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
     """
     n = len(cell_groups)
     mins, maxs = [max(targets) + 1] * n, [-1] * n
-    root, step, _ = _state_code(targets, cell_groups)
+    step, add, _ = _state_code(targets, cell_groups, slots)
     # memo[k]: state code before cell k -> tables below it. Past the last
     # cell every residual is 0, and that state is one table.
-    memo: list[dict[int, int]] = [{} for _ in range(n)]
-    memo.append({0: 1})
+    memo: list[dict[int, int]] = [{} for _ in range(n)] + [{0: 1}]
     residual = list(targets)
-    code = [root] * n
+    code = [add[1]] * n  # code[k]: the code of the state before cell k, plus add[k + 1]
     hi, cur, below = [0] * n, [0] * n, [0] * n
-    nodes, tables = budget.nodes, budget.tables
-    if max_nodes is None:
-        max_nodes = budget.max_nodes
-    outcome = COMPLETE
+    nodes, tables, outcome = budget.nodes, budget.tables, COMPLETE
+    max_nodes = budget.max_nodes if max_nodes is None else max_nodes
     min_at = max_at = None  # (path through cell track, state code after it)
     lo, hi[0] = _cell_range(residual, cell_groups[0], closing_groups[0])
     cur[0] = lo - 1
@@ -280,7 +304,7 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
         v = cur[k] + 1
         if v > hi[k]:  # state k is done: store it and leave cur[k - 1]
             count = below[k]
-            memo[k][code[k]] = count
+            memo[k][code[k] - add[k + 1]] = count
             if k == 0:
                 break
             k -= 1
@@ -300,7 +324,7 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
                 for g in cell_groups[k]:
                     residual[g] -= v
                 k += 1
-                code[k] = child
+                code[k] = child + add[k + 1]
                 below[k] = 0
                 lo, hi[k] = _cell_range(residual, cell_groups[k], closing_groups[k])
                 cur[k] = lo - 1
@@ -318,7 +342,7 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
                     max_at = (cur[: k + 1], code[k] - v * step[k])
     budget.nodes, budget.tables, budget.outcome = nodes, tables, outcome
 
-    def walk(path=(), state=code[0]) -> Iterator[tuple[int, ...]]:
+    def walk(path=(), state=0) -> Iterator[tuple[int, ...]]:
         """Yield, in DFS order, each table extending ``path`` below ``state``:
         at each cell only the values whose stored subtree holds a table."""
         rest = list(targets)
@@ -330,7 +354,7 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
             yield tuple(path)
             return
         val, hi, at = list(path) + [0] * (n - j), [0] * n, [0] * n
-        at[j] = state
+        at[j] = state + add[j + 1]
         lo, hi[j] = _cell_range(rest, cell_groups[j], closing_groups[j])
         val[j] = lo - 1
         while j >= top:
@@ -351,7 +375,7 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
             for g in cell_groups[j]:
                 rest[g] -= x
             j += 1
-            at[j] = child
+            at[j] = child + add[j + 1]
             lo, hi[j] = _cell_range(rest, cell_groups[j], closing_groups[j])
             val[j] = lo - 1
 
@@ -364,36 +388,9 @@ def _dfs_extremes(targets, cell_groups, closing_groups, budget, track, max_nodes
 @functools.lru_cache(maxsize=256)
 def _layer_plan(cell_groups, closing_groups):
     """Per cell: its groups and closing groups (None for a free cell) as index
-    arrays, and the groups open after it (touched by it or an earlier cell,
-    closed by a later one). They depend on the shape alone."""
-    plan, opened = [], set()
-    for grp, closing in zip(cell_groups, closing_groups):
-        opened.update(grp)
-        opened.difference_update(closing)
-        forced = np.array(closing, dtype=np.intp) if closing else None
-        plan.append((np.array(grp, dtype=np.intp), forced, sorted(opened)))
-    return plan
-
-
-def _key_layout(targets, keyed, cell):
-    """Mixed-radix key of a child of ``cell`` over its residuals in the
-    groups ``keyed``: (weights, step) with one row per int64 word, so the key
-    is ``weights @ residuals`` and assigning v to the cell subtracts
-    ``v * step``. Residual g lies in [0, targets[g]], so it is one digit of
-    radix targets[g] + 1; a word ends before its radix product would pass
-    2**63, so no key wraps."""
-    rows, steps, size = [[0] * len(keyed)], [0], 1
-    for i, g in enumerate(keyed):
-        radix = targets[g] + 1
-        if size * radix > 2**63:
-            rows.append([0] * len(keyed))
-            steps.append(0)
-            size = 1
-        rows[-1][i] = size
-        if g in cell:
-            steps[-1] += size
-        size *= radix
-    return np.array(rows, dtype=np.int64), np.array(steps, dtype=np.int64)[:, None]
+    arrays. They depend on the shape alone."""
+    return [(np.array(grp, dtype=np.intp), np.array(closing, dtype=np.intp) if closing else None)
+            for grp, closing in zip(cell_groups, closing_groups)]
 
 
 def _dedup(keys: np.ndarray):
@@ -416,7 +413,7 @@ def _dedup(keys: np.ndarray):
     return order[new], inverse
 
 
-def _layered_extremes(targets, cell_groups, closing_groups, budget, track):
+def _layered_extremes(targets, cell_groups, closing_groups, slots, budget, track):
     """``_extremes`` breadth-first, one cell layer at a time in numpy; None,
     leaving ``budget`` alone, when the caller's budget would be reached.
 
@@ -424,24 +421,25 @@ def _layered_extremes(targets, cell_groups, closing_groups, budget, track):
     columns of residuals, one row per group. The forward pass gives each
     state the ``[lo, hi]`` of ``_cell_range`` and one edge per value (a
     forced cell: one edge from each state that admits its value), and merges
-    equal children by key: their DFS codes where every code fits an int64
-    word, else their residuals over the groups still open with a positive
-    target, packed in mixed-radix words; so ``nodes`` is the DFS's. The
-    backward pass counts tables per state, exactly, and takes a cell's
-    extremes over the edges into states that hold a table.
+    equal children by their ``_state_code``, a column of int64 words, so
+    ``nodes`` is the DFS's. The backward pass counts tables per state,
+    exactly, and takes a cell's extremes over the edges into states that
+    hold a table.
     """
     n, top = len(cell_groups), max(targets)
     nodes_left = budget.max_nodes - budget.nodes
     # Residuals fit the least signed dtype that holds every target + 1.
     small = np.min_scalar_type(-2 - top) if top < 2**31 else np.int64
     R = np.array(targets, dtype=small)[:, None]  # R[g, s]: residual g of state s
-    root, steps, size = _state_code(targets, cell_groups)
-    code, steps = (np.array([[root]]), np.array(steps)) if size <= 2**63 else (None, None)
+    step, add, words = _state_code(targets, cell_groups, slots)
+    codes = np.array([[c >> 63 * i & 2**63 - 1 for c in step + add] for i in range(words)])
+    steps, adds = codes[:, :n], codes[:, n:]  # one int64 row per word
+    code = np.zeros((words, 1), dtype=np.int64)  # code[:, s]: state s's code
     # Per cell: (value, inverse, start, ok), one edge per entry of ``value``
     # and ``inverse`` (its child state). A free cell's edges run per state
     # from ``start``; a forced cell's come one each from the states ``ok``.
     layers, nodes = [], 0
-    for k, (grp, closing, opened) in enumerate(_layer_plan(cell_groups, closing_groups)):
+    for k, (grp, closing) in enumerate(_layer_plan(cell_groups, closing_groups)):
         hi = R[grp].min(axis=0)
         if closing is not None:
             # Forced to the closing groups' common residual, which every
@@ -464,14 +462,11 @@ def _layered_extremes(targets, cell_groups, closing_groups, budget, track):
             start -= width
             parent, ok = np.repeat(np.arange(R.shape[1]), width), None
             value = (np.arange(len(parent)) - start[parent]).astype(small)
-        if code is None:
-            keyed = [g for g in opened if targets[g] > 0]
-            weights, step = _key_layout(targets, keyed, cell_groups[k])
-            keys = (weights @ R[keyed]).take(parent, axis=1) - step * value
-        else:
-            keys = code.take(parent, axis=1) - steps[k] * value
+        keys = code.take(parent, axis=1) - steps[:, k, None] * value
         first, inverse = _dedup(keys)
-        code = None if code is None else keys.take(first, axis=1)
+        code = keys.take(first, axis=1)
+        if add[k + 1]:
+            code += adds[:, k + 1, None]
         R, taken = R.take(parent[first], axis=1), value[first]
         for g in cell_groups[k]:
             R[g] -= taken

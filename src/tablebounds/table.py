@@ -149,7 +149,7 @@ def _int64_counts(counts: np.ndarray) -> np.ndarray:
     """Integer counts as int64, refusing fractions and any grand total beyond
     INT64_MAX; no marginal sum exceeds the total, so none can then wrap."""
     if counts.dtype == object:  # Python ints wider than any numpy dtype
-        if counts.size and np.abs(counts.astype(np.float64)).max() >= 2**63:
+        if counts.size and max(abs(x) for x in counts.flat) >= 2**63:
             raise CountRangeError(_TOO_WIDE)
         counts = np.array(counts.tolist())
     if not np.issubdtype(counts.dtype, np.integer):
@@ -172,7 +172,10 @@ def _float64_counts(counts: np.ndarray) -> np.ndarray:
     """Real counts as float64, refusing non-finite counts and any grand total
     beyond FLOAT64_MAX; no marginal sum exceeds the total, so none can then
     overflow."""
-    counts = counts.astype(np.float64)
+    try:
+        counts = counts.astype(np.float64)
+    except OverflowError as err:  # Python ints past float64
+        raise CountRangeError(f"counts beyond the float64 limit {FLOAT64_MAX}") from err
     if not np.all(np.isfinite(counts)):
         raise RangeError("counts must be finite")
     with np.errstate(over="ignore"):

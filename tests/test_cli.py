@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tablebounds
-from tablebounds import ContingencyTable, SchemaError, VarSet
+from tablebounds import ContingencyTable, CountRangeError, SchemaError, VarSet
 from tablebounds.bounds import MarginalFamily
 from tablebounds.cli import main
 from tablebounds.datasets import lead_path, lead_table
@@ -131,6 +131,43 @@ class TestCsv:
         path.write_text(",a,b\nx,1\n")
         with pytest.raises(SchemaError):
             load_table(str(path))
+
+
+    def test_csv_integers_are_exact(self, tmp_path):
+        # Past 2**53 a float would round 9007199254740993 to ...992.
+        path = tmp_path / "t.csv"
+        path.write_text(",a,b\nx,9007199254740993,1\ny,3.0,2\n")
+        t = load_table(str(path))
+        assert t.kind == "integer"
+        assert t.counts.tolist() == [[9007199254740993, 1], [3, 2]]
+
+    @pytest.mark.parametrize(
+        "field", ["inf", "-inf", "nan", "1e400", "x", "", pytest.param("1" * 5001, id="5001-digits")]
+    )
+    def test_csv_unusable_count_exit_2(self, tmp_path, capsys, field):
+        path = tmp_path / "t.csv"
+        path.write_text(f",a,b\nx,{field},1\ny,2,3\n")
+        with pytest.raises(SchemaError):
+            load_table(str(path))
+        code, doc, err = run_cli(capsys, "marginalize", str(path), "--vars", "1")
+        assert (code, doc) == (2, None) and err.startswith("error: ")
+
+    def test_csv_negative_count_exit_2_as_in_json(self, tmp_path, capsys):
+        csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+        csv_path.write_text(",a,b\nx,-1,1\ny,2,3\n")
+        json_path.write_text(json.dumps({"cardinalities": [2, 2], "counts": [-1, 1, 2, 3]}))
+        for path in (csv_path, json_path):
+            code, _, _ = run_cli(capsys, "check", str(path), "--property", "mtp2-additive")
+            assert code == 2
+
+    @pytest.mark.parametrize("count", [2**63, 10**400], ids=["2^63", "10^400"])
+    def test_csv_count_past_int64_exit_3(self, tmp_path, capsys, count):
+        path = tmp_path / "t.csv"
+        path.write_text(f",a,b\nx,{count},1\ny,2,3\n")
+        with pytest.raises(CountRangeError):
+            load_table(str(path))
+        code, _, err = run_cli(capsys, "marginalize", str(path), "--vars", "1")
+        assert code == 3 and "int64" in err
 
 
 class TestMarginalizeCommand:
@@ -594,6 +631,20 @@ class TestInputContract:
         code, doc, err = run_cli(capsys, "marginalize", str(tmp_path), "--vars", "1")
         assert code == 2 and doc is None and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "kind, digits, code",
+        [("integer", 401, 3), ("real", 401, 3), ("integer", 5001, 2)],
+        ids=["integer-past-float64", "real-past-float64", "past-int-parsing"],
+    )
+    def test_json_count_past_float64_exit_code(self, capsys, tmp_path, kind, digits, code):
+        # Past float64 the range checks themselves overflowed; past 4,300
+        # digits Python refuses to parse the number at all.
+        path = tmp_path / "huge.json"
+        count = "1" + "0" * (digits - 1)
+        path.write_text(f'{{"kind": "{kind}", "cardinalities": [2], "counts": [{count}, 1]}}')
+        got, out, err = run_cli(capsys, "marginalize", str(path), "--vars", "1")
+        assert (got, out) == (code, None) and err.startswith("error: ")
+
     def test_json_count_beyond_int64_exit_3(self, capsys, tmp_path):
         doc = dict(LEAD_FAMILY_DOC)
         doc["marginals"] = [
@@ -804,6 +855,31 @@ def run_contract(argv):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+# CSV count fields: mostly small counts, else text past float or int64
+# precision, non-finite, negative, fractional, empty or junk.
+CSV_ODD_FIELDS = st.one_of(
+    st.integers(2**53, 2**53 + 3).map(str),
+    st.integers(2**63 - 3, 2**64).map(str),
+    st.just(str(10**400)),
+    st.sampled_from(["", "-1", "3.0", "0.5", "1e3", "inf", "-inf", "nan", "1e400", "x", "1_0"]),
+)
+
+
+@st.composite
+def csv_documents(draw):
+    """CSV text of a small 2-way table: some rows ragged, some fields odd."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lines = [",".join([""] + [f"c{j}" for j in range(cols)])]
+    for i in range(rows):
+        width = draw(st.sampled_from([cols] * 6 + [cols - 1, cols + 1]))
+        fields = [
+            draw(CSV_ODD_FIELDS if draw(st.integers(0, 4)) == 0 else st.integers(0, 9).map(str))
+            for _ in range(width)
+        ]
+        lines.append(",".join([f"r{i}"] + fields))
+    return "\n".join(lines) + "\n"
+
+
 class TestDocumentFuzz:
     """Any document, valid or not, keeps the exit-code contract of every
     subcommand that reads it: no exception escapes."""
@@ -830,3 +906,18 @@ class TestDocumentFuzz:
         expfam = expfam_args(data)
         for table in (path, lead_path()):
             run_contract(["expfam", table, *expfam])
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(csv_documents(), st.data())
+    def test_csv_exit_code_contract(self, tmp_path_factory, text, data):
+        path = str(tmp_path_factory.mktemp("fuzz") / "table.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        prop = data.draw(st.sampled_from(
+            ["decreasing", "supermodular", "mtp2-additive", "mtp2-multiplicative",
+             "log-supermodular"]
+        ), label="property")
+        run_contract(["marginalize", path, "--vars", "1"])
+        anchor = [] if prop.startswith("mtp2-") else ["--anchor", "0,0"]
+        run_contract(["check", path, "--property", prop, *anchor])
+        run_contract(["fan", path, "--anchor", "0,0", "--xs", "{1}|{2}", "--p", "1"])

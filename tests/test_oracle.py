@@ -1,9 +1,7 @@
 """Enumeration correctness, sharpness, budgets, and certification."""
 
-import contextlib
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -263,6 +261,9 @@ class TestBudget:
         budget = EnumerationBudget()
         assert count_tables(two_way_family([4] * 30, [60, 60]), budget) == poly[60]
         assert budget.outcome == "complete"
+        # Past sys.maxsize tables, enumeration still yields them in order.
+        first = next(enumerate_tables(two_way_family([4] * 30, [60, 60])))
+        assert first.flat.tolist() == [0, 4] * 15 + [4, 0] * 15
 
     def test_tiny_budget_raises_before_any_table(self):
         fam = two_way_family([25, 5, 4], [8, 7, 19])
@@ -501,16 +502,105 @@ class TestMemoizedSearchProperties:
             assert lo in values[j] and hi in values[j]  # attained, not guessed
 
 
-@contextlib.contextmanager
-def per_layer_keys(on=True):
-    """Make every DFS code look wider than an int64 word, so the layered
-    engine keys its states per layer over the open groups."""
-    if not on:
-        yield
-        return
-    code = oracle._state_code
-    with mock.patch.object(oracle, "_state_code", lambda *a: (*code(*a)[:2], 2**64)):
-        yield
+def slot_weights(targets, slots):
+    """Per group, the weight of its slot in the state code, from the layout
+    alone: a slot's radix is the largest target + 1 of its groups, weights
+    are mixed-radix over the slots in order, and a new 63-bit word starts
+    before a word's radix product would pass 2**63. Slotless groups weigh 0."""
+    weight, size, shift = [0] * len(targets), 1, 0
+    for groups in slot_groups(slots):
+        radix = 1 + max(targets[g] for g in groups)
+        if size * radix > 2**63:
+            size, shift = 1, shift + 63
+        for g in groups:
+            weight[g] = size << shift
+        size *= radix
+    return weight
+
+
+def slot_groups(slots):
+    """The groups of each slot, without their first cells."""
+    return [[g for g, _ in slot] for slot in slots]
+
+
+def word_count(cons):
+    """The int64 words a state code of these constraints takes."""
+    return oracle._state_code(cons[0], cons[1], cons[3])[2]
+
+
+def assert_codes_match(cons, tables):
+    """Along every prefix of ``tables``, the code the engines compute, from 0
+    by ``code + add[k + 1] - v * step[k]``, is the slot-weighted sum of the
+    residuals of the groups open before the prefix's next cell, and two
+    states of one layer share a code exactly when they share residuals."""
+    targets, cell_groups, _, slots = cons
+    n = len(cell_groups)
+    step, add, _ = oracle._state_code(targets, cell_groups, slots)
+    weights = slot_weights(targets, slots)
+    first, last = {}, {}
+    for k, gs in enumerate(cell_groups):
+        for g in gs:
+            first.setdefault(g, k)
+            last[g] = k
+    by_code, by_residual = [{} for _ in range(n + 1)], [{} for _ in range(n + 1)]
+    for table in tables:
+        residual, code = list(targets), 0
+        for k in range(n + 1):
+            opened = [g for g in range(len(targets)) if first[g] < k <= last[g]]
+            assert code == sum(residual[g] * weights[g] for g in opened)
+            assert by_code[k].setdefault(code, tuple(residual)) == tuple(residual)
+            assert by_residual[k].setdefault(tuple(residual), code) == code
+            if k < n:
+                code += add[k + 1] - table[k] * step[k]
+                for g in cell_groups[k]:
+                    residual[g] -= table[k]
+
+
+@st.composite
+def families_releasing_empty(draw):
+    """``small_families`` with the grand total released too."""
+    fam = draw(small_families())
+    subsets = (VarSet.empty(fam.num_vars),) + fam.subsets()
+    return MarginalFamily(fam.cardinalities, [fam.marginal(a) for a in subsets])
+
+
+class TestStateCode:
+    """One code of residual states serves both engines."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(small_families(), families_releasing_empty()))
+    def test_codes_follow_residuals(self, fam):
+        cons = oracle._build_constraints(fam)
+        if fam.subsets()[0].mask == 0:  # the released total keeps a slot
+            assert len(cons[1]) == 1 or slot_groups(cons[3])[0][0] == 0
+        assert_codes_match(cons, reference(fam)[0])
+
+    def test_slot_frees_after_its_group_closes(self):
+        # Group 0 ({1,2} at cell 0) closes at cell 1, where group 5 opens:
+        # both belong to cell 1, so group 5 takes a new slot, and group 1
+        # takes slot 0 at cell 2. The groups closed by the last cell, 7, 11
+        # and the total 12, take none.
+        table = ContingencyTable.from_flat((2, 2, 2), [1, 0, 2, 1, 0, 1, 1, 2])
+        pairs = [VarSet.from_vars(list(p), 3) for p in itertools.combinations(range(1, 4), 2)]
+        fam = MarginalFamily.from_table(table, pairs)
+        cons = oracle._build_constraints(fam)
+        assert slot_groups(cons[3]) == [[0, 1, 2, 3], [4, 6], [8], [5], [9], [10]]
+        assert_codes_match(cons, reference(fam)[0])
+        TestLayeredEngine.assert_engines_agree(fam)
+
+    def test_word_ends_before_passing_2_63(self):
+        # Slots of radix 2**23 (the rows), then 2**20 + 1 twice (columns 0
+        # and 1): their product passes 2**63 by about 2**44, so column 1
+        # starts a second word, though all three fit 2**64.
+        c0 = c1 = 2**20
+        rows = [1, 1, 2**23 - 1]
+        fam = two_way_family(rows, [c0, c1, sum(rows) - c0 - c1])
+        cons = oracle._build_constraints(fam)
+        assert slot_groups(cons[3]) == [[0, 1, 2], [3], [4]]
+        assert 2**63 < 2**23 * (c0 + 1) * (c1 + 1) < 2**64
+        assert word_count(cons) == 2
+        assert_codes_match(cons, flats(enumerate_tables(fam)))
+        assert TestLayeredEngine.assert_engines_agree(fam).tables == 9
 
 
 class TestLayeredEngine:
@@ -524,8 +614,7 @@ class TestLayeredEngine:
         cons = oracle._build_constraints(fam)
         k = data.draw(st.integers(0, len(cons[1]) - 1), label="flat cell")
         budget, dfs = EnumerationBudget(), EnumerationBudget()
-        with per_layer_keys(data.draw(st.booleans(), label="per-layer keys")):
-            mins, maxs, lo_tab, hi_tab = oracle._layered_extremes(*cons, budget, k)
+        mins, maxs, lo_tab, hi_tab = oracle._layered_extremes(*cons, budget, k)
         oracle._dfs_extremes(*cons, dfs, k)
         assert budget.nodes == dfs.nodes
         assert (budget.tables, budget.outcome) == (len(tables), "complete")
@@ -539,9 +628,10 @@ class TestLayeredEngine:
         assert hi_tab == next(t for t in tables if t[k] == maxs[k])
 
     def test_key_past_63_bits(self):
-        # One unit in each of rows 0 and 1. In row 1 the open residuals (row
-        # 1, the four columns, the total) take three words, and states that
-        # differ only in columns 2 and 3 agree on the first word.
+        # One unit in each of rows 0 and 1. The rows share a slot, the total
+        # and column 3 are implied, and the slots of rows and columns 0-2
+        # need about 2**111: two words, so states that differ only in
+        # columns 1 and 2 agree on the first word.
         wide, narrow = 2**30, 2**20
         cols = [wide, wide, narrow, narrow]
         rows = [1, 1, sum(cols) - 2]
@@ -552,19 +642,15 @@ class TestLayeredEngine:
                 MarginalTable(VarSet.from_vars([2], 2), ContingencyTable.from_flat((4,), cols)),
             ],
         )
-        targets, cell_groups, closing_groups = cons = oracle._build_constraints(fam)
-        layouts = [
-            oracle._key_layout(targets, [g for g in opened if targets[g]], ())[0]
-            for _, _, opened in oracle._layer_plan(cell_groups, closing_groups)
-        ]
-        words = max(len(w) for w in layouts)
-        assert words == 3
-        for (_, _, opened), w in zip(oracle._layer_plan(cell_groups, closing_groups), layouts):
-            keyed = [g for g in opened if targets[g]]
-            for row in w.tolist():  # no word's greatest key passes int64
-                assert sum(x * targets[g] for x, g in zip(row, keyed)) < 2**63
-        # Two digits whose radix product is about 2**65 take a word each.
-        assert len(oracle._key_layout([2**40, 2**25], [0, 1], ())[0]) == 2
+        targets, _, _, slots = cons = oracle._build_constraints(fam)
+        assert slot_groups(slots) == [[0, 1, 2], [3], [4], [5]]
+        assert word_count(cons) == 2
+        weights = slot_weights(targets, slots)
+        for word in range(2):  # no word's greatest code passes int64
+            top = [max(targets[g] for g in gs) * weights[gs[0]] for gs in slot_groups(slots)]
+            assert sum(c >> 63 * word & (2**63 - 1) for c in top) < 2**63
+        assert_codes_match(cons, flats(enumerate_tables(fam)))
+        assert self.assert_engines_agree(fam).tables == 16
         budget = EnumerationBudget()
         mins, maxs, lo_tab, hi_tab = oracle._layered_extremes(*cons, budget, 10)
         assert mins == [0] * 8 + [c - 2 for c in cols]
@@ -578,14 +664,12 @@ class TestLayeredEngine:
 
     @staticmethod
     def assert_engines_agree(fam):
-        """Both engines, tracking each cell in turn, the layered one keyed by
-        DFS codes and per layer: equal extremes, attaining tables, nodes,
-        tables and outcome."""
+        """Both engines, tracking each cell in turn: equal extremes,
+        attaining tables, nodes, tables and outcome."""
         cons = oracle._build_constraints(fam)
-        for k, wide in itertools.product(range(len(cons[1])), (False, True)):
+        for k in range(len(cons[1])):
             budget, dfs = EnumerationBudget(), EnumerationBudget()
-            with per_layer_keys(wide):
-                got = oracle._layered_extremes(*cons, budget, k)
+            got = oracle._layered_extremes(*cons, budget, k)
             assert got == oracle._dfs_extremes(*cons, dfs, k)[:4]
             assert (budget.nodes, budget.tables, budget.outcome) == (
                 dfs.nodes, dfs.tables, dfs.outcome
@@ -601,27 +685,61 @@ class TestLayeredEngine:
         assert self.assert_engines_agree(fam).tables == 4
 
     def test_zero_target_group(self):
-        # Row 1 and column 2 sum to 0, so their residuals stay 0: radix-1
-        # digits of the DFS codes, and no digit of a per-layer key.
+        # Row 1 and column 2 sum to 0, so their residuals stay 0. Row 1
+        # shares its slot with rows 0 and 2; in the second family column 0
+        # has a slot of its own, of radix 1.
         fam = two_way_family([3, 0, 4], [2, 5, 0])
-        targets = oracle._build_constraints(fam)[0]
-        assert targets.count(0) == 2
+        cons = oracle._build_constraints(fam)
+        assert cons[0].count(0) == 2
+        assert_codes_match(cons, reference(fam)[0])
         assert self.assert_engines_agree(fam).tables == 3
+        fam = two_way_family([3, 4], [0, 7])
+        cons = oracle._build_constraints(fam)
+        assert slot_groups(cons[3]) == [[0, 1], [2]] and cons[0][2] == 0
+        assert_codes_match(cons, reference(fam)[0])
+        assert self.assert_engines_agree(fam).tables == 1
 
     def test_one_cell_family(self):
         fam = MarginalFamily(
             (1,), [MarginalTable(VarSet.from_vars([1], 1), ContingencyTable.from_flat((1,), [7]))]
         )
         assert self.assert_engines_agree(fam).tables == 1
+        assert oracle._build_constraints(fam)[3] == ()  # opened and closed at once
         assert oracle._extremes(fam, EnumerationBudget(), 0) == ([7], [7], (7,), (7,))
 
-    def test_codes_wider_than_a_word(self):
-        # Every DFS code of these margins is below about 1.3e19, past int64:
-        # the engine keys its states per layer instead.
+    def test_residual_vector_wider_than_a_word(self):
+        # A mixed-radix code over all five residuals (two rows, two columns,
+        # the total) reaches about 1.3e19, past int64; the state code has
+        # two digits, the rows in turn and column 0, and fits one word.
         fam = two_way_family([5800, 5800], [5800, 5800])
-        targets, cell_groups, _ = oracle._build_constraints(fam)
-        assert 2**63 < oracle._state_code(targets, cell_groups)[2] < 2**64
+        targets, _, _, slots = cons = oracle._build_constraints(fam)
+        assert 2**63 < math.prod(t + 1 for t in targets) < 2**64
+        assert slot_groups(slots) == [[0, 1], [2]]
+        assert word_count(cons) == 1
         assert self.assert_engines_agree(fam).tables == 5801
+
+    def test_one_marginal_family(self):
+        # Only the total is implied; row 1 opens after row 0 closes and
+        # takes its slot.
+        fam = MarginalFamily(
+            (2, 3), [MarginalTable(VarSet.from_vars([1], 2), ContingencyTable.from_flat((2,), [3, 2]))]
+        )
+        cons = oracle._build_constraints(fam)
+        assert cons[3] == (((0, 0), (1, 3)),)  # (group, first cell)
+        assert_codes_match(cons, reference(fam)[0])
+        assert self.assert_engines_agree(fam).tables == 60
+
+    def test_released_empty_set_keeps_a_slot(self):
+        # The released total sorts first and keeps its slot; the rows and
+        # the columns each drop the group the last cell closes.
+        table = ContingencyTable.from_flat((2, 3), [1, 2, 0, 3, 1, 1])
+        fam = MarginalFamily.from_table(
+            table, [VarSet.empty(2), VarSet.from_vars([1], 2), VarSet.from_vars([2], 2)]
+        )
+        cons = oracle._build_constraints(fam)
+        assert slot_groups(cons[3]) == [[0], [1], [3], [4]]
+        assert_codes_match(cons, reference(fam)[0])
+        assert self.assert_engines_agree(fam).tables == 7
 
     def test_no_state_left(self):
         # Every state dies at a forced cell; the layers after it are empty
@@ -641,7 +759,7 @@ class TestLayeredEngine:
         limits, reference = [], oracle._dfs_extremes
 
         def counted(*args):
-            limits.append(args[5:])  # the probe passes its node limit
+            limits.append(args[6:])  # the probe passes its node limit
             return reference(*args)
 
         monkeypatch.setattr(oracle, "_dfs_extremes", counted)
