@@ -72,7 +72,6 @@ from .table import (
 )
 from .varset import VarSet
 
-CONSISTENCY_RTOL = 1e-9
 # The bound kernels and the oracle build arrays over a family's whole cell
 # grid, so a family past this many cells is refused before they run.
 GRID_CAP = 2**24
@@ -159,7 +158,7 @@ class MarginalFamily:
                 agree = va.tobytes() == vb.tobytes()
             else:
                 scale = max(1.0, float(np.max(np.abs(va))))
-                agree = np.allclose(va, vb, rtol=0, atol=CONSISTENCY_RTOL * scale)
+                agree = np.allclose(va, vb, rtol=0, atol=REAL_RTOL * scale)
             if not agree:
                 a, b = ma.vars, mb.vars
                 bad = np.unravel_index(int(np.argmax(va != vb)), va.shape)
@@ -289,16 +288,20 @@ def _planned(build):
 
 
 def _settled(fam: MarginalFamily, plan: "_Plan") -> "_Plan":
-    """The plan, with a real family's lower set to its upper where it crosses
-    it by rounding alone, by at most REAL_RTOL * max(1, total); the report
-    at a cell refuses a wider crossing. Integer bounds are exact."""
+    """The plan, with its lower settled against its upper (``_settle``)."""
+    lower = _settle(fam, plan.lower, plan.upper)
+    return plan if lower is plan.lower else replace(plan, lower=lower)
+
+
+def _settle(fam: MarginalFamily, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """A real family's lower, set to the upper where it crosses it by
+    rounding alone, by at most REAL_RTOL * max(1, total); the report at a
+    cell refuses a wider crossing. Integer bounds are exact."""
     if fam.kind == INTEGER:
-        return plan
-    gap = plan.lower - plan.upper
+        return lower
+    gap = lower - upper
     rounding = (gap > 0) & (gap <= REAL_RTOL * max(1.0, fam.total))
-    if rounding.any():
-        plan = replace(plan, lower=np.where(rounding, plan.upper, plan.lower))
-    return plan
+    return np.where(rounding, upper, lower) if rounding.any() else lower
 
 
 @functools.lru_cache(maxsize=256)
@@ -771,14 +774,18 @@ def _best_plan(fam: MarginalFamily) -> _Plan:
             lowers[f"pair:{a}|{b}"] = _decomp_plan(fam, (a.mask, b.mask)).lower
     if fam.is_derivable(full):
         lowers["exact"] = uppers["exact"] = fam.grid(full)
-    low, up = np.stack(list(lowers.values())), np.stack(list(uppers.values()))
+    up = np.stack(list(uppers.values()))
+    upper = up.min(axis=0)
+    # Settled one by one, so the winning candidate reads as the lower.
+    lowers = {name: _settle(fam, v, upper) for name, v in lowers.items()}
+    low = np.stack(list(lowers.values()))
     terms = {
         "lowers": lowers,
         "uppers": uppers,
         "lower_from": _winner(list(lowers), low, np.argmax),
         "upper_from": _winner(list(uppers), up, np.argmin),
     }
-    return _Plan("best", released, low.max(axis=0), up.min(axis=0), terms)
+    return _Plan("best", released, low.max(axis=0), upper, terms)
 
 
 def _winner(names: list, stacked: np.ndarray, pick):

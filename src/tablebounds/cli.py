@@ -29,12 +29,9 @@ from .errors import (
     CertificationError,
     InconsistentFamilyError,
     MissingMarginalError,
-    NonpositiveValueError,
     RangeError,
     SchemaError,
-    SearchSpaceError,
     TableBoundsError,
-    UnnormalizedError,
 )
 from .lattice import Witness, fan_evaluate, is_decreasing, is_supermodular
 from .oracle import EnumerationBudget, certify, sharp_bounds
@@ -392,15 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every other package error exits 3.
 _EXIT_CODES = (
     (SchemaError, 2),
     (InconsistentFamilyError, 2),
     (MissingMarginalError, 4),
     (BudgetExhaustedError, 5),
-    (SearchSpaceError, 3),
-    (NonpositiveValueError, 3),
-    (UnnormalizedError, 3),
-    (RangeError, 3),
 )
 
 
@@ -410,12 +404,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         doc, code = args.func(args)
     except TableBoundsError as err:
-        for cls, code in _EXIT_CODES:
-            if isinstance(err, cls):
-                print(f"error: {err}", file=sys.stderr)
-                return code
         print(f"error: {err}", file=sys.stderr)
-        return 3
+        return next((code for cls, code in _EXIT_CODES if isinstance(err, cls)), 3)
     json.dump(doc, sys.stdout, indent=2)
     print()
     return code

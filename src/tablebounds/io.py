@@ -24,6 +24,43 @@ from .table import INTEGER, REAL, ContingencyTable, MarginalTable, check_labels
 from .varset import VarSet
 
 SCHEMA_VERSION = 1
+# Error lines quote at most this many characters of a field.
+QUOTE_CHARS = 40
+
+
+def _quoted(field: str) -> str:
+    """A field for an error line: its repr, cut to QUOTE_CHARS characters."""
+    if len(field) <= QUOTE_CHARS:
+        return repr(field)
+    return f"{field[:QUOTE_CHARS]!r}... ({len(field)} characters)"
+
+
+def _too_long(text: str, where: str) -> CountRangeError:
+    """The error for an integer count that ``int()`` refuses for its length
+    alone (Python's digit limit): a count past int64 and float64 alike."""
+    return CountRangeError(f"{where}: count {_quoted(text)} is beyond the int64 limit")
+
+
+class _LongInt:
+    """A JSON integer past Python's digit limit, kept as its text: a count
+    reads it as a count past int64 and a label as its digits, as it reads
+    any number; anywhere else it is not an int."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __str__(self) -> str:
+        return self.text
+
+    def __repr__(self) -> str:
+        return _quoted(self.text)
+
+
+def _json_int(text: str):
+    try:
+        return int(text)
+    except ValueError:  # JSON's integer grammar leaves only the digit limit
+        return _LongInt(text)
 
 
 def _require(doc: dict, key: str, kinds, where: str):
@@ -62,6 +99,8 @@ def _counts(doc: dict, cards, kind: str, where: str) -> list:
             f"(expected {prod(cards)})"
         )
     for v in counts:
+        if isinstance(v, _LongInt):
+            raise _too_long(v.text, where)
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise SchemaError(f"{where}: non-numeric count {v!r}")
     if kind == INTEGER and not all(isinstance(v, int) for v in counts):
@@ -155,13 +194,15 @@ def _csv_count(field: str, where: str):
     try:
         return int(field)
     except ValueError:
-        pass
+        digits = field[1:] if field[:1] in "+-" else field
+        if digits.isdecimal():  # int() refused it for its length alone
+            raise _too_long(field, where) from None
     try:
         if isfinite(value := float(field)):
             return value
     except ValueError:
         pass
-    raise SchemaError(f"{where}: count {field!r} is not a finite number")
+    raise SchemaError(f"{where}: count {_quoted(field)} is not a finite number")
 
 
 def _table_from_csv(text: str, where: str) -> ContingencyTable:
@@ -174,7 +215,9 @@ def _table_from_csv(text: str, where: str) -> ContingencyTable:
     for r in rows[1:]:
         if len(r) != len(rows[0]):
             got, expected = len(r) - 1, len(rows[0]) - 1
-            raise SchemaError(f"{where}: row {r[0]!r} has {got} values, expected {expected}")
+            raise SchemaError(
+                f"{where}: row {_quoted(r[0])} has {got} values, expected {expected}"
+            )
     labels = [[r[0].strip() for r in rows[1:]], [c.strip() for c in rows[0][1:]]]
     counts = [_csv_count(field.strip(), where) for r in rows[1:] for field in r[1:]]
     integral = all(isinstance(v, int) or v.is_integer() for v in counts)
@@ -194,8 +237,8 @@ def _read(path: str) -> str:
 
 def _load_json(path: str):
     try:
-        return json.loads(_read(path))
-    except ValueError as err:  # bad syntax, or an int past Python's digit limit
+        return json.loads(_read(path), parse_int=_json_int)
+    except ValueError as err:
         raise SchemaError(f"{path}: invalid JSON: {err}") from err
 
 

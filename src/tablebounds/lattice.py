@@ -11,20 +11,22 @@ cumulative (subset-sum) functions via the fast zeta transform, and the
 two-sided Ky Fan inequality evaluator for sequences of lattice elements.
 
 2^L is the grid (2,)*l with flat index equal to the mask, and supermodularity
-there is the additive MTP2 condition on a table's cell grid: both checks run
-the one local kernel ``_first_local_violation`` under the one comparison rule
-``_exact``. Integer values are compared exactly, in Python integers once a sum
-could pass their dtype; real values with an absolute tolerance of 1e-9 scaled by
-max(1, max|F|).
+there is the additive MTP2 condition on a table's cell grid: supermodularity
+and both MTP2 checks run one pair kernel, ``_first_violation``, in both modes,
+under one comparison rule (``_exact``). Integer values are compared exactly,
+in Python integers once a sum could pass their dtype; real values with an
+absolute tolerance of 1e-9 scaled by max(1, max|F|).
 
 Every scan is a gather-and-compare over whole arrays, and ``argmax`` picks
-the lexicographically first violation. The local kernel gathers through the
+the lexicographically first violation. The local mode gathers through the
 flat (x, y, lo, hi) of every local pair, built once per grid shape and cached
-read-only (``_local_pairs``). The monotone and exhaustive scans compare a
+read-only (``_local_pairs``). The monotone and all-pairs scans compare a
 block of rows with all their partners at a time (``_first_in_blocks``):
 blocks start small and grow to about PAIR_BLOCK pairs, so a scan that fails
 early costs little more than one row and a long one keeps its temporaries
-small. Both exhaustive scans still compare every pair.
+small. All-pairs meets and joins are the bitwise AND and OR of flat indices
+on grids of binary axes, 2^L among them, and come from per-shape lookup
+tables (``_meet_groups``) on any other grid.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import CountRangeError, RangeError
 from .varset import VarSet, check_lattice_cap
 
 REAL_RTOL = 1e-9
@@ -51,6 +53,9 @@ PAIR_BLOCK = 1 << 13
 # bounds them) skip the cached index arrays, 32 bytes per pair, and compare
 # shifted views one axis pair at a time.
 LOCAL_PAIR_CAP = 1 << 18
+# Cells per axis group of the all-pairs scan's meet tables, which hold
+# MEET_GROUP^2 entries each.
+MEET_GROUP = 64
 
 # Guards for fan_evaluate: explicit failure beats silent combinatorial blowup.
 FAN_SEQUENCE_CAP = 20
@@ -175,21 +180,51 @@ def _local_pairs(shape: tuple[int, ...]) -> np.ndarray:
     return pairs
 
 
+@functools.lru_cache(maxsize=32)
+def _meet_groups(cards: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Lookup tables for the meet of two cells, per group of adjacent axes
+    with at most MEET_GROUP cells. A group's digit d(x) is the index of
+    cell x's coordinates on its axes; ``table[d(x) * size + d(y)]`` is the
+    flat offset of the meet's coordinates there (stride times the smaller
+    coordinate, summed over the group's axes). Per group the read-only
+    arrays are (d * size, d, table); the meet's flat index is the sum of the
+    groups' lookups."""
+    groups: list[list[int]] = []
+    for k in reversed(range(len(cards))):
+        if groups and prod(cards[j] for j in groups[-1]) * cards[k] <= MEET_GROUP:
+            groups[-1].insert(0, k)
+        else:
+            groups.append([k])
+    out = []
+    for axes in groups:
+        sub = [cards[k] for k in axes]
+        size, stride = prod(sub), prod(cards[axes[-1] + 1 :])
+        digit = np.arange(prod(cards)) // stride % size
+        coords = np.indices(sub).reshape(len(sub), size)
+        inner = [prod(sub[j + 1 :]) for j in range(len(sub))]
+        lows = np.minimum(coords[:, :, None], coords[:, None, :])
+        table = stride * np.tensordot(inner, lows, axes=1).reshape(-1)
+        arrays = (digit * size, digit, table)
+        for a in arrays:
+            a.setflags(write=False)
+        out.append(arrays)
+    return tuple(out)
+
+
+def _violates(x, y, lo, hi, multiplicative: bool, tol):
+    """The pair condition: x + y > lo + hi + tol, or x * y > lo * hi + tol."""
+    return x * y > lo * hi + tol if multiplicative else x + y > lo + hi + tol
+
+
 def _first_local_violation(
     grid: np.ndarray, multiplicative: bool, tol
 ) -> Optional[tuple[int, int]]:
-    """The lexicographically first flat pair (x, y) of a grid's local pairs
-    x = lo + e_q, y = lo + e_p (axes p < q) with x + y > lo + hi + tol
-    (``multiplicative``: x * y > lo * hi + tol), hi = lo + e_p + e_q; None
-    when there is none. One gather through ``_local_pairs``; on grids past
-    LOCAL_PAIR_CAP, four shifted views per axis pair."""
-
-    def violates(x, y, lo, hi):
-        return x * y > lo * hi + tol if multiplicative else x + y > lo + hi + tol
-
+    """``_first_violation`` over the local pairs x = lo + e_q, y = lo + e_p
+    (axes p < q), hi = lo + e_p + e_q: one gather through ``_local_pairs``,
+    or four shifted views per axis pair on grids past LOCAL_PAIR_CAP."""
     if comb(grid.ndim, 2) * grid.size <= LOCAL_PAIR_CAP:
         pairs = _local_pairs(grid.shape)
-        bad = violates(*grid.reshape(-1)[pairs])
+        bad = _violates(*grid.reshape(-1)[pairs], multiplicative, tol)
         if not bad.any():
             return None
         k = int(np.argmax(bad))
@@ -203,7 +238,8 @@ def _first_local_violation(
             index[q] = slice(dq, grid.shape[q] - 1 + dq)
             return grid[tuple(index)]
 
-        bad = violates(shifted(0, 1), shifted(1, 0), shifted(0, 0), shifted(1, 1))
+        views = shifted(0, 1), shifted(1, 0), shifted(0, 0), shifted(1, 1)
+        bad = _violates(*views, multiplicative, tol)
         if bad.any():
             at = np.unravel_index(int(np.argmax(bad)), bad.shape)
             x_at, y_at = list(at), list(at)
@@ -239,6 +275,37 @@ def _first_in_blocks(rows: int, width: int, bad_rows) -> Optional[tuple[int, int
             return start + row, first_col + int(np.argmax(bad[row]))
         start, width, budget = stop, bad.shape[1], min(4 * budget, PAIR_BLOCK)
     return None
+
+
+def _first_violation(grid, multiplicative: bool, tol, local: bool) -> Optional[tuple[int, int]]:
+    """The lexicographically first flat pair (x, y), x < y, of a grid that
+    violates the pair condition (``_violates``), lo and hi the pair's
+    componentwise meet and join; None when there is none. ``local`` scans
+    local pairs only (``_first_local_violation``).
+
+    Otherwise rows x meet, a block at a time, every y past the block's first
+    row (``_first_in_blocks``); comparable pairs hold with equality. On grids
+    of binary axes (2^L among them) strides are powers of two, so meet and
+    join are the AND and OR of flat indices; elsewhere the meet comes from
+    ``_meet_groups`` and the join is x + y - meet."""
+    if local:
+        return _first_local_violation(grid, multiplicative, tol)
+    flat, n = grid.reshape(-1), grid.size
+    cells = np.arange(n)
+    binary = all(c <= 2 for c in grid.shape)
+    groups = () if binary else _meet_groups(grid.shape)
+
+    def bad_rows(start, stop):
+        rows, cols = cells[start:stop, None], cells[start + 1 :]
+        if binary:
+            meet, join = rows & cols, rows | cols
+        else:
+            meet = sum(t[s[start:stop, None] + d[start + 1 :]] for s, d, t in groups)
+            join = rows + cols - meet
+        x, y = flat[start:stop, None], flat[start + 1 :]
+        return _violates(x, y, flat.take(meet), flat.take(join), multiplicative, tol), start + 1
+
+    return _first_in_blocks(n - 1, n - 1, bad_rows)
 
 
 def _monotone_check(fn: LatticeFunction, increasing: bool) -> CheckResult:
@@ -290,24 +357,12 @@ def _supermodular_witness(fn: LatticeFunction, a: int, b: int) -> Witness:
 
 
 def _supermodular_check(fn: LatticeFunction, mode: str, negate: bool) -> CheckResult:
-    """Scan for the first pair (a, b) with G(a|b) + G(a&b) < G(a) + G(b),
-    where G is F (``negate``: -F, taken without wrapping). The inequality is
-    symmetric in a and b and holds at a = b, so the exhaustive scan compares
-    pairs a < b only (see ``_first_in_blocks``)."""
-    vals, tol = _exact(fn.values, negate=negate)
-    if mode == "exhaustive":
-        masks, n = np.arange(vals.size), vals.size
-
-        def bad_rows(start, stop):
-            rows, cols = masks[start:stop, None], masks[start + 1 :]
-            joins, meets = vals.take(rows | cols), vals.take(rows & cols)
-            return joins + meets + tol < vals[start:stop, None] + vals[start + 1 :], start + 1
-
-        pair = _first_in_blocks(n - 1, n - 1, bad_rows)
-    elif mode == "local":
-        pair = _first_local_violation(vals.reshape((2,) * fn.num_vars), False, tol)
-    else:
+    """The first pair (a, b), a < b, with G(a|b) + G(a&b) < G(a) + G(b), where
+    G is F (``negate``: -F, taken without wrapping), in the mode's pairs."""
+    if mode not in ("local", "exhaustive"):
         raise RangeError(f"unknown supermodularity mode {mode!r}")
+    vals, tol = _exact(fn.values, negate=negate)
+    pair = _first_violation(vals.reshape((2,) * fn.num_vars), False, tol, mode == "local")
     if pair is None:
         return CheckResult(True)
     return CheckResult(False, _supermodular_witness(fn, *pair))
@@ -343,10 +398,19 @@ def indicator_fn(s: VarSet) -> LatticeFunction:
 
 
 def subset_sum_transform(values: np.ndarray, num_vars: int) -> np.ndarray:
-    """Fast zeta transform: out[a] = sum of values[s] over s subset of a, O(l 2^l)."""
+    """Fast zeta transform: out[a] = sum of values[s] over s subset of a, O(l 2^l).
+
+    Integer values sum in int64; they are refused when the sum of their
+    absolute values, which bounds every partial sum, passes int64."""
     out = np.array(values, copy=True)
     if out.shape != (1 << num_vars,):
         raise RangeError("value array length must be 2**num_vars")
+    if np.issubdtype(out.dtype, np.integer):
+        limit = int(np.iinfo(np.int64).max)
+        big = max(-int(out.min()), int(out.max())) > limit // out.size
+        if big and sum(abs(int(v)) for v in out.flat) > limit:
+            raise CountRangeError(f"subset sums could pass the int64 limit {limit}")
+        out = out.astype(np.int64)
     masks = np.arange(1 << num_vars)
     for j in range(num_vars):
         bit = 1 << j
@@ -359,7 +423,7 @@ def cumulative_fn(g: LatticeFunction) -> LatticeFunction:
     """H(a) = sum of G(s) over s subset of a, for nonnegative G.
 
     Nonnegativity is what makes the result increasing and supermodular, so it
-    is enforced rather than assumed.
+    is enforced rather than assumed, as is that H fits int64.
     """
     if np.any(np.asarray(g.values) < 0):
         bad = int(np.argmax(np.asarray(g.values) < 0))

@@ -7,9 +7,9 @@ cell indices, are implemented side by side and never conflated:
 - multiplicative:  n_x * n_y <= n_{x^y} * n_{xvy}   (the MTP2 product form)
 
 Both checks return the lexicographically first violating pair as witness,
-among all pairs or, in ``local`` mode, among local pairs, which share their
-kernel with the local supermodularity scan on 2^L. Comparisons are exact for
-integer counts, past int64 too.
+among all pairs or, in ``local`` mode, among local pairs; both modes run the
+pair kernel of supermodularity on 2^L (``lattice._first_violation``).
+Comparisons are exact for integer counts, past int64 too.
 
 Both depend on how categories are ordered, so a brute-force search over
 per-axis relabelings is provided (quotiented by global reversal, which
@@ -22,7 +22,6 @@ and FKG covariances are computed by exact summation over all 2^l subsets.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -42,8 +41,7 @@ from .lattice import (
     LatticeFunction,
     Witness,
     _exact,
-    _first_in_blocks,
-    _first_local_violation,
+    _first_violation,
     is_supermodular,
     meet_restriction,
 )
@@ -56,81 +54,17 @@ from .table import (
 from .varset import VarSet, check_lattice_cap
 
 RELABEL_SEARCH_CAP = 10**6
-# Cells per axis group of the exhaustive scan's meet tables, which hold
-# MEET_GROUP^2 entries each.
-MEET_GROUP = 64
 NORMALIZATION_ATOL = 1e-9
 DENSITY_SUM_ATOL = 1e-12
 
 
-@functools.lru_cache(maxsize=32)
-def _meet_groups(cards: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Lookup tables for the meet of two cells, per group of adjacent axes
-    with at most MEET_GROUP cells. A group's digit d(x) is the index of
-    cell x's coordinates on its axes; ``table[d(x) * size + d(y)]`` is the
-    flat offset of the meet's coordinates there (stride times the smaller
-    coordinate, summed over the group's axes). Per group the read-only
-    arrays are (d * size, d, table); the meet's flat index is the sum of the
-    groups' lookups."""
-    groups: list[list[int]] = []
-    for k in reversed(range(len(cards))):
-        if groups and prod(cards[j] for j in groups[-1]) * cards[k] <= MEET_GROUP:
-            groups[-1].insert(0, k)
-        else:
-            groups.append([k])
-    out = []
-    for axes in groups:
-        sub = [cards[k] for k in axes]
-        size, stride = prod(sub), prod(cards[axes[-1] + 1 :])
-        digit = np.arange(prod(cards)) // stride % size
-        coords = np.indices(sub).reshape(len(sub), size)
-        inner = [prod(sub[j + 1 :]) for j in range(len(sub))]
-        lows = np.minimum(coords[:, :, None], coords[:, None, :])
-        table = stride * np.tensordot(inner, lows, axes=1).reshape(-1)
-        arrays = (digit * size, digit, table)
-        for a in arrays:
-            a.setflags(write=False)
-        out.append(arrays)
-    return tuple(out)
-
-
-def _first_violation(flat: np.ndarray, cards, multiplicative: bool, tol):
-    """The first violating pair (x, y), x < y, in flat lexicographic order.
-
-    Rows x are compared in blocks with every y past the block's first row
-    (``_first_in_blocks``). The meet of a pair has flat index the sum over
-    axes of stride times the smaller coordinate, read per group of axes from
-    ``_meet_groups``, and the join x + y - meet. Comparable pairs satisfy
-    the condition with equality; no need to skip.
-    """
-    n = flat.size
-    groups = _meet_groups(cards)
-    cells = np.arange(n)
-
-    def bad_rows(start, stop):
-        cols = slice(start + 1, n)
-        meet = sum(
-            table[scaled[start:stop, None] + digit[cols]] for scaled, digit, table in groups
-        )
-        join = cells[start:stop, None] + cells[cols] - meet
-        x, y, lo, hi = flat[start:stop, None], flat[cols], flat.take(meet), flat.take(join)
-        bad = x * y > lo * hi + tol if multiplicative else x + y > lo + hi + tol
-        return bad, start + 1
-
-    return _first_in_blocks(n - 1, n - 1, bad_rows)
-
-
 def _pair_scan(table: ContingencyTable, multiplicative: bool, local: bool) -> CheckResult:
     counts, tol = _exact(table.counts, multiplicative)
-    cards = table.cardinalities
-    if local:
-        pair = _first_local_violation(counts, multiplicative, tol)
-    else:
-        pair = _first_violation(counts.reshape(-1), cards, multiplicative, tol)
+    pair = _first_violation(counts, multiplicative, tol, local)
     if pair is None:
         return CheckResult(True)
     # The witness reads exact Python numbers, whatever the scan compared.
-    x, y = (tuple(int(i) for i in np.unravel_index(f, cards)) for f in pair)
+    x, y = (tuple(int(i) for i in np.unravel_index(f, table.cardinalities)) for f in pair)
     lo, hi = tuple(map(min, x, y)), tuple(map(max, x, y))
     vx, vy, vlo, vhi = (table.counts[c].item() for c in (x, y, lo, hi))
     combine = operator.mul if multiplicative else operator.add

@@ -142,7 +142,7 @@ class TestCsv:
         assert t.counts.tolist() == [[9007199254740993, 1], [3, 2]]
 
     @pytest.mark.parametrize(
-        "field", ["inf", "-inf", "nan", "1e400", "x", "", pytest.param("1" * 5001, id="5001-digits")]
+        "field", ["inf", "-inf", "nan", "1e400", "x", "", "--5", "1" * 400 + "x"]
     )
     def test_csv_unusable_count_exit_2(self, tmp_path, capsys, field):
         path = tmp_path / "t.csv"
@@ -151,6 +151,7 @@ class TestCsv:
             load_table(str(path))
         code, doc, err = run_cli(capsys, "marginalize", str(path), "--vars", "1")
         assert (code, doc) == (2, None) and err.startswith("error: ")
+        assert len(err) < len(str(path)) + 150  # a long field is quoted by a short prefix
 
     def test_csv_negative_count_exit_2_as_in_json(self, tmp_path, capsys):
         csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
@@ -160,14 +161,18 @@ class TestCsv:
             code, _, _ = run_cli(capsys, "check", str(path), "--property", "mtp2-additive")
             assert code == 2
 
-    @pytest.mark.parametrize("count", [2**63, 10**400], ids=["2^63", "10^400"])
+    @pytest.mark.parametrize(
+        "count", [2**63, 10**400, "1" * 5001, "-" + "1" * 5001],
+        ids=["2^63", "10^400", "5001-digits", "minus-5001-digits"],
+    )
     def test_csv_count_past_int64_exit_3(self, tmp_path, capsys, count):
+        # Past 4,300 digits int() refuses the field: still a count past int64.
         path = tmp_path / "t.csv"
         path.write_text(f",a,b\nx,{count},1\ny,2,3\n")
         with pytest.raises(CountRangeError):
             load_table(str(path))
         code, _, err = run_cli(capsys, "marginalize", str(path), "--vars", "1")
-        assert code == 3 and "int64" in err
+        assert code == 3 and "int64" in err and len(err) < len(str(path)) + 150
 
 
 class TestMarginalizeCommand:
@@ -633,17 +638,39 @@ class TestInputContract:
 
     @pytest.mark.parametrize(
         "kind, digits, code",
-        [("integer", 401, 3), ("real", 401, 3), ("integer", 5001, 2)],
-        ids=["integer-past-float64", "real-past-float64", "past-int-parsing"],
+        [("integer", 401, 3), ("real", 401, 3), ("integer", 5001, 3), ("real", 5001, 3)],
+        ids=["integer-past-float64", "real-past-float64", "past-int-parsing",
+             "real-past-int-parsing"],
     )
     def test_json_count_past_float64_exit_code(self, capsys, tmp_path, kind, digits, code):
         # Past float64 the range checks themselves overflowed; past 4,300
-        # digits Python refuses to parse the number at all.
+        # digits int() refuses the number, which is still a count past int64.
         path = tmp_path / "huge.json"
         count = "1" + "0" * (digits - 1)
         path.write_text(f'{{"kind": "{kind}", "cardinalities": [2], "counts": [{count}, 1]}}')
         got, out, err = run_cli(capsys, "marginalize", str(path), "--vars", "1")
         assert (got, out) == (code, None) and err.startswith("error: ")
+        assert len(err) < len(str(path)) + 150  # a long count is quoted by a short prefix
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"cardinalities": [HUGE], "counts": [1]}',
+            '{"schema": HUGE, "cardinalities": [2], "counts": [1, 2]}',
+            '{"cardinalities": [2], "marginals": [{"vars": [HUGE], "counts": [1, 2]}]}',
+        ],
+        ids=["cardinality", "schema", "vars"],
+    )
+    def test_json_long_integer_outside_counts_exit_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "huge.json"
+        path.write_text(doc.replace("HUGE", "1" * 5001))
+        if "marginals" in doc:
+            command = ["bounds", str(path), "--cell", "0", "--method", "best"]
+        else:
+            command = ["marginalize", str(path), "--vars", "1"]
+        got, out, err = run_cli(capsys, *command)
+        assert (got, out) == (2, None) and err.startswith("error: ")
+        assert len(err) < len(str(path)) + 150
 
     def test_json_count_beyond_int64_exit_3(self, capsys, tmp_path):
         doc = dict(LEAD_FAMILY_DOC)
@@ -758,15 +785,25 @@ class TestInputContract:
         assert "exceeds cap" in err and err.count("\n") == 1
 
 
+# Python cannot write or read an integer past 4,300 digits, so a document
+# holds this string where it means one and is written with the digits.
+LONG_INT = "<5001-digit integer>"
+
+
+def dumps(doc):
+    return json.dumps(doc).replace(json.dumps(LONG_INT), "1" * 5001)
+
+
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-2, 4),
-    st.sampled_from([2**64, 10**12]),
+    st.sampled_from([2**64, 10**12, LONG_INT]),
     st.floats(),
     st.text(max_size=3),
     st.lists(
-        st.one_of(st.integers(-1, 3), st.sampled_from([10**12, 2**64]), st.floats()), max_size=4
+        st.one_of(st.integers(-1, 3), st.sampled_from([10**12, 2**64, LONG_INT]), st.floats()),
+        max_size=4,
     ),
     st.lists(st.lists(st.one_of(st.none(), st.text(max_size=2)), max_size=3), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
@@ -856,11 +893,12 @@ def run_contract(argv):
 
 
 # CSV count fields: mostly small counts, else text past float or int64
-# precision, non-finite, negative, fractional, empty or junk.
+# precision or Python's digit limit, non-finite, negative, fractional, empty
+# or junk.
 CSV_ODD_FIELDS = st.one_of(
     st.integers(2**53, 2**53 + 3).map(str),
     st.integers(2**63 - 3, 2**64).map(str),
-    st.just(str(10**400)),
+    st.sampled_from([str(10**400), "1" * 5001]),
     st.sampled_from(["", "-1", "3.0", "0.5", "1e3", "inf", "-inf", "nan", "1e400", "x", "1_0"]),
 )
 
@@ -889,7 +927,7 @@ class TestDocumentFuzz:
     def test_exit_code_contract(self, tmp_path_factory, doc, data):
         path = str(tmp_path_factory.mktemp("fuzz") / "doc.json")
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(dumps(doc))
         cards = doc.get("cardinalities")
         cell = ",".join("0" * len(cards)) if isinstance(cards, list) and cards else "0"
         prop = data.draw(st.sampled_from(

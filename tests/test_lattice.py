@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tablebounds import (
     ContingencyTable,
+    CountRangeError,
     LatticeFunction,
     RangeError,
     VarSet,
@@ -418,6 +419,17 @@ class TestCumulative:
     def test_rejects_negative(self):
         with pytest.raises(RangeError):
             cumulative_fn(LatticeFunction(1, np.array([1, -1])))
+
+    def test_refuses_sums_past_int64(self):
+        # At int64 these sums wrapped: H came out [2^62, -2^63, -2^63, -2^62].
+        g = LatticeFunction(2, np.array([2**62, 2**62, 2**62, 0], dtype=np.int64))
+        with pytest.raises(CountRangeError):
+            cumulative_fn(g)
+        with pytest.raises(CountRangeError):
+            subset_sum_transform(np.array([2**62, -(2**62), 2**62, 0]), 2)
+        edge = cumulative_fn(LatticeFunction(2, np.array([2**62, 2**62 - 1, 0, 0])))
+        assert edge.values.tolist() == [2**62, 2**63 - 1, 2**62, 2**63 - 1]
+        assert is_increasing(edge) and is_supermodular(edge, "exhaustive")
 
     def test_transform_matches_naive(self):
         rng = np.random.default_rng(6)

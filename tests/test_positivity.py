@@ -343,7 +343,7 @@ class TestWitnessRule:
         cells = np.indices(cards).reshape(len(cards), -1)
         lows = np.minimum(cells[:, :, None], cells[:, None, :])
         expected = np.ravel_multi_index(tuple(lows), cards)
-        groups = positivity._meet_groups(cards)
+        groups = lattice._meet_groups(cards)
         got = sum(table[scaled[:, None] + digit] for scaled, digit, table in groups)
         assert np.array_equal(got, expected)
         assert not any(a.flags.writeable for group in groups for a in group)
