@@ -630,8 +630,6 @@ def fan_lower_bound(
 @_planned
 def _fan_plan(fam: MarginalFamily, masks: tuple[int, ...], p: int) -> _Plan:
     l, q = fam.num_vars, len(masks)
-    if not 1 <= p <= q:
-        raise RangeError(f"p={p} out of range 1..{q}")
     full = VarSet.full(l)
     lhs_masks, rhs_masks = fan_terms(masks, p)
     lhs_subsets = [VarSet(m, l) for m in lhs_masks]
@@ -701,10 +699,10 @@ def compare_fan_vs_decomposition(
 
     versus the separator route's n(S2) + n(S3). Supermodularity of the
     anchored marginal function makes the separator route at least as tight
-    whenever both sides are defined, so a violation raises (it would falsify
-    the implementation, not the inequality). When the Fan side needs a
-    marginal the family cannot provide -- for covers whose separators join
-    to the full set, that is the secret cell itself -- the Fan side is
+    whenever both sides are defined, so a violation past rounding raises (it
+    would falsify the implementation, not the inequality). When the Fan side
+    needs a marginal the family cannot provide -- for covers whose separators
+    join to the full set, that is the secret cell itself -- the Fan side is
     reported undefined rather than erroring.
 
     Note the distinction from fan_lower_bound, which treats every full-set
@@ -735,12 +733,14 @@ def compare_fan_vs_decomposition(
 @_planned
 def _literal_fan_plan(fam: MarginalFamily, masks: tuple[int, ...]) -> _Plan:
     """The Fan side of the comparison from the masks of the three cover
-    sets and of their separators' join and meet, all derivable."""
+    sets and of their separators' join and meet, all derivable; its lower is
+    settled (``_settle``) against the separator route's lower."""
     *cover, join, meet = (VarSet(m, fam.num_vars) for m in masks)
     *cover_vals, join_val, meet_val = _operands(fam, (*cover, join, meet), 5)
     raw = sum(cover_vals) - join_val - meet_val
+    lower = _settle(fam, _clamp(raw), _decomp_plan(fam, masks[:3]).lower)
     terms = {"separator_join": str(join), "separator_meet": str(meet), "lower_exact": raw}
-    return _Plan("fan-literal:d=3", tuple(cover), _clamp(raw), _min(cover_vals), terms)
+    return _Plan("fan-literal:d=3", tuple(cover), lower, _min(cover_vals), terms)
 
 
 def best_bounds(fam: MarginalFamily, cell: CellIndex) -> BoundReport:

@@ -11,11 +11,11 @@ cumulative (subset-sum) functions via the fast zeta transform, and the
 two-sided Ky Fan inequality evaluator for sequences of lattice elements.
 
 2^L is the grid (2,)*l with flat index equal to the mask, and supermodularity
-there is the additive MTP2 condition on a table's cell grid: supermodularity
-and both MTP2 checks run one pair kernel, ``_first_violation``, in both modes,
-under one comparison rule (``_exact``). Integer values are compared exactly,
-in Python integers once a sum could pass their dtype; real values with an
-absolute tolerance of 1e-9 scaled by max(1, max|F|).
+there is the additive MTP2 condition on a table's cell grid: it and both MTP2
+checks share one front end, ``pair_violation`` (mode check, pair kernel
+``_first_violation``, comparison rule ``_exact``). Integer values compare
+exactly, in Python integers once a sum could pass their dtype; real values
+with an absolute tolerance of 1e-9 scaled by max(1, max|F|).
 
 Every scan is a gather-and-compare over whole arrays, and ``argmax`` picks
 the lexicographically first violation. The local mode gathers through the
@@ -57,7 +57,7 @@ LOCAL_PAIR_CAP = 1 << 18
 # MEET_GROUP^2 entries each.
 MEET_GROUP = 64
 
-# Guards for fan_evaluate: explicit failure beats silent combinatorial blowup.
+# Guards of fan_terms: explicit failure beats silent combinatorial blowup.
 FAN_SEQUENCE_CAP = 20
 FAN_CHOOSE_CAP = 10**6
 
@@ -308,6 +308,19 @@ def _first_violation(grid, multiplicative: bool, tol, local: bool) -> Optional[t
     return _first_in_blocks(n - 1, n - 1, bad_rows)
 
 
+def pair_violation(
+    grid, mode: str, multiplicative: bool = False, negate: bool = False
+) -> Optional[tuple[int, int]]:
+    """Every pair checker's front end: ``_first_violation`` on ``grid``
+    (``negate``: -grid) under ``_exact``, in ``mode``, "local" or
+    "exhaustive"; any other mode raises RangeError."""
+    if mode not in ("local", "exhaustive"):
+        raise RangeError(f"unknown pair-check mode {mode!r}")
+    # Flat, so that the negation of a 0-d grid stays an array.
+    values, tol = _exact(grid.reshape(-1), multiplicative, negate)
+    return _first_violation(values.reshape(grid.shape), multiplicative, tol, mode == "local")
+
+
 def _monotone_check(fn: LatticeFunction, increasing: bool) -> CheckResult:
     """Check all covering pairs (a, a|{j}); equivalent to all pairs by
     transitivity. Row a compares with a | 2^j for every j; where bit j is in
@@ -359,10 +372,7 @@ def _supermodular_witness(fn: LatticeFunction, a: int, b: int) -> Witness:
 def _supermodular_check(fn: LatticeFunction, mode: str, negate: bool) -> CheckResult:
     """The first pair (a, b), a < b, with G(a|b) + G(a&b) < G(a) + G(b), where
     G is F (``negate``: -F, taken without wrapping), in the mode's pairs."""
-    if mode not in ("local", "exhaustive"):
-        raise RangeError(f"unknown supermodularity mode {mode!r}")
-    vals, tol = _exact(fn.values, negate=negate)
-    pair = _first_violation(vals.reshape((2,) * fn.num_vars), False, tol, mode == "local")
+    pair = pair_violation(fn.values.reshape((2,) * fn.num_vars), mode, negate=negate)
     if pair is None:
         return CheckResult(True)
     return CheckResult(False, _supermodular_witness(fn, *pair))
@@ -483,20 +493,35 @@ class FanEvaluation:
 
 
 def fan_terms(
-    masks: Sequence[int], p: int, inner=operator.and_, outer=operator.or_
+    masks: Sequence[int], p: int, form: Literal["primal", "dual"] = "primal"
 ) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """The Fan inequality's lattice elements for a sequence of masks: the
-    inner combination (meet) of each p-subset, summed on the left, and per
-    k = p..q the right side's (k, C(k-1, p-1), outer of all k-subset inners)."""
+    """The Fan inequality's lattice elements for masks x_1..x_q, under every
+    Fan guard: the inner combination (primal: meet, dual: join) of each
+    p-subset, summed on the left, and per k = p..q the right side's (k,
+    C(k-1, p-1), outer of all k-subset inners), counted, not enumerated: a
+    variable lies in the join of the k-wise meets iff at least k masks hold
+    it, and in the meet of the k-wise joins iff at least q - k + 1 do."""
+    q = len(masks)
+    if q == 0:
+        raise RangeError("the Fan inequality needs at least one lattice element")
+    if not 1 <= p <= q:
+        raise RangeError(f"p={p} out of range 1..{q}")
+    if q > FAN_SEQUENCE_CAP:
+        raise RangeError(f"sequence length {q} exceeds cap {FAN_SEQUENCE_CAP}")
+    if comb(q, p) > FAN_CHOOSE_CAP:
+        raise RangeError(f"C({q},{p}) exceeds cap {FAN_CHOOSE_CAP}")
+    if form not in ("primal", "dual"):
+        raise RangeError(f"unknown form {form!r}")
+    primal = form == "primal"
+    held = [sum(m >> j & 1 for m in masks) for j in range(max(masks).bit_length())]
 
-    def inners(k):
-        return [functools.reduce(inner, c) for c in combinations(masks, k)]
+    def outer(k):
+        least = k if primal else q - k + 1
+        return sum(1 << j for j, count in enumerate(held) if count >= least)
 
-    rhs = [
-        (k, comb(k - 1, p - 1), functools.reduce(outer, inners(k)))
-        for k in range(p, len(masks) + 1)
-    ]
-    return inners(p), rhs
+    inner = operator.and_ if primal else operator.or_
+    lhs = [functools.reduce(inner, c) for c in combinations(masks, p)]
+    return lhs, [(k, comb(k - 1, p - 1), outer(k)) for k in range(p, q + 1)]
 
 
 def fan_evaluate(
@@ -514,29 +539,13 @@ def fan_evaluate(
     sides coincide identically.
 
     Returns both sides plus the per-k right-hand terms for inspection.
-    Refuses q beyond FAN_SEQUENCE_CAP or C(q, p) beyond FAN_CHOOSE_CAP.
+    ``fan_terms`` refuses q beyond FAN_SEQUENCE_CAP or C(q, p) beyond FAN_CHOOSE_CAP.
     """
-    q = len(xs)
-    if q == 0:
-        raise RangeError("fan_evaluate needs at least one lattice element")
-    if not 1 <= p <= q:
-        raise RangeError(f"p={p} out of range 1..{q}")
-    if q > FAN_SEQUENCE_CAP:
-        raise RangeError(f"sequence length {q} exceeds cap {FAN_SEQUENCE_CAP}")
-    if comb(q, p) > FAN_CHOOSE_CAP:
-        raise RangeError(f"C({q},{p}) exceeds cap {FAN_CHOOSE_CAP}")
     for x in xs:
         if x.num_vars != fn.num_vars:
             raise RangeError("sequence element over a different variable count")
-    if form == "primal":
-        inner, outer = operator.and_, operator.or_
-    elif form == "dual":
-        inner, outer = operator.or_, operator.and_
-    else:
-        raise RangeError(f"unknown form {form!r}")
-
     vals = fn.values
-    lhs_masks, rhs_masks = fan_terms([x.mask for x in xs], p, inner, outer)
+    lhs_masks, rhs_masks = fan_terms([x.mask for x in xs], p, form)
     lhs = sum(vals[m].item() for m in lhs_masks)
     terms = tuple(
         FanTerm(k, c, VarSet(m, fn.num_vars), vals[m].item(), c * vals[m].item())

@@ -7,8 +7,9 @@ cell indices, are implemented side by side and never conflated:
 - multiplicative:  n_x * n_y <= n_{x^y} * n_{xvy}   (the MTP2 product form)
 
 Both checks return the lexicographically first violating pair as witness,
-among all pairs or, in ``local`` mode, among local pairs; both modes run the
-pair kernel of supermodularity on 2^L (``lattice._first_violation``).
+among all pairs or, in ``local`` mode, among local pairs; both go through
+the pair-check front end of supermodularity on 2^L
+(``lattice.pair_violation``), which refuses any other mode.
 Comparisons are exact for integer counts, past int64 too.
 
 Both depend on how categories are ordered, so a brute-force search over
@@ -40,10 +41,9 @@ from .lattice import (
     CheckResult,
     LatticeFunction,
     Witness,
-    _exact,
-    _first_violation,
     is_supermodular,
     meet_restriction,
+    pair_violation,
 )
 from .table import (
     CellIndex,
@@ -58,9 +58,8 @@ NORMALIZATION_ATOL = 1e-9
 DENSITY_SUM_ATOL = 1e-12
 
 
-def _pair_scan(table: ContingencyTable, multiplicative: bool, local: bool) -> CheckResult:
-    counts, tol = _exact(table.counts, multiplicative)
-    pair = _first_violation(counts, multiplicative, tol, local)
+def _mtp2_check(table: ContingencyTable, multiplicative: bool, mode: str) -> CheckResult:
+    pair = pair_violation(table.counts, mode, multiplicative)
     if pair is None:
         return CheckResult(True)
     # The witness reads exact Python numbers, whatever the scan compared.
@@ -80,7 +79,7 @@ def is_mtp2_additive(
     cells one step apart on exactly two axes, which decide it: the condition
     is supermodularity on the cell grid. The witness is the lexicographically
     first violating pair (x, y) the mode scans, x before y in flat order."""
-    return _pair_scan(table, multiplicative=False, local=(mode == "local"))
+    return _mtp2_check(table, False, mode)
 
 
 def is_mtp2_multiplicative(
@@ -91,7 +90,7 @@ def is_mtp2_multiplicative(
 
     With zeros present the local mode can miss global violations, which is
     why exhaustive is the default."""
-    return _pair_scan(table, multiplicative=True, local=(mode == "local"))
+    return _mtp2_check(table, True, mode)
 
 
 @dataclass(frozen=True)
@@ -141,11 +140,7 @@ def search_mtp2_relabeling(
     found first is still the global lexicographic minimum of the passing set.
     Refuses when the product of axis factorials exceeds RELABEL_SEARCH_CAP.
     """
-    if criterion == "additive":
-        check = is_mtp2_additive
-    elif criterion == "multiplicative":
-        check = is_mtp2_multiplicative
-    else:
+    if criterion not in ("additive", "multiplicative"):
         raise RangeError(f"unknown criterion {criterion!r}")
     cards = table.cardinalities
     space = prod(factorial(c) for c in cards)
@@ -153,14 +148,15 @@ def search_mtp2_relabeling(
         raise SearchSpaceError(
             f"relabeling space {space} exceeds cap {RELABEL_SEARCH_CAP}"
         )
+    permuted = np.empty_like(table.counts)
     for perms in itertools.product(
         *(itertools.permutations(range(c)) for c in cards)
     ):
         if _reversed_assignment(perms, cards) < perms:
             continue  # orbit representative already visited
-        candidate = Relabeling(perms)
-        if check(candidate.apply(table)).ok:
-            return candidate
+        permuted[np.ix_(*perms)] = table.counts
+        if pair_violation(permuted, "exhaustive", criterion == "multiplicative") is None:
+            return Relabeling(perms)
     return None
 
 

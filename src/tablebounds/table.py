@@ -84,10 +84,6 @@ class ContingencyTable:
         return len(self.cardinalities)
 
     @property
-    def num_cells(self) -> int:
-        return prod(self.cardinalities)
-
-    @property
     def flat(self) -> np.ndarray:
         return self.counts.reshape(-1)
 
@@ -97,9 +93,6 @@ class ContingencyTable:
 
     def value(self, cell: CellIndex):
         return self.counts[check_cell(self, cell)].item()
-
-    def all_vars(self) -> VarSet:
-        return VarSet.full(self.num_vars)
 
     def cell_from_names(self, names: Sequence[str]) -> CellIndex:
         """Translate per-axis category names into a 0-based cell index."""

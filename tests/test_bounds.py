@@ -1,5 +1,6 @@
 """Bound formulas: golden values, reduction identities, validity, dominance."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import comb
@@ -27,7 +28,14 @@ from tablebounds import (
     simple_frechet,
     validate_report_against_table,
 )
-from tablebounds.bounds import _3way_plan, _best_plan, _decomp_plan, bounds_grid
+from tablebounds import bounds, lattice
+from tablebounds.bounds import (
+    _3way_plan,
+    _best_plan,
+    _decomp_plan,
+    bounds_grid,
+    method_report,
+)
 from tablebounds.datasets import lead_table
 
 
@@ -367,7 +375,27 @@ class TestDecomposition:
                 assert rep.lower <= table.value(cell) <= rep.upper
 
 
+# Fan methods past FAN_SEQUENCE_CAP (21 sets), and past FAN_CHOOSE_CAP too:
+# C(26, 13) = 10,400,600.
+FAN_PAST_CAPS = ["fan:" + "|".join(["{1}", "{2}"] * 10 + ["{1}"]) + ",1",
+                 "fan:" + "|".join(["{1}", "{2}"] * 13) + ",13"]
+
+
 class TestFanLowerBound:
+    @pytest.mark.parametrize("method", FAN_PAST_CAPS)
+    def test_method_past_the_caps_refused(self, lead_family, method):
+        with pytest.raises(RangeError, match="exceeds cap"):
+            method_report(lead_family, method, (0, 0))
+
+    def test_shares_the_fan_guards(self, lead_family):
+        one = VarSet.from_vars([1], 2)
+        for xs, p in (([], 1), ([one], 0), ([one], 2), ([one] * 21, 1)):
+            with pytest.raises(RangeError) as bound:
+                fan_lower_bound(lead_family, xs, p, (0, 0))
+            with pytest.raises(RangeError) as direct:
+                lattice.fan_terms([x.mask for x in xs], p)
+            assert str(bound.value) == str(direct.value)
+
     def test_singletons_match_one_dim(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
@@ -533,6 +561,43 @@ class TestCompareFanVsDecomposition:
         assert folded.terms["lower_exact"] == Fraction(3, 2)
         assert folded.lower == 2
         assert folded.lower <= table.value(cell)  # still a valid bound
+
+
+    # A real table where S2 = S3 = {1}, so both routes are equal in exact
+    # arithmetic and the Fan lower came out one rounding step above.
+    ROUNDING_COUNTS = [
+        0.07870969415548011, 0.019161625902013524, 0.080236416113453,
+        0.019132392605720028, 0.008155261736351272, 0.08552269742870702,
+        0.08612834961776684, 0.08765370964165806,
+    ]
+
+    def rounding_case(self, counts, kind):
+        table = ContingencyTable.from_flat((2, 2, 2), counts, kind=kind)
+        cover = tuple(VarSet.from_vars(v, 3) for v in ([1], [1, 2], [1, 3]))
+        return family_of(table, [[1, 2], [1, 3]]), Decomposition(cover)
+
+    def test_rounding_is_not_a_dominance_failure(self):
+        fam, dec = self.rounding_case(self.ROUNDING_COUNTS, "real")
+        cmpr = compare_fan_vs_decomposition(fam, dec, (0, 0, 0))
+        assert cmpr.dominance_holds
+        assert cmpr.fan.lower == cmpr.decomposition.lower
+        assert cmpr.fan.terms["lower_exact"] > cmpr.decomposition.lower
+
+    @pytest.mark.parametrize(
+        "kind, counts, drop",
+        [("real", ROUNDING_COUNTS, 1e-6), ("integer", [3, 1, 4, 1, 5, 9, 2, 6], 1)],
+    )
+    def test_wider_gap_still_raises(self, monkeypatch, kind, counts, drop):
+        fam, dec = self.rounding_case(counts, kind)
+        honest = bounds.decomposition_bound
+
+        def lowered(*args):
+            rep = honest(*args)
+            return dataclasses.replace(rep, lower=rep.lower - drop)
+
+        monkeypatch.setattr(bounds, "decomposition_bound", lowered)
+        with pytest.raises(RangeError, match="falsifies"):
+            compare_fan_vs_decomposition(fam, dec, (0, 0, 0))
 
 
 class TestBestBounds:

@@ -286,6 +286,18 @@ class TestBoundsCommand:
         assert doc["lower"] == 0
         assert doc["terms"]["has_cell_bound"] is True
 
+    @pytest.mark.parametrize("count, p", [(21, 1), (26, 13)])
+    def test_fan_method_past_the_caps_exit_3(self, capsys, lead_family_file, count, p):
+        # 26 sets at p = 13 used to enumerate for minutes and exit 0.
+        xs = "|".join(["{1}", "{2}"] * (count // 2) + ["{1}"] * (count % 2))
+        code, doc, err = run_cli(
+            capsys, "bounds", lead_family_file, "--cell", "0,0",
+            "--method", f"fan:{xs},{p}",
+        )
+        assert (code, doc) == (3, None)
+        assert err.count("\n") == 1 and "exceeds cap" in err
+        assert "Traceback" not in err
+
     def test_best_method(self, capsys, lead_family_file):
         code, doc, _ = run_cli(
             capsys, "bounds", lead_family_file, "--cell", "Poor,Low",

@@ -457,23 +457,38 @@ class TestMeetRestriction:
             assert is_decreasing(meet_restriction(fn, VarSet(mask, 2)))
 
 
-def naive_fan_sides(fn, xs, p, form):
-    """Direct-from-definition evaluation, kept independent of fan_evaluate."""
-    masks = [x.mask for x in xs]
+def naive_fan_masks(masks, p, form):
+    """Direct-from-definition lattice elements, kept independent of fan_terms:
+    the p-subset inners, and per k the k-subset inners' outer combination."""
     inner = (lambda a, b: a & b) if form == "primal" else (lambda a, b: a | b)
     outer = (lambda a, b: a | b) if form == "primal" else (lambda a, b: a & b)
     from functools import reduce
     from math import comb
 
-    lhs = sum(
-        fn.values[reduce(inner, combo)].item()
-        for combo in itertools.combinations(masks, p)
-    )
-    rhs = 0
+    lhs = [reduce(inner, combo) for combo in itertools.combinations(masks, p)]
+    rhs = []
     for k in range(p, len(masks) + 1):
         meets = [reduce(inner, combo) for combo in itertools.combinations(masks, k)]
-        rhs += comb(k - 1, p - 1) * fn.values[reduce(outer, meets)].item()
+        rhs.append((k, comb(k - 1, p - 1), reduce(outer, meets)))
     return lhs, rhs
+
+
+def naive_fan_sides(fn, xs, p, form):
+    """Both sides of the Fan inequality from ``naive_fan_masks``."""
+    lhs, rhs = naive_fan_masks([x.mask for x in xs], p, form)
+    value = [fn.values[m].item() for m in range(fn.values.size)]
+    return sum(value[m] for m in lhs), sum(c * value[m] for _, c, m in rhs)
+
+
+MASKS = st.integers(0, 63)
+FAN_SEQUENCES = st.one_of(
+    st.lists(MASKS, min_size=1, max_size=9),
+    # Few distinct masks, so most of them repeat.
+    st.lists(MASKS, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=9)
+    ),
+    st.lists(st.just(0), min_size=1, max_size=9),
+)
 
 
 class TestFanEvaluate:
@@ -532,6 +547,12 @@ class TestFanEvaluate:
                 naive = naive_fan_sides(fn, xs, p, form)
                 assert (ev.lhs, ev.rhs) == naive
 
+    @settings(max_examples=400, deadline=None)
+    @given(FAN_SEQUENCES, st.data(), st.sampled_from(["primal", "dual"]))
+    def test_counted_terms_match_enumeration(self, masks, data, form):
+        p = data.draw(st.integers(1, len(masks)))
+        assert lattice.fan_terms(masks, p, form) == naive_fan_masks(masks, p, form)
+
     def test_guards(self):
         fn = LatticeFunction(1, np.array([0, 1]))
         x = VarSet.full(1)
@@ -543,3 +564,5 @@ class TestFanEvaluate:
             fan_evaluate(fn, [x] * 21, p=1)
         with pytest.raises(RangeError):
             fan_evaluate(fn, [], p=1)
+        with pytest.raises(RangeError, match="unknown form"):
+            fan_evaluate(fn, [x], p=1, form="primial")

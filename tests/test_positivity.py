@@ -26,6 +26,7 @@ from tablebounds import (
     is_log_supermodular,
     is_mtp2_additive,
     is_mtp2_multiplicative,
+    is_submodular,
     is_supermodular,
     search_mtp2_relabeling,
 )
@@ -221,6 +222,20 @@ def block_starts(n):
 
 class TestWitnessRule:
     """Local witnesses are the lexicographically first violating local pair."""
+
+    @pytest.mark.parametrize("mode", ["lcoal", "Local", "all", ""])
+    @pytest.mark.parametrize(
+        "check, arg",
+        [
+            (is_supermodular, LatticeFunction(2, np.array([0, 1, 1, 2]))),
+            (is_submodular, LatticeFunction(2, np.array([0, 1, 1, 2]))),
+            (is_mtp2_additive, lead_table()),
+            (is_mtp2_multiplicative, lead_table()),
+        ],
+    )
+    def test_unknown_mode_refused(self, check, arg, mode):
+        with pytest.raises(RangeError, match="unknown pair-check mode"):
+            check(arg, mode)
 
     @pytest.mark.parametrize("check", [is_mtp2_additive, is_mtp2_multiplicative])
     def test_local_witness_is_exhaustive_witness(self, check):

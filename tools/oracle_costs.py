@@ -1,6 +1,6 @@
 """Measure the two oracle engines' costs and their break-even.
 
-    python3 tools/oracle_costs.py [--quick]
+    python3 tools/oracle_costs.py
 
 Draws seeded integer families of seven small shapes (cell counts 0-6), runs
 the memoized DFS and the layered engine of ``tablebounds.oracle`` on each to
@@ -51,12 +51,6 @@ MAX_COUNT = 6
 MAX_NODES = 200_000  # larger searches are skipped, so a run stays short
 
 
-def parse_args(argv):
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--quick", action="store_true", help="fewer families (under 20 s)")
-    return p.parse_args(argv)
-
-
 def best_of(fn, repeats=3):
     best = float("inf")
     for _ in range(repeats):
@@ -98,15 +92,14 @@ def summary(rows):
     }
 
 
-def main(argv=None):
-    args = parse_args(argv)
-    per_shape = 10 if args.quick else 40
+def main():
+    argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
     rng = np.random.default_rng(0)
     shapes, skipped = {}, 0
     for name, (cards, margins) in SHAPES.items():
         subsets = [VarSet.from_vars(v, len(cards)) for v in margins(len(cards))]
         rows = []
-        for _ in range(per_shape):
+        for _ in range(40):  # families per shape
             counts = rng.integers(0, MAX_COUNT + 1, size=int(np.prod(cards)))
             fam = MarginalFamily.from_table(ContingencyTable.from_flat(cards, counts), subsets)
             row = costs(oracle._build_constraints(fam))
