@@ -57,9 +57,9 @@ LOCAL_PAIR_CAP = 1 << 18
 # MEET_GROUP^2 entries each.
 MEET_GROUP = 64
 
-# Guards of fan_terms: explicit failure beats silent combinatorial blowup.
+# Guard of fan_terms: explicit failure beats silent combinatorial blowup. It
+# also caps C(q, p), the left side's terms, at C(20, 10) = 184,756.
 FAN_SEQUENCE_CAP = 20
-FAN_CHOOSE_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -508,8 +508,6 @@ def fan_terms(
         raise RangeError(f"p={p} out of range 1..{q}")
     if q > FAN_SEQUENCE_CAP:
         raise RangeError(f"sequence length {q} exceeds cap {FAN_SEQUENCE_CAP}")
-    if comb(q, p) > FAN_CHOOSE_CAP:
-        raise RangeError(f"C({q},{p}) exceeds cap {FAN_CHOOSE_CAP}")
     if form not in ("primal", "dual"):
         raise RangeError(f"unknown form {form!r}")
     primal = form == "primal"
@@ -539,7 +537,7 @@ def fan_evaluate(
     sides coincide identically.
 
     Returns both sides plus the per-k right-hand terms for inspection.
-    ``fan_terms`` refuses q beyond FAN_SEQUENCE_CAP or C(q, p) beyond FAN_CHOOSE_CAP.
+    ``fan_terms`` refuses q beyond FAN_SEQUENCE_CAP.
     """
     for x in xs:
         if x.num_vars != fn.num_vars:

@@ -20,12 +20,14 @@ bytes per node in its memo. The layered engine expands one cell's states at
 a time in a few numpy operations, at a fixed 35-60 us or so per cell plus
 about 0.1 us per node (``tools/oracle_costs.py`` measures both); it keeps
 about 5 bytes per node plus per-state offsets and counts, and up to about
-250 bytes per edge of the layer it builds. Every search starts as the DFS,
-which hands over to the layered engine past DFS_NODES_PER_CELL nodes per
-cell, about that engine's fixed cost. When the layered engine finds the
-caller's budget would be reached, before it builds the layer that reaches
-it, the DFS runs under that budget, so an exhausted result is the DFS's.
-Both count exactly past int64. ``enumerate_tables`` always runs the DFS.
+250 bytes per edge of the layer it builds. Each search picks its engine
+before either runs, from ``_node_bound``, an upper bound on its node count
+that takes about 10 us: a family bounded by DFS_NODES_PER_CELL nodes
+per cell runs the DFS, and any other the layered engine. When the layered
+engine finds the caller's budget would be reached, before it builds the
+layer that reaches it, the DFS runs under that budget, so an exhausted
+result is the DFS's. Both count exactly past int64. ``enumerate_tables``
+always runs the DFS.
 
 Budgets are explicit and machine-readable; nodes are the only limit.
 ``nodes`` counts the values tried at expanded states and ``tables`` the
@@ -51,10 +53,13 @@ from .varset import VarSet
 
 COMPLETE = "complete"
 EXHAUSTED = "exhausted"
-# Nodes per cell the memoized DFS may take before the layered engine takes
-# over: their break-even, 42.1 as `python3 tools/oracle_costs.py` printed it
-# (median of its seven shapes; 2 cores, Python 3.11.7, numpy 2.4).
-DFS_NODES_PER_CELL = 42
+# Families whose ``_node_bound`` is at most this many nodes per cell run the
+# memoized DFS, all others the layered engine. It is the cut that minimised
+# the summed time of the routed engines, ``predictor_cut_per_cell`` as
+# `python3 tools/oracle_costs.py` printed it on 5 of 10 runs, and 178 on the
+# others: the sums at the two are about 0.01% apart, and the sum moves about
+# 1% from 100 to 400 (2 cores, Python 3.11.7, numpy 2.4).
+DFS_NODES_PER_CELL = 252
 
 
 @dataclass
@@ -224,20 +229,50 @@ def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[in
     none was), and for the flat cell ``track`` the first tables in DFS order
     attaining them (None without ``track``).
 
-    The memoized DFS runs first, under DFS_NODES_PER_CELL nodes per cell. A
-    search still open there is run again by the layered engine from the
-    caller's counts, and when that finds the caller's budget would be
-    reached, by the DFS under that budget, whose partial result is made of
+    A family whose ``_node_bound`` is at most DFS_NODES_PER_CELL nodes per
+    cell runs the memoized DFS under the caller's budget. Any other runs the
+    layered engine, and when that finds the caller's budget would be
+    reached, the DFS under that budget, whose partial result is made of
     attained values and whose counts are exact.
     """
     cons = _build_constraints(fam)
-    start = budget.nodes, budget.tables
-    probe = min(budget.max_nodes, budget.nodes + DFS_NODES_PER_CELL * len(cons[1]))
-    found = _dfs_extremes(*cons, budget, track, probe)[:4]
-    if budget.nodes <= probe or probe == budget.max_nodes:
-        return found
-    budget.nodes, budget.tables = start
-    return _layered_extremes(*cons, budget, track) or _dfs_extremes(*cons, budget, track)[:4]
+    cut = DFS_NODES_PER_CELL * len(cons[1])
+    if _node_bound(*cons, cut) > cut:
+        found = _layered_extremes(*cons, budget, track)
+        if found is not None:
+            return found
+    return _dfs_extremes(*cons, budget, track)[:4]
+
+
+def _node_bound(targets, cell_groups, closing_groups, slots, limit=None):
+    """An upper bound on the nodes of the whole search, or, once the bound
+    passes ``limit``, a partial sum already past it.
+
+    Edges out of cell k, one per node, number at most the states before it
+    times one more than the least target of its groups, or times one at a
+    forced cell. The states before cell k number at most the edges into it,
+    and at most the product of target + 1 over the groups in ``slots`` open
+    before it, whose residuals make up the state's code."""
+    factor = [1] * len(targets)  # target + 1 of a group that holds a slot
+    opening = [1] * len(cell_groups)  # their product over the groups cell k opens
+    for slot in slots:
+        for g, k in slot:
+            factor[g] = targets[g] + 1
+            opening[k] *= factor[g]
+    nodes, states, codes = 0, 1, 1
+    for grp, closing, opens in zip(cell_groups, closing_groups, opening):
+        if closing:
+            edges = states
+            for g in closing:
+                codes //= factor[g]
+        else:
+            edges = states * (1 + min([targets[g] for g in grp]))
+        nodes += edges
+        if limit is not None and nodes > limit:
+            break
+        codes *= opens
+        states = min(edges, codes)
+    return nodes
 
 
 def _state_code(targets, cell_groups, slots):

@@ -375,8 +375,8 @@ class TestDecomposition:
                 assert rep.lower <= table.value(cell) <= rep.upper
 
 
-# Fan methods past FAN_SEQUENCE_CAP (21 sets), and past FAN_CHOOSE_CAP too:
-# C(26, 13) = 10,400,600.
+# Fan methods past FAN_SEQUENCE_CAP: 21 sets, and 26 sets at p = 13, whose
+# C(26, 13) = 10,400,600 left-hand terms the sequence cap refuses too.
 FAN_PAST_CAPS = ["fan:" + "|".join(["{1}", "{2}"] * 10 + ["{1}"]) + ",1",
                  "fan:" + "|".join(["{1}", "{2}"] * 13) + ",13"]
 

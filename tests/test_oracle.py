@@ -749,8 +749,8 @@ class TestLayeredEngine:
     @pytest.mark.parametrize("rows", [[4] * 30, [12] * 20], ids=["30x2", "20x2"])
     def test_counts_past_int64_without_the_dfs(self, monkeypatch, rows):
         # Both count past 2^63, and the layered engine answers them with
-        # their attaining tables: no DFS runs past the probe, which stops
-        # at DFS_NODES_PER_CELL nodes per cell.
+        # their attaining tables: their node bounds pass DFS_NODES_PER_CELL
+        # per cell, so no DFS runs at all.
         fam = two_way_family(rows, [sum(rows) // 2] * 2)
         cons = oracle._build_constraints(fam)
         dfs = EnumerationBudget()
@@ -759,13 +759,13 @@ class TestLayeredEngine:
         limits, reference = [], oracle._dfs_extremes
 
         def counted(*args):
-            limits.append(args[6:])  # the probe passes its node limit
+            limits.append(args[6:])
             return reference(*args)
 
         monkeypatch.setattr(oracle, "_dfs_extremes", counted)
         budget = EnumerationBudget()
         assert oracle._extremes(fam, budget, 5) == want
-        assert limits == [(oracle.DFS_NODES_PER_CELL * 2 * len(rows),)]
+        assert limits == []
         assert (budget.nodes, budget.tables, budget.outcome) == (dfs.nodes, dfs.tables, "complete")
 
     @pytest.mark.parametrize(
@@ -785,7 +785,7 @@ class TestLayeredEngine:
         budget, dfs = EnumerationBudget(**limits), EnumerationBudget(**limits)
         got = oracle._extremes(fam, budget, 4)
         want = oracle._dfs_extremes(*oracle._build_constraints(fam), dfs, 4)[:4]
-        assert len(calls) == 1  # the search passed the allowance
+        assert len(calls) == 1  # its node bound passes the cut
         assert got == want
         assert (budget.nodes, budget.tables) == (dfs.nodes, dfs.tables)
         assert budget.outcome == dfs.outcome
@@ -850,3 +850,76 @@ class TestHandOff:
                 oracle._dfs_extremes(*oracle._build_constraints(fam), budget, None)
                 sides.add(budget.nodes > oracle.DFS_NODES_PER_CELL * math.prod(cards))
         assert sides == {False, True}
+
+
+class TestEngineChoice:
+    """``_extremes`` picks its engine before either runs, from
+    ``_node_bound``, which is never below the DFS's node count."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hand_off_families())
+    def test_bound_never_below_nodes(self, fam):
+        cons = oracle._build_constraints(fam)
+        budget = EnumerationBudget()
+        oracle._dfs_extremes(*cons, budget, None)
+        assert oracle._node_bound(*cons) >= budget.nodes
+        cut = oracle.DFS_NODES_PER_CELL * len(cons[1])
+        assert (oracle._node_bound(*cons, cut) > cut) == (oracle._node_bound(*cons) > cut)
+
+    def test_families_fall_on_both_sides_of_the_cut(self):
+        # So ``TestHandOff``'s property runs both engines.
+        sides = set()
+        rng = np.random.default_rng(0)
+        for cards, margins in HAND_OFF_SHAPES:
+            subsets = [VarSet.from_vars(v, len(cards)) for v in margins]
+            for top in (1, 5):
+                counts = rng.integers(0, top + 1, size=math.prod(cards))
+                fam = MarginalFamily.from_table(ContingencyTable.from_flat(cards, counts), subsets)
+                cons = oracle._build_constraints(fam)
+                sides.add(oracle._node_bound(*cons) > oracle.DFS_NODES_PER_CELL * len(cons[1]))
+        assert sides == {False, True}
+
+    def test_forced_cells_and_slots_bound_the_states(self):
+        # 2x2 with 1-way margins: cell 0 takes 0-3 (row 0's target is the
+        # least); cells 1-3 are forced, one edge per state. The states
+        # before cells 1 and 2 are at most cell 0's 4 edges, and those
+        # before cell 3 at most the 3 residuals of row 1, the one group with
+        # a slot open there.
+        fam = two_way_family([3, 2], [4, 1])
+        cons = oracle._build_constraints(fam)
+        assert oracle._node_bound(*cons) == 4 + 4 + 4 + 3
+        budget = EnumerationBudget()
+        oracle._dfs_extremes(*cons, budget, None)
+        assert budget.nodes <= 15
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        """Both engines, counted: each call's engine name and arguments."""
+        calls = []
+        for name in ("_dfs_extremes", "_layered_extremes"):
+            def counted(*args, _name=name, _engine=getattr(oracle, name)):
+                calls.append((_name, args))
+                return _engine(*args)
+            monkeypatch.setattr(oracle, name, counted)
+        return calls
+
+    def test_small_family_runs_the_dfs_alone(self, engines):
+        fam = two_way_family([1, 1], [1, 1])
+        cons = oracle._build_constraints(fam)
+        assert oracle._node_bound(*cons) <= oracle.DFS_NODES_PER_CELL * len(cons[1])
+        budget = EnumerationBudget(max_nodes=3)
+        oracle._extremes(fam, budget, 0)
+        assert engines == [("_dfs_extremes", (*cons, budget, 0))]
+
+    @pytest.mark.parametrize("max_nodes", [10_000_000, 1500])
+    def test_large_family_runs_the_layered_engine_first(self, engines, max_nodes):
+        fam = two_way_family([8, 8, 8], [8, 8, 8])  # 2,133 nodes
+        cons = oracle._build_constraints(fam)
+        assert oracle._node_bound(*cons) > oracle.DFS_NODES_PER_CELL * len(cons[1])
+        budget = EnumerationBudget(max_nodes)
+        oracle._extremes(fam, budget, 4)
+        want = [("_layered_extremes", (*cons, budget, 4))]
+        if budget.outcome == "exhausted":  # the layered engine returned None
+            want.append(("_dfs_extremes", (*cons, budget, 4)))
+        assert engines == want
+        assert budget.outcome == ("complete" if max_nodes > 2133 else "exhausted")

@@ -2,14 +2,18 @@
 
     python3 tools/oracle_costs.py
 
-Draws seeded integer families of seven small shapes (cell counts 0-6), runs
-the memoized DFS and the layered engine of ``tablebounds.oracle`` on each to
-completion (best of 3), and prints one JSON line: per shape, the DFS's
-microseconds per node, the layered engine's fixed microseconds per cell,
-and their ratio, the break-even: the nodes per cell the DFS searches in the
-time the layered engine spends on a family apart from its edges. The median
-of the shapes' break-evens is the figure behind
-``oracle.DFS_NODES_PER_CELL``.
+Draws seeded integer families of seven small shapes (cell counts from 0 to
+a greatest count drawn per family from 1-6), runs the memoized DFS and the
+layered engine of ``tablebounds.oracle`` on each to completion (best of 3),
+and prints one JSON line: per shape, the DFS's microseconds per node, the
+layered engine's fixed microseconds per cell, and their ratio, the
+break-even: the nodes per cell the DFS searches in the time the layered
+engine spends on a family apart from its edges. It also prints
+``predictor_cut_per_cell``, the figure behind ``oracle.DFS_NODES_PER_CELL``:
+the whole number of nodes per cell of ``oracle._node_bound`` at or below
+which a family runs the DFS, and above which the layered engine, that
+minimises the summed time of the engines the families are routed to (the
+least such, on a tie).
 
 The costs are least-squares fits in relative error: DFS time = fixed +
 per node x nodes, and layered time = per cell x cells + per node x nodes
@@ -47,7 +51,7 @@ SHAPES = {
     "3x3x3 pairs": ((3, 3, 3), PAIRS),
     "2x3x3 chain": ((2, 3, 3), lambda l: [[1, 2], [2, 3]]),
 }
-MAX_COUNT = 6
+MAX_COUNTS = range(1, 7)  # each family's greatest count is drawn from these
 MAX_NODES = 200_000  # larger searches are skipped, so a run stays short
 
 
@@ -61,15 +65,15 @@ def best_of(fn, repeats=3):
 
 
 def costs(cons):
-    """(cells, nodes, DFS us, layered us) of one family, or None when its
-    search passes MAX_NODES."""
+    """(cells, nodes, DFS us, layered us, node bound) of one family, or None
+    when its search passes MAX_NODES."""
     counted = EnumerationBudget(max_nodes=MAX_NODES)
     oracle._dfs_extremes(*cons, counted, None)
     if not counted.complete:
         return None
     dfs = best_of(lambda: oracle._dfs_extremes(*cons, EnumerationBudget(), None))
     layered = best_of(lambda: oracle._layered_extremes(*cons, EnumerationBudget(), None))
-    return len(cons[1]), counted.nodes, 1e6 * dfs, 1e6 * layered
+    return len(cons[1]), counted.nodes, 1e6 * dfs, 1e6 * layered, oracle._node_bound(*cons)
 
 
 def fit(columns, times):
@@ -80,7 +84,7 @@ def fit(columns, times):
 
 
 def summary(rows):
-    cells, nodes, dfs, layered = (list(c) for c in zip(*rows))
+    cells, nodes, dfs, layered, _ = (list(c) for c in zip(*rows))
     _, dfs_per_node = fit([[1] * len(rows), nodes], dfs)
     per_cell, per_node = fit([cells, nodes], layered)
     return {
@@ -92,15 +96,29 @@ def summary(rows):
     }
 
 
+def predictor_cut(rows):
+    """The least whole cut on the node bound per cell that minimises the
+    summed time of the DFS on the families at or below it and the layered
+    engine on the rest."""
+    # A family runs the DFS from the cut ceil(bound / cells) on, so the sum
+    # changes only at those cuts.
+    first = [-(-bound // cells) for cells, _, _, _, bound in rows]
+
+    def routed(cut):
+        return sum(row[2] if f <= cut else row[3] for f, row in zip(first, rows))
+
+    return min(sorted({0, *first}), key=routed)
+
+
 def main():
     argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args()
     rng = np.random.default_rng(0)
-    shapes, skipped = {}, 0
+    shapes, skipped, every = {}, 0, []
     for name, (cards, margins) in SHAPES.items():
         subsets = [VarSet.from_vars(v, len(cards)) for v in margins(len(cards))]
         rows = []
         for _ in range(40):  # families per shape
-            counts = rng.integers(0, MAX_COUNT + 1, size=int(np.prod(cards)))
+            counts = rng.integers(0, rng.choice(MAX_COUNTS) + 1, size=int(np.prod(cards)))
             fam = MarginalFamily.from_table(ContingencyTable.from_flat(cards, counts), subsets)
             row = costs(oracle._build_constraints(fam))
             if row is None:
@@ -109,11 +127,13 @@ def main():
                 rows.append(row)
         if rows:
             shapes[name] = summary(rows)
+            every += rows
     print(json.dumps({
         "shapes": shapes,
         "break_even_nodes_per_cell": round(
             statistics.median(s["break_even_nodes_per_cell"] for s in shapes.values()), 1
         ),
+        "predictor_cut_per_cell": predictor_cut(every),
         "skipped": skipped,
         "python": platform.python_version(),
         "numpy": np.__version__,
