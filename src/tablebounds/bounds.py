@@ -328,23 +328,21 @@ def _operands(fam: MarginalFamily, subsets: Sequence[VarSet], reach: int) -> lis
     return grids
 
 
-def _clamp(raw):  # a lower bound never reports below zero
-    return np.where(raw <= 0, 0, raw)
-
-
-def _ceil_div(num, den: int):  # exact ceiling of num / den, clamped at zero
-    return np.maximum(-(-num // den), 0)
+def _lower(fam: MarginalFamily, num, den: Optional[int] = None):
+    """(lower, lower_exact) of a bound max(0, num / den): without ``den``,
+    num clamped at zero and num itself; in an integer family, the exact
+    ceiling clamped at zero and, per cell, the rational num[cell] / den
+    (``num`` is made read-only, like every array a plan holds); in a real
+    family, num / den clamped at zero and num / den."""
+    if den is not None and fam.kind == INTEGER:
+        num.setflags(write=False)
+        return np.maximum(-(-num // den), 0), lambda cell: Fraction(num.item(cell), den)
+    exact = num if den is None else num / den
+    return np.where(exact <= 0, 0, exact), exact
 
 
 def _min(grids):
     return functools.reduce(np.minimum, grids)
-
-
-def _fraction(num: np.ndarray, den: int):
-    """Per cell, the exact rational num[cell] / den; ``num`` is made
-    read-only, like every array a plan holds."""
-    num.setflags(write=False)
-    return lambda cell: Fraction(num.item(cell), den)
 
 
 def _freeze(values) -> None:
@@ -486,13 +484,8 @@ def _ddim_plan(fam: MarginalFamily, d: int) -> _Plan:
     denom = comb(l - 1, d - 1)
     margin_sum = sum(vals)
     terms = {"margin_sum": margin_sum, "total": total, "denominator": denom}
-    if fam.kind == INTEGER:
-        raw = margin_sum - (comb(l, d) - denom) * total  # denom times the bound
-        lower = _ceil_div(raw, denom)
-        terms["lower_exact"] = _fraction(raw, denom)
-    else:
-        raw = margin_sum / denom - (comb(l, d) / denom - 1) * total
-        lower, terms["lower_exact"] = _clamp(raw), raw
+    num = margin_sum - (comb(l, d) - denom) * total  # denom times the bound
+    lower, terms["lower_exact"] = _lower(fam, num, denom)
     return _Plan(f"ddim:{d}", subsets, lower, _min(vals), terms)
 
 
@@ -584,15 +577,15 @@ def _decomp_plan(fam: MarginalFamily, masks: tuple[int, ...]) -> _Plan:
     k = len(cover)
     vals = _operands(fam, cover + seps, k + len(seps))
     cover_vals, sep_vals = vals[:k], vals[k:]
-    raw = sum(cover_vals) - sum(sep_vals)
+    lower, exact = _lower(fam, sum(cover_vals) - sum(sep_vals))
     terms = {
         "cover_values": cover_vals,
         "separator_values": sep_vals,
         "separators": tuple(str(s) for s in seps),
-        "lower_exact": raw,
+        "lower_exact": exact,
     }
     formula = "decomp:" + "|".join(str(c) for c in cover)
-    return _Plan(formula, cover, _clamp(raw), _min(cover_vals), terms)
+    return _Plan(formula, cover, lower, _min(cover_vals), terms)
 
 
 def fan_lower_bound(
@@ -652,15 +645,10 @@ def _fan_plan(fam: MarginalFamily, masks: tuple[int, ...], p: int) -> _Plan:
         "full_weight": weight,
         "has_cell_bound": bool(moved),
     }
-    if not moved:
-        lower = np.zeros_like(lhs)
-    elif fam.kind == INTEGER:
-        raw = lhs - kept_value  # weight times the bound
-        lower = _ceil_div(raw, weight)
-        terms["lower_exact"] = _fraction(raw, weight)
+    if moved:  # lhs - kept_value is weight times the bound
+        lower, terms["lower_exact"] = _lower(fam, lhs - kept_value, weight)
     else:
-        raw = (lhs - kept_value) / weight
-        lower, terms["lower_exact"] = _clamp(raw), raw
+        lower = np.zeros_like(lhs)
 
     # n decreasing makes any derivable sequence element a valid upper bound;
     # fall back to the total, always derivable and always valid.
@@ -737,9 +725,9 @@ def _literal_fan_plan(fam: MarginalFamily, masks: tuple[int, ...]) -> _Plan:
     settled (``_settle``) against the separator route's lower."""
     *cover, join, meet = (VarSet(m, fam.num_vars) for m in masks)
     *cover_vals, join_val, meet_val = _operands(fam, (*cover, join, meet), 5)
-    raw = sum(cover_vals) - join_val - meet_val
-    lower = _settle(fam, _clamp(raw), _decomp_plan(fam, masks[:3]).lower)
-    terms = {"separator_join": str(join), "separator_meet": str(meet), "lower_exact": raw}
+    lower, exact = _lower(fam, sum(cover_vals) - join_val - meet_val)
+    lower = _settle(fam, lower, _decomp_plan(fam, masks[:3]).lower)
+    terms = {"separator_join": str(join), "separator_meet": str(meet), "lower_exact": exact}
     return _Plan("fan-literal:d=3", tuple(cover), lower, _min(cover_vals), terms)
 
 

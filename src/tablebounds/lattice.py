@@ -159,21 +159,27 @@ def _exact(values: np.ndarray, multiplicative: bool = False, negate: bool = Fals
     return (-scaled if negate else scaled), REAL_RTOL
 
 
+def _shifted(grid: np.ndarray, p: int, q: int):
+    """The views (x, y, lo, hi) of ``grid`` over its local pairs on axes
+    p < q: lo runs over the cells below the top of both axes, x = lo + e_q,
+    y = lo + e_p and hi = lo + e_p + e_q."""
+    def view(dp, dq):
+        index = [slice(None)] * grid.ndim
+        index[p] = slice(dp, grid.shape[p] - 1 + dp)
+        index[q] = slice(dq, grid.shape[q] - 1 + dq)
+        return grid[tuple(index)]
+    return view(0, 1), view(1, 0), view(0, 0), view(1, 1)
+
+
 @functools.lru_cache(maxsize=32)
 def _local_pairs(shape: tuple[int, ...]) -> np.ndarray:
     """The flat indices of every local pair of a grid, as the rows
     (x, y, lo, hi) of one read-only array, columns sorted by (x, y):
-    x = lo + e_q, y = lo + e_p for axes p < q, hi = lo + e_p + e_q."""
+    the ``_shifted`` views of the grid's flat indices."""
     cells = np.arange(prod(shape)).reshape(shape)
-    strides = [prod(shape[k + 1 :]) for k in range(len(shape))]
     quads = [np.empty((4, 0), dtype=np.intp)]
     for p, q in combinations(range(len(shape)), 2):
-        index = [slice(None)] * len(shape)
-        index[p] = slice(0, shape[p] - 1)
-        index[q] = slice(0, shape[q] - 1)
-        lo = cells[tuple(index)].reshape(-1)
-        sp, sq = strides[p], strides[q]
-        quads.append(np.stack([lo + sq, lo + sp, lo, lo + sp + sq]))
+        quads.append(np.stack([v.reshape(-1) for v in _shifted(cells, p, q)]))
     pairs = np.concatenate(quads, axis=1)
     pairs = np.ascontiguousarray(pairs[:, np.lexsort((pairs[1], pairs[0]))])
     pairs.setflags(write=False)
@@ -221,7 +227,8 @@ def _first_local_violation(
 ) -> Optional[tuple[int, int]]:
     """``_first_violation`` over the local pairs x = lo + e_q, y = lo + e_p
     (axes p < q), hi = lo + e_p + e_q: one gather through ``_local_pairs``,
-    or four shifted views per axis pair on grids past LOCAL_PAIR_CAP."""
+    or the ``_shifted`` views per axis pair on grids past LOCAL_PAIR_CAP,
+    whose witness is read from the same views of the flat indices."""
     if comb(grid.ndim, 2) * grid.size <= LOCAL_PAIR_CAP:
         pairs = _local_pairs(grid.shape)
         bad = _violates(*grid.reshape(-1)[pairs], multiplicative, tol)
@@ -229,23 +236,15 @@ def _first_local_violation(
             return None
         k = int(np.argmax(bad))
         return int(pairs[0, k]), int(pairs[1, k])
-    best = None
+    best = cells = None
     for p, q in combinations(range(grid.ndim), 2):
-
-        def shifted(dp, dq):
-            index = [slice(None)] * grid.ndim
-            index[p] = slice(dp, grid.shape[p] - 1 + dp)
-            index[q] = slice(dq, grid.shape[q] - 1 + dq)
-            return grid[tuple(index)]
-
-        views = shifted(0, 1), shifted(1, 0), shifted(0, 0), shifted(1, 1)
-        bad = _violates(*views, multiplicative, tol)
+        bad = _violates(*_shifted(grid, p, q), multiplicative, tol)
         if bad.any():
-            at = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            x_at, y_at = list(at), list(at)
-            x_at[q] += 1
-            y_at[p] += 1
-            pair = tuple(int(np.ravel_multi_index(c, grid.shape)) for c in (x_at, y_at))
+            k = int(np.argmax(bad))
+            if cells is None:  # the flat indices, built at the first violation
+                cells = np.arange(grid.size).reshape(grid.shape)
+            x, y, _, _ = _shifted(cells, p, q)
+            pair = int(x.flat[k]), int(y.flat[k])
             if best is None or pair < best:
                 best = pair
     return best

@@ -4,15 +4,17 @@ Enumerates every nonnegative integer table whose marginals match a released
 family, by depth-first assignment of cells in row-major order. A partial
 assignment is pruned as soon as any running marginal sum would overshoot its
 target, and the last free cell of each fully-constrained marginal line is
-forced rather than searched. The search is memoized on residual states (the
-residual margin sums before a cell, on which the rest of the search depends
-alone), keyed by ``_state_code``: the residuals of the lines open before the
-cell, in digit slots shared by lines never open together. Each state is
-expanded once and a revisit adds its stored table count. Sharp per-cell
-bounds are the min/max over all tables, ``count_tables`` is the root's
-count, and ``enumerate_tables`` reads the tables back from the memo once the
-search is over. A bound report is certified by checking it contains the
-sharp bounds.
+forced rather than searched: to the residual of the lines it closes, which
+the family's validation makes equal, and which fits exactly when it is the
+least residual of the cell's lines (``_cell_range``). The search is memoized
+on residual states (the residual margin sums before a cell, on which the
+rest of the search depends alone), keyed by ``_state_code``: the residuals
+of the lines open before the cell, in digit slots shared by lines never open
+together. Each state is expanded once and a revisit adds its stored table
+count. Sharp per-cell bounds are the min/max over all tables,
+``count_tables`` is the root's count, and ``enumerate_tables`` reads the
+tables back from the memo once the search is over. A bound report is
+certified by checking it contains the sharp bounds.
 
 Two engines expand those states and give identical results, node counts
 included. The memoized DFS costs about 0.6-1.7 us per node and keeps about 73
@@ -54,11 +56,12 @@ from .varset import VarSet
 COMPLETE = "complete"
 EXHAUSTED = "exhausted"
 # Families whose ``_node_bound`` is at most this many nodes per cell run the
-# memoized DFS, all others the layered engine. It is the cut that minimised
-# the summed time of the routed engines, ``predictor_cut_per_cell`` as
-# `python3 tools/oracle_costs.py` printed it on 5 of 10 runs, and 178 on the
-# others: the sums at the two are about 0.01% apart, and the sum moves about
-# 1% from 100 to 400 (2 cores, Python 3.11.7, numpy 2.4).
+# memoized DFS, all others the layered engine. The summed time of the routed
+# engines at this cut is within 0.5% of the least over all cuts:
+# `python3 tools/oracle_costs.py` printed ``routed_time_at_cut_over_least``
+# 1.0025-1.0043 on four runs (2 cores, Python 3.11.7, numpy 2.4). The sum
+# stays within 1.2% of its least from 100 to 400, so the least cut itself
+# (``predictor_cut_per_cell``, 153-178 on those runs) moves with noise.
 DFS_NODES_PER_CELL = 252
 
 
@@ -164,24 +167,21 @@ def _constraint_groups(cards: tuple[int, ...], subsets: tuple[VarSet, ...]):
 
 def _cell_range(residual: list[int], grp: tuple[int, ...], closing: tuple[int, ...]):
     """(lo, hi) of the values a cell may take given the running residuals of
-    its groups ``grp``. A cell that closes groups (is their last member) is
-    forced to their common residual; lo > hi means no value fits."""
-    if closing:
-        v = residual[closing[0]]
-        if v < 0:
-            return 0, -1
-        for g in closing:
-            if residual[g] != v:
-                return 0, -1
-        for g in grp:
-            if residual[g] < v:
-                return 0, -1
-        return v, v
+    its groups ``grp``, all nonnegative; lo > hi means no value fits. A cell
+    that closes groups (is their last member) is forced to their residual,
+    which fits when no group of the cell holds less. Closing groups hold
+    equal residuals: when the cell closes lines of marginals a and b, it
+    closes their common line of a & b too, whose other a- and b-lines are
+    closed, so both residuals are that line's target, on which the family's
+    validation makes a and b agree, less the cells assigned on it."""
     m = residual[grp[0]]
     for g in grp:
         r = residual[g]
         if r < m:
             m = r
+    if closing:
+        v = residual[closing[0]]
+        return (v, v) if v == m else (0, -1)
     return 0, m
 
 
@@ -296,11 +296,10 @@ def _state_code(targets, cell_groups, slots):
     return [sum([weight[g] for g in grp]) for grp in cell_groups], add, shift // 63 + 1
 
 
-def _dfs_extremes(targets, cell_groups, closing_groups, slots, budget, track, max_nodes=None):
-    """``_extremes`` by memoized DFS, stopping past ``max_nodes`` (by default
-    the budget's own limit) and recording its counts and outcome in ``budget``;
-    its result comes with a fifth item, ``walk``, the generator of the tables
-    the search found.
+def _dfs_extremes(targets, cell_groups, closing_groups, slots, budget, track):
+    """``_extremes`` by memoized DFS, stopping past ``budget.max_nodes`` and
+    recording its counts and outcome in ``budget``; its result comes with a
+    fifth item, ``walk``, the generator of the tables the search found.
 
     Cells take their values in row-major order, ascending, each in the
     ``_cell_range`` of the residuals before it, and each state -- the
@@ -329,8 +328,7 @@ def _dfs_extremes(targets, cell_groups, closing_groups, slots, budget, track, ma
     residual = list(targets)
     code = [add[1]] * n  # code[k]: the code of the state before cell k, plus add[k + 1]
     hi, cur, below = [0] * n, [0] * n, [0] * n
-    nodes, tables, outcome = budget.nodes, budget.tables, COMPLETE
-    max_nodes = budget.max_nodes if max_nodes is None else max_nodes
+    nodes, tables, outcome, max_nodes = budget.nodes, budget.tables, COMPLETE, budget.max_nodes
     min_at = max_at = None  # (path through cell track, state code after it)
     lo, hi[0] = _cell_range(residual, cell_groups[0], closing_groups[0])
     cur[0] = lo - 1
@@ -422,9 +420,9 @@ def _dfs_extremes(targets, cell_groups, closing_groups, slots, budget, track, ma
 
 @functools.lru_cache(maxsize=256)
 def _layer_plan(cell_groups, closing_groups):
-    """Per cell: its groups and closing groups (None for a free cell) as index
-    arrays. They depend on the shape alone."""
-    return [(np.array(grp, dtype=np.intp), np.array(closing, dtype=np.intp) if closing else None)
+    """Per cell: its groups as an index array and its first closing group
+    (None for a free cell). They depend on the shape alone."""
+    return [(np.array(grp, dtype=np.intp), closing[0] if closing else None)
             for grp, closing in zip(cell_groups, closing_groups)]
 
 
@@ -477,10 +475,10 @@ def _layered_extremes(targets, cell_groups, closing_groups, slots, budget, track
     for k, (grp, closing) in enumerate(_layer_plan(cell_groups, closing_groups)):
         hi = R[grp].min(axis=0)
         if closing is not None:
-            # Forced to the closing groups' common residual, which every
-            # group of the cell must still hold.
-            lo = R[closing[0]]
-            ok = hi == (lo if len(closing) == 1 else R[closing].max(axis=0))
+            # Forced to the closing residual, which fits where it is the
+            # least residual of the cell's groups (``_cell_range``).
+            lo = R[closing]
+            ok = hi == lo
             parent, start = ok.nonzero()[0], None
             nodes += len(parent)
             if nodes > nodes_left:

@@ -15,7 +15,8 @@ from typing import Iterable, Iterator
 from .errors import LatticeCapError, RangeError
 
 # Functions that materialize all 2**l subset values refuse beyond this cap.
-# Module-level so embedders can raise it consciously.
+# Embedders can raise it consciously by assigning tablebounds.varset.LATTICE_CAP;
+# the package's own tablebounds.LATTICE_CAP is a copy, and assigning it does nothing.
 LATTICE_CAP = 24
 
 

@@ -646,6 +646,41 @@ class TestSharedKernels:
             assert two.terms[f"{a}+{b}-{a & b}"] is decomp.terms["lower_exact"]
 
 
+class TestExactLowerTypes:
+    """``lower_exact`` per kernel and kind: an integer family's divided
+    lowers quote a Fraction, also over a denominator of 1, its undivided
+    ones the integer itself; a real family's are floats."""
+
+    PAIRS = ([1, 2], [1, 3])
+    METHODS = {
+        "ddim:1": 1,  # denominators: C(2, 0)
+        "ddim:2": 2,  # C(2, 1)
+        "fan:{1,2}|{1,3},1": 1,  # full-set weights
+        "fan:{1,2}|{1,3}|{2,3},1": 2,
+        "decomp:{1,2}|{1,3}": None,
+    }
+
+    @pytest.mark.parametrize("kind", ["integer", "real"])
+    def test_type_per_kernel(self, kind):
+        counts = [3, 1, 4, 1, 5, 9, 2, 6]
+        if kind == "real":
+            counts = [c / 4 for c in counts]
+        table = ContingencyTable.from_flat((2, 2, 2), counts, kind=kind)
+        fam = family_of(table, list(self.PAIRS) + [[2, 3]])
+        for method, den in self.METHODS.items():
+            terms = method_report(fam, method, (0, 0, 0)).terms
+            if den is not None:
+                assert terms.get("denominator", terms.get("full_weight")) == den
+            want = (int if den is None else Fraction) if kind == "integer" else float
+            for cell in all_cells(table):
+                exact = method_report(fam, method, cell).terms["lower_exact"]
+                assert type(exact) is want, (method, cell)
+        cover = Decomposition(tuple(VarSet.from_vars(v, 3) for v in ([1], *self.PAIRS)))
+        for cell in all_cells(table):
+            fan = compare_fan_vs_decomposition(fam, cover, cell).fan
+            assert type(fan.terms["lower_exact"]) is (int if kind == "integer" else float)
+
+
 class TestBoundReport:
     def test_crossed_bounds_rejected(self):
         from tablebounds.bounds import BoundReport

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tablebounds import (
@@ -923,3 +923,69 @@ class TestEngineChoice:
             want.append(("_dfs_extremes", (*cons, budget, 4)))
         assert engines == want
         assert budget.outcome == ("complete" if max_nodes > 2133 else "exhausted")
+
+
+@st.composite
+def released_families(draw):
+    """Families on 2-4 variables releasing a few subsets, nested ones and
+    the empty set among them, as margins of an array with entries -1..2,
+    kept when every margin is a count (some admit no table) and of the
+    array's positive part otherwise."""
+    l = draw(st.integers(2, 4))
+    cards = tuple(draw(st.lists(st.integers(2, 3 if l < 4 else 2), min_size=l, max_size=l)))
+    n = math.prod(cards)
+    signed = np.array(draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))).reshape(cards)
+    masks = draw(st.sets(st.integers(0, 2**l - 1), min_size=1, max_size=4))
+    if draw(st.booleans()):  # every pair, which some counts admit no table for
+        masks.update(1 << i | 1 << j for i, j in itertools.combinations(range(l), 2))
+    if draw(st.booleans()):  # a release nested in another
+        masks.add(max(masks) & draw(st.integers(0, 2**l - 1)))
+    subsets = [VarSet(m, l) for m in sorted(masks)]
+
+    def margins_of(counts):
+        return [counts.sum(axis=tuple(j for j in range(l) if j not in a.axes)) for a in subsets]
+
+    sums = margins_of(signed)
+    if any((m < 0).any() for m in sums):
+        sums = margins_of(np.maximum(signed, 0))
+    return MarginalFamily(
+        cards,
+        [MarginalTable(a, ContingencyTable(m.shape, m)) for a, m in zip(subsets, sums)],
+    )
+
+
+class TestForcedCellRule:
+    """``_cell_range`` forces a closing cell with one comparison, because
+    the family's validation makes the residuals of the lines it closes
+    equal; every call the DFS and the table walk make is checked against
+    the full rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(released_families())
+    @example(parity_family())
+    def test_closing_residuals_agree(self, fam):
+        calls, cell_range = [], oracle._cell_range
+
+        def checked(residual, grp, closing):
+            got = cell_range(residual, grp, closing)
+            least = min(residual[g] for g in grp)
+            assert least >= 0
+            if closing:
+                v = residual[closing[0]]
+                assert all(residual[g] == v for g in closing)
+                assert got == ((v, v) if least >= v else (0, -1))
+            else:
+                assert got == (0, least)
+            calls.append(bool(closing))
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_cell_range", checked)
+            try:
+                sharp_bounds_all(fam, EnumerationBudget(max_nodes=20_000))
+            except (RangeError, BudgetExhaustedError):
+                pass  # no table, or too many nodes: the calls made are checked
+            budget = EnumerationBudget(max_nodes=20_000)
+            tables = list(itertools.islice(enumerate_tables(fam, budget), 20))
+        assert any(calls)  # the last cell closes every line
+        assert all(reproduces_margins(fam, t.flat.tolist()) for t in tables)

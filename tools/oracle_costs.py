@@ -13,7 +13,10 @@ engine spends on a family apart from its edges. It also prints
 the whole number of nodes per cell of ``oracle._node_bound`` at or below
 which a family runs the DFS, and above which the layered engine, that
 minimises the summed time of the engines the families are routed to (the
-least such, on a tie).
+least such, on a tie), and ``routed_time_at_cut_over_least``, the summed
+time at ``oracle.DFS_NODES_PER_CELL`` over that least sum. The sum is flat
+over a wide range of cuts, so the cut itself moves from run to run while the
+ratio shows what the constant costs.
 
 The costs are least-squares fits in relative error: DFS time = fixed +
 per node x nodes, and layered time = per cell x cells + per node x nodes
@@ -99,7 +102,8 @@ def summary(rows):
 def predictor_cut(rows):
     """The least whole cut on the node bound per cell that minimises the
     summed time of the DFS on the families at or below it and the layered
-    engine on the rest."""
+    engine on the rest, and the summed time at oracle.DFS_NODES_PER_CELL
+    over that least one."""
     # A family runs the DFS from the cut ceil(bound / cells) on, so the sum
     # changes only at those cuts.
     first = [-(-bound // cells) for cells, _, _, _, bound in rows]
@@ -107,7 +111,8 @@ def predictor_cut(rows):
     def routed(cut):
         return sum(row[2] if f <= cut else row[3] for f, row in zip(first, rows))
 
-    return min(sorted({0, *first}), key=routed)
+    best = min(sorted({0, *first}), key=routed)
+    return best, routed(oracle.DFS_NODES_PER_CELL) / routed(best)
 
 
 def main():
@@ -128,12 +133,14 @@ def main():
         if rows:
             shapes[name] = summary(rows)
             every += rows
+    cut, at_constant = predictor_cut(every)
     print(json.dumps({
         "shapes": shapes,
         "break_even_nodes_per_cell": round(
             statistics.median(s["break_even_nodes_per_cell"] for s in shapes.values()), 1
         ),
-        "predictor_cut_per_cell": predictor_cut(every),
+        "predictor_cut_per_cell": cut,
+        "routed_time_at_cut_over_least": round(at_constant, 4),
         "skipped": skipped,
         "python": platform.python_version(),
         "numpy": np.__version__,
