@@ -65,6 +65,7 @@ from .table import (
     CellIndex,
     ContingencyTable,
     MarginalTable,
+    _trusted_table,
     check_cell,
     check_labels,
     lift_marginal,
@@ -145,8 +146,7 @@ class MarginalFamily:
             """n(common) as marginal m sums it out, once per (m, common)."""
             key = (m.vars.mask, common)
             if key not in sums:
-                drop = tuple(i for i, j in enumerate(m.vars.axes) if not common >> j & 1)
-                sums[key] = m.table.counts.sum(axis=drop)
+                sums[key] = _sum_down(m, common)
             return sums[key]
 
         margs = [self.released[a.mask] for a in self._subsets]
@@ -190,9 +190,11 @@ class MarginalFamily:
         src = self._source(a.mask)
         if src is None:
             raise MissingMarginalError([a])
-        derived = marginalize(src.table, _relative(src.vars, a))
-        result = MarginalTable(a, derived.table)
-        self._cache[a.mask] = result
+        counts, labels = _sum_down(src, a.mask), src.table.labels
+        if labels is not None:
+            labels = tuple(labels[i] for i, j in enumerate(src.vars.axes) if a.mask >> j & 1)
+        table = _trusted_table(counts.shape, counts, labels, src.table.kind)
+        result = self._cache[a.mask] = MarginalTable(a, table)
         return result
 
     def grid(self, a: VarSet) -> np.ndarray:
@@ -223,8 +225,7 @@ class MarginalFamily:
     @functools.cached_property
     def total(self):
         """The grand total, summed out of the marginal n(∅) is derived from."""
-        src = self._source(0).table
-        return marginalize(src, VarSet.empty(src.num_vars)).table.total
+        return self._source(0).total
 
     def check_cell(self, cell: CellIndex) -> CellIndex:
         return check_cell(self, cell, "family")
@@ -235,12 +236,11 @@ class MarginalFamily:
             raise MissingMarginalError(sorted(set(missing), key=lambda a: a.mask))
 
 
-def _relative(outer: VarSet, inner: VarSet) -> VarSet:
-    """Re-index ``inner`` (a subset of ``outer``) over outer's own axes."""
-    if not inner <= outer:
-        raise RangeError(f"{inner} is not contained in {outer}")
-    positions = {v: i + 1 for i, v in enumerate(outer.vars)}
-    return VarSet.from_vars([positions[v] for v in inner.vars], len(outer))
+def _sum_down(m: MarginalTable, mask: int) -> np.ndarray:
+    """n(mask) summed out of the released marginal ``m``, whose variables
+    hold those of ``mask``."""
+    drop = tuple(i for i, j in enumerate(m.vars.axes) if not mask >> j & 1)
+    return np.asarray(m.table.counts.sum(axis=drop))
 
 
 @dataclass(frozen=True)
@@ -343,6 +343,10 @@ def _lower(fam: MarginalFamily, num, den: Optional[int] = None):
 
 def _min(grids):
     return functools.reduce(np.minimum, grids)
+
+
+def _max(grids):
+    return functools.reduce(np.maximum, grids)
 
 
 def _freeze(values) -> None:
@@ -455,7 +459,7 @@ def _3way_plan(fam: MarginalFamily, basis: str) -> _Plan:
             f"{a}+{b}-{a & b}": _decomp_plan(fam, (a.mask, b.mask))
             for a, b in itertools.combinations(pairs, 2)
         }
-        lower = functools.reduce(np.maximum, [p.lower for p in covers.values()])
+        lower = _max(p.lower for p in covers.values())
         terms = {key: p.terms["lower_exact"] for key, p in covers.items()}
         return _Plan("3way:two-dim", pairs, lower, upper, terms)
     raise RangeError(f"unknown basis {basis!r}")
@@ -762,26 +766,16 @@ def _best_plan(fam: MarginalFamily) -> _Plan:
             lowers[f"pair:{a}|{b}"] = _decomp_plan(fam, (a.mask, b.mask)).lower
     if fam.is_derivable(full):
         lowers["exact"] = uppers["exact"] = fam.grid(full)
-    up = np.stack(list(uppers.values()))
-    upper = up.min(axis=0)
+    upper = _min(uppers.values())
     # Settled one by one, so the winning candidate reads as the lower.
     lowers = {name: _settle(fam, v, upper) for name, v in lowers.items()}
-    low = np.stack(list(lowers.values()))
     terms = {
         "lowers": lowers,
         "uppers": uppers,
-        "lower_from": _winner(list(lowers), low, np.argmax),
-        "upper_from": _winner(list(uppers), up, np.argmin),
+        "lower_from": lambda cell: max(lowers, key=lambda name: lowers[name].item(cell)),
+        "upper_from": lambda cell: min(uppers, key=lambda name: uppers[name].item(cell)),
     }
-    return _Plan("best", released, low.max(axis=0), upper, terms)
-
-
-def _winner(names: list, stacked: np.ndarray, pick):
-    """Per cell, the name of the candidate that ``pick`` (``np.argmax`` or
-    ``np.argmin``) takes from the stacked candidates, made read-only: the
-    first on a tie."""
-    stacked.setflags(write=False)
-    return lambda cell: names[int(pick(stacked[(slice(None), *cell)]))]
+    return _Plan("best", released, _max(lowers.values()), upper, terms)
 
 
 def _parse_int(text: str, what: str, method: str) -> int:

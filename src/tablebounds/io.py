@@ -153,8 +153,6 @@ def family_from_doc(doc: dict, where: str = "family") -> MarginalFamily:
         vars_ = _require(entry, "vars", list, where_m)
         if not all(isinstance(v, int) for v in vars_):
             raise SchemaError(f"{where_m}: vars must be 1-based integers")
-        if len(set(vars_)) != len(vars_):
-            raise SchemaError(f"{where_m}: repeated variable in {vars_}")
         subset = _build(where_m, lambda: VarSet.from_vars(vars_, num_vars))
         sub_cards = tuple(cards[j] for j in subset.axes)
         counts = _counts(entry, sub_cards, kind, where_m)

@@ -25,8 +25,10 @@ block of rows with all their partners at a time (``_first_in_blocks``):
 blocks start small and grow to about PAIR_BLOCK pairs, so a scan that fails
 early costs little more than one row and a long one keeps its temporaries
 small. All-pairs meets and joins are the bitwise AND and OR of flat indices
-on grids of binary axes, 2^L among them, and come from per-shape lookup
-tables (``_meet_groups``) on any other grid.
+on grids of binary axes, 2^L among them; on any other grid the meet's flat
+index is the sum over axes of the smaller of the two cells' coordinates
+times the axis stride, read from one cached array per shape
+(``_axis_offsets``).
 """
 
 from __future__ import annotations
@@ -53,9 +55,6 @@ PAIR_BLOCK = 1 << 13
 # bounds them) skip the cached index arrays, 32 bytes per pair, and compare
 # shifted views one axis pair at a time.
 LOCAL_PAIR_CAP = 1 << 18
-# Cells per axis group of the all-pairs scan's meet tables, which hold
-# MEET_GROUP^2 entries each.
-MEET_GROUP = 64
 
 # Guard of fan_terms: explicit failure beats silent combinatorial blowup. It
 # also caps C(q, p), the left side's terms, at C(20, 10) = 184,756.
@@ -187,34 +186,14 @@ def _local_pairs(shape: tuple[int, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _meet_groups(cards: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Lookup tables for the meet of two cells, per group of adjacent axes
-    with at most MEET_GROUP cells. A group's digit d(x) is the index of
-    cell x's coordinates on its axes; ``table[d(x) * size + d(y)]`` is the
-    flat offset of the meet's coordinates there (stride times the smaller
-    coordinate, summed over the group's axes). Per group the read-only
-    arrays are (d * size, d, table); the meet's flat index is the sum of the
-    groups' lookups."""
-    groups: list[list[int]] = []
-    for k in reversed(range(len(cards))):
-        if groups and prod(cards[j] for j in groups[-1]) * cards[k] <= MEET_GROUP:
-            groups[-1].insert(0, k)
-        else:
-            groups.append([k])
-    out = []
-    for axes in groups:
-        sub = [cards[k] for k in axes]
-        size, stride = prod(sub), prod(cards[axes[-1] + 1 :])
-        digit = np.arange(prod(cards)) // stride % size
-        coords = np.indices(sub).reshape(len(sub), size)
-        inner = [prod(sub[j + 1 :]) for j in range(len(sub))]
-        lows = np.minimum(coords[:, :, None], coords[:, None, :])
-        table = stride * np.tensordot(inner, lows, axes=1).reshape(-1)
-        arrays = (digit * size, digit, table)
-        for a in arrays:
-            a.setflags(write=False)
-        out.append(arrays)
-    return tuple(out)
+def _axis_offsets(shape: tuple[int, ...]) -> np.ndarray:
+    """The read-only array s whose row k holds each cell's coordinate on
+    axis k times that axis's stride: the meet of cells x and y has the flat
+    index sum over k of min(s[k, x], s[k, y])."""
+    strides = [prod(shape[k + 1 :]) for k in range(len(shape))]
+    offsets = np.indices(shape).reshape(len(shape), -1) * np.array(strides)[:, None]
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _violates(x, y, lo, hi, multiplicative: bool, tol):
@@ -285,21 +264,22 @@ def _first_violation(grid, multiplicative: bool, tol, local: bool) -> Optional[t
     Otherwise rows x meet, a block at a time, every y past the block's first
     row (``_first_in_blocks``); comparable pairs hold with equality. On grids
     of binary axes (2^L among them) strides are powers of two, so meet and
-    join are the AND and OR of flat indices; elsewhere the meet comes from
-    ``_meet_groups`` and the join is x + y - meet."""
+    join are the AND and OR of flat indices; elsewhere the meet is the sum
+    over axes of the smaller offset of the two cells (``_axis_offsets``) and
+    the join is x + y - meet."""
     if local:
         return _first_local_violation(grid, multiplicative, tol)
     flat, n = grid.reshape(-1), grid.size
     cells = np.arange(n)
-    binary = all(c <= 2 for c in grid.shape)
-    groups = () if binary else _meet_groups(grid.shape)
+    binary = all(c <= 2 for c in grid.shape)  # a 0-d grid too
+    offsets = None if binary else _axis_offsets(grid.shape)
 
     def bad_rows(start, stop):
         rows, cols = cells[start:stop, None], cells[start + 1 :]
         if binary:
             meet, join = rows & cols, rows | cols
         else:
-            meet = sum(t[s[start:stop, None] + d[start + 1 :]] for s, d, t in groups)
+            meet = sum(np.minimum(s[start:stop, None], s[start + 1 :]) for s in offsets)
             join = rows + cols - meet
         x, y = flat[start:stop, None], flat[start + 1 :]
         return _violates(x, y, flat.take(meet), flat.take(join), multiplicative, tol), start + 1

@@ -13,6 +13,8 @@ construction and safe for concurrent readers.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 from typing import Optional, Sequence
@@ -127,15 +129,20 @@ def parse_cell(parts: Sequence, cardinalities, labels=None) -> CellIndex:
 
 def check_labels(labels, cardinalities) -> Optional[tuple[tuple[str, ...], ...]]:
     """Category labels as string tuples, from one list (or tuple) per axis
-    holding one name per category; None when there are none."""
+    holding one distinct name per category; None when there are none."""
     if labels is None:
         return None
     if not isinstance(labels, (list, tuple)) or len(labels) != len(cardinalities):
         raise RangeError("labels must hold one list of names per axis")
+    names = []
     for j, (axis, c) in enumerate(zip(labels, cardinalities)):
         if not isinstance(axis, (list, tuple)) or len(axis) != c:
             raise RangeError(f"labels of axis {j + 1} must list its {c} categories")
-    return tuple(tuple(str(x) for x in axis) for axis in labels)
+        names.append(tuple(str(x) for x in axis))
+        repeated = [x for x, k in Counter(names[-1]).items() if k > 1]
+        if repeated:
+            raise RangeError(f"labels of axis {j + 1} name the category {repeated[0]!r} twice")
+    return tuple(names)
 
 
 def _int64_counts(counts: np.ndarray) -> np.ndarray:
@@ -186,7 +193,10 @@ def check_cell(table, cell: CellIndex, owner: str = "table") -> CellIndex:
                 break
         else:  # in-range Python ints already: the common case, returned as is
             return cell
-    cell = tuple(int(x) for x in cell)
+    try:
+        cell = tuple(map(operator.index, cell))
+    except TypeError:
+        raise RangeError(f"cell {cell!r} is not a sequence of integer coordinates") from None
     if len(cell) != table.num_vars:
         raise RangeError(
             f"cell {cell} has {len(cell)} coordinates, {owner} has {table.num_vars}"

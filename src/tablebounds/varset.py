@@ -44,13 +44,15 @@ class VarSet:
 
     @classmethod
     def from_vars(cls, variables: Iterable[int], num_vars: int) -> "VarSet":
-        """Build from 1-based variable indices."""
+        """Build from distinct 1-based variable indices."""
         mask = 0
         for v in variables:
             if not 1 <= v <= num_vars:
                 raise RangeError(
                     f"variable {v} out of range 1..{num_vars}"
                 )
+            if mask >> (v - 1) & 1:
+                raise RangeError(f"variable {v} listed twice")
             mask |= 1 << (v - 1)
         return cls(mask, num_vars)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import tablebounds
 from tablebounds import ContingencyTable, CountRangeError, SchemaError, VarSet
-from tablebounds.bounds import MarginalFamily
+from tablebounds.bounds import BoundReport, MarginalFamily
 from tablebounds.cli import main
 from tablebounds.datasets import lead_path, lead_table
 from tablebounds.io import (
@@ -126,6 +126,13 @@ class TestCsv:
         path.write_text(",a,b\nx,0.5,1.5\ny,1.0,2.0\n")
         assert load_table(str(path)).kind == "real"
 
+    def test_csv_repeated_column_name_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text(",x,x\na,1,2\nb,3,4\n")
+        code, doc, err = run_cli(capsys, "check", str(path), "--property", "decreasing", "--anchor", "0,0")
+        assert (code, doc) == (2, None)
+        assert err == f"error: {path}: labels of axis 2 name the category 'x' twice\n"
+
     def test_csv_ragged_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(",a,b\nx,1\n")
@@ -195,6 +202,11 @@ class TestMarginalizeCommand:
         code, doc, err = run_cli(capsys, "marginalize", lead_path(), "--vars", "5")
         assert code == 3
         assert doc is None and "range" in err or err
+
+    def test_repeated_variable_exit_3(self, capsys):
+        code, doc, err = run_cli(capsys, "marginalize", lead_path(), "--vars", "1,1")
+        assert (code, doc) == (3, None)
+        assert err == "error: variable 1 listed twice\n"
 
     def test_schema_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -321,6 +333,13 @@ class TestBoundsCommand:
         )
         assert code == 4
         assert "{2}" in err
+
+    def test_repeated_variable_in_method_exit_3(self, capsys, lead_family_file):
+        code, doc, err = run_cli(
+            capsys, "bounds", lead_family_file, "--cell", "0,0", "--method", "decomp:{1,1}|{2}"
+        )
+        assert (code, doc) == (3, None)
+        assert err == "error: variable 1 listed twice\n"
 
     def test_inconsistent_family_exit_2(self, capsys, tmp_path):
         path = tmp_path / "fam.json"
@@ -463,6 +482,18 @@ class TestCheckCommand:
         )
         assert code == 0 and doc["ok"] is True
 
+    def test_repeated_category_name_exit_2(self, capsys, tmp_path):
+        # Named by its first index, the second "a" could never be anchored.
+        path = tmp_path / "t.json"
+        doc = {"schema": 1, "cardinalities": [2, 2], "counts": [1, 2, 3, 4],
+               "labels": [["a", "a"], ["x", "y"]]}
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "check", str(path), "--property", "supermodular", "--anchor", "a,y"
+        )
+        assert (code, out) == (2, None)
+        assert err == f"error: {path}: labels of axis 1 name the category 'a' twice\n"
+
     def test_anchor_required_exit_3(self, capsys):
         code, _, _ = run_cli(capsys, "check", lead_path(), "--property", "decreasing")
         assert code == 3
@@ -533,6 +564,19 @@ class TestOracleCommand:
         )
         assert code == 0 and doc["certified"] is True
         assert (doc["sharp"]["tables"], doc["sharp"]["outcome"]) == (3628800, "complete")
+
+    def test_certification_failure_document(self, capsys, monkeypatch, lead_family_file):
+        # The sharp range at (0, 0) is 0..8, so an upper of 7 excludes the
+        # first table the search finds with 8 there.
+        report = BoundReport((0, 0), 0, 7, "simple", ())
+        monkeypatch.setattr(tablebounds.cli, "method_report", lambda fam, method, cell: report)
+        code, doc, _ = run_cli(
+            capsys, "oracle", lead_family_file, "--cell", "0,0", "--certify", "simple"
+        )
+        assert code == 1
+        assert doc["certified"] is False
+        assert "upper bound 7 from simple excludes an attainable count 8" in doc["error"]
+        assert doc["violating_table"] == [8, 0, 17, 0, 3, 2, 0, 4, 0]
 
     def test_certify_needs_complete_exit_5(self, capsys, lead_family_file):
         code, _, _ = run_cli(
@@ -758,8 +802,8 @@ class TestInputContract:
 
     @pytest.mark.parametrize(
         "labels",
-        [5, "ab", [["a", "b"]], [5, 6], [None, None], [["a", "b"], ["c"]]],
-        ids=["number", "string", "one-axis", "numbers", "nulls", "short-axis"],
+        [5, "ab", [["a", "b"]], [5, 6], [None, None], [["a", "b"], ["c"]], [["a", "a"], ["c", "d"]]],
+        ids=["number", "string", "one-axis", "numbers", "nulls", "short-axis", "repeated"],
     )
     @pytest.mark.parametrize("kind", ["table", "family"])
     def test_malformed_labels_exit_2(self, capsys, tmp_path, kind, labels):

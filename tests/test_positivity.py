@@ -354,14 +354,15 @@ class TestWitnessRule:
 
     @pytest.mark.parametrize("cards", [(2,) * 8, (3, 3, 3, 3), (5, 4, 4, 3), (70, 2)])
     def test_meet_tables_give_the_meet(self, cards):
-        # Grids of one, two and three axis groups, and one axis past MEET_GROUP.
+        # On a binary, a cubic and two mixed grids, one with an axis of 70
+        # categories, the summed per-axis minima are the meet's flat index.
         cells = np.indices(cards).reshape(len(cards), -1)
         lows = np.minimum(cells[:, :, None], cells[:, None, :])
         expected = np.ravel_multi_index(tuple(lows), cards)
-        groups = lattice._meet_groups(cards)
-        got = sum(table[scaled[:, None] + digit] for scaled, digit, table in groups)
+        offsets = lattice._axis_offsets(cards)
+        got = sum(np.minimum(s[:, None], s[None, :]) for s in offsets)
         assert np.array_equal(got, expected)
-        assert not any(a.flags.writeable for group in groups for a in group)
+        assert not offsets.flags.writeable
 
 class TestRelabelingSearch:
     def test_lead_additive_has_no_relabeling(self):

@@ -14,13 +14,13 @@ from tablebounds import (
     RangeError,
     SchemaError,
     VarSet,
+    best_bounds,
     cell_margin_fn,
     is_decreasing,
     is_supermodular,
     marginalize,
     project_cell,
 )
-from tablebounds.bounds import _relative
 from tablebounds.datasets import lead_table
 from tablebounds.io import family_from_doc, table_from_doc
 
@@ -28,6 +28,12 @@ from tablebounds.io import family_from_doc, table_from_doc
 @pytest.fixture
 def lead():
     return lead_table()
+
+
+def _relative(outer, inner):
+    """Re-index ``inner`` (a subset of ``outer``) over outer's own axes."""
+    positions = {v: i + 1 for i, v in enumerate(outer.vars)}
+    return VarSet.from_vars([positions[v] for v in inner.vars], len(outer))
 
 
 def random_table(rng, max_vars=4, max_card=3, max_count=5):
@@ -64,6 +70,15 @@ class TestVarSet:
         with pytest.raises(RangeError):
             VarSet.from_vars([1], 2) | VarSet.from_vars([1], 3)
 
+    @pytest.mark.parametrize("read", [
+        lambda: VarSet.from_vars([1, 2, 1], 3),
+        lambda: VarSet.from_vars(iter([2, 2]), 3),
+        lambda: VarSet.parse("{1,1}", 2),
+    ], ids=["list", "iterator", "parsed"])
+    def test_repeated_variable_refused(self, read):
+        with pytest.raises(RangeError, match="variable . listed twice"):
+            read()
+
 
 class TestContingencyTable:
     def test_lead_golden(self, lead):
@@ -81,6 +96,29 @@ class TestContingencyTable:
             ContingencyTable.from_flat((2,), [1, 2], labels=[["a"]])
         with pytest.raises(RangeError):
             ContingencyTable.from_flat((2,), [1.5, 2.5])  # non-integer counts
+
+    def test_repeated_category_name_refused(self):
+        # parse_cell reads a name as its first index, so a second category
+        # of the same name could never be named.
+        with pytest.raises(RangeError, match="name the category 'a' twice"):
+            ContingencyTable.from_flat((2, 2), [1, 2, 3, 4], labels=[["a", "a"], ["x", "y"]])
+        # Names are compared as the strings they are stored as.
+        with pytest.raises(RangeError, match="name the category '1' twice"):
+            ContingencyTable.from_flat((2, 2), [1, 2, 3, 4], labels=[["a", "b"], [1, "1"]])
+        marginals = [marginalize(lead_table(), VarSet.from_vars([1], 2))]
+        with pytest.raises(RangeError, match="axis 2 name the category 'y' twice"):
+            MarginalFamily((3, 3), marginals, labels=[["a", "b", "c"], ["x", "y", "y"]])
+
+    def test_non_integral_cell_refused(self, lead):
+        # Truncated, 0.9 and 0.2 would read as the cell (0, 0).
+        with pytest.raises(RangeError, match="integer coordinates"):
+            lead.value((0.9, 0.2))
+        fam = MarginalFamily.from_table(lead, [VarSet.from_vars([1], 2), VarSet.from_vars([2], 2)])
+        with pytest.raises(RangeError, match="integer coordinates"):
+            best_bounds(fam, (0.7, 0))
+        assert lead.value((np.int64(1), np.int64(2))) == lead.value((1, 2)) == 3
+        rep = best_bounds(fam, (np.int64(0), 0))
+        assert rep.cell == (0, 0) and type(rep.cell[0]) is int
 
     def test_real_kind(self):
         t = ContingencyTable.from_flat((2,), [0.5, 1.25], kind="real")
