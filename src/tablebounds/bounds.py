@@ -57,7 +57,7 @@ from .errors import (
     RangeError,
     SearchSpaceError,
 )
-from .lattice import REAL_RTOL, fan_terms
+from .lattice import fan_terms, real_slack
 from .table import (
     FLOAT64_MAX,
     INT64_MAX,
@@ -66,12 +66,13 @@ from .table import (
     ContingencyTable,
     MarginalTable,
     _trusted_table,
+    check_cardinalities,
     check_cell,
     check_labels,
     lift_marginal,
     marginalize,
 )
-from .varset import VarSet
+from .varset import VarSet, check_num_vars
 
 # The bound kernels and the oracle build arrays over a family's whole cell
 # grid, so a family past this many cells is refused before they run.
@@ -92,9 +93,7 @@ class MarginalFamily:
         marginals: Sequence[MarginalTable],
         labels=None,
     ):
-        self.cardinalities = tuple(int(c) for c in cardinalities)
-        if any(c < 1 for c in self.cardinalities):
-            raise RangeError(f"cardinalities must be positive, got {cardinalities}")
+        self.cardinalities = check_cardinalities(cardinalities)
         cells = prod(self.cardinalities)
         if cells > GRID_CAP:
             raise SearchSpaceError(f"grid of {cells} cells exceeds cap {GRID_CAP}")
@@ -105,10 +104,7 @@ class MarginalFamily:
         self.released: dict[int, MarginalTable] = {}
         kinds = set()
         for m in marginals:
-            if m.vars.num_vars != self.num_vars:
-                raise RangeError(
-                    f"marginal over {m.vars} does not match {self.num_vars} variables"
-                )
+            check_num_vars(m.vars.num_vars, self.num_vars, "released marginal")
             expect = tuple(self.cardinalities[j] for j in m.vars.axes)
             if m.table.cardinalities != expect:
                 raise RangeError(
@@ -157,8 +153,8 @@ class MarginalFamily:
                 # Both are int64 over the same axes: equal bytes, equal counts.
                 agree = va.tobytes() == vb.tobytes()
             else:
-                scale = max(1.0, float(np.max(np.abs(va))))
-                agree = np.allclose(va, vb, rtol=0, atol=REAL_RTOL * scale)
+                slack = real_slack(float(np.max(np.abs(va))))
+                agree = np.allclose(va, vb, rtol=0, atol=slack)
             if not agree:
                 a, b = ma.vars, mb.vars
                 bad = np.unravel_index(int(np.argmax(va != vb)), va.shape)
@@ -183,8 +179,7 @@ class MarginalFamily:
 
     def marginal(self, a: VarSet) -> MarginalTable:
         """n(a), released directly or derived from the smallest released superset."""
-        if a.num_vars != self.num_vars:
-            raise RangeError("subset over a different variable count")
+        check_num_vars(a.num_vars, self.num_vars)
         if a.mask in self._cache:
             return self._cache[a.mask]
         src = self._source(a.mask)
@@ -295,12 +290,12 @@ def _settled(fam: MarginalFamily, plan: "_Plan") -> "_Plan":
 
 def _settle(fam: MarginalFamily, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """A real family's lower, set to the upper where it crosses it by
-    rounding alone, by at most REAL_RTOL * max(1, total); the report at a
-    cell refuses a wider crossing. Integer bounds are exact."""
+    rounding alone, by at most ``real_slack(total)``; the report at a cell
+    refuses a wider crossing. Integer bounds are exact."""
     if fam.kind == INTEGER:
         return lower
     gap = lower - upper
-    rounding = (gap > 0) & (gap <= REAL_RTOL * max(1.0, fam.total))
+    rounding = (gap > 0) & (gap <= real_slack(fam.total))
     return np.where(rounding, upper, lower) if rounding.any() else lower
 
 
@@ -537,7 +532,7 @@ class Decomposition:
             raise RangeError("a decomposition needs at least one cover set")
         cover = tuple(self.cover)
         for c in cover[1:]:
-            cover[0]._check_same(c)
+            check_num_vars(c.num_vars, cover[0].num_vars, "cover set")
         union = functools.reduce(int.__or__, (c.mask for c in cover))
         if union != VarSet.full(cover[0].num_vars).mask:
             raise RangeError(f"cover {[str(c) for c in cover]} does not equal L")
@@ -566,8 +561,7 @@ def decomposition_bound(
     Separator marginals are obtained by marginalizing the released n(C_j),
     since each S_j sits inside its C_j.
     """
-    if decomp.num_vars != fam.num_vars:
-        raise RangeError("decomposition over a different variable count")
+    check_num_vars(decomp.num_vars, fam.num_vars, "decomposition")
     cell = fam.check_cell(cell)
     # Plans are keyed by masks: callers may build a fresh Decomposition per call.
     return _decomp_plan(fam, tuple(c.mask for c in decomp.cover)).report(cell)
@@ -619,8 +613,7 @@ def fan_lower_bound(
     """
     cell = fam.check_cell(cell)
     for x in xs:
-        if x.num_vars != fam.num_vars:
-            raise RangeError("sequence element over a different variable count")
+        check_num_vars(x.num_vars, fam.num_vars, "sequence element")
     return _fan_plan(fam, tuple(x.mask for x in xs), p).report(cell)
 
 

@@ -63,6 +63,12 @@ def _json_int(text: str):
         return _LongInt(text)
 
 
+def _integer(value) -> bool:
+    """True for an integer read from a document: JSON true and false are
+    bools, which Python would otherwise take for 1 and 0."""
+    return type(value) is int
+
+
 def _require(doc: dict, key: str, kinds, where: str):
     if key not in doc:
         raise SchemaError(f"{where}: missing required key {key!r}")
@@ -79,10 +85,10 @@ def _header(doc, where: str):
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a JSON object")
     version = doc.get("schema", SCHEMA_VERSION)
-    if type(version) is not int or version != SCHEMA_VERSION:  # JSON true == 1
+    if not _integer(version) or version != SCHEMA_VERSION:
         raise SchemaError(f"{where}: unsupported schema version {version!r}")
     cards = _require(doc, "cardinalities", list, where)
-    if not cards or not all(type(c) is int and c >= 1 for c in cards):
+    if not cards or not all(_integer(c) and c >= 1 for c in cards):
         raise SchemaError(f"{where}: cardinalities must be positive integers")
     kind = doc.get("kind", INTEGER)
     if kind not in (INTEGER, REAL):
@@ -101,9 +107,9 @@ def _counts(doc: dict, cards, kind: str, where: str) -> list:
     for v in counts:
         if isinstance(v, _LongInt):
             raise _too_long(v.text, where)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+        if not (_integer(v) or isinstance(v, float)):
             raise SchemaError(f"{where}: non-numeric count {v!r}")
-    if kind == INTEGER and not all(isinstance(v, int) for v in counts):
+    if kind == INTEGER and not all(map(_integer, counts)):
         raise SchemaError(f"{where}: non-integer counts in an integer document")
     return counts
 
@@ -151,7 +157,7 @@ def family_from_doc(doc: dict, where: str = "family") -> MarginalFamily:
         if not isinstance(entry, dict):
             raise SchemaError(f"{where_m}: expected a JSON object")
         vars_ = _require(entry, "vars", list, where_m)
-        if not all(isinstance(v, int) for v in vars_):
+        if not all(map(_integer, vars_)):
             raise SchemaError(f"{where_m}: vars must be 1-based integers")
         subset = _build(where_m, lambda: VarSet.from_vars(vars_, num_vars))
         sub_cards = tuple(cards[j] for j in subset.axes)
@@ -218,7 +224,7 @@ def _table_from_csv(text: str, where: str) -> ContingencyTable:
             )
     labels = [[r[0].strip() for r in rows[1:]], [c.strip() for c in rows[0][1:]]]
     counts = [_csv_count(field.strip(), where) for r in rows[1:] for field in r[1:]]
-    integral = all(isinstance(v, int) or v.is_integer() for v in counts)
+    integral = all(_integer(v) or v.is_integer() for v in counts)
     counts, kind = ([int(v) for v in counts], INTEGER) if integral else (counts, REAL)
     shape = (len(rows) - 1, len(rows[0]) - 1)
     return _build(where, lambda: ContingencyTable.from_flat(shape, counts, labels, kind))

@@ -43,7 +43,7 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from .errors import CountRangeError, RangeError
-from .varset import VarSet, check_lattice_cap
+from .varset import VarSet, check_lattice_cap, check_num_vars
 
 REAL_RTOL = 1e-9
 
@@ -59,6 +59,12 @@ LOCAL_PAIR_CAP = 1 << 18
 # Guard of fan_terms: explicit failure beats silent combinatorial blowup. It
 # also caps C(q, p), the left side's terms, at C(20, 10) = 184,756.
 FAN_SEQUENCE_CAP = 20
+
+
+def real_slack(scale: float) -> float:
+    """The absolute slack of a real comparison between values of magnitude up
+    to ``scale``: REAL_RTOL times max(1, scale)."""
+    return REAL_RTOL * max(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -88,19 +94,17 @@ class LatticeFunction:
         return np.issubdtype(self.values.dtype, np.integer)
 
     def value(self, a: VarSet):
-        if a.num_vars != self.num_vars:
-            raise RangeError("subset is over a different variable count")
+        check_num_vars(a.num_vars, self.num_vars)
         return self.values[a.mask].item()
 
     def __call__(self, a: VarSet):
         return self.value(a)
 
     def tolerance(self) -> float:
-        """Comparison slack: the integer 0 for integers, scaled 1e-9 for reals."""
+        """Comparison slack: the integer 0 for integers, real_slack(max|F|) for reals."""
         if self.integer_valued:
             return 0
-        scale = float(np.max(np.abs(self.values))) if self.values.size else 0.0
-        return REAL_RTOL * max(1.0, scale)
+        return real_slack(float(np.max(np.abs(self.values))))
 
 
 @dataclass(frozen=True)
@@ -424,8 +428,7 @@ def cumulative_fn(g: LatticeFunction) -> LatticeFunction:
 
 def meet_restriction(fn: LatticeFunction, alpha: VarSet) -> LatticeFunction:
     """G(a) = F(a & alpha). Decreasing/increasing F stays so; useful for FKG."""
-    if alpha.num_vars != fn.num_vars:
-        raise RangeError("restriction set is over a different variable count")
+    check_num_vars(alpha.num_vars, fn.num_vars, "restriction set")
     masks = np.arange(1 << fn.num_vars)
     return LatticeFunction(fn.num_vars, np.asarray(fn.values)[masks & alpha.mask])
 
@@ -519,8 +522,7 @@ def fan_evaluate(
     ``fan_terms`` refuses q beyond FAN_SEQUENCE_CAP.
     """
     for x in xs:
-        if x.num_vars != fn.num_vars:
-            raise RangeError("sequence element over a different variable count")
+        check_num_vars(x.num_vars, fn.num_vars, "sequence element")
     vals = fn.values
     lhs_masks, rhs_masks = fan_terms([x.mask for x in xs], p, form)
     lhs = sum(vals[m].item() for m in lhs_masks)

@@ -45,13 +45,8 @@ from .lattice import (
     meet_restriction,
     pair_violation,
 )
-from .table import (
-    CellIndex,
-    ContingencyTable,
-    cell_margin_fn,
-    check_cell,
-)
-from .varset import VarSet, check_lattice_cap
+from .table import CellIndex, ContingencyTable, cell_margin_fn
+from .varset import VarSet, check_lattice_cap, check_num_vars
 
 RELABEL_SEARCH_CAP = 10**6
 NORMALIZATION_ATOL = 1e-9
@@ -178,7 +173,7 @@ class ExpFamily:
     log_norm: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self.anchors = tuple(tuple(int(x) for x in a) for a in self.anchors)
+        self.anchors = tuple(map(tuple, self.anchors))  # cell_margin_fn checks each
         if (self.alpha is None) != (self.theta2 is None):
             raise RangeError("interaction needs both alpha and theta2")
         for name in ("theta", "theta2") if self.theta2 is not None else ("theta",):
@@ -196,10 +191,8 @@ class ExpFamily:
 def _expfam_exponent(fam: ExpFamily, table: ContingencyTable) -> np.ndarray:
     l = table.num_vars
     check_lattice_cap(l)
-    if fam.alpha is not None and fam.alpha.num_vars != l:
-        raise RangeError("interaction set over a different variable count")
-    for anchor in fam.anchors:
-        check_cell(table, anchor)
+    if fam.alpha is not None:
+        check_num_vars(fam.alpha.num_vars, l, "interaction set")
     size = 1 << l
     exponent = np.zeros(size, dtype=np.float64)
     masks = np.arange(size)
@@ -270,8 +263,8 @@ def fkg_covariance(
 
     mu must sum to one. For log-supermodular mu and h1, h2 monotone in the
     same direction the result is nonnegative up to roundoff."""
-    if not (mu.num_vars == h1.num_vars == h2.num_vars):
-        raise RangeError("mu, h1, h2 must share one variable count")
+    check_num_vars(h1.num_vars, mu.num_vars, "h1")
+    check_num_vars(h2.num_vars, mu.num_vars, "h2")
     weights = np.asarray(mu.values, dtype=np.float64)
     total = weights.sum()
     if abs(total - 1.0) > NORMALIZATION_ATOL:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CountRangeError, RangeError
 from .lattice import LatticeFunction
-from .varset import VarSet, check_lattice_cap
+from .varset import VarSet, check_lattice_cap, check_num_vars
 
 # A cell is a full multi-index, 0-based per axis.
 CellIndex = tuple[int, ...]
@@ -48,9 +48,7 @@ class ContingencyTable:
     kind: str = INTEGER
 
     def __post_init__(self) -> None:
-        cards = tuple(int(c) for c in self.cardinalities)
-        if any(c < 1 for c in cards):
-            raise RangeError(f"cardinalities must be positive, got {cards}")
+        cards = check_cardinalities(self.cardinalities)
         object.__setattr__(self, "cardinalities", cards)
         if self.kind not in (INTEGER, REAL):
             raise RangeError(f"kind must be 'integer' or 'real', got {self.kind!r}")
@@ -73,7 +71,7 @@ class ContingencyTable:
         labels=None,
         kind: str = INTEGER,
     ) -> "ContingencyTable":
-        cards = tuple(int(c) for c in cardinalities)
+        cards = check_cardinalities(cardinalities)
         flat = np.asarray(flat_counts)
         if flat.size != prod(cards):
             raise RangeError(
@@ -125,6 +123,18 @@ def parse_cell(parts: Sequence, cardinalities, labels=None) -> CellIndex:
                 f"category on axis {j + 1}"
             ) from None
     return tuple(cell)
+
+
+def check_cardinalities(cardinalities) -> tuple[int, ...]:
+    """A shape as positive Python ints, coerced like a cell's coordinates
+    (``operator.index``): numpy integers pass, 2.7 is refused, not truncated."""
+    try:
+        cards = tuple(map(operator.index, cardinalities))
+    except TypeError:
+        cards = None
+    if cards is None or not all(c >= 1 for c in cards):
+        raise RangeError(f"cardinalities must be positive integers, got {cardinalities!r}")
+    return cards
 
 
 def check_labels(labels, cardinalities) -> Optional[tuple[tuple[str, ...], ...]]:
@@ -215,11 +225,7 @@ class MarginalTable:
     table: ContingencyTable
 
     def __post_init__(self) -> None:
-        if self.table.num_vars != len(self.vars):
-            raise RangeError(
-                f"marginal over {self.vars} must have {len(self.vars)} axes, "
-                f"got {self.table.num_vars}"
-            )
+        check_num_vars(self.table.num_vars, len(self.vars), "table of a marginal")
 
     @property
     def total(self):
@@ -237,11 +243,7 @@ def marginalize(table: ContingencyTable, a: VarSet) -> MarginalTable:
     are read-only sums of a validated table, so they keep its dtype, stay
     nonnegative and stay within its total: the result is not validated again.
     """
-    if a.num_vars != table.num_vars:
-        raise RangeError(
-            f"subset over {a.num_vars} variables applied to a "
-            f"{table.num_vars}-way table"
-        )
+    check_num_vars(a.num_vars, table.num_vars)
     axes = a.axes
     drop = tuple(j for j in range(table.num_vars) if j not in axes)
     counts = np.asarray(table.counts.sum(axis=drop)) if drop else table.counts

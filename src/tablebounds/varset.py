@@ -27,6 +27,13 @@ def check_lattice_cap(num_vars: int) -> None:
         )
 
 
+def check_num_vars(got: int, expected: int, what: str = "subset") -> None:
+    """Refuse ``what``, an input over ``got`` variables, where ``expected``
+    are in play: read over the wrong l, it would name other lattice elements."""
+    if got != expected:
+        raise RangeError(f"{what} is over {got} variables, expected {expected}")
+
+
 @dataclass(frozen=True)
 class VarSet:
     """An element of 2^L for L = {1, ..., num_vars}, stored as a bitmask."""
@@ -86,29 +93,23 @@ class VarSet:
         """Member variables as 0-based array axes, ascending."""
         return _members(self.mask, self.num_vars)[0]
 
-    def _check_same(self, other: "VarSet") -> None:
-        if self.num_vars != other.num_vars:
-            raise RangeError(
-                f"mixing subsets over {self.num_vars} and {other.num_vars} variables"
-            )
-
     def __or__(self, other: "VarSet") -> "VarSet":
-        self._check_same(other)
+        check_num_vars(other.num_vars, self.num_vars)
         return VarSet(self.mask | other.mask, self.num_vars)
 
     def __and__(self, other: "VarSet") -> "VarSet":
-        self._check_same(other)
+        check_num_vars(other.num_vars, self.num_vars)
         return VarSet(self.mask & other.mask, self.num_vars)
 
     def __sub__(self, other: "VarSet") -> "VarSet":
-        self._check_same(other)
+        check_num_vars(other.num_vars, self.num_vars)
         return VarSet(self.mask & ~other.mask, self.num_vars)
 
     def complement(self) -> "VarSet":
         return VarSet(~self.mask & ((1 << self.num_vars) - 1), self.num_vars)
 
     def __le__(self, other: "VarSet") -> bool:
-        self._check_same(other)
+        check_num_vars(other.num_vars, self.num_vars)
         return self.mask & ~other.mask == 0
 
     def __lt__(self, other: "VarSet") -> bool:

@@ -90,12 +90,13 @@ class TestSchemaValidation:
     @pytest.mark.parametrize(
         "doc",
         [{"schema": True, "cardinalities": [2], "counts": [1, 2]},
-         {"cardinalities": [True, 2], "counts": [1, 2]}],
-        ids=["schema", "cardinality"],
+         {"cardinalities": [True, 2], "counts": [1, 2]},
+         {"cardinalities": [2], "marginals": [{"vars": [True], "counts": [1, 2]}]}],
+        ids=["schema", "cardinality", "vars"],
     )
     def test_json_true_is_not_one(self, doc):
         with pytest.raises(SchemaError):
-            table_from_doc(doc)
+            (family_from_doc if "marginals" in doc else table_from_doc)(doc)
 
     def test_family_needs_marginals(self):
         with pytest.raises(SchemaError):
@@ -822,6 +823,13 @@ class TestInputContract:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, None)
         assert err.startswith("error: ") and "labels" in err and err.count("\n") == 1
+
+    def test_json_true_variable_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "true.json"
+        path.write_text('{"cardinalities": [2], "marginals": [{"vars": [true], "counts": [1, 2]}]}')
+        code, out, err = run_cli(capsys, "bounds", str(path), "--cell", "0", "--method", "best")
+        assert (code, out) == (2, None)
+        assert err.startswith("error: ") and "vars" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv", [["bounds", "--method", "best"], ["oracle", "--budget", "50"]],

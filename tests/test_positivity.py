@@ -512,6 +512,17 @@ class TestExpFamily:
             )
             assert is_log_supermodular(expfam_density(fam, t))
 
+    def test_non_integral_anchor_refused(self):
+        # Truncated, (0.7, 0.2) would read as the anchor (0, 0).
+        with pytest.raises(RangeError, match="integer coordinates"):
+            expfam_density(ExpFamily(anchors=[(0.7, 0.2)], theta=(1.0,)), lead_table())
+        numpy_anchor = ExpFamily(anchors=[(np.int64(1), np.int64(2))], theta=(1.0,))
+        plain = ExpFamily(anchors=[(1, 2)], theta=(1.0,))
+        assert np.array_equal(
+            expfam_density(numpy_anchor, lead_table()).values,
+            expfam_density(plain, lead_table()).values,
+        )
+
     def test_negative_theta_rejected(self):
         with pytest.raises(RangeError):
             ExpFamily(anchors=((0, 0),), theta=(-0.1,))

@@ -8,17 +8,27 @@ import pytest
 from tablebounds import (
     ContingencyTable,
     CountRangeError,
+    Decomposition,
+    ExpFamily,
     LatticeCapError,
+    LatticeFunction,
     MarginalFamily,
     MarginalTable,
     RangeError,
     SchemaError,
     VarSet,
+    anchored_margin_observable,
     best_bounds,
     cell_margin_fn,
+    decomposition_bound,
+    expfam_log_density,
+    fan_evaluate,
+    fan_lower_bound,
+    fkg_covariance,
     is_decreasing,
     is_supermodular,
     marginalize,
+    meet_restriction,
     project_cell,
 )
 from tablebounds.datasets import lead_table
@@ -80,6 +90,51 @@ class TestVarSet:
             read()
 
 
+def _lead_family():
+    return MarginalFamily.from_table(
+        lead_table(), [VarSet.from_vars([1], 2), VarSet.from_vars([2], 2)]
+    )
+
+
+# Each entry is handed one subset, sequence or function over three variables
+# where the lead table's two are in play.
+_THREE = VarSet.from_vars([1], 3)
+_FN2, _FN3 = LatticeFunction(2, np.full(4, 0.25)), LatticeFunction(3, np.full(8, 0.125))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: VarSet.full(2) | _THREE,
+    lambda: VarSet.full(2) & _THREE,
+    lambda: VarSet.full(2) - _THREE,
+    lambda: VarSet.full(2) <= _THREE,
+    lambda: VarSet.full(2) < _THREE,
+    lambda: marginalize(lead_table(), _THREE),
+    lambda: MarginalFamily((3, 3), [MarginalTable(_THREE, ContingencyTable.from_flat((3,), [1, 2, 3]))]),
+    lambda: _lead_family().marginal(_THREE),
+    lambda: _lead_family().grid(_THREE),
+    lambda: _lead_family().value(_THREE, (0, 0)),
+    lambda: Decomposition((VarSet.full(2), _THREE)),
+    lambda: decomposition_bound(_lead_family(), Decomposition((VarSet.full(3),)), (0, 0)),
+    lambda: fan_lower_bound(_lead_family(), [VarSet.full(2), _THREE], 1, (0, 0)),
+    lambda: _FN2.value(_THREE),
+    lambda: _FN2(_THREE),
+    lambda: meet_restriction(_FN2, _THREE),
+    lambda: fan_evaluate(_FN2, [VarSet.full(2), _THREE], 1),
+    lambda: expfam_log_density(
+        ExpFamily(anchors=((0, 0),), theta=(1.0,), alpha=_THREE, theta2=(1.0,)), lead_table()
+    ),
+    lambda: fkg_covariance(_FN2, _FN3, _FN2),
+    lambda: fkg_covariance(_FN2, _FN2, _FN3),
+    lambda: anchored_margin_observable(lead_table(), (0, 0), _THREE),
+], ids=["or", "and", "sub", "le", "lt", "marginalize", "family",
+        "marginal", "grid", "value", "decomposition", "decomposition-bound",
+        "fan-lower-bound", "fn-value", "fn-call", "meet-restriction", "fan-evaluate",
+        "expfam-interaction", "fkg-h1", "fkg-h2", "observable"])
+def test_wrong_variable_count_refused(call):
+    with pytest.raises(RangeError, match="over 3 variables, expected 2"):
+        call()
+
+
 class TestContingencyTable:
     def test_lead_golden(self, lead):
         assert lead.cardinalities == (3, 3)
@@ -119,6 +174,20 @@ class TestContingencyTable:
         assert lead.value((np.int64(1), np.int64(2))) == lead.value((1, 2)) == 3
         rep = best_bounds(fam, (np.int64(0), 0))
         assert rep.cell == (0, 0) and type(rep.cell[0]) is int
+
+    def test_non_integral_cardinality_refused(self, lead):
+        # Truncated, these read as a 2x2 table and a (2, 3) family.
+        with pytest.raises(RangeError, match="cardinalities must be positive integers"):
+            ContingencyTable((2.7, 2), [[1, 2], [3, 4]])
+        with pytest.raises(RangeError, match="cardinalities must be positive integers"):
+            ContingencyTable.from_flat((2, 2.0), [1, 2, 3, 4])
+        marginals = [marginalize(lead, VarSet.from_vars([1], 2))]
+        with pytest.raises(RangeError, match="cardinalities must be positive integers"):
+            MarginalFamily((2.9, 3.5), marginals)
+        table = ContingencyTable(np.array([2, 2]), [[1, 2], [3, 4]])
+        assert table.cardinalities == (2, 2) and type(table.cardinalities[0]) is int
+        fam = MarginalFamily((np.int64(3), np.int32(3)), marginals)
+        assert fam.cardinalities == (3, 3) and type(fam.cardinalities[1]) is int
 
     def test_real_kind(self):
         t = ContingencyTable.from_flat((2,), [0.5, 1.25], kind="real")
