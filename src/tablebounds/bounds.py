@@ -174,6 +174,7 @@ class MarginalFamily:
 
     def is_derivable(self, a: VarSet) -> bool:
         """True when some released superset of ``a`` exists (or a is empty)."""
+        check_num_vars(a.num_vars, self.num_vars)
         mask = a.mask
         return mask in self._cache or mask == 0 or any(mask & ~m == 0 for m in self.released)
 

@@ -441,6 +441,7 @@ def random_supermodular_fn(
     Draws i.i.d. nonnegative mass per subset and returns its cumulative
     function; no rejection sampling needed.
     """
+    check_lattice_cap(num_vars)  # before the 2**l draws
     size = 1 << num_vars
     if integer:
         g = rng.integers(0, scale, size=size, dtype=np.int64)

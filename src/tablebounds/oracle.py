@@ -16,20 +16,23 @@ count. Sharp per-cell bounds are the min/max over all tables,
 tables back from the memo once the search is over. A bound report is
 certified by checking it contains the sharp bounds.
 
-Two engines expand those states and give identical results, node counts
-included. The memoized DFS costs about 0.6-1.7 us per node and keeps about 73
-bytes per node in its memo. The layered engine expands one cell's states at
-a time in a few numpy operations, at a fixed 35-60 us or so per cell plus
-about 0.1 us per node (``tools/oracle_costs.py`` measures both); it keeps
-about 5 bytes per node plus per-state offsets and counts, and up to about
-250 bytes per edge of the layer it builds. Each search picks its engine
-before either runs, from ``_node_bound``, an upper bound on its node count
-that takes about 10 us: a family bounded by DFS_NODES_PER_CELL nodes
-per cell runs the DFS, and any other the layered engine. When the layered
-engine finds the caller's budget would be reached, before it builds the
-layer that reaches it, the DFS runs under that budget, so an exhausted
-result is the DFS's. Both count exactly past int64. ``enumerate_tables``
-always runs the DFS.
+Two engines expand those states and give identical extremes and counts,
+node counts included. The memoized DFS costs about 0.6-1.7 us per node and
+keeps about 73 bytes per node in its memo. The layered engine expands one
+cell's states at a time in a few numpy operations, at a fixed 35-60 us or so
+per cell plus about 0.1 us per node (``tools/oracle_costs.py`` measures
+both); it keeps about 5 bytes per node plus per-state offsets and counts,
+and up to about 250 bytes per edge of the layer it builds. Each search that
+keeps no table picks its engine before either runs, from ``_node_bound``,
+an upper bound on its node count that takes about 10 us: a family bounded
+by DFS_NODES_PER_CELL nodes per cell runs the DFS, and any other the
+layered engine. When the layered engine finds the caller's budget would be
+reached, before it builds the layer that reaches it, the DFS runs under
+that budget, so an exhausted result is the DFS's. Both count exactly past
+int64. Every table the oracle returns is read back from the DFS memo: those
+of ``enumerate_tables``, the attaining tables of
+``sharp_bounds(keep_tables=True)`` and the table a failed ``certify``
+raises with; those searches always run the DFS.
 
 Budgets are explicit and machine-readable; nodes are the only limit.
 ``nodes`` counts the values tried at expanded states and ``tables`` the
@@ -229,18 +232,18 @@ def _extremes(fam: MarginalFamily, budget: EnumerationBudget, track: Optional[in
     none was), and for the flat cell ``track`` the first tables in DFS order
     attaining them (None without ``track``).
 
-    A family whose ``_node_bound`` is at most DFS_NODES_PER_CELL nodes per
-    cell runs the memoized DFS under the caller's budget. Any other runs the
-    layered engine, and when that finds the caller's budget would be
-    reached, the DFS under that budget, whose partial result is made of
-    attained values and whose counts are exact.
+    A tracked search runs the memoized DFS, whose memo holds the tables. So
+    does an untracked one whose ``_node_bound`` is at most DFS_NODES_PER_CELL
+    nodes per cell; any other runs the layered engine, and when that finds
+    the caller's budget would be reached, the DFS under that budget, whose
+    partial result is made of attained values and whose counts are exact.
     """
     cons = _build_constraints(fam)
     cut = DFS_NODES_PER_CELL * len(cons[1])
-    if _node_bound(*cons, cut) > cut:
-        found = _layered_extremes(*cons, budget, track)
+    if track is None and _node_bound(*cons, cut) > cut:
+        found = _layered_extremes(*cons, budget)
         if found is not None:
-            return found
+            return (*found, None, None)
     return _dfs_extremes(*cons, budget, track)[:4]
 
 
@@ -446,9 +449,10 @@ def _dedup(keys: np.ndarray):
     return order[new], inverse
 
 
-def _layered_extremes(targets, cell_groups, closing_groups, slots, budget, track):
-    """``_extremes`` breadth-first, one cell layer at a time in numpy; None,
-    leaving ``budget`` alone, when the caller's budget would be reached.
+def _layered_extremes(targets, cell_groups, closing_groups, slots, budget):
+    """The (mins, maxs) of an untracked ``_extremes``, breadth-first, one
+    cell layer at a time in numpy; None, leaving ``budget`` alone, when the
+    caller's budget would be reached.
 
     Layer k holds the distinct states before cell k that the DFS expands, as
     columns of residuals, one row per group. The forward pass gives each
@@ -504,16 +508,16 @@ def _layered_extremes(targets, cell_groups, closing_groups, slots, budget, track
         for g in cell_groups[k]:
             R[g] -= taken
         layers.append((value, inverse, start, ok))
-    # Backward: counts[k][s] = tables below state s of layer k. A state sums
-    # at most top + 1 edges, so a layer whose counts all stay below ``limit``
-    # is summed in int64 by the layer above; past it, in Python ints.
-    # ``bound`` caps the counts so far, so most layers skip the check.
+    # Backward: counts[s] = tables below state s of the layer below. A state
+    # sums at most top + 1 edges, so a layer whose counts all stay below
+    # ``limit`` is summed in int64 by the layer above; past it, in Python
+    # ints. ``bound`` caps the counts so far, so most layers skip the check.
     limit, bound = (2**63 - 1) // (top + 1), 1
-    counts = [None] * n + [np.ones(R.shape[1], dtype=np.int64)]
+    counts = np.ones(R.shape[1], dtype=np.int64)
     mins, maxs = [top + 1] * n, [-1] * n
     for k in reversed(range(n)):
-        value, inverse, start, ok = layers[k]
-        below = counts[k + 1][inverse]
+        value, inverse, start, ok = layers.pop()
+        below = counts[inverse]
         held = value[below > 0]
         if held.size:
             mins[k], maxs[k] = int(held.min()), int(held.max())
@@ -525,41 +529,11 @@ def _layered_extremes(targets, cell_groups, closing_groups, slots, budget, track
             total[ok] = below
         if bound >= limit and total.max(initial=0) >= limit:
             total = total.astype(object, copy=False)
-        counts[k] = total
-    tables = int(counts[0][0])
-
-    def parents(j: int) -> np.ndarray:
-        """The state of layer j that each of its edges leaves."""
-        value, _, start, ok = layers[j]
-        if ok is not None:
-            return ok.nonzero()[0]
-        return np.repeat(np.arange(len(start)), np.diff(start, append=len(value)))
-
-    def first_table(v: int) -> tuple[int, ...]:
-        """The first table in DFS order with value v at cell ``track``: at
-        each cell the least value whose edge leads on to such a table."""
-        value, inverse, _, _ = layers[track]
-        # reach[j]: the edges of layer j <= track on a path to such a table.
-        reach = [(value == v) & (counts[track + 1][inverse] > 0)]
-        for j in reversed(range(track)):
-            good = np.zeros(len(counts[j + 1]), dtype=bool)
-            good[parents(j + 1)[reach[0]]] = True
-            reach.insert(0, good[layers[j][1]])
-        path, s = [], 0
-        for j, (value, inverse, _, _) in enumerate(layers):
-            at = np.flatnonzero(parents(j) == s)  # in ascending value
-            ok = reach[j][at] if j <= track else counts[j + 1][inverse[at]] > 0
-            e = at[np.argmax(ok)]
-            path.append(int(value[e]))
-            s = inverse[e]
-        return tuple(path)
-
+        counts = total
     budget.nodes += nodes
-    budget.tables += tables
+    budget.tables += int(counts[0])
     budget.outcome = COMPLETE
-    if track is None or not tables:
-        return mins, maxs, None, None
-    return mins, maxs, first_table(mins[track]), first_table(maxs[track])
+    return mins, maxs
 
 
 def sharp_bounds_all(
@@ -584,7 +558,8 @@ def sharp_bounds(
     keep_tables: bool = False,
 ) -> SharpBounds:
     """Min/max of one cell over the enumeration; sharp when complete. With
-    ``keep_tables``, the first tables in DFS order attaining each."""
+    ``keep_tables``, the first tables in DFS order attaining each, read from
+    the memo of a DFS search, which such a call always runs."""
     budget = budget if budget is not None else EnumerationBudget()
     cell = fam.check_cell(cell)
     flat_cell = int(np.ravel_multi_index(cell, fam.cardinalities)) if cell else 0
@@ -627,27 +602,33 @@ def certify(
     """Check report.lower <= sharp.min and sharp.max <= report.upper.
 
     Requires a complete enumeration; raises BudgetExhaustedError otherwise.
-    A violation raises CertificationError carrying the attaining table --
-    that outcome falsifies an implementation, never the inequalities.
+    The search keeps no tables, so a passing certification carries none. A
+    violation raises CertificationError carrying the first attaining table
+    in DFS order, from a tracked rerun under a fresh budget of the same
+    ``max_nodes``; it completes, as both engines count the same nodes, and
+    ``budget`` keeps the counts of the first search. That outcome falsifies
+    an implementation, never the inequalities.
     """
-    sharp = sharp_bounds(fam, report.cell, budget, keep_tables=True)
+    budget = budget if budget is not None else EnumerationBudget()
+    sharp = sharp_bounds(fam, report.cell, budget)
     if sharp.outcome != COMPLETE:
         raise BudgetExhaustedError(
             "certification requires a complete enumeration; raise the budget"
         )
     slack_lower = sharp.min_count - report.lower
     slack_upper = report.upper - sharp.max_count
-    if slack_lower < 0:
-        raise CertificationError(
-            f"lower bound {report.lower} from {report.formula} excludes an "
-            f"attainable count {sharp.min_count} at cell {report.cell}",
-            table=sharp.min_table,
+    if slack_lower < 0 or slack_upper < 0:
+        found = sharp_bounds(
+            fam, report.cell, EnumerationBudget(max_nodes=budget.max_nodes), keep_tables=True
         )
-    if slack_upper < 0:
+        side, bound, count, table = (
+            ("lower", report.lower, sharp.min_count, found.min_table) if slack_lower < 0
+            else ("upper", report.upper, sharp.max_count, found.max_table)
+        )
         raise CertificationError(
-            f"upper bound {report.upper} from {report.formula} excludes an "
-            f"attainable count {sharp.max_count} at cell {report.cell}",
-            table=sharp.max_table,
+            f"{side} bound {bound} from {report.formula} excludes an "
+            f"attainable count {count} at cell {report.cell}",
+            table=table,
         )
     return Certification(
         report=report, sharp=sharp, slack_lower=slack_lower, slack_upper=slack_upper

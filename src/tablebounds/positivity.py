@@ -45,7 +45,7 @@ from .lattice import (
     meet_restriction,
     pair_violation,
 )
-from .table import CellIndex, ContingencyTable, cell_margin_fn
+from .table import CellIndex, ContingencyTable, cell_coordinates, cell_margin_fn
 from .varset import VarSet, check_lattice_cap, check_num_vars
 
 RELABEL_SEARCH_CAP = 10**6
@@ -173,7 +173,8 @@ class ExpFamily:
     log_norm: Optional[float] = None
 
     def __post_init__(self) -> None:
-        self.anchors = tuple(map(tuple, self.anchors))  # cell_margin_fn checks each
+        # cell_margin_fn checks each against the table's shape
+        self.anchors = tuple(map(cell_coordinates, self.anchors))
         if (self.alpha is None) != (self.theta2 is None):
             raise RangeError("interaction needs both alpha and theta2")
         for name in ("theta", "theta2") if self.theta2 is not None else ("theta",):

@@ -195,6 +195,15 @@ def _float64_counts(counts: np.ndarray) -> np.ndarray:
     return counts
 
 
+def cell_coordinates(cell) -> CellIndex:
+    """A cell's coordinates as Python ints (``operator.index``, so 1.0 is
+    refused), with no shape to check them against."""
+    try:
+        return tuple(map(operator.index, cell))
+    except TypeError:
+        raise RangeError(f"cell {cell!r} is not a sequence of integer coordinates") from None
+
+
 def check_cell(table, cell: CellIndex, owner: str = "table") -> CellIndex:
     """Validate a full cell index against the shape of a table or family."""
     if type(cell) is tuple and len(cell) == table.num_vars:
@@ -203,10 +212,7 @@ def check_cell(table, cell: CellIndex, owner: str = "table") -> CellIndex:
                 break
         else:  # in-range Python ints already: the common case, returned as is
             return cell
-    try:
-        cell = tuple(map(operator.index, cell))
-    except TypeError:
-        raise RangeError(f"cell {cell!r} is not a sequence of integer coordinates") from None
+    cell = cell_coordinates(cell)
     if len(cell) != table.num_vars:
         raise RangeError(
             f"cell {cell} has {len(cell)} coordinates, {owner} has {table.num_vars}"

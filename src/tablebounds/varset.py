@@ -9,6 +9,7 @@ lattice join, meet and partial order.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -51,9 +52,14 @@ class VarSet:
 
     @classmethod
     def from_vars(cls, variables: Iterable[int], num_vars: int) -> "VarSet":
-        """Build from distinct 1-based variable indices."""
+        """Build from distinct 1-based variable indices, each an integer
+        (``operator.index``, as cell coordinates)."""
         mask = 0
         for v in variables:
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise RangeError(f"variable {v!r} is not an integer") from None
             if not 1 <= v <= num_vars:
                 raise RangeError(
                     f"variable {v} out of range 1..{num_vars}"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tablebounds import (
     ContingencyTable,
     CountRangeError,
+    LatticeCapError,
     LatticeFunction,
     RangeError,
     VarSet,
@@ -430,6 +431,18 @@ class TestCumulative:
         edge = cumulative_fn(LatticeFunction(2, np.array([2**62, 2**62 - 1, 0, 0])))
         assert edge.values.tolist() == [2**62, 2**63 - 1, 2**62, 2**63 - 1]
         assert is_increasing(edge) and is_supermodular(edge, "exhaustive")
+
+    def test_random_fn_checks_the_cap_before_drawing(self, monkeypatch):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"rng.{name} used past the lattice cap")
+
+        monkeypatch.setattr("tablebounds.varset.LATTICE_CAP", 2)
+        with pytest.raises(LatticeCapError):
+            random_supermodular_fn(3, NoDraws())
+        with pytest.raises(LatticeCapError):
+            random_supermodular_fn(3, NoDraws(), integer=False)
+        assert random_supermodular_fn(2, np.random.default_rng(0)).num_vars == 2
 
     def test_transform_matches_naive(self):
         rng = np.random.default_rng(6)

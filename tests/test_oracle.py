@@ -614,8 +614,8 @@ class TestLayeredEngine:
         cons = oracle._build_constraints(fam)
         k = data.draw(st.integers(0, len(cons[1]) - 1), label="flat cell")
         budget, dfs = EnumerationBudget(), EnumerationBudget()
-        mins, maxs, lo_tab, hi_tab = oracle._layered_extremes(*cons, budget, k)
-        oracle._dfs_extremes(*cons, dfs, k)
+        mins, maxs = oracle._layered_extremes(*cons, budget)
+        lo_tab, hi_tab = oracle._dfs_extremes(*cons, dfs, k)[2:4]
         assert budget.nodes == dfs.nodes
         assert (budget.tables, budget.outcome) == (len(tables), "complete")
         if not tables:
@@ -652,28 +652,34 @@ class TestLayeredEngine:
         assert_codes_match(cons, flats(enumerate_tables(fam)))
         assert self.assert_engines_agree(fam).tables == 16
         budget = EnumerationBudget()
-        mins, maxs, lo_tab, hi_tab = oracle._layered_extremes(*cons, budget, 10)
+        mins, maxs = oracle._layered_extremes(*cons, budget)
         assert mins == [0] * 8 + [c - 2 for c in cols]
         assert maxs == [1] * 8 + cols
         assert budget.tables == 16 and budget.outcome == "complete"
-        assert lo_tab == (0, 0, 1, 0, 0, 0, 1, 0, wide, wide, narrow - 2, narrow)
-        assert hi_tab == (0, 0, 0, 1, 0, 0, 0, 1, wide, wide, narrow, narrow - 2)
+        lo_tab = (0, 0, 1, 0, 0, 0, 1, 0, wide, wide, narrow - 2, narrow)
+        hi_tab = (0, 0, 0, 1, 0, 0, 0, 1, wide, wide, narrow, narrow - 2)
         dfs = EnumerationBudget()
         assert oracle._dfs_extremes(*cons, dfs, 10)[:4] == (mins, maxs, lo_tab, hi_tab)
         assert dfs.nodes == budget.nodes
 
     @staticmethod
     def assert_engines_agree(fam):
-        """Both engines, tracking each cell in turn: equal extremes,
-        attaining tables, nodes, tables and outcome."""
+        """Both engines: equal extremes, nodes, tables and outcome; and the
+        DFS, tracking each cell in turn, the same extremes, attained by the
+        first enumerated tables that hold them."""
         cons = oracle._build_constraints(fam)
+        budget, dfs = EnumerationBudget(), EnumerationBudget()
+        mins, maxs = oracle._layered_extremes(*cons, budget)
+        assert oracle._dfs_extremes(*cons, dfs, None)[:4] == (mins, maxs, None, None)
+        assert (budget.nodes, budget.tables, budget.outcome) == (
+            dfs.nodes, dfs.tables, dfs.outcome
+        )
+        tables = flats(enumerate_tables(fam))
         for k in range(len(cons[1])):
-            budget, dfs = EnumerationBudget(), EnumerationBudget()
-            got = oracle._layered_extremes(*cons, budget, k)
-            assert got == oracle._dfs_extremes(*cons, dfs, k)[:4]
-            assert (budget.nodes, budget.tables, budget.outcome) == (
-                dfs.nodes, dfs.tables, dfs.outcome
-            )
+            tracked = EnumerationBudget()
+            attaining = [next((t for t in tables if t[k] == v), None) for v in (mins[k], maxs[k])]
+            assert oracle._dfs_extremes(*cons, tracked, k)[:4] == (mins, maxs, *attaining)
+            assert (tracked.nodes, tracked.tables) == (dfs.nodes, dfs.tables)
         return budget
 
     def test_every_cell_but_one_forced(self):
@@ -748,14 +754,16 @@ class TestLayeredEngine:
 
     @pytest.mark.parametrize("rows", [[4] * 30, [12] * 20], ids=["30x2", "20x2"])
     def test_counts_past_int64_without_the_dfs(self, monkeypatch, rows):
-        # Both count past 2^63, and the layered engine answers them with
-        # their attaining tables: their node bounds pass DFS_NODES_PER_CELL
-        # per cell, so no DFS runs at all.
+        # Both count past 2^63, and the layered engine answers them: their
+        # node bounds pass DFS_NODES_PER_CELL per cell, so no DFS runs at
+        # all. The DFS, tracking cell 5, attains the same extremes.
         fam = two_way_family(rows, [sum(rows) // 2] * 2)
         cons = oracle._build_constraints(fam)
         dfs = EnumerationBudget()
-        want = oracle._dfs_extremes(*cons, dfs, 5)[:4]
+        mins, maxs, lo_tab, hi_tab = oracle._dfs_extremes(*cons, dfs, 5)[:4]
         assert dfs.tables > 2**63
+        assert (lo_tab[5], hi_tab[5]) == (mins[5], maxs[5])
+        assert reproduces_margins(fam, lo_tab) and reproduces_margins(fam, hi_tab)
         limits, reference = [], oracle._dfs_extremes
 
         def counted(*args):
@@ -764,7 +772,7 @@ class TestLayeredEngine:
 
         monkeypatch.setattr(oracle, "_dfs_extremes", counted)
         budget = EnumerationBudget()
-        assert oracle._extremes(fam, budget, 5) == want
+        assert oracle._extremes(fam, budget) == (mins, maxs, None, None)
         assert limits == []
         assert (budget.nodes, budget.tables, budget.outcome) == (dfs.nodes, dfs.tables, "complete")
 
@@ -783,8 +791,8 @@ class TestLayeredEngine:
 
         monkeypatch.setattr(oracle, "_layered_extremes", counted)
         budget, dfs = EnumerationBudget(**limits), EnumerationBudget(**limits)
-        got = oracle._extremes(fam, budget, 4)
-        want = oracle._dfs_extremes(*oracle._build_constraints(fam), dfs, 4)[:4]
+        got = oracle._extremes(fam, budget)
+        want = oracle._dfs_extremes(*oracle._build_constraints(fam), dfs, None)[:4]
         assert len(calls) == 1  # its node bound passes the cut
         assert got == want
         assert (budget.nodes, budget.tables) == (dfs.nodes, dfs.tables)
@@ -813,9 +821,10 @@ def hand_off_families(draw):
 
 
 class TestHandOff:
-    """``_extremes`` hands a search over from the DFS to the layered engine
-    past DFS_NODES_PER_CELL nodes per cell; either way its result is the
-    DFS's, node for node, under every budget."""
+    """``_extremes`` hands an untracked search over from the DFS to the
+    layered engine past DFS_NODES_PER_CELL nodes per cell; either way its
+    result is the DFS's, node for node, under every budget, and so is a
+    tracked search's."""
 
     @settings(max_examples=200, deadline=None)
     @given(hand_off_families(), st.data())
@@ -832,9 +841,13 @@ class TestHandOff:
             label="max_nodes",
         )
         k = data.draw(st.integers(0, len(cons[1]) - 1), label="flat cell")
-        budget, dfs = EnumerationBudget(max_nodes), EnumerationBudget(max_nodes)
-        assert oracle._extremes(fam, budget, k) == oracle._dfs_extremes(*cons, dfs, k)[:4]
-        assert (budget.nodes, budget.tables, budget.outcome) == (dfs.nodes, dfs.tables, dfs.outcome)
+        for track in (None, k):
+            budget, dfs = EnumerationBudget(max_nodes), EnumerationBudget(max_nodes)
+            got = oracle._extremes(fam, budget, track)
+            assert got == oracle._dfs_extremes(*cons, dfs, track)[:4]
+            assert (budget.nodes, budget.tables, budget.outcome) == (
+                dfs.nodes, dfs.tables, dfs.outcome
+            )
 
     def test_families_fall_on_both_sides(self):
         # The strategy's shapes and counts reach past the allowance and stay
@@ -908,8 +921,8 @@ class TestEngineChoice:
         cons = oracle._build_constraints(fam)
         assert oracle._node_bound(*cons) <= oracle.DFS_NODES_PER_CELL * len(cons[1])
         budget = EnumerationBudget(max_nodes=3)
-        oracle._extremes(fam, budget, 0)
-        assert engines == [("_dfs_extremes", (*cons, budget, 0))]
+        oracle._extremes(fam, budget)
+        assert engines == [("_dfs_extremes", (*cons, budget, None))]
 
     @pytest.mark.parametrize("max_nodes", [10_000_000, 1500])
     def test_large_family_runs_the_layered_engine_first(self, engines, max_nodes):
@@ -917,12 +930,51 @@ class TestEngineChoice:
         cons = oracle._build_constraints(fam)
         assert oracle._node_bound(*cons) > oracle.DFS_NODES_PER_CELL * len(cons[1])
         budget = EnumerationBudget(max_nodes)
-        oracle._extremes(fam, budget, 4)
-        want = [("_layered_extremes", (*cons, budget, 4))]
+        oracle._extremes(fam, budget)
+        want = [("_layered_extremes", (*cons, budget))]
         if budget.outcome == "exhausted":  # the layered engine returned None
-            want.append(("_dfs_extremes", (*cons, budget, 4)))
+            want.append(("_dfs_extremes", (*cons, budget, None)))
         assert engines == want
         assert budget.outcome == ("complete" if max_nodes > 2133 else "exhausted")
+
+    @pytest.mark.parametrize("max_nodes", [10_000_000, 1500])
+    def test_tracked_search_runs_the_dfs_alone(self, engines, max_nodes):
+        # The attaining tables are read from the DFS memo, so a tracked
+        # search never runs the layered engine, past the cut too.
+        fam = two_way_family([8, 8, 8], [8, 8, 8])
+        cons = oracle._build_constraints(fam)
+        budget = EnumerationBudget(max_nodes)
+        oracle._extremes(fam, budget, 4)
+        assert engines == [("_dfs_extremes", (*cons, budget, 4))]
+
+    def test_passing_certify_runs_the_layered_engine_once(self, engines):
+        fam = two_way_family([8, 8, 8], [8, 8, 8])
+        budget = EnumerationBudget()
+        cert = certify(simple_frechet(fam, (1, 1)), fam, budget)
+        assert cert.ok and cert.sharp.min_table is None and cert.sharp.max_table is None
+        assert [name for name, _ in engines] == ["_layered_extremes"]
+        assert (budget.nodes, budget.tables, budget.outcome) == (2133, 1035, "complete")
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_violation_reruns_the_dfs_for_its_table(self, engines, side):
+        # The first search finds the violation untracked; a tracked rerun
+        # under a fresh budget of the caller's limit reads the table, and
+        # the caller's budget keeps the first search's counts.
+        fam = two_way_family([8, 8, 8], [8, 8, 8])
+        cons = oracle._build_constraints(fam)
+        lower, upper = (1, 8) if side == "lower" else (0, 7)
+        bogus = BoundReport(cell=(1, 1), lower=lower, upper=upper, formula="bogus", subsets=())
+        budget = EnumerationBudget(max_nodes=2133)
+        with pytest.raises(CertificationError, match=f"{side} bound") as err:
+            certify(bogus, fam, budget)
+        assert [name for name, _ in engines] == ["_layered_extremes", "_dfs_extremes"]
+        rerun = engines[1][1]
+        assert rerun[:4] == cons and rerun[5] == 4
+        assert rerun[4] is not budget and rerun[4].max_nodes == 2133
+        mins, maxs, lo_tab, hi_tab = oracle._dfs_extremes(*cons, EnumerationBudget(), 4)[:4]
+        assert err.value.table == (lo_tab if side == "lower" else hi_tab)
+        assert err.value.table[4] == (mins[4] if side == "lower" else maxs[4])
+        assert (budget.nodes, budget.tables, budget.outcome) == (2133, 1035, "complete")
 
 
 @st.composite

@@ -523,6 +523,11 @@ class TestExpFamily:
             expfam_density(plain, lead_table()).values,
         )
 
+    def test_anchor_not_a_cell_refused(self):
+        # Under the one cell rule at construction, before any table is seen.
+        with pytest.raises(RangeError, match="cell 5 is not a sequence of integer coordinates"):
+            ExpFamily(anchors=[5], theta=[1.0])
+
     def test_negative_theta_rejected(self):
         with pytest.raises(RangeError):
             ExpFamily(anchors=((0, 0),), theta=(-0.1,))

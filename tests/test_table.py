@@ -89,6 +89,16 @@ class TestVarSet:
         with pytest.raises(RangeError, match="variable . listed twice"):
             read()
 
+    def test_variables_are_integers(self):
+        # Coerced as cell coordinates are: 1.0 is refused, not read as 1,
+        # and a numpy integer leaves a Python int mask.
+        with pytest.raises(RangeError, match="variable 1.0 is not an integer"):
+            VarSet.from_vars([1.0], 2)
+        with pytest.raises(RangeError, match="is not an integer"):
+            VarSet.from_vars(["1"], 2)
+        a = VarSet.from_vars([np.int64(1), np.int8(2)], 2)
+        assert type(a.mask) is int and a == VarSet.full(2)
+
 
 def _lead_family():
     return MarginalFamily.from_table(
@@ -113,6 +123,8 @@ _FN2, _FN3 = LatticeFunction(2, np.full(4, 0.25)), LatticeFunction(3, np.full(8,
     lambda: _lead_family().marginal(_THREE),
     lambda: _lead_family().grid(_THREE),
     lambda: _lead_family().value(_THREE, (0, 0)),
+    lambda: _lead_family().is_derivable(_THREE),
+    lambda: _lead_family().require([_THREE]),
     lambda: Decomposition((VarSet.full(2), _THREE)),
     lambda: decomposition_bound(_lead_family(), Decomposition((VarSet.full(3),)), (0, 0)),
     lambda: fan_lower_bound(_lead_family(), [VarSet.full(2), _THREE], 1, (0, 0)),
@@ -127,7 +139,7 @@ _FN2, _FN3 = LatticeFunction(2, np.full(4, 0.25)), LatticeFunction(3, np.full(8,
     lambda: fkg_covariance(_FN2, _FN2, _FN3),
     lambda: anchored_margin_observable(lead_table(), (0, 0), _THREE),
 ], ids=["or", "and", "sub", "le", "lt", "marginalize", "family",
-        "marginal", "grid", "value", "decomposition", "decomposition-bound",
+        "marginal", "grid", "value", "is-derivable", "require", "decomposition", "decomposition-bound",
         "fan-lower-bound", "fn-value", "fn-call", "meet-restriction", "fan-evaluate",
         "expfam-interaction", "fkg-h1", "fkg-h2", "observable"])
 def test_wrong_variable_count_refused(call):

@@ -75,7 +75,7 @@ def costs(cons):
     if not counted.complete:
         return None
     dfs = best_of(lambda: oracle._dfs_extremes(*cons, EnumerationBudget(), None))
-    layered = best_of(lambda: oracle._layered_extremes(*cons, EnumerationBudget(), None))
+    layered = best_of(lambda: oracle._layered_extremes(*cons, EnumerationBudget()))
     return len(cons[1]), counted.nodes, 1e6 * dfs, 1e6 * layered, oracle._node_bound(*cons)
 
 
