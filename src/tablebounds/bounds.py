@@ -18,9 +18,11 @@ Bound families implemented, each per target cell and with provenance:
 - a comparison showing the decomposition bound dominates the Fan route on
   three-set covers.
 
-The classical bounds read those kernels: ``simple`` and ``3way:one-dim``
-are the ``ddim:1`` arrays, and ``3way:two-dim`` and ``best``'s ``pair:``
-lowers are the decomposition bound over two-set covers.
+Every lower is one linear inequality over the cell's anchored margins,
+den x cell >= sum of c_a x n(a), summed by ``_linear``; every upper is the
+least derivable margin of a plan's subsets (``_upper``). ``simple`` and
+``3way:one-dim`` are the ``ddim:1`` plan renamed; ``3way:two-dim`` and
+``best``'s ``pair:`` lowers are the decomposition bound over two-set covers.
 
 Each bound is a closed form in the marginals, so the first call for a family
 evaluates it for every cell at once on ``MarginalFamily.grid`` arrays and
@@ -35,8 +37,8 @@ millions.
 Divisions are exact: integer families report the ceiling of the rational
 bound (a count is an integer, so rounding up is sound and tighter), by
 integer ceiling division, and quote the rational in ``terms``. Integer
-arrays are int64 while a bound's largest intermediate (at most C(l, d)
-times the total for the d-dimensional bound) fits, Python ints beyond.
+arrays are int64 while the sum of an inequality's |c_a| times the total
+fits, Python ints beyond.
 """
 
 from __future__ import annotations
@@ -246,6 +248,9 @@ class BoundReport:
     ``terms`` is a read-only Mapping from term names to values at the cell;
     a report from a bound plan reads each value from the plan's whole-grid
     terms when it is looked up, so ``dict(report.terms)`` takes them all.
+    A linear lower (``ddim``, ``decomp``, the Fan routes) reports
+    ``inequality``, one {subset, coefficient, value = n(subset)} per term,
+    ``denominator`` and ``lower_exact``, sum coefficient x value / denominator.
     Such a report keeps the whole plan alive (one ``best_bounds`` report from
     a binary 10-way family holds about 0.42 MB after the family is dropped);
     ``dict(report.terms)`` detaches the values from it.
@@ -308,33 +313,50 @@ def _dsubsets(l: int, d: int) -> tuple[VarSet, ...]:
     )
 
 
-def _operands(fam: MarginalFamily, subsets: Sequence[VarSet], reach: int) -> list:
-    """The grids of derivable ``subsets`` for a formula whose intermediates
-    stay within ``reach`` times the total: int64 if that fits, else Python ints.
-    A real family whose intermediates could overflow float64 is refused."""
-    fam.require(subsets)
-    grids = [fam.grid(a) for a in subsets]
-    if fam.kind == INTEGER and reach * fam.total > INT64_MAX:
-        grids = [g.astype(object) for g in grids]
-    elif fam.kind != INTEGER and reach * fam.total > FLOAT64_MAX:
+def _linear(fam: MarginalFamily, terms: Sequence[tuple[VarSet, int]], den: Optional[int] = None):
+    """(lower, terms) of den x cell >= sum of c x n(a) over ``terms``: ordered
+    (subset, integer coefficient) pairs, each subset derivable, n(∅) the total.
+    The one place a lower is summed: the positive terms less the sum of the
+    negative ones, each in list order. Grids stay int64 while sum |c| times
+    the total fits, Python ints beyond; a real family past float64 is refused."""
+    terms = [(a, c) for a, c in terms if c]
+    fam.require([a for a, _ in terms])
+    reach = sum(abs(c) for _, c in terms)
+    if fam.kind != INTEGER and reach * fam.total > FLOAT64_MAX:
         raise CountRangeError(
             f"bound terms reach {reach} times the total {fam.total}, "
             f"beyond the float64 limit {FLOAT64_MAX}"
         )
-    return grids
+    wide = fam.kind == INTEGER and reach * fam.total > INT64_MAX
+    pos, neg, inequality = 0, 0, []
+    for a, c in terms:
+        v = fam.total if not a.mask else fam.grid(a).astype(object) if wide else fam.grid(a)
+        if c > 0:
+            pos += v if c == 1 else c * v
+        else:
+            neg += v if c == -1 else -c * v
+        inequality.append({"subset": str(a), "coefficient": c, "value": v})
+    lower, exact = _lower(fam, pos - neg, den)
+    return lower, {"inequality": inequality, "denominator": den or 1, "lower_exact": exact}
 
 
 def _lower(fam: MarginalFamily, num, den: Optional[int] = None):
-    """(lower, lower_exact) of a bound max(0, num / den): without ``den``,
-    num clamped at zero and num itself; in an integer family, the exact
-    ceiling clamped at zero and, per cell, the rational num[cell] / den
-    (``num`` is made read-only, like every array a plan holds); in a real
-    family, num / den clamped at zero and num / den."""
+    """(lower, lower_exact) of max(0, num / den): the quotient (num itself
+    without ``den``) clamped at zero, and the quotient; in an integer family
+    with ``den``, the exact ceiling clamped at zero and, per cell, the rational
+    num[cell] / den (``num`` made read-only, like every array a plan holds)."""
     if den is not None and fam.kind == INTEGER:
         num.setflags(write=False)
         return np.maximum(-(-num // den), 0), lambda cell: Fraction(num.item(cell), den)
     exact = num if den is None else num / den
     return np.where(exact <= 0, 0, exact), exact
+
+
+def _upper(fam: MarginalFamily, subsets: Sequence[VarSet]) -> np.ndarray:
+    """At every cell, the least derivable margin among ``subsets`` (n is
+    decreasing), or the total where none is derivable."""
+    grids = [fam.grid(a) for a in subsets if fam.is_derivable(a)]
+    return _min(grids) if grids else np.full(fam.cardinalities, fam.total)
 
 
 def _min(grids):
@@ -347,12 +369,13 @@ def _max(grids):
 
 def _freeze(values) -> None:
     """Make every array among whole-grid terms read-only, in nested dicts
-    and lists too."""
+    and lists too (most are the family's grids, read-only already)."""
     for v in values:
-        if isinstance(v, np.ndarray):
+        kind = type(v)
+        if kind is np.ndarray and v.flags.writeable:
             v.setflags(write=False)
-        elif isinstance(v, (dict, list)):
-            _freeze(v.values() if isinstance(v, dict) else v)
+        elif kind is dict or kind is list:
+            _freeze(v.values() if kind is dict else v)
 
 
 def _at(terms, cell: CellIndex):
@@ -426,10 +449,7 @@ def simple_frechet(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
 def _simple_plan(fam: MarginalFamily) -> _Plan:
     if fam.num_vars != 2:
         raise RangeError("simple_frechet applies to 2-way tables")
-    ddim = _ddim_plan(fam, 1)  # the d = 1 case: n(row) + n(col) - total below
-    row, col = map(fam.grid, ddim.subsets)
-    terms = {"row": row, "col": col, "total": fam.total}
-    return _Plan("simple", ddim.subsets, ddim.lower, ddim.upper, terms)
+    return replace(_ddim_plan(fam, 1), formula="simple")
 
 
 def frechet_3way(
@@ -445,19 +465,17 @@ def _3way_plan(fam: MarginalFamily, basis: str) -> _Plan:
     if fam.num_vars != 3:
         raise RangeError("frechet_3way applies to 3-way tables")
     if basis == "one-dim":  # the d = 1 case of the d-dimensional bound
-        ddim = _ddim_plan(fam, 1)
-        terms = {"margins": list(map(fam.grid, ddim.subsets)), "total": fam.total}
-        return _Plan("3way:one-dim", ddim.subsets, ddim.lower, ddim.upper, terms)
+        return replace(_ddim_plan(fam, 1), formula="3way:one-dim")
     if basis == "two-dim":  # the two-set covers of the decomposition bound
         pairs = _dsubsets(3, 2)
-        upper = _min(_operands(fam, pairs, 2))
+        fam.require(pairs)
         covers = {
             f"{a}+{b}-{a & b}": _decomp_plan(fam, (a.mask, b.mask))
             for a, b in itertools.combinations(pairs, 2)
         }
         lower = _max(p.lower for p in covers.values())
         terms = {key: p.terms["lower_exact"] for key, p in covers.items()}
-        return _Plan("3way:two-dim", pairs, lower, upper, terms)
+        return _Plan("3way:two-dim", pairs, lower, _upper(fam, pairs), terms)
     raise RangeError(f"unknown basis {basis!r}")
 
 
@@ -479,14 +497,11 @@ def _ddim_plan(fam: MarginalFamily, d: int) -> _Plan:
     if not 1 <= d <= l:
         raise RangeError(f"d={d} out of range 1..{l}")
     subsets = _dsubsets(l, d)
-    vals = _operands(fam, subsets, comb(l, d))
-    total = fam.total
-    denom = comb(l - 1, d - 1)
-    margin_sum = sum(vals)
-    terms = {"margin_sum": margin_sum, "total": total, "denominator": denom}
-    num = margin_sum - (comb(l, d) - denom) * total  # denom times the bound
-    lower, terms["lower_exact"] = _lower(fam, num, denom)
-    return _Plan(f"ddim:{d}", subsets, lower, _min(vals), terms)
+    den = comb(l - 1, d - 1)
+    # den times the bound: the d-subset margins less C(l, d) - den totals
+    terms = [(a, 1) for a in subsets] + [(VarSet.empty(l), den - comb(l, d))]
+    lower, terms = _linear(fam, terms, den)
+    return _Plan(f"ddim:{d}", subsets, lower, _upper(fam, subsets), terms)
 
 
 @dataclass(frozen=True)
@@ -505,7 +520,8 @@ class KwerelStats:
 
 def kwerel_form(fam: MarginalFamily, cell: CellIndex, d: int) -> KwerelStats:
     """Normalized restatement: S_d = margin sum / total, and the resulting
-    lower bound S_d / C(l-1, d-1) - l/d + 1 on the cell's share of the total.
+    lower bound S_d / C(l-1, d-1) - l/d + 1 on the cell's share of the total,
+    the margin sum being that of the ``ddim`` inequality's positive terms.
 
     Multiplying the bound by the total recovers the unclamped d-dimensional
     lower bound exactly (rational identity, relying on C(l,d)/C(l-1,d-1)=l/d).
@@ -515,7 +531,8 @@ def kwerel_form(fam: MarginalFamily, cell: CellIndex, d: int) -> KwerelStats:
     total = fam.total
     if total == 0:
         raise RangeError("normalized form undefined for a zero grand total")
-    margin_sum = _ddim_plan(fam, d).terms["margin_sum"].item(cell)
+    inequality = _at(_ddim_plan(fam, d).terms["inequality"], cell)
+    margin_sum = sum(t["value"] for t in inequality if t["coefficient"] > 0)
     s_d = Fraction(margin_sum) / Fraction(total)
     p_full = s_d / comb(l - 1, d - 1) - Fraction(l, d) + 1
     return KwerelStats(s_d=s_d, p_full=p_full, d=d, num_vars=l)
@@ -571,20 +588,11 @@ def decomposition_bound(
 @_planned
 def _decomp_plan(fam: MarginalFamily, masks: tuple[int, ...]) -> _Plan:
     decomp = Decomposition(tuple(VarSet(m, fam.num_vars) for m in masks))
-    cover, seps = decomp.cover, decomp.separators
-    fam.require(cover)  # the separators lie inside it
-    k = len(cover)
-    vals = _operands(fam, cover + seps, k + len(seps))
-    cover_vals, sep_vals = vals[:k], vals[k:]
-    lower, exact = _lower(fam, sum(cover_vals) - sum(sep_vals))
-    terms = {
-        "cover_values": cover_vals,
-        "separator_values": sep_vals,
-        "separators": tuple(str(s) for s in seps),
-        "lower_exact": exact,
-    }
-    formula = "decomp:" + "|".join(str(c) for c in cover)
-    return _Plan(formula, cover, lower, _min(cover_vals), terms)
+    fam.require(decomp.cover)  # the separators lie inside it
+    terms = [(c, 1) for c in decomp.cover] + [(s, -1) for s in decomp.separators]
+    lower, terms = _linear(fam, terms)
+    formula = "decomp:" + "|".join(str(c) for c in decomp.cover)
+    return _Plan(formula, decomp.cover, lower, _upper(fam, decomp.cover), terms)
 
 
 def fan_lower_bound(
@@ -621,39 +629,23 @@ def fan_lower_bound(
 @_planned
 def _fan_plan(fam: MarginalFamily, masks: tuple[int, ...], p: int) -> _Plan:
     l, q = fam.num_vars, len(masks)
-    full = VarSet.full(l)
-    lhs_masks, rhs_masks = fan_terms(masks, p)
-    lhs_subsets = [VarSet(m, l) for m in lhs_masks]
-    rhs = [(k, c, VarSet(m, l)) for k, c, m in rhs_masks]  # k, coefficient, join
-    moved = [(k, c) for k, c, sub in rhs if sub.mask == full.mask]
-    kept = [(c, sub) for _, c, sub in rhs if sub.mask != full.mask]
-    fam.require(lhs_subsets + [sub for _, sub in kept])
-
-    # Each side sums at most C(q, p) total-bounded terms.
-    reach = comb(q, p)
-    lhs = sum(_operands(fam, lhs_subsets, reach))
-    kept_vals = _operands(fam, [sub for _, sub in kept], reach)
-    kept_value = sum(c * v for (c, _), v in zip(kept, kept_vals))
-    weight = sum(c for _, c in moved)
-    terms = {
-        "lhs": lhs,
-        "lhs_subsets": tuple(str(s) for s in lhs_subsets),
-        "rhs_terms": tuple((k, c, str(sub)) for k, c, sub in rhs),
+    full = VarSet.full(l).mask
+    lhs, rhs = fan_terms(masks, p)  # rhs: (k, coefficient, join of k-wise meets)
+    moved = [(k, c) for k, c, m in rhs if m == full]  # occurrences of the cell
+    terms = [(VarSet(m, l), 1) for m in lhs]
+    terms += [(VarSet(m, l), -c) for _, c, m in rhs if m != full]
+    xs = tuple(VarSet(m, l) for m in masks)
+    upper = _upper(fam, xs)
+    fan = {
+        "rhs_terms": tuple((k, c, str(VarSet(m, l))) for k, c, m in rhs),
         "moved_k": tuple(k for k, _ in moved),
-        "full_weight": weight,
         "has_cell_bound": bool(moved),
     }
-    if moved:  # lhs - kept_value is weight times the bound
-        lower, terms["lower_exact"] = _lower(fam, lhs - kept_value, weight)
-    else:
-        lower = np.zeros_like(lhs)
-
-    # n decreasing makes any derivable sequence element a valid upper bound;
-    # fall back to the total, always derivable and always valid.
-    xs = tuple(VarSet(m, l) for m in masks)
-    cand = [x for x in xs if fam.is_derivable(x)]
-    upper = _min(_operands(fam, cand, 1)) if cand else np.full_like(lhs, fam.total)
-    return _Plan(f"fan:p={p},q={q}", xs, lower, upper, terms)
+    if not moved:
+        fam.require([a for a, _ in terms])
+        return _Plan(f"fan:p={p},q={q}", xs, np.zeros_like(upper), upper, fan)
+    lower, terms = _linear(fam, terms, sum(c for _, c in moved))
+    return _Plan(f"fan:p={p},q={q}", xs, lower, upper, {**terms, **fan})
 
 
 @dataclass(frozen=True)
@@ -701,13 +693,11 @@ def compare_fan_vs_decomposition(
     cell = fam.check_cell(cell)
     dec = decomposition_bound(fam, decomp, cell)
     s2, s3 = decomp.separators
-    needed = decomp.cover + (s2 | s3, s2 & s3)
-    missing = tuple(a for a in needed if not fam.is_derivable(a))
-    if missing:
-        return FanDecompositionComparison(
-            cell=cell, decomposition=dec, fan=None, fan_missing=missing
-        )
-    fan = _literal_fan_plan(fam, tuple(a.mask for a in needed)).report(cell)
+    masks = tuple(a.mask for a in decomp.cover + (s2 | s3, s2 & s3))
+    try:
+        fan = _literal_fan_plan(fam, masks).report(cell)
+    except MissingMarginalError as gap:
+        return FanDecompositionComparison(cell, dec, fan=None, fan_missing=gap.missing)
     if dec.lower < fan.lower:
         raise RangeError(
             f"separator bound {dec.lower} fell below the literal fan bound "
@@ -719,14 +709,12 @@ def compare_fan_vs_decomposition(
 @_planned
 def _literal_fan_plan(fam: MarginalFamily, masks: tuple[int, ...]) -> _Plan:
     """The Fan side of the comparison from the masks of the three cover
-    sets and of their separators' join and meet, all derivable; its lower is
-    settled (``_settle``) against the separator route's lower."""
+    sets and of their separators' join and meet; its lower is settled
+    (``_settle``) against the separator route's lower."""
     *cover, join, meet = (VarSet(m, fam.num_vars) for m in masks)
-    *cover_vals, join_val, meet_val = _operands(fam, (*cover, join, meet), 5)
-    lower, exact = _lower(fam, sum(cover_vals) - join_val - meet_val)
+    lower, terms = _linear(fam, [(c, 1) for c in cover] + [(join, -1), (meet, -1)])
     lower = _settle(fam, lower, _decomp_plan(fam, masks[:3]).lower)
-    terms = {"separator_join": str(join), "separator_meet": str(meet), "lower_exact": exact}
-    return _Plan("fan-literal:d=3", tuple(cover), lower, _min(cover_vals), terms)
+    return _Plan("fan-literal:d=3", tuple(cover), lower, _upper(fam, cover), terms)
 
 
 def best_bounds(fam: MarginalFamily, cell: CellIndex) -> BoundReport:

@@ -173,8 +173,10 @@ class ExpFamily:
     log_norm: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # cell_margin_fn checks each against the table's shape
-        self.anchors = tuple(map(cell_coordinates, self.anchors))
+        try:  # cell_margin_fn checks each against the table's shape
+            self.anchors = tuple(map(cell_coordinates, self.anchors))
+        except TypeError:
+            raise RangeError(f"anchors {self.anchors!r} are not a list of cells") from None
         if (self.alpha is None) != (self.theta2 is None):
             raise RangeError("interaction needs both alpha and theta2")
         for name in ("theta", "theta2") if self.theta2 is not None else ("theta",):

@@ -43,17 +43,26 @@ class VarSet:
     num_vars: int
 
     def __post_init__(self) -> None:
-        if self.num_vars < 0:
-            raise RangeError(f"num_vars must be >= 0, got {self.num_vars}")
-        if not 0 <= self.mask < (1 << self.num_vars):
-            raise RangeError(
-                f"mask {self.mask:#x} has bits above variable {self.num_vars}"
-            )
+        try:  # Python ints (``operator.index``): 1.0 is refused, not read as 1
+            mask, num_vars = operator.index(self.mask), operator.index(self.num_vars)
+        except TypeError:
+            raise RangeError(f"VarSet({self.mask!r}, {self.num_vars!r}) needs integers") from None
+        if num_vars < 0:
+            raise RangeError(f"num_vars must be >= 0, got {num_vars}")
+        if not 0 <= mask < (1 << num_vars):
+            raise RangeError(f"mask {mask:#x} has bits above variable {num_vars}")
+        if mask is not self.mask or num_vars is not self.num_vars:  # numpy ints, bools
+            object.__setattr__(self, "mask", mask)
+            object.__setattr__(self, "num_vars", num_vars)
 
     @classmethod
     def from_vars(cls, variables: Iterable[int], num_vars: int) -> "VarSet":
         """Build from distinct 1-based variable indices, each an integer
         (``operator.index``, as cell coordinates)."""
+        try:
+            variables = iter(variables)
+        except TypeError:
+            raise RangeError(f"variables {variables!r} are not a list") from None
         mask = 0
         for v in variables:
             try:

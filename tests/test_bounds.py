@@ -563,8 +563,9 @@ class TestCompareFanVsDecomposition:
         assert folded.lower <= table.value(cell)  # still a valid bound
 
 
-    # A real table where S2 = S3 = {1}, so both routes are equal in exact
-    # arithmetic and the Fan lower came out one rounding step above.
+    # A real table where S2 = S3 = {1}: the separators' join and meet are
+    # the separators themselves, so both routes sum the same terms in the
+    # same order and agree to the bit.
     ROUNDING_COUNTS = [
         0.07870969415548011, 0.019161625902013524, 0.080236416113453,
         0.019132392605720028, 0.008155261736351272, 0.08552269742870702,
@@ -576,9 +577,25 @@ class TestCompareFanVsDecomposition:
         cover = tuple(VarSet.from_vars(v, 3) for v in ([1], [1, 2], [1, 3]))
         return family_of(table, [[1, 2], [1, 3]]), Decomposition(cover)
 
+    # A real binary 4-way table under the chain {1,2}|{2,3}|{3,4}, with no
+    # mass where variables 2 and 3 both differ from the anchor (0, 0, 0, 0):
+    # there n(∅) + n({2,3}) = n({2}) + n({3}), so the two routes are equal
+    # in exact arithmetic, and the Fan lower came out one rounding step
+    # above. Found by drawing uniform counts from default_rng(7), zeroing
+    # those cells: draw 714 is the one crossing in 3,000 draws.
+    CHAIN_ROUNDING_COUNTS = [
+        0.9611097490600038, 0.40002066268208425, 0.05162546129548462,
+        0.0120742173452415, 0.3294139487973129, 0.2616681439965963, 0.0, 0.0,
+        0.36742490845358544, 0.26003076139296744, 0.06776717031684643,
+        0.12358789403448078, 0.7424391566865957, 0.056755563866848546, 0.0, 0.0,
+    ]
+
     def test_rounding_is_not_a_dominance_failure(self):
-        fam, dec = self.rounding_case(self.ROUNDING_COUNTS, "real")
-        cmpr = compare_fan_vs_decomposition(fam, dec, (0, 0, 0))
+        table = ContingencyTable.from_flat((2,) * 4, self.CHAIN_ROUNDING_COUNTS, kind="real")
+        chain = [[1, 2], [2, 3], [3, 4]]
+        fam = family_of(table, chain)
+        dec = Decomposition(tuple(VarSet.from_vars(v, 4) for v in chain))
+        cmpr = compare_fan_vs_decomposition(fam, dec, (0, 0, 0, 0))
         assert cmpr.dominance_holds
         assert cmpr.fan.lower == cmpr.decomposition.lower
         assert cmpr.fan.terms["lower_exact"] > cmpr.decomposition.lower

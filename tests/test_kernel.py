@@ -1,8 +1,10 @@
 """The whole-grid bound kernel against its per-cell views and against plain
 Python-integer references computed from the released marginals alone."""
 
+import functools
 import itertools
 import json
+import operator
 import pickle
 from fractions import Fraction
 from math import ceil, comb
@@ -20,6 +22,7 @@ from tablebounds import (
     VarSet,
     best_bounds,
     bounds_grid,
+    compare_fan_vs_decomposition,
     decomposition_bound,
     fan_lower_bound,
     frechet_3way,
@@ -27,6 +30,7 @@ from tablebounds import (
     simple_frechet,
 )
 from tablebounds import bounds as tb_bounds
+from tablebounds import lattice
 from tablebounds.bounds import method_report
 from tablebounds.cli import _report_doc
 from tablebounds.io import family_from_doc
@@ -254,7 +258,8 @@ def test_ddim_exact_beyond_int64_intermediates(counts):
             margin_sum = sum(n_at(fam, a, cell) for a in subsets)
             den = comb(2, d - 1)
             exact = Fraction(margin_sum, den) - (Fraction(3, den) - 1) * table.total
-            assert rep.terms["margin_sum"] == margin_sum
+            inequality = rep.terms["inequality"]
+            assert sum(t["value"] for t in inequality if t["coefficient"] > 0) == margin_sum
             assert rep.terms["lower_exact"] == exact
             assert rep.lower <= table.value(cell) <= rep.upper
             best = best_bounds(fam, cell)
@@ -303,6 +308,20 @@ def first_winner(candidates, pick):
     return next(name for name, value in candidates.items() if value == best)
 
 
+def assert_inequality_is_the_bound(fam, terms, cell):
+    """Sum coefficient x value over ``inequality``, over ``denominator``, is
+    ``lower_exact``: exactly in an integer family, whose values are the
+    marginals at the cell, and within real_slack(total) in a real one."""
+    inequality, den = terms["inequality"], terms["denominator"]
+    num = sum(t["coefficient"] * t["value"] for t in inequality)
+    if fam.kind == "real":
+        assert abs(num / den - terms["lower_exact"]) <= lattice.real_slack(fam.total)
+        return
+    for t in inequality:
+        assert t["value"] == n_at(fam, VarSet.parse(t["subset"], fam.num_vars), cell)
+    assert Fraction(num, den) == terms["lower_exact"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.booleans().flatmap(lambda real: families(real=real)))
 # ddim:1's lower at (1, 1) is 0.20000000000000007, which crosses the exact
@@ -331,6 +350,8 @@ def test_reports_match_an_eager_term_walk(fam):
                 assert list(rep.terms) == list(want) and len(rep.terms) == len(want)
                 assert all(rep.terms[k] == want[k] for k in want)
                 assert repr(rep.terms) == repr(want)
+            if "inequality" in want:  # the lower is its inequality, divided out
+                assert_inequality_is_the_bound(fam, want, cell)
             if method == "best":
                 assert want["lowers"][want["lower_from"]] == lower
                 assert want["uppers"][want["upper_from"]] == upper
@@ -390,22 +411,31 @@ PAIRS_FAMILY = {
 README_BOUNDS = [
     (LEAD_FAMILY, (0, 0), "simple",
      '{"schema": 1, "cell": [0, 0], "lower": 0, "upper": 8, "formula": "simple", '
-     '"subsets": [[1], [2]], "terms": {"row": 25, "col": 8, "total": 34}}'),
+     '"subsets": [[1], [2]], "terms": {"inequality": [{"subset": "{1}", '
+     '"coefficient": 1, "value": 25}, {"subset": "{2}", "coefficient": 1, "value": 8}, '
+     '{"subset": "{}", "coefficient": -1, "value": 34}], "denominator": 1, '
+     '"lower_exact": -1}}'),
     (PAIRS_FAMILY, (0, 0, 0), "ddim:2",
      '{"schema": 1, "cell": [0, 0, 0], "lower": 0, "upper": 4, "formula": "ddim:2", '
-     '"subsets": [[1, 2], [1, 3], [2, 3]], "terms": {"margin_sum": 19, "total": 31, '
-     '"denominator": 2, "lower_exact": -6}}'),
+     '"subsets": [[1, 2], [1, 3], [2, 3]], "terms": {"inequality": [{"subset": "{1,2}", '
+     '"coefficient": 1, "value": 4}, {"subset": "{1,3}", "coefficient": 1, "value": 7}, '
+     '{"subset": "{2,3}", "coefficient": 1, "value": 8}, {"subset": "{}", '
+     '"coefficient": -1, "value": 31}], "denominator": 2, "lower_exact": -6}}'),
     (PAIRS_FAMILY, (0, 0, 0), "decomp:{1,2}|{1,3}",
      '{"schema": 1, "cell": [0, 0, 0], "lower": 2, "upper": 4, '
      '"formula": "decomp:{1,2}|{1,3}", "subsets": [[1, 2], [1, 3]], '
-     '"terms": {"cover_values": [4, 7], "separator_values": [9], '
-     '"separators": ["{1}"], "lower_exact": 2}}'),
+     '"terms": {"inequality": [{"subset": "{1,2}", "coefficient": 1, "value": 4}, '
+     '{"subset": "{1,3}", "coefficient": 1, "value": 7}, {"subset": "{1}", '
+     '"coefficient": -1, "value": 9}], "denominator": 1, "lower_exact": 2}}'),
     (PAIRS_FAMILY, (0, 0, 0), "fan:{1}|{2}|{3},1",
      '{"schema": 1, "cell": [0, 0, 0], "lower": 0, "upper": 9, '
-     '"formula": "fan:p=1,q=3", "subsets": [[1], [2], [3]], "terms": {"lhs": 41, '
-     '"lhs_subsets": ["{1}", "{2}", "{3}"], "rhs_terms": [[1, 1, "{1,2,3}"], '
-     '[2, 1, "{}"], [3, 1, "{}"]], "moved_k": [1], "full_weight": 1, '
-     '"has_cell_bound": true, "lower_exact": -21}}'),
+     '"formula": "fan:p=1,q=3", "subsets": [[1], [2], [3]], "terms": {"inequality": '
+     '[{"subset": "{1}", "coefficient": 1, "value": 9}, {"subset": "{2}", '
+     '"coefficient": 1, "value": 18}, {"subset": "{3}", "coefficient": 1, "value": 14}, '
+     '{"subset": "{}", "coefficient": -1, "value": 31}, {"subset": "{}", '
+     '"coefficient": -1, "value": 31}], "denominator": 1, "lower_exact": -21, '
+     '"rhs_terms": [[1, 1, "{1,2,3}"], [2, 1, "{}"], [3, 1, "{}"]], "moved_k": [1], '
+     '"has_cell_bound": true}}'),
     (LEAD_FAMILY, (0, 0), "best",
      '{"schema": 1, "cell": [0, 0], "lower": 0, "upper": 8, "formula": "best", '
      '"subsets": [[1], [2]], "terms": {"lowers": {"zero": 0, "ddim:1": 0, '
@@ -433,3 +463,111 @@ README_BOUNDS = [
 def test_report_doc_of_readme_commands(doc, cell, method, expected):
     fam = family_from_doc(doc)
     assert json.dumps(_report_doc(method_report(fam, method, cell))) == expected
+
+
+# ----------------------------------- every inequality valid on every table
+#
+# A lower den x cell >= sum of c_a x n(a) is linear in the table, so it
+# holds on every nonnegative table, integer or real, of every shape, iff it
+# holds on each single-record table. A record that agrees with the cell on
+# exactly the variables S adds [a <= S] to each n(a) and [S = L] to the
+# cell, so the condition is sum_{a <= S} c_a <= den x [S = L] for every
+# pattern S: one subset-sum transform of the coefficients, with no data.
+
+
+def pattern_sums(inequality, l):
+    """sum of c_a over a <= S, for every pattern S (a mask) of 2^L."""
+    return lattice.subset_sum_transform(coefficients(inequality, l), l)
+
+
+def coefficients(inequality, l):
+    """The inequality's coefficients as a vector over the masks of 2^L."""
+    coeffs = np.zeros(1 << l, dtype=np.int64)
+    for t in inequality:
+        coeffs[mask_of(t["subset"], l)] += t["coefficient"]
+    return coeffs
+
+
+@functools.lru_cache(maxsize=None)
+def mask_of(text, l):
+    return VarSet.parse(text, l).mask
+
+
+def violations(terms, l):
+    """The patterns S at which the reported inequality fails a record."""
+    allowed = np.zeros(1 << l, dtype=np.int64)
+    allowed[-1] = terms["denominator"]
+    return np.flatnonzero(pattern_sums(terms["inequality"], l) > allowed).tolist()
+
+
+def random_masks(rng, l, k, cover=False):
+    """k nonempty subsets of L as masks; with ``cover``, the last one also
+    takes whatever variables the others miss."""
+    masks = [int(m) for m in rng.integers(1, 1 << l, size=k)]
+    if cover:
+        masks[-1] |= ((1 << l) - 1) & ~functools.reduce(operator.or_, masks)
+    return masks
+
+
+def spelled(masks, l):
+    return "|".join(str(VarSet(m, l)) for m in masks)
+
+
+def full_release(l):
+    """A binary family with the full table released: every subset derivable."""
+    table = ContingencyTable.from_flat((2,) * l, [1] * (1 << l))
+    return MarginalFamily.from_table(table, [VarSet.full(l)])
+
+
+@pytest.mark.parametrize("l", range(2, 7))
+def test_every_inequality_holds_on_every_single_record_table(l):
+    rng = np.random.default_rng(l)
+    fam, cell = full_release(l), (0,) * l
+    methods = [f"ddim:{d}" for d in range(1, l + 1)] + [
+        f"decomp:{spelled(random_masks(rng, l, int(rng.integers(1, 5)), cover=True), l)}"
+        for _ in range(20)
+    ]
+    fans = []
+    while len(fans) < 20:
+        masks = random_masks(rng, l, int(rng.integers(1, 5)))
+        method = f"fan:{spelled(masks, l)},{int(rng.integers(1, len(masks) + 1))}"
+        if method_report(fam, method, cell).terms["has_cell_bound"]:
+            fans.append(method)
+    reports = [method_report(fam, method, cell) for method in methods + fans]
+    for _ in range(20):
+        cover = tuple(VarSet(m, l) for m in random_masks(rng, l, 3, cover=True))
+        reports.append(compare_fan_vs_decomposition(fam, Decomposition(cover), cell).fan)
+    if l in (2, 3):
+        reports.append(method_report(fam, "simple" if l == 2 else "3way:one-dim", cell))
+    for rep in reports:
+        assert violations(rep.terms, l) == [], rep.formula
+
+
+def test_a_forged_inequality_is_refused():
+    # The simple lower with 2 n(row): at S = {1}, one record outside the cell
+    # counts 2 - 1 = 1 > 0, so the forgery fails on a table with one record.
+    terms = dict(method_report(full_release(2), "simple", (0, 0)).terms)
+    assert violations(terms, 2) == []
+    terms["inequality"] = [
+        dict(t, coefficient=2) if t["subset"] == "{1}" else t for t in terms["inequality"]
+    ]
+    assert violations(terms, 2) == [0b01, 0b11]
+
+
+@pytest.mark.parametrize("l", range(2, 6))
+def test_separator_route_dominates_literal_fan_on_every_table(l):
+    # decomp minus literal Fan transforms to >= 0 at every pattern, so the
+    # separator lower is at least the literal Fan lower on every table: the
+    # dominance compare_fan_vs_decomposition checks cell by cell.
+    fam = full_release(l)
+    for masks in itertools.product(range(1, 1 << l), repeat=3):
+        if masks[0] | masks[1] | masks[2] != (1 << l) - 1:
+            continue
+        s2, s3 = Decomposition(tuple(VarSet(m, l) for m in masks)).separators
+        separator = tb_bounds._decomp_plan(fam, masks)
+        fan = tb_bounds._literal_fan_plan(fam, masks + ((s2 | s3).mask, (s2 & s3).mask))
+        gap = coefficients(separator.terms["inequality"], l) - coefficients(
+            fan.terms["inequality"], l
+        )
+        assert (lattice.subset_sum_transform(gap, l) >= 0).all(), masks
+        fam._plans.clear()  # thousands of covers: keep the family small

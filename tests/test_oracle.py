@@ -1,7 +1,9 @@
 """Enumeration correctness, sharpness, budgets, and certification."""
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1041,3 +1043,19 @@ class TestForcedCellRule:
             tables = list(itertools.islice(enumerate_tables(fam, budget), 20))
         assert any(calls)  # the last cell closes every line
         assert all(reproduces_margins(fam, t.flat.tolist()) for t in tables)
+
+
+def test_engine_cost_fit_never_reports_a_negative_cost():
+    # tools/oracle_costs.py once printed a negative per-node cost: a fit
+    # coefficient below zero is fixed at 0, the other column refitted alone.
+    path = Path(__file__).resolve().parents[1] / "tools" / "oracle_costs.py"
+    spec = importlib.util.spec_from_file_location("oracle_costs", path)
+    costs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(costs)
+    cells, nodes, times = [8, 8, 8, 8], [10, 20, 30, 40], [100.0, 98.0, 97.0, 95.0]
+    (per_cell, per_node), clamped = costs.fit([cells, nodes], times)
+    x = np.array(cells) / np.array(times)
+    assert clamped and per_node == 0
+    assert per_cell == pytest.approx(x.sum() / (x @ x))  # one column, least squares
+    (fixed, per_node), clamped = costs.fit([[1] * 4, nodes], [11.0, 21.0, 31.0, 41.0])
+    assert not clamped and (fixed, per_node) == pytest.approx((1.0, 1.0))

@@ -98,6 +98,22 @@ class TestVarSet:
             VarSet.from_vars(["1"], 2)
         a = VarSet.from_vars([np.int64(1), np.int8(2)], 2)
         assert type(a.mask) is int and a == VarSet.full(2)
+        b = VarSet(np.int64(5), np.int8(3))
+        assert (type(b.mask), type(b.num_vars)) == (int, int)
+        assert b == VarSet(5, 3) and hash(b) == hash(VarSet(5, 3)) and str(b) == "{1,3}"
+
+    @pytest.mark.parametrize("build", [
+        lambda: VarSet(1.0, 2),
+        lambda: VarSet(1, 2.0),
+        lambda: VarSet("1", 2),
+        lambda: VarSet.from_vars(5, 2),
+        lambda: ExpFamily(anchors=5, theta=[1.0]),
+    ], ids=["float-mask", "float-num-vars", "text-mask", "number-as-variables",
+            "number-as-anchors"])
+    def test_non_integer_parts_refused(self, build):
+        # Each once constructed and failed later, or raised a TypeError.
+        with pytest.raises(RangeError):
+            build()
 
 
 def _lead_family():

@@ -20,9 +20,10 @@ ratio shows what the constant costs.
 
 The costs are least-squares fits in relative error: DFS time = fixed +
 per node x nodes, and layered time = per cell x cells + per node x nodes
-(also printed). Families whose search passes MAX_NODES are skipped and
-counted. Run from the root of a checkout; it imports tablebounds from
-``src``.
+(also printed), with no coefficient below zero: a shape whose unconstrained
+fit gives one is refitted with it fixed at 0, and its ``fit_clamped_at_zero``
+is true. Families whose search passes MAX_NODES are skipped and counted.
+Run from the root of a checkout; it imports tablebounds from ``src``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import json
 import platform
 import statistics
 import sys
+from math import inf
 from pathlib import Path
 from time import perf_counter
 
@@ -80,22 +82,33 @@ def costs(cons):
 
 
 def fit(columns, times):
-    """Least-squares coefficients of ``times`` on ``columns``, in relative
-    error, so small families weigh as much as large ones."""
+    """Least-squares coefficients of ``times`` on two ``columns`` in relative
+    error (so small families weigh as much as large ones), none below 0, and
+    whether one was fixed at 0: a negative coefficient is set to 0 and the
+    other column refitted alone, which for two columns is the least-squares
+    optimum under the sign constraint."""
     x = np.array(columns, dtype=float).T / np.array(times)[:, None]
-    return np.linalg.lstsq(x, np.ones(len(times)), rcond=None)[0]
+    ones = np.ones(len(times))
+    coef = np.linalg.lstsq(x, ones, rcond=None)[0]
+    if (coef >= 0).all():
+        return coef, False
+    keep = int(np.argmax(coef))
+    coef = np.zeros(2)
+    coef[keep] = np.linalg.lstsq(x[:, [keep]], ones, rcond=None)[0][0]
+    return coef, True
 
 
 def summary(rows):
     cells, nodes, dfs, layered, _ = (list(c) for c in zip(*rows))
-    _, dfs_per_node = fit([[1] * len(rows), nodes], dfs)
-    per_cell, per_node = fit([cells, nodes], layered)
+    (_, dfs_per_node), dfs_clamped = fit([[1] * len(rows), nodes], dfs)
+    (per_cell, per_node), layered_clamped = fit([cells, nodes], layered)
     return {
         "families": len(rows),
         "dfs_us_per_node": round(dfs_per_node, 3),
         "layered_us_per_cell": round(per_cell, 1),
         "layered_us_per_node": round(per_node, 3),
-        "break_even_nodes_per_cell": round(per_cell / dfs_per_node, 1),
+        "break_even_nodes_per_cell": round(per_cell / dfs_per_node, 1) if dfs_per_node else inf,
+        "fit_clamped_at_zero": dfs_clamped or layered_clamped,
     }
 
 
