@@ -317,8 +317,11 @@ def _linear(fam: MarginalFamily, terms: Sequence[tuple[VarSet, int]], den: Optio
     """(lower, terms) of den x cell >= sum of c x n(a) over ``terms``: ordered
     (subset, integer coefficient) pairs, each subset derivable, n(∅) the total.
     The one place a lower is summed: the positive terms less the sum of the
-    negative ones, each in list order. Grids stay int64 while sum |c| times
-    the total fits, Python ints beyond; a real family past float64 is refused."""
+    negative ones, each in list order. Every margin is at most the total, so
+    each sum stays within its coefficients' sum times the total, and so does
+    their difference: grids stay int64 while the greater of the two sums
+    fits, Python ints beyond. A real family whose sum |c| times the total
+    passes float64 is refused."""
     terms = [(a, c) for a, c in terms if c]
     fam.require([a for a, _ in terms])
     reach = sum(abs(c) for _, c in terms)
@@ -327,7 +330,8 @@ def _linear(fam: MarginalFamily, terms: Sequence[tuple[VarSet, int]], den: Optio
             f"bound terms reach {reach} times the total {fam.total}, "
             f"beyond the float64 limit {FLOAT64_MAX}"
         )
-    wide = fam.kind == INTEGER and reach * fam.total > INT64_MAX
+    positive = sum(c for _, c in terms if c > 0)
+    wide = fam.kind == INTEGER and max(positive, reach - positive) * fam.total > INT64_MAX
     pos, neg, inequality = 0, 0, []
     for a, c in terms:
         v = fam.total if not a.mask else fam.grid(a).astype(object) if wide else fam.grid(a)

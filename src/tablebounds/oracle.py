@@ -17,20 +17,23 @@ tables back from the memo once the search is over. A bound report is
 certified by checking it contains the sharp bounds.
 
 Two engines expand those states and give identical extremes and counts,
-node counts included. The memoized DFS costs about 0.6-1.7 us per node and
+node counts included. The memoized DFS costs about 0.5-1.3 us per node and
 keeps about 73 bytes per node in its memo. The layered engine expands one
-cell's states at a time in a few numpy operations, at a fixed 35-60 us or so
-per cell plus about 0.1 us per node (``tools/oracle_costs.py`` measures
-both); it keeps about 5 bytes per node plus per-state offsets and counts,
-and up to about 250 bytes per edge of the layer it builds. Each search that
-keeps no table picks its engine before either runs, from ``_node_bound``,
-an upper bound on its node count that takes about 10 us: a family bounded
-by DFS_NODES_PER_CELL nodes per cell runs the DFS, and any other the
-layered engine. When the layered engine finds the caller's budget would be
-reached, before it builds the layer that reaches it, the DFS runs under
-that budget, so an exhausted result is the DFS's. Both count exactly past
-int64. Every table the oracle returns is read back from the DFS memo: those
-of ``enumerate_tables``, the attaining tables of
+cell's states at a time in a few numpy operations, at a fixed 20-35 us or so
+per cell plus about 0.02-0.05 us per node (``tools/oracle_costs.py``
+measures both); it keeps at most about 5 bytes per node plus per-state
+offsets and counts, and up to about 250 bytes per edge of the layer it
+builds. A cell that opens a line merges nothing, as no two of its edges
+reach one child; a free cell that opens none merges the states before it
+by base and builds no edge; a forced one merges its edges by child. Each
+search that keeps no table picks its engine before either runs, from
+``_node_bound``, an upper bound on its node count that takes about 10 us: a
+family bounded by DFS_NODES_PER_CELL nodes per cell runs the DFS, and any
+other the layered engine. When the layered engine finds the caller's budget
+would be reached, before it builds the layer that reaches it, the DFS runs
+under that budget, so an exhausted result is the DFS's. Both count exactly
+past int64. Every table the oracle returns is read back from the DFS memo:
+those of ``enumerate_tables``, the attaining tables of
 ``sharp_bounds(keep_tables=True)`` and the table a failed ``certify``
 raises with; those searches always run the DFS.
 
@@ -60,11 +63,12 @@ COMPLETE = "complete"
 EXHAUSTED = "exhausted"
 # Families whose ``_node_bound`` is at most this many nodes per cell run the
 # memoized DFS, all others the layered engine. The summed time of the routed
-# engines at this cut is within 0.5% of the least over all cuts:
+# engines at this cut is within 1.2% of the least over all cuts:
 # `python3 tools/oracle_costs.py` printed ``routed_time_at_cut_over_least``
-# 1.0025-1.0043 on four runs (2 cores, Python 3.11.7, numpy 2.4). The sum
-# stays within 1.2% of its least from 100 to 400, so the least cut itself
-# (``predictor_cut_per_cell``, 153-178 on those runs) moves with noise.
+# 1.0059-1.0116 on four runs (2 cores, Python 3.11.7, numpy 2.4). The sum
+# stays within about 3% of its least from 100 to 400, so the least cut
+# itself (``predictor_cut_per_cell``, 123-178 on those runs) moves with
+# noise.
 DFS_NODES_PER_CELL = 252
 
 
@@ -422,17 +426,21 @@ def _dfs_extremes(targets, cell_groups, closing_groups, slots, budget, track):
 
 
 @functools.lru_cache(maxsize=256)
-def _layer_plan(cell_groups, closing_groups):
-    """Per cell: its groups as an index array and its first closing group
-    (None for a free cell). They depend on the shape alone."""
-    return [(np.array(grp, dtype=np.intp), closing[0] if closing else None)
-            for grp, closing in zip(cell_groups, closing_groups)]
+def _layer_plan(cell_groups, closing_groups, slots):
+    """Per cell: its groups as an index array, its first closing group (None
+    for a free cell) and whether it opens a group of ``slots``. They depend
+    on the shape alone."""
+    opening = {k for slot in slots for _, k in slot}
+    return [(np.array(grp, dtype=np.intp), closing[0] if closing else None, k in opening)
+            for k, (grp, closing) in enumerate(zip(cell_groups, closing_groups))]
 
 
 def _dedup(keys: np.ndarray):
     """(first, inverse) of the distinct columns of ``keys``, one row per
     word: ``first`` indexes one column of each, in key order, and ``inverse``
-    maps every column to its distinct one."""
+    maps every column to its distinct one. The layered engine sorts the
+    states' bases at a free cell that opens no line and the edges' children
+    at a forced one; a cell that opens a line needs neither."""
     m = keys.shape[1]
     new = np.zeros(m, dtype=bool)  # new[i]: the i-th column in order starts a key
     if len(keys) == 1:
@@ -455,13 +463,32 @@ def _layered_extremes(targets, cell_groups, closing_groups, slots, budget):
     caller's budget would be reached.
 
     Layer k holds the distinct states before cell k that the DFS expands, as
-    columns of residuals, one row per group. The forward pass gives each
-    state the ``[lo, hi]`` of ``_cell_range`` and one edge per value (a
-    forced cell: one edge from each state that admits its value), and merges
-    equal children by their ``_state_code``, a column of int64 words, so
-    ``nodes`` is the DFS's. The backward pass counts tables per state,
-    exactly, and takes a cell's extremes over the edges into states that
-    hold a table.
+    columns of residuals, one row per group, with their ``_state_code``s, a
+    column of int64 words each. The forward pass gives each state the
+    ``[lo, hi]`` of ``_cell_range``, one node per value (a forced cell: one
+    from each state that admits its value), so ``nodes`` is the DFS's, and
+    finds the distinct children in one of three ways:
+
+    - A cell that opens a group of ``slots`` merges nothing: the opened
+      group's digit in a child is its target less the value, which fixes
+      the value and then the parent. Its edges are its children, in order.
+    - A free cell that opens nothing merges states, not edges. Every group
+      of the cell is open, so a value subtracts from digits that hold at
+      least ``hi`` and never borrows: state s has the children base(s) +
+      j * step for j = 0 .. hi(s), where base(s) is its code less hi(s) *
+      step, and j is the child's least residual over the cell's groups. Two
+      states share a child exactly when their bases are equal, so
+      ``_dedup`` runs over the states' bases, and each class of equal bases
+      gets the children j = 0 .. its greatest hi, built without an edge.
+    - A forced cell that opens nothing merges its edges by their children's
+      codes: states that differ only in the residual of a group the cell
+      closes leave one state.
+
+    The backward pass counts tables per state, exactly, and takes a cell's
+    extremes over the edges into states that hold a table. At a merged
+    cell, state s's count is the sum of its class's first hi(s) + 1 child
+    counts, one difference of a prefix sum over the layer, and its extremes
+    come from its class's first live child and its last at or below hi(s).
     """
     n, top = len(cell_groups), max(targets)
     nodes_left = budget.max_nodes - budget.nodes
@@ -472,61 +499,100 @@ def _layered_extremes(targets, cell_groups, closing_groups, slots, budget):
     codes = np.array([[c >> 63 * i & 2**63 - 1 for c in step + add] for i in range(words)])
     steps, adds = codes[:, :n], codes[:, n:]  # one int64 row per word
     code = np.zeros((words, 1), dtype=np.int64)  # code[:, s]: state s's code
-    # Per cell: (value, inverse, start, ok), one edge per entry of ``value``
-    # and ``inverse`` (its child state). A free cell's edges run per state
-    # from ``start``; a forced cell's come one each from the states ``ok``.
+    # Per cell, an edge layer's (value, inverse, start, ok): one edge per
+    # entry of ``value``, whose child state is its entry of ``inverse`` (None:
+    # the edges are the children, in order). A free cell's edges run per
+    # state from ``start``; a forced cell's come one each from the states
+    # ``ok``. A merged layer's (hi, head): state s's children run from
+    # head[s] to head[s] + hi[s], for the values hi[s] down to 0.
     layers, nodes = [], 0
-    for k, (grp, closing) in enumerate(_layer_plan(cell_groups, closing_groups)):
+    for k, (grp, closing, opens) in enumerate(_layer_plan(cell_groups, closing_groups, slots)):
         hi = R[grp].min(axis=0)
         if closing is not None:
             # Forced to the closing residual, which fits where it is the
             # least residual of the cell's groups (``_cell_range``).
             lo = R[closing]
             ok = hi == lo
-            parent, start = ok.nonzero()[0], None
+            parent = ok.nonzero()[0]
             nodes += len(parent)
             if nodes > nodes_left:
                 return None
             value = lo[parent]
+            keys = code.take(parent, axis=1) - steps[:, k, None] * value
+            edges = (value, None, None, ok)
+            if not opens:  # states that differ only in closing residuals meet
+                first, inverse = _dedup(keys)
+                edges = (value, inverse, None, ok)
+                keys, parent, value = keys.take(first, axis=1), parent[first], value[first]
+            layers.append(edges)
         else:
             if R.shape[1] * (top + 1) >= 2**63:  # the widths' sum could wrap
                 return None
-            width = hi + 1
-            start = width.cumsum()
-            nodes += int(start[-1]) if len(start) else 0
+            nodes += int(hi.sum()) + len(hi)
             if nodes > nodes_left:
                 return None
-            start -= width
-            parent, ok = np.repeat(np.arange(R.shape[1]), width), None
+            if opens:
+                width = hi + 1
+            else:  # one class per base, as wide as its widest state
+                first, inverse = _dedup(code - steps[:, k, None] * hi)
+                width = np.zeros(len(first), dtype=small)
+                np.maximum.at(width, inverse, hi)
+                width += 1
+            start = width.cumsum() - width
+            parent = np.repeat(np.arange(len(width)), width)
             value = (np.arange(len(parent)) - start[parent]).astype(small)
-        keys = code.take(parent, axis=1) - steps[:, k, None] * value
-        first, inverse = _dedup(keys)
-        code = keys.take(first, axis=1)
+            if opens:
+                layers.append((value, None, start, None))
+            else:  # child j of a class, from its first state: value hi - j
+                layers.append((hi, start[inverse]))
+                parent = first[parent]
+                value = hi[parent] - value
+            keys = code.take(parent, axis=1) - steps[:, k, None] * value
+        code = keys
         if add[k + 1]:
             code += adds[:, k + 1, None]
-        R, taken = R.take(parent[first], axis=1), value[first]
+        R = R.take(parent, axis=1)
         for g in cell_groups[k]:
-            R[g] -= taken
-        layers.append((value, inverse, start, ok))
+            R[g] -= value
     # Backward: counts[s] = tables below state s of the layer below. A state
-    # sums at most top + 1 edges, so a layer whose counts all stay below
+    # sums at most top + 1 children, so a layer whose counts all stay below
     # ``limit`` is summed in int64 by the layer above; past it, in Python
     # ints. ``bound`` caps the counts so far, so most layers skip the check.
     limit, bound = (2**63 - 1) // (top + 1), 1
     counts = np.ones(R.shape[1], dtype=np.int64)
     mins, maxs = [top + 1] * n, [-1] * n
     for k in reversed(range(n)):
-        value, inverse, start, ok = layers.pop()
-        below = counts[inverse]
-        held = value[below > 0]
-        if held.size:
-            mins[k], maxs[k] = int(held.min()), int(held.max())
-        if ok is None:  # every state has at least one edge
-            total = np.add.reduceat(below, start)
+        layer = layers.pop()
+        if len(layer) == 2:  # merged: prefix sums over the children
+            hi, head = layer
+            last, m = head + hi, len(counts)
+            # int64 counts are summed in uint64, which wraps, but exactly
+            # modulo 2**64: each state's sum fits int64 (``limit``), so its
+            # difference is exact.
+            flat = counts if counts.dtype == object else counts.view(np.uint64)
+            sums = np.zeros(m + 1, dtype=flat.dtype)
+            np.cumsum(flat, out=sums[1:])
+            total = (sums[last + 1] - sums[head]).astype(counts.dtype, copy=False)
+            live, at = counts > 0, np.arange(m)
+            below = np.maximum.accumulate(np.where(live, at, -1))[last]
+            held = below >= head  # s has a live child: the last at or below hi(s)
+            if held.any():
+                above = np.minimum.accumulate(np.where(live, at, m)[::-1])[::-1][head]
+                mins[k] = int((last - below)[held].min())
+                maxs[k] = int((last - above)[held].max())
             bound *= top + 1
-        else:  # at most one edge per state
-            total = np.zeros(len(ok), dtype=below.dtype)
-            total[ok] = below
+        else:
+            value, inverse, start, ok = layer
+            below = counts if inverse is None else counts[inverse]
+            held = value[below > 0]
+            if held.size:
+                mins[k], maxs[k] = int(held.min()), int(held.max())
+            if ok is None:  # every state has at least one edge
+                total = np.add.reduceat(below, start)
+                bound *= top + 1
+            else:  # at most one edge per state
+                total = np.zeros(len(ok), dtype=below.dtype)
+                total[ok] = below
         if bound >= limit and total.max(initial=0) >= limit:
             total = total.astype(object, copy=False)
         counts = total

@@ -266,6 +266,34 @@ def test_ddim_exact_beyond_int64_intermediates(counts):
             assert (best.lower, best.upper) == ref_best(fam, cell)
 
 
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "total, dtype",
+    [
+        (INT64_MAX // 5, np.int64),
+        (INT64_MAX // 5 + 1, np.int64),  # sum |c| = 5 times it passes int64
+        (int(0.2000009 * INT64_MAX), np.int64),
+        (INT64_MAX // 3, np.int64),
+        (INT64_MAX // 3 + 1, object),  # sum of positive c = 3 times it passes
+    ],
+    ids=["below-5", "above-5", "0.2000009", "below-3", "above-3"],
+)
+def test_lower_stays_int64_while_each_sum_fits(total, dtype):
+    # ddim:1 on three variables sums n(1) + n(2) + n(3) - 2 x total: the
+    # positive terms reach 3 x total and the negative 2 x total, so the
+    # lower stays int64 while 3 x total fits, however far 5 x total passes.
+    # Nearly all the mass sits in one cell, so its lower is about the total.
+    table = ContingencyTable.from_flat((2, 2, 2), [total - 7] + [1] * 7)
+    fam = MarginalFamily.from_table(table, vs(3, [1], [2], [3]))
+    lower, upper = bounds_grid(fam, "ddim:1")
+    assert lower.dtype == dtype
+    for cell in cells(fam):
+        assert (lower[cell], upper[cell]) == ref_ddim(1)(fam, cell)
+    assert lower[0, 0, 0] == total - 12
+
+
 def test_grid_is_read_only_and_cached():
     table = ContingencyTable.from_flat((2, 3), [1, 2, 3, 4, 5, 6])
     fam = MarginalFamily.from_table(table, vs(2, [1], [2]))

@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -800,6 +801,163 @@ class TestLayeredEngine:
         assert (budget.nodes, budget.tables) == (dfs.nodes, dfs.tables)
         assert budget.outcome == dfs.outcome
         assert budget.outcome == ("complete" if not limits else "exhausted")
+
+
+MERGE_SHAPES = [
+    ((3, 3), [[1], [2]]),
+    ((3, 4), [[1], [2]]),
+    ((2, 2, 2), [[1], [2], [3]]),
+    ((3, 2, 3), [[1, 2], [2, 3]]),
+    ((3, 3, 3), [[1, 2], [1, 3], [2, 3]]),
+]
+
+
+def merged_cells(cons):
+    """The cells whose layer merges states by base: free, and the first
+    cell of no group in ``slots``."""
+    opening = {k for slot in cons[3] for _, k in slot}
+    return [k for k, closing in enumerate(cons[2]) if not closing and k not in opening]
+
+
+def layer_nodes(cons):
+    """Nodes per cell, by a plain breadth-first search over the distinct
+    residual vectors before each cell: each adds one node per value of its
+    ``_cell_range``."""
+    targets, cell_groups, closing_groups, _ = cons
+    states, nodes = {tuple(targets)}, []
+    for grp, closing in zip(cell_groups, closing_groups):
+        children, count = set(), 0
+        for residual in states:
+            lo, hi = oracle._cell_range(residual, grp, closing)
+            for v in range(lo, hi + 1):
+                count += 1
+                child = list(residual)
+                for g in grp:
+                    child[g] -= v
+                children.add(tuple(child))
+        states = children
+        nodes.append(count)
+    return nodes
+
+
+@st.composite
+def merge_families(draw):
+    """Families of shapes with free cells that open no group of ``slots``,
+    with cell counts up to 1-3."""
+    cards, margins = draw(st.sampled_from(MERGE_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    top = draw(st.integers(1, 3), label="max count")
+    counts = rng.integers(0, top + 1, size=math.prod(cards))
+    subsets = [VarSet.from_vars(v, len(cards)) for v in margins]
+    return MarginalFamily.from_table(ContingencyTable.from_flat(cards, counts), subsets)
+
+
+class TestMergedLayers:
+    """A free cell that opens no group of ``slots`` merges the states before
+    it by base, and builds its children without an edge; a cell that opens
+    one merges nothing. Either way the layered engine is the DFS's, node for
+    node."""
+
+    def test_every_shape_has_merged_cells(self):
+        # A 2x3x3 chain has none: every cell there opens or closes a line.
+        expected = {(3, 3): [4], (3, 4): [5, 6], (2, 2, 2): [1, 2], (3, 2, 3): [7, 10],
+                    (3, 3, 3): [13]}
+        for cards, margins in MERGE_SHAPES + [((2, 3, 3), [[1, 2], [2, 3]])]:
+            table = ContingencyTable.from_flat(cards, [1] * math.prod(cards))
+            cons = oracle._build_constraints(family_of(table, margins))
+            assert merged_cells(cons) == expected.get(cards, []), cards
+
+    @settings(max_examples=120, deadline=None)
+    @given(merge_families())
+    def test_layered_equals_dfs(self, fam):
+        cons = oracle._build_constraints(fam)
+        budget, dfs = EnumerationBudget(), EnumerationBudget()
+        got = oracle._layered_extremes(*cons, budget)
+        assert got == oracle._dfs_extremes(*cons, dfs, None)[:2]
+        assert (budget.nodes, budget.tables, budget.outcome) == (
+            dfs.nodes, dfs.tables, dfs.outcome
+        )
+        assert budget.nodes == sum(layer_nodes(cons))
+
+    @pytest.mark.parametrize("spent", [0, 7], ids=["fresh", "shared"])
+    def test_budget_runs_out_inside_a_merged_layer(self, spent):
+        # Cell 4, (1, 1), is the only merged cell of a 3x3 one-way family.
+        # The layered engine must return None, budget untouched, exactly
+        # where the DFS exhausts: under any limit short of the whole search.
+        # A limit from ``before`` (the nodes of cells 0-3) to ``through - 1``
+        # runs out in the merged layer. ``_extremes`` then gives the DFS's
+        # partial result.
+        fam = two_way_family([5, 6, 4], [4, 5, 6])
+        cons = oracle._build_constraints(fam)
+        assert merged_cells(cons) == [4]
+        per_cell = layer_nodes(cons)
+        before, whole = sum(per_cell[:4]), sum(per_cell)
+        through = before + per_cell[4]
+        assert per_cell[4] > 1 and through < whole
+        limits = (before - 1, before, before + 1, through - 1, through, whole - 1, whole)
+        for limit in limits:
+            budget = EnumerationBudget(max_nodes=spent + limit, nodes=spent)
+            dfs = EnumerationBudget(max_nodes=spent + limit, nodes=spent)
+            got = oracle._layered_extremes(*cons, budget)
+            want = oracle._dfs_extremes(*cons, dfs, None)[:4]
+            assert (got is None) == (dfs.outcome == "exhausted") == (limit < whole), limit
+            if got is None:
+                assert budget == EnumerationBudget(max_nodes=spent + limit, nodes=spent)
+            else:
+                assert got == want[:2]
+                assert (budget.nodes, budget.tables) == (dfs.nodes, dfs.tables)
+            routed = EnumerationBudget(max_nodes=spent + limit, nodes=spent)
+            assert oracle._extremes(fam, routed) == want
+            assert (routed.nodes, routed.tables, routed.outcome) == (
+                dfs.nodes, dfs.tables, dfs.outcome
+            )
+
+    def test_count_past_int64_through_merged_prefix_sums(self):
+        # 24x3 with 1-way margins: cells (1..22, 1) are merged. The whole
+        # count passes 2^63, and the layer after cell (7, 1) holds int64
+        # counts that sum to about 1.7 x 2^64, so its prefix sums wrap. A
+        # row-by-row count of the (column 0, column 1) residuals gives the
+        # number of tables independently.
+        rows, cols = [4] * 24, [32, 32, 32]
+        fam = two_way_family(rows, cols)
+        cons = oracle._build_constraints(fam)
+        assert merged_cells(cons) == list(range(4, 68, 3))
+        ways = {(cols[0], cols[1]): 1}
+        for r in rows:
+            after = {}
+            for (a, b), w in ways.items():
+                for x in range(min(a, r) + 1):
+                    for y in range(min(b, r - x) + 1):
+                        after[a - x, b - y] = after.get((a - x, b - y), 0) + w
+            ways = after
+        expected = ways.get((0, 0), 0)
+        assert expected > 2**63
+        budget, dfs = EnumerationBudget(), EnumerationBudget()
+        got = oracle._layered_extremes(*cons, budget)
+        assert got == oracle._dfs_extremes(*cons, dfs, None)[:2]
+        assert budget.tables == dfs.tables == expected
+        assert budget.nodes == dfs.nodes
+
+    def test_dedup_only_where_no_group_opens(self, monkeypatch):
+        # ``_dedup`` runs at each cell that opens no group of ``slots``,
+        # over bases or edges, and never at one that opens a group, whose
+        # edges are its children.
+        cells, dedup = [], oracle._dedup
+
+        def recorded(keys):
+            cells.append(sys._getframe(1).f_locals["k"])
+            return dedup(keys)
+
+        monkeypatch.setattr(oracle, "_dedup", recorded)
+        pairs = [list(p) for p in itertools.combinations(range(1, 5), 2)]
+        for cards, margins in MERGE_SHAPES + [((2, 2, 2, 2), pairs)]:
+            counts = [1 + k % 2 for k in range(math.prod(cards))]
+            table = ContingencyTable.from_flat(cards, counts)
+            cons = oracle._build_constraints(family_of(table, margins))
+            opening = {k for slot in cons[3] for _, k in slot}
+            cells.clear()
+            assert oracle._layered_extremes(*cons, EnumerationBudget()) is not None
+            assert cells == [k for k in range(len(cons[1])) if k not in opening], cards
 
 
 HAND_OFF_SHAPES = [
