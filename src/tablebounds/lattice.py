@@ -20,15 +20,17 @@ with an absolute tolerance of 1e-9 scaled by max(1, max|F|).
 Every scan is a gather-and-compare over whole arrays, and ``argmax`` picks
 the lexicographically first violation. The local mode gathers through the
 flat (x, y, lo, hi) of every local pair, built once per grid shape and cached
-read-only (``_local_pairs``). The monotone and all-pairs scans compare a
-block of rows with all their partners at a time (``_first_in_blocks``):
-blocks start small and grow to about PAIR_BLOCK pairs, so a scan that fails
-early costs little more than one row and a long one keeps its temporaries
-small. All-pairs meets and joins are the bitwise AND and OR of flat indices
-on grids of binary axes, 2^L among them; on any other grid the meet's flat
-index is the sum over axes of the smaller of the two cells' coordinates
-times the axis stride, read from one cached array per shape
-(``_axis_offsets``).
+read-only (``_local_pairs``); the monotone check gathers the covering pairs
+(a, a | 2^j) of every a and j through one cached read-only array per l
+(``_covers``). Each uses its cache while the pairs fit LOCAL_PAIR_CAP. The
+all-pairs scans, and the monotone check past the cap, compare a block of rows
+with all their partners at a time (``_first_in_blocks``): blocks start small
+and grow to about PAIR_BLOCK pairs, so a scan that fails early costs little
+more than one row and a long one keeps its temporaries small. All-pairs meets
+and joins are the bitwise AND and OR of flat indices on grids of binary axes,
+2^L among them; on any other grid the meet's flat index is the sum over axes
+of the smaller of the two cells' coordinates times the axis stride, read from
+one cached array per shape (``_axis_offsets``).
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ REAL_RTOL = 1e-9
 PAIR_BLOCK = 1 << 13
 # Grids whose local pairs could pass this count (C(l, 2) times the cells
 # bounds them) skip the cached index arrays, 32 bytes per pair, and compare
-# shifted views one axis pair at a time.
+# shifted views one axis pair at a time. Monotone checks past it (2^l l
+# covering pairs, 8 bytes each: l >= 15) skip theirs and scan in blocks.
 LOCAL_PAIR_CAP = 1 << 18
 
 # Guard of fan_terms: explicit failure beats silent combinatorial blowup. It
@@ -304,20 +307,40 @@ def pair_violation(
     return _first_violation(values.reshape(grid.shape), multiplicative, tol, mode == "local")
 
 
+@functools.lru_cache(maxsize=32)
+def _covers(l: int) -> np.ndarray:
+    """The read-only (2^l, l) array whose entry [a, j] is a | 2^j."""
+    covers = np.arange(1 << l)[:, None] | 1 << np.arange(l)
+    covers.setflags(write=False)
+    return covers
+
+
 def _monotone_check(fn: LatticeFunction, increasing: bool) -> CheckResult:
     """Check all covering pairs (a, a|{j}); equivalent to all pairs by
     transitivity. Row a compares with a | 2^j for every j; where bit j is in
-    a that is a itself, which never violates, so no pair needs masking."""
+    a that is a itself, which never violates, so no pair needs masking.
+
+    The witness is the first violation in row-major (a, j) order. While the
+    2^l l pairs fit LOCAL_PAIR_CAP (l <= 14), one gather through the cached
+    ``_covers`` compares every row at once; past it, a block of rows at a
+    time (``_first_in_blocks``) keeps the temporaries small."""
     vals, tol = _exact(fn.values)
-    masks = np.arange(vals.size)
-    bits = 1 << np.arange(fn.num_vars)
+    l = fn.num_vars
 
-    def bad_rows(start, stop):
-        below = vals[start:stop, None]
-        above = vals.take(masks[start:stop, None] | bits)
-        return (above + tol < below if increasing else below + tol < above), 0
+    def violates(below, above):
+        return above + tol < below if increasing else below + tol < above
 
-    pair = _first_in_blocks(vals.size, fn.num_vars, bad_rows)
+    if vals.size * l <= LOCAL_PAIR_CAP:
+        bad = violates(vals[:, None], vals.take(_covers(l)))
+        pair = divmod(int(np.argmax(bad)), l) if bad.any() else None
+    else:
+        masks, bits = np.arange(vals.size), 1 << np.arange(l)
+
+        def bad_rows(start, stop):
+            above = vals.take(masks[start:stop, None] | bits)
+            return violates(vals[start:stop, None], above), 0
+
+        pair = _first_in_blocks(vals.size, l, bad_rows)
     if pair is None:
         return CheckResult(True)
     a, b = pair[0], pair[0] | 1 << pair[1]
@@ -393,11 +416,13 @@ def indicator_fn(s: VarSet) -> LatticeFunction:
 def subset_sum_transform(values: np.ndarray, num_vars: int) -> np.ndarray:
     """Fast zeta transform: out[a] = sum of values[s] over s subset of a, O(l 2^l).
 
-    Integer values sum in int64; they are refused when the sum of their
-    absolute values, which bounds every partial sum, passes int64."""
+    Integer and boolean values sum in int64; they are refused when the sum of
+    their absolute values, which bounds every partial sum, passes int64."""
     out = np.array(values, copy=True)
     if out.shape != (1 << num_vars,):
         raise RangeError("value array length must be 2**num_vars")
+    if out.dtype == np.bool_:  # counted as 0 and 1, not OR-ed
+        out = out.astype(np.int64)
     if np.issubdtype(out.dtype, np.integer):
         limit = int(np.iinfo(np.int64).max)
         big = max(-int(out.min()), int(out.max())) > limit // out.size

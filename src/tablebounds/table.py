@@ -6,13 +6,24 @@ everything else; doing this for every subset at a fixed anchor cell gives a
 function on 2^L that is decreasing and supermodular, the object all bound
 computations in this package rest on.
 
+Every such value of a table is one entry of its marginal cube (the data
+cube of Gray et al., 1997): shape (c_1 + 1, ..., c_l + 1), index c_j on
+axis j meaning "axis j summed out", so entry [x_a, c_rest] is n(a) at x. A
+table builds it once, at its first anchored function, by one concatenation
+of the axis sum per axis, and only while it has at most MARGIN_CUBE_CAP
+entries; each anchored function is then one gather of 2^l entries. Larger
+tables collapse every axis again per anchor, which costs less than the
+cube they would build.
+
 Counts are int64 by default so oracle comparisons are bit-exact; a real
 (float64) mode exists for densities. All types are immutable after
-construction and safe for concurrent readers.
+construction and safe for concurrent readers; the cube, built on demand,
+takes no part in equality, repr or pickling.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -36,6 +47,13 @@ INT64_MAX = 2**63 - 1
 _TOO_WIDE = f"counts sum beyond the int64 limit {INT64_MAX}"
 # Real tables whose grand total would overflow float64 are refused.
 FLOAT64_MAX = float(np.finfo(np.float64).max)
+# Tables whose marginal cube, prod(c_j + 1) entries, would pass this many
+# (128 KB) build none. On a 2-core box (Python 3.11.7, numpy 2.4) the cold
+# first anchored function of a 3^7 table (16,384 cube entries) took 0.28-0.37
+# ms against 0.07-0.09 ms for one collapse of every axis, and each later
+# anchor about 0.025 ms; a 10^6-cell table's cube took 31-46 ms against
+# about 1 ms, which is why the cap is absolute, not relative to the table.
+MARGIN_CUBE_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,6 +117,25 @@ class ContingencyTable:
         if self.labels is None:
             raise RangeError("table carries no category labels")
         return parse_cell(names, self.cardinalities, self.labels)
+
+    @functools.cached_property
+    def _margin_cube(self) -> Optional[np.ndarray]:
+        """The read-only marginal cube, index c_j on axis j standing for
+        axis j summed out; None past MARGIN_CUBE_CAP entries. Summing each
+        axis in turn adds every count in the order the per-anchor collapse
+        of ``cell_margin_fn`` does, so real entries agree bit for bit."""
+        if prod(c + 1 for c in self.cardinalities) > MARGIN_CUBE_CAP:
+            return None
+        cube = self.counts
+        for j in range(self.num_vars):
+            cube = np.concatenate([cube, cube.sum(axis=j, keepdims=True)], axis=j)
+        cube.setflags(write=False)
+        return cube
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_margin_cube", None)
+        return state
 
 
 def parse_cell(parts: Sequence, cardinalities, labels=None) -> CellIndex:
@@ -292,12 +329,24 @@ def cell_margin_fn(table: ContingencyTable, anchor: CellIndex) -> LatticeFunctio
     coordinates, so F(empty) is the grand total and F(L) the anchor's own
     count. F is decreasing and supermodular on 2^L for every table and anchor.
 
-    Computed by stacking (summed out, at the anchor) along each axis in turn,
-    which leaves F on the (2,)*l grid, O(#cells + l 2^l) overall.
+    Read from the table's marginal cube by one gather, O(2^l) per anchor once
+    the cube is built (O(prod(c_j + 1)), at the first anchor). Its flat
+    indices double over the axes: from the all-summed-out entry, axis j adds
+    a copy of every index so far moved from c_j to x_j. Tables past
+    MARGIN_CUBE_CAP stack (summed out, at the anchor) along each axis in
+    turn, which leaves F on the (2,)*l grid, O(#cells + l 2^l) per anchor.
     """
     anchor = check_cell(table, anchor)
     l = table.num_vars
     check_lattice_cap(l)
+    cube = table._margin_cube
+    if cube is not None:
+        strides = [s // cube.itemsize for s in cube.strides]
+        index = np.empty(1 << l, dtype=np.intp)
+        index[0] = sum(s * c for s, c in zip(strides, table.cardinalities))
+        for j, (s, c, x) in enumerate(zip(strides, table.cardinalities, anchor)):
+            np.add(index[: 1 << j], s * (x - c), out=index[1 << j : 2 << j])
+        return LatticeFunction(l, cube.reshape(-1).take(index))
     grid = table.counts
     for j, x0 in enumerate(anchor):
         grid = np.stack([grid.sum(axis=j), grid.take(x0, axis=j)], axis=j)

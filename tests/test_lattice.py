@@ -323,12 +323,17 @@ class TestReferenceWitnesses:
             assert u in exhaustive_starts(size)
 
     @pytest.mark.parametrize(
-        "where", ["later-block", "block-first-row", "block-last-row", "last-pair"]
+        "where, l",
+        [pytest.param(w, l, id=w if l == 12 else f"{w}-blocked")
+         for l in (12, 15)
+         for w in ("later-block", "block-first-row", "block-last-row", "last-pair")],
     )
-    def test_monotone_single_planted_violation(self, where):
+    def test_monotone_single_planted_violation(self, where, l):
         # F(a) = -2|a| drops by 2 per element; F lowered by 3 at a alone
-        # breaks only the covering pairs (a, a|{j}).
-        l = 12
+        # breaks only the covering pairs (a, a|{j}). At l = 12 one gather
+        # through the cached covers finds it; at l = 15, past
+        # LOCAL_PAIR_CAP, the blocked scan does.
+        assert (l << l > lattice.LOCAL_PAIR_CAP) == (l == 15)
         size = 1 << l
         starts = block_starts(size, lambda a: l)
         a = {
@@ -343,6 +348,29 @@ class TestReferenceWitnesses:
         lowest_missing = next(j for j in range(l) if not a >> j & 1)
         assert (res.witness.a.mask, res.witness.b.mask) == (a, a | 1 << lowest_missing)
         assert len(starts) > 4
+
+    @pytest.mark.parametrize("cap", ["cached", "blocked"])
+    def test_monotone_paths_match_reference(self, cap, monkeypatch):
+        # A cap of 0 sends every l >= 1 to the blocked scan.
+        if cap == "blocked":
+            monkeypatch.setattr(lattice, "LOCAL_PAIR_CAP", 0)
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            l = int(rng.integers(0, 8))
+            # Covering pairs drop by 3 plus noise in 0..4: a few break.
+            values = [-3 * bin(a).count("1") + int(rng.integers(0, 5)) for a in range(1 << l)]
+            for vals in (values, [v / 7 for v in values]):
+                for check, increasing, f in ((is_decreasing, False, vals),
+                                             (is_increasing, True, [-v for v in vals])):
+                    res = check(LatticeFunction(l, f))
+                    got = None if res.ok else (res.witness.a.mask, res.witness.b.mask)
+                    assert got == first_monotone_violation(f, l, increasing)
+
+    def test_cached_covers_are_read_only(self):
+        covers = lattice._covers(3)
+        assert not covers.flags.writeable
+        assert covers.tolist() == [[a | 1 << j for j in range(3)] for a in range(8)]
+        assert lattice._covers(3) is covers
 
     def test_local_past_the_index_cap(self):
         # 78 axis pairs times 2^13 cells pass LOCAL_PAIR_CAP: the shifted
@@ -443,6 +471,14 @@ class TestCumulative:
         with pytest.raises(LatticeCapError):
             random_supermodular_fn(3, NoDraws(), integer=False)
         assert random_supermodular_fn(2, np.random.default_rng(0)).num_vars == 2
+
+    def test_transform_counts_booleans(self):
+        # Booleans used to be OR-ed: every subset "sum" came out True.
+        out = subset_sum_transform(np.array([True] * 4), 2)
+        assert out.dtype == np.int64 and out.tolist() == [1, 2, 2, 4]
+        flags = np.array([True, False, True, True, False, True, False, True])
+        assert subset_sum_transform(flags, 3).tolist() == subset_sum_transform(
+            flags.astype(np.int64), 3).tolist()
 
     def test_transform_matches_naive(self):
         rng = np.random.default_rng(6)

@@ -1,9 +1,14 @@
 """Tables, marginalization, projection, and the anchored marginal function."""
 
+import dataclasses
 import itertools
+import pickle
+from math import prod
 
 import numpy as np
 import pytest
+
+import tablebounds.table as table_module
 
 from tablebounds import (
     ContingencyTable,
@@ -33,6 +38,7 @@ from tablebounds import (
 )
 from tablebounds.datasets import lead_table
 from tablebounds.io import family_from_doc, table_from_doc
+from tablebounds.table import INT64_MAX, MARGIN_CUBE_CAP
 
 
 @pytest.fixture
@@ -415,6 +421,106 @@ class TestCellMarginFn:
     def test_bad_anchor(self, lead):
         with pytest.raises(RangeError):
             cell_margin_fn(lead, (3, 0))
+
+
+def stacked_margin_fn(table, anchor):
+    """The anchored function of a fresh copy of ``table`` that builds no
+    marginal cube, so every axis is collapsed at the anchor."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(table_module, "MARGIN_CUBE_CAP", 0)
+        copy = ContingencyTable(table.cardinalities, table.counts, table.labels, table.kind)
+        fn = cell_margin_fn(copy, anchor)
+    assert copy._margin_cube is None
+    return fn
+
+
+def assert_bit_equal(fn, ref):
+    assert fn.values.dtype == ref.values.dtype
+    assert fn.values.tobytes() == ref.values.tobytes()
+
+
+def random_anchor(rng, table):
+    return tuple(int(rng.integers(0, c)) for c in table.cardinalities)
+
+
+class TestMarginCube:
+    """Anchored functions read from the marginal cube equal, bit for bit, the
+    collapse of every axis at the anchor."""
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(23)
+        shapes = [(), (1,), (5,), (1, 1, 1), (3, 1, 2), (1, 4, 1, 2)]
+        shapes += [tuple(int(c) for c in rng.integers(1, 5, size=rng.integers(0, 7)))
+                   for _ in range(60)]
+        for cards in shapes:
+            table = ContingencyTable.from_flat(cards, rng.integers(0, 50, size=prod(cards)))
+            for anchor in itertools.islice(itertools.product(*map(range, cards)), 12):
+                assert_bit_equal(cell_margin_fn(table, anchor), stacked_margin_fn(table, anchor))
+            assert table._margin_cube.shape == tuple(c + 1 for c in cards)
+
+    def test_real_tables_bit_equal(self):
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            cards = tuple(int(c) for c in rng.integers(1, 12, size=rng.integers(0, 5)))
+            if prod(c + 1 for c in cards) > MARGIN_CUBE_CAP:
+                continue
+            scale = 10.0 ** int(rng.integers(-6, 20))
+            table = ContingencyTable.from_flat(cards, rng.random(prod(cards)) * scale, kind="real")
+            anchor = random_anchor(rng, table)
+            assert_bit_equal(cell_margin_fn(table, anchor), stacked_margin_fn(table, anchor))
+
+    def test_total_near_int64_max(self):
+        counts = [2**61, 2**61 - 3, 2**61, 2**61, 0, 1, 0, 1]
+        table = ContingencyTable.from_flat((2, 2, 2), counts)
+        assert table.total == INT64_MAX
+        for anchor in itertools.product(range(2), repeat=3):
+            fn = cell_margin_fn(table, anchor)
+            assert_bit_equal(fn, stacked_margin_fn(table, anchor))
+            assert fn.values[0] == INT64_MAX
+            for mask in range(8):
+                a = VarSet(mask, 3)
+                assert fn.values[mask] == sum(
+                    int(counts[k]) for k, cell in enumerate(itertools.product(range(2), repeat=3))
+                    if project_cell(cell, a) == project_cell(anchor, a)
+                )
+
+    @pytest.mark.parametrize("cards, built", [((3,) * 7, True), ((3,) * 6 + (4,), False)])
+    def test_at_and_past_the_cap(self, cards, built):
+        entries = prod(c + 1 for c in cards)
+        assert entries == MARGIN_CUBE_CAP if built else entries > MARGIN_CUBE_CAP
+        rng = np.random.default_rng(31)
+        table = ContingencyTable.from_flat(cards, rng.integers(0, 9, size=prod(cards)))
+        for _ in range(3):
+            anchor = random_anchor(rng, table)
+            assert_bit_equal(cell_margin_fn(table, anchor), stacked_margin_fn(table, anchor))
+        assert (table._margin_cube is not None) == built
+
+    def test_built_once_read_only_and_not_state(self, lead):
+        cell_margin_fn(lead, (0, 0))
+        cube = lead._margin_cube
+        assert cube is not None and not cube.flags.writeable
+        cell_margin_fn(lead, (1, 2))
+        assert lead._margin_cube is cube
+        assert cube[3, 3] == lead.total and cube[0, 3] == 25 and cube[3, 0] == 8
+        assert "_margin_cube" not in {f.name for f in dataclasses.fields(lead)}
+        assert "cube" not in repr(lead)
+        copy = pickle.loads(pickle.dumps(lead))
+        assert "_margin_cube" not in copy.__dict__
+        assert_bit_equal(cell_margin_fn(copy, (1, 2)), cell_margin_fn(lead, (1, 2)))
+        # One-cell tables compare by value: a built cube takes no part.
+        one, other = (ContingencyTable.from_flat((1,), [4]) for _ in range(2))
+        cell_margin_fn(one, (0,))
+        assert one._margin_cube is not None and "_margin_cube" not in other.__dict__
+        assert one == other
+
+    def test_marginalized_tables(self):
+        rng = np.random.default_rng(37)
+        table = ContingencyTable.from_flat((3, 2, 4), rng.integers(0, 9, size=24))
+        for mask in range(8):
+            marg = marginalize(table, VarSet(mask, 3)).table
+            anchor = random_anchor(rng, marg)
+            assert_bit_equal(cell_margin_fn(marg, anchor), stacked_margin_fn(marg, anchor))
+            assert not marg._margin_cube.flags.writeable
 
 
 class TestInt64Limit:
