@@ -18,12 +18,13 @@ exactly, in Python integers once a sum could pass their dtype; real values
 with an absolute tolerance of 1e-9 scaled by max(1, max|F|).
 
 Every scan is a gather-and-compare over whole arrays, and ``argmax`` picks
-the lexicographically first violation. The local mode gathers through the
-flat (x, y, lo, hi) of every local pair, built once per grid shape and cached
-read-only (``_local_pairs``); the monotone check gathers the covering pairs
-(a, a | 2^j) of every a and j through one cached read-only array per l
-(``_covers``). Each uses its cache while the pairs fit LOCAL_PAIR_CAP. The
-all-pairs scans, and the monotone check past the cap, compare a block of rows
+the lexicographically first violation. The local scans, of supermodularity,
+the MTP2 checks and monotonicity, share one kernel (``_first_local_violation``)
+over the local pairs on k axes: two for the pair condition, one for the
+covering pairs (a, a | 2^j) of the monotone check. It gathers through their
+flat indices, built once per grid shape and k and cached read-only
+(``_local_pairs``), while they fit LOCAL_PAIR_CAP, and compares shifted views
+per set of axes past it. Only the all-pairs scans compare a block of rows
 with all their partners at a time (``_first_in_blocks``): blocks start small
 and grow to about PAIR_BLOCK pairs, so a scan that fails early costs little
 more than one row and a long one keeps its temporaries small. All-pairs meets
@@ -53,10 +54,10 @@ REAL_RTOL = 1e-9
 # box (Python 3.11.7, numpy 2.4), blocks of 2^14 made the l=10 exhaustive
 # scans about twice as slow as 2^13.
 PAIR_BLOCK = 1 << 13
-# Grids whose local pairs could pass this count (C(l, 2) times the cells
-# bounds them) skip the cached index arrays, 32 bytes per pair, and compare
-# shifted views one axis pair at a time. Monotone checks past it (2^l l
-# covering pairs, 8 bytes each: l >= 15) skip theirs and scan in blocks.
+# Local scans on k axes whose pairs could pass this count (C(l, k) times the
+# cells bounds them) skip the cached index arrays, 16 k bytes per pair, and
+# compare shifted views one set of axes at a time: the pair condition past
+# it, and the monotone check (k = 1) on 2^L for l >= 15.
 LOCAL_PAIR_CAP = 1 << 18
 
 # Guard of fan_terms: explicit failure beats silent combinatorial blowup. It
@@ -70,9 +71,12 @@ def real_slack(scale: float) -> float:
     return REAL_RTOL * max(1.0, scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeFunction:
-    """A total function 2^L -> R, dense over all 2**num_vars bitmasks."""
+    """A total function 2^L -> R, dense over all 2**num_vars bitmasks.
+
+    Two functions are equal when their num_vars, kind (integer or real) and
+    values are. They are not hashable."""
 
     num_vars: int
     values: np.ndarray
@@ -102,6 +106,13 @@ class LatticeFunction:
 
     def __call__(self, a: VarSet):
         return self.value(a)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.num_vars, self.integer_valued) == (
+            other.num_vars, other.integer_valued
+        ) and np.array_equal(self.values, other.values)
 
     def tolerance(self) -> float:
         """Comparison slack: the integer 0 for integers, real_slack(max|F|) for reals."""
@@ -165,28 +176,32 @@ def _exact(values: np.ndarray, multiplicative: bool = False, negate: bool = Fals
     return (-scaled if negate else scaled), REAL_RTOL
 
 
-def _shifted(grid: np.ndarray, p: int, q: int):
-    """The views (x, y, lo, hi) of ``grid`` over its local pairs on axes
-    p < q: lo runs over the cells below the top of both axes, x = lo + e_q,
-    y = lo + e_p and hi = lo + e_p + e_q."""
-    def view(dp, dq):
+def _shifted(grid: np.ndarray, axes: tuple[int, ...]):
+    """The views of ``grid`` over its local pairs on one axis p or two axes
+    p < q, lo running over the cells below the top of every axis in
+    ``axes``: (lo, hi = lo + e_p) on one axis, (x = lo + e_q, y = lo + e_p,
+    lo, hi = lo + e_p + e_q) on two."""
+    def view(*steps):
         index = [slice(None)] * grid.ndim
-        index[p] = slice(dp, grid.shape[p] - 1 + dp)
-        index[q] = slice(dq, grid.shape[q] - 1 + dq)
+        for axis, d in zip(axes, steps):
+            index[axis] = slice(d, grid.shape[axis] - 1 + d)
         return grid[tuple(index)]
+    if len(axes) == 1:
+        return view(0), view(1)
     return view(0, 1), view(1, 0), view(0, 0), view(1, 1)
 
 
 @functools.lru_cache(maxsize=32)
-def _local_pairs(shape: tuple[int, ...]) -> np.ndarray:
-    """The flat indices of every local pair of a grid, as the rows
-    (x, y, lo, hi) of one read-only array, columns sorted by (x, y):
-    the ``_shifted`` views of the grid's flat indices."""
+def _local_pairs(shape: tuple[int, ...], k: int) -> np.ndarray:
+    """The flat indices of every local pair of a grid on k axes (1 or 2),
+    as the rows of one read-only array, (lo, hi) or (x, y, lo, hi), columns
+    sorted by their first two rows: the ``_shifted`` views of the grid's
+    flat indices."""
     cells = np.arange(prod(shape)).reshape(shape)
-    quads = [np.empty((4, 0), dtype=np.intp)]
-    for p, q in combinations(range(len(shape)), 2):
-        quads.append(np.stack([v.reshape(-1) for v in _shifted(cells, p, q)]))
-    pairs = np.concatenate(quads, axis=1)
+    rows = [np.empty((2 * k, 0), dtype=np.intp)]
+    for axes in combinations(range(len(shape)), k):
+        rows.append(np.stack([v.reshape(-1) for v in _shifted(cells, axes)]))
+    pairs = np.concatenate(rows, axis=1)
     pairs = np.ascontiguousarray(pairs[:, np.lexsort((pairs[1], pairs[0]))])
     pairs.setflags(write=False)
     return pairs
@@ -209,28 +224,30 @@ def _violates(x, y, lo, hi, multiplicative: bool, tol):
 
 
 def _first_local_violation(
-    grid: np.ndarray, multiplicative: bool, tol
+    grid: np.ndarray, k: int, violates, *args
 ) -> Optional[tuple[int, int]]:
-    """``_first_violation`` over the local pairs x = lo + e_q, y = lo + e_p
-    (axes p < q), hi = lo + e_p + e_q: one gather through ``_local_pairs``,
-    or the ``_shifted`` views per axis pair on grids past LOCAL_PAIR_CAP,
-    whose witness is read from the same views of the flat indices."""
-    if comb(grid.ndim, 2) * grid.size <= LOCAL_PAIR_CAP:
-        pairs = _local_pairs(grid.shape)
-        bad = _violates(*grid.reshape(-1)[pairs], multiplicative, tol)
+    """The flat indices of the first two views of the local pair on k axes
+    (1 or 2, see ``_shifted``) that comes first by them among those where
+    ``violates(*views, *args)`` holds; None when there is none. One gather
+    through ``_local_pairs`` while C(ndim, k) times the cells fit
+    LOCAL_PAIR_CAP; past it the ``_shifted`` views per set of axes, whose
+    witness is read from the same views of the flat indices."""
+    if comb(grid.ndim, k) * grid.size <= LOCAL_PAIR_CAP:
+        pairs = _local_pairs(grid.shape, k)
+        bad = violates(*grid.reshape(-1)[pairs], *args)
         if not bad.any():
             return None
-        k = int(np.argmax(bad))
-        return int(pairs[0, k]), int(pairs[1, k])
+        i = int(np.argmax(bad))
+        return int(pairs[0, i]), int(pairs[1, i])
     best = cells = None
-    for p, q in combinations(range(grid.ndim), 2):
-        bad = _violates(*_shifted(grid, p, q), multiplicative, tol)
+    for axes in combinations(range(grid.ndim), k):
+        bad = violates(*_shifted(grid, axes), *args)
         if bad.any():
-            k = int(np.argmax(bad))
+            i = int(np.argmax(bad))
             if cells is None:  # the flat indices, built at the first violation
                 cells = np.arange(grid.size).reshape(grid.shape)
-            x, y, _, _ = _shifted(cells, p, q)
-            pair = int(x.flat[k]), int(y.flat[k])
+            first, second = _shifted(cells, axes)[:2]
+            pair = int(first.flat[i]), int(second.flat[i])
             if best is None or pair < best:
                 best = pair
     return best
@@ -242,7 +259,8 @@ def _first_in_blocks(rows: int, width: int, bad_rows) -> Optional[tuple[int, int
     the column number of its first column; the first row is ``width`` long.
     The first block holds about PAIR_BLOCK/16 pairs and each later one four
     times as many, up to PAIR_BLOCK, in whole rows (at least one). Returns
-    (row, column), or None.
+    (row, column), or None. It serves the all-pairs scans only: the local
+    ones, the monotone check among them, go through ``_first_local_violation``.
 
     The exhaustive scans check a condition that is symmetric in the pair and
     holds on the diagonal, so each block meets only the columns past its
@@ -275,7 +293,7 @@ def _first_violation(grid, multiplicative: bool, tol, local: bool) -> Optional[t
     over axes of the smaller offset of the two cells (``_axis_offsets``) and
     the join is x + y - meet."""
     if local:
-        return _first_local_violation(grid, multiplicative, tol)
+        return _first_local_violation(grid, 2, _violates, multiplicative, tol)
     flat, n = grid.reshape(-1), grid.size
     cells = np.arange(n)
     binary = all(c <= 2 for c in grid.shape)  # a 0-d grid too
@@ -307,43 +325,23 @@ def pair_violation(
     return _first_violation(values.reshape(grid.shape), multiplicative, tol, mode == "local")
 
 
-@functools.lru_cache(maxsize=32)
-def _covers(l: int) -> np.ndarray:
-    """The read-only (2^l, l) array whose entry [a, j] is a | 2^j."""
-    covers = np.arange(1 << l)[:, None] | 1 << np.arange(l)
-    covers.setflags(write=False)
-    return covers
+def _out_of_order(lo, hi, tol, increasing: bool):
+    """The monotone condition on a covering pair lo < hi: hi + tol < lo when
+    F must increase, else lo + tol < hi."""
+    return hi + tol < lo if increasing else lo + tol < hi
 
 
 def _monotone_check(fn: LatticeFunction, increasing: bool) -> CheckResult:
     """Check all covering pairs (a, a|{j}); equivalent to all pairs by
-    transitivity. Row a compares with a | 2^j for every j; where bit j is in
-    a that is a itself, which never violates, so no pair needs masking.
-
-    The witness is the first violation in row-major (a, j) order. While the
-    2^l l pairs fit LOCAL_PAIR_CAP (l <= 14), one gather through the cached
-    ``_covers`` compares every row at once; past it, a block of rows at a
-    time (``_first_in_blocks``) keeps the temporaries small."""
+    transitivity. They are the local pairs on one axis of the grid (2,)*l
+    (``_first_local_violation`` with k = 1), so the witness is the first
+    violation in (a, j) order."""
     vals, tol = _exact(fn.values)
-    l = fn.num_vars
-
-    def violates(below, above):
-        return above + tol < below if increasing else below + tol < above
-
-    if vals.size * l <= LOCAL_PAIR_CAP:
-        bad = violates(vals[:, None], vals.take(_covers(l)))
-        pair = divmod(int(np.argmax(bad)), l) if bad.any() else None
-    else:
-        masks, bits = np.arange(vals.size), 1 << np.arange(l)
-
-        def bad_rows(start, stop):
-            above = vals.take(masks[start:stop, None] | bits)
-            return violates(vals[start:stop, None], above), 0
-
-        pair = _first_in_blocks(vals.size, l, bad_rows)
+    grid = vals.reshape((2,) * fn.num_vars)
+    pair = _first_local_violation(grid, 1, _out_of_order, tol, increasing)
     if pair is None:
         return CheckResult(True)
-    a, b = pair[0], pair[0] | 1 << pair[1]
+    a, b = pair
     witness = Witness(
         kind="monotone-violation",
         a=VarSet(a, fn.num_vars),

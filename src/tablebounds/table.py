@@ -56,9 +56,12 @@ FLOAT64_MAX = float(np.finfo(np.float64).max)
 MARGIN_CUBE_CAP = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContingencyTable:
-    """An l-way array of nonnegative counts with optional category labels."""
+    """An l-way array of nonnegative counts with optional category labels.
+
+    Two tables are equal when their cardinalities, kind, labels and counts
+    are; the marginal cube takes no part. Tables are not hashable."""
 
     cardinalities: tuple[int, ...]
     counts: np.ndarray
@@ -131,6 +134,13 @@ class ContingencyTable:
             cube = np.concatenate([cube, cube.sum(axis=j, keepdims=True)], axis=j)
         cube.setflags(write=False)
         return cube
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.cardinalities, self.kind, self.labels) == (
+            other.cardinalities, other.kind, other.labels
+        ) and np.array_equal(self.counts, other.counts)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)

@@ -47,6 +47,23 @@ def brute_decreasing(values, l, tol=0.0):
     return True
 
 
+class TestEquality:
+    def test_by_value(self):
+        assert LatticeFunction(1, [1, 2]) == LatticeFunction(1, [1, 2])
+        assert LatticeFunction(1, [1, 2]) == LatticeFunction(1, np.array([1, 2], dtype=np.int32))
+        assert LatticeFunction(1, [1, 2]) != LatticeFunction(1, [1, 3])
+        assert LatticeFunction(1, [1, 2]) != LatticeFunction(1, [1.0, 2.0])
+        assert LatticeFunction(1, [0.5, 2.0]) == LatticeFunction(1, [0.5, 2.0])
+        assert LatticeFunction(2, [1, 1, 1, 1]) != LatticeFunction(1, [1, 1])
+        assert LatticeFunction(0, [3]) != 3 and not LatticeFunction(0, [3]) == [3]
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(LatticeFunction(1, [1, 2]))
+
+    def test_anchored_margin_functions(self):
+        assert cell_margin_fn(lead_table(), (1, 2)) == cell_margin_fn(lead_table(), (1, 2))
+        assert cell_margin_fn(lead_table(), (1, 2)) != cell_margin_fn(lead_table(), (0, 2))
+
+
 class TestMonotone:
     def test_lead_margin_fn_decreasing(self):
         assert is_decreasing(cell_margin_fn(lead_table(), (0, 0)))
@@ -331,8 +348,11 @@ class TestReferenceWitnesses:
     def test_monotone_single_planted_violation(self, where, l):
         # F(a) = -2|a| drops by 2 per element; F lowered by 3 at a alone
         # breaks only the covering pairs (a, a|{j}). At l = 12 one gather
-        # through the cached covers finds it; at l = 15, past
-        # LOCAL_PAIR_CAP, the blocked scan does.
+        # through the cached one-axis local pairs finds it; at l = 15, past
+        # LOCAL_PAIR_CAP, the shifted views per axis do. The rows are placed
+        # at the block boundaries of a blocked scan of width l. Lifted by
+        # 2^62, the values compare as Python ints; mirrored, F(a) = 2|a|
+        # raised by 3 at a breaks the increasing check at the same pairs.
         assert (l << l > lattice.LOCAL_PAIR_CAP) == (l == 15)
         size = 1 << l
         starts = block_starts(size, lambda a: l)
@@ -342,16 +362,23 @@ class TestReferenceWitnesses:
             "block-last-row": starts[4] - 1,
             "last-pair": size - 2,
         }[where]
-        values = [-2 * bin(b).count("1") for b in range(size)]
-        values[a] -= 3
-        res = is_decreasing(LatticeFunction(l, values))
         lowest_missing = next(j for j in range(l) if not a >> j & 1)
-        assert (res.witness.a.mask, res.witness.b.mask) == (a, a | 1 << lowest_missing)
+        for lift, sign in ((0, -1), (2**62, -1), (2**62, 1)):
+            values = [lift + sign * 2 * bin(b).count("1") for b in range(size)]
+            values[a] += sign * 3
+            fn = LatticeFunction(l, values)
+            assert (lattice._exact(fn.values)[0].dtype == object) == (lift > 0)
+            res = is_increasing(fn) if sign > 0 else is_decreasing(fn)
+            pair = (res.witness.a.mask, res.witness.b.mask)
+            assert pair == (a, a | 1 << lowest_missing)
+            if lift:
+                assert pair == first_monotone_violation(values, l, sign > 0)
+                assert (res.witness.lhs, res.witness.rhs) == (values[pair[0]], values[pair[1]])
         assert len(starts) > 4
 
     @pytest.mark.parametrize("cap", ["cached", "blocked"])
     def test_monotone_paths_match_reference(self, cap, monkeypatch):
-        # A cap of 0 sends every l >= 1 to the blocked scan.
+        # A cap of 0 sends every l >= 1 to the shifted views per axis.
         if cap == "blocked":
             monkeypatch.setattr(lattice, "LOCAL_PAIR_CAP", 0)
         rng = np.random.default_rng(41)
@@ -367,29 +394,36 @@ class TestReferenceWitnesses:
                     assert got == first_monotone_violation(f, l, increasing)
 
     def test_cached_covers_are_read_only(self):
-        covers = lattice._covers(3)
+        # The one-axis local pairs of (2,)*3 are the covering pairs
+        # (a, a | 2^j), j not in a, in (a, j) order.
+        covers = lattice._local_pairs((2,) * 3, 1)
         assert not covers.flags.writeable
-        assert covers.tolist() == [[a | 1 << j for j in range(3)] for a in range(8)]
-        assert lattice._covers(3) is covers
+        expected = [(a, a | 1 << j) for a in range(8) for j in range(3) if not a >> j & 1]
+        assert list(zip(*covers.tolist())) == expected
+        assert lattice._local_pairs((2,) * 3, 1) is covers
 
     def test_local_past_the_index_cap(self):
         # 78 axis pairs times 2^13 cells pass LOCAL_PAIR_CAP: the shifted
-        # views run instead of the cached index arrays.
+        # views run instead of the cached index arrays. Lifted by 2^62, the
+        # values' sums pass int64 and compare as Python ints.
         l = 13
         assert 78 << l > lattice.LOCAL_PAIR_CAP
         for m, i, j in ((0b1011001110000, 0, 2), ((1 << l) - 4, 0, 1), (0, 11, 12)):
-            values, u, v = planted_pair(l, m, i, j)
-            sup = is_supermodular(LatticeFunction(l, values), "local")
-            sub = is_submodular(LatticeFunction(l, [-x for x in values]), "local")
-            for res in (sup, sub):
-                assert (res.witness.a.mask, res.witness.b.mask) == (u, v)
+            planted, u, v = planted_pair(l, m, i, j)
+            for values in (planted, [2**62 + x for x in planted]):
+                sup = is_supermodular(LatticeFunction(l, values), "local")
+                sub = is_submodular(LatticeFunction(l, [-x for x in values]), "local")
+                for res in (sup, sub):
+                    assert (res.witness.a.mask, res.witness.b.mask) == (u, v)
+                assert sup.witness.lhs == values[u | v] + values[u & v]
+                assert sup.witness.rhs == values[u] + values[v]
 
     def test_cached_local_pairs_are_read_only(self):
-        pairs = lattice._local_pairs((2, 3, 2))
+        pairs = lattice._local_pairs((2, 3, 2), 2)
         assert not pairs.flags.writeable
         with pytest.raises(ValueError):
             pairs[0, 0] = 1
-        assert lattice._local_pairs((2, 3, 2)) is pairs
+        assert lattice._local_pairs((2, 3, 2), 2) is pairs
 
 
 class TestIndicator:

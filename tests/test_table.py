@@ -231,6 +231,35 @@ class TestContingencyTable:
         with pytest.raises(ValueError):
             lead.counts[0, 0] = 99
 
+    def test_equality_by_value(self, lead):
+        assert lead_table() == lead_table() and not lead_table() != lead_table()
+        counts = lead.counts.copy()
+        counts[2, 1] += 1
+        assert ContingencyTable(lead.cardinalities, counts, lead.labels) != lead
+        relabelled = (lead.labels[0], ("a", "b", "c"))
+        assert ContingencyTable(lead.cardinalities, lead.counts, relabelled) != lead
+        assert ContingencyTable(lead.cardinalities, lead.counts) != lead
+        # The same numbers as real counts: another kind, so another table.
+        real = ContingencyTable(lead.cardinalities, lead.counts, lead.labels, kind="real")
+        assert real != lead and lead != real
+        assert real == ContingencyTable(lead.cardinalities, lead.counts * 1.0, lead.labels, "real")
+        flat = lead.flat
+        assert ContingencyTable.from_flat((9,), flat) != ContingencyTable.from_flat((3, 3), flat)
+        assert lead != 34 and lead != "lead"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(lead)
+
+    def test_equality_ignores_the_marginal_cube(self, lead):
+        other = lead_table()
+        cell_margin_fn(lead, (0, 0))
+        assert lead._margin_cube is not None and "_margin_cube" not in other.__dict__
+        assert lead == other and other == lead
+
+    def test_marginal_tables_compare_by_value(self, lead):
+        a = VarSet.from_vars([1], 2)
+        assert marginalize(lead, a) == marginalize(lead_table(), a)
+        assert marginalize(lead, a) != marginalize(lead, VarSet.from_vars([2], 2))
+
 
 class TestMarginalize:
     def test_lead_rows(self, lead):
