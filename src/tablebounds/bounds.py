@@ -19,26 +19,33 @@ Bound families implemented, each per target cell and with provenance:
   three-set covers.
 
 Every lower is one linear inequality over the cell's anchored margins,
-den x cell >= sum of c_a x n(a), summed by ``_linear``; every upper is the
-least derivable margin of a plan's subsets (``_upper``). ``simple`` and
+den x cell >= sum of c_a x n(a), summed by ``_Linear._sum``; every upper is
+the least derivable margin of a plan's subsets (``_upper``). ``simple`` and
 ``3way:one-dim`` are the ``ddim:1`` plan renamed; ``3way:two-dim`` and
 ``best``'s ``pair:`` lowers are the decomposition bound over two-set covers.
 
 Each bound is a closed form in the marginals, so the first call for a family
 evaluates it for every cell at once on ``MarginalFamily.grid`` arrays and
 caches the result on the family as a plan of read-only arrays
-(``bounds_grid`` returns its lower and upper). The per-cell functions are
-views: they validate the cell, read the two bounds, and hand back terms as
-a read-only mapping over the plan's whole-grid terms at that cell, each
-entry read when it is looked up. A plan holds O(cells x candidates) values,
-which suits desk-scale tables (a binary 10-way table has 1,024 cells), not
-millions.
+(``bounds_grid`` returns its lower and upper). A plan is built in two parts
+(``_planned``). Its recipe depends only on which marginals were released:
+the formula and subsets, the ordered (subset, coefficient) terms with their
+denominator and coefficient sums, the marginals the upper reads, where each
+derived marginal is summed from, ``best``'s candidates, or the refusal to
+raise. It holds no array and no count, and is cached per (variable count,
+released masks, builder, arguments), so families of one structure share it.
+The evaluation then does the arithmetic on one family's grids. The per-cell
+functions are views: they validate the cell, read the two bounds, and hand
+back terms as a read-only mapping over the plan's whole-grid terms at that
+cell, each entry read when it is looked up. A plan holds O(cells x
+candidates) values, which suits desk-scale tables (a binary 10-way table has
+1,024 cells), not millions.
 
 Divisions are exact: integer families report the ceiling of the rational
 bound (a count is an integer, so rounding up is sound and tighter), by
 integer ceiling division, and quote the rational in ``terms``. Integer
-arrays are int64 while the sum of an inequality's |c_a| times the total
-fits, Python ints beyond.
+arrays are int64 while the greater of an inequality's positive and negative
+coefficient sums, times the total, fits, Python ints beyond.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, prod
-from typing import Iterator, Literal, Mapping, Optional, Sequence
+from typing import Iterator, Literal, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -120,7 +127,8 @@ class MarginalFamily:
         if len(kinds) > 1:
             raise RangeError("cannot mix integer and real marginals in one family")
         self.kind = kinds.pop()
-        self._subsets = tuple(self.released[m].vars for m in sorted(self.released))
+        self._masks = tuple(sorted(self.released))  # the structure recipes are keyed by
+        self._subsets = tuple(self.released[m].vars for m in self._masks)
         self._cache: dict[int, MarginalTable] = dict(self.released)
         self._grids: dict[int, np.ndarray] = {}
         self._plans: dict[tuple, object] = {}  # bound plans, built on first use
@@ -177,8 +185,7 @@ class MarginalFamily:
     def is_derivable(self, a: VarSet) -> bool:
         """True when some released superset of ``a`` exists (or a is empty)."""
         check_num_vars(a.num_vars, self.num_vars)
-        mask = a.mask
-        return mask in self._cache or mask == 0 or any(mask & ~m == 0 for m in self.released)
+        return _read(self.num_vars, self._masks, a.mask) is not None
 
     def marginal(self, a: VarSet) -> MarginalTable:
         """n(a), released directly or derived from the smallest released superset."""
@@ -200,11 +207,12 @@ class MarginalFamily:
         reshaped with a singleton axis for each variable outside ``a`` and
         broadcast. Cached per subset."""
         g = self._grids.get(a.mask)
-        if g is None or a.num_vars != self.num_vars:  # marginal() refuses the latter
-            counts = self.marginal(a).table.counts
-            g = self._grids[a.mask] = np.empty(self.cardinalities, counts.dtype)
-            g[...] = lift_marginal(counts, a, self.cardinalities)
-            g.setflags(write=False)
+        if g is None or a.num_vars != self.num_vars:
+            check_num_vars(a.num_vars, self.num_vars)
+            read = _read(self.num_vars, self._masks, a.mask)
+            if read is None:
+                raise MissingMarginalError([a])
+            g = _grid(self, read)
         return g
 
     def value(self, a: VarSet, cell: CellIndex):
@@ -215,10 +223,8 @@ class MarginalFamily:
     def _source(self, mask: int) -> Optional[MarginalTable]:
         """The smallest released marginal over a superset of ``mask``, which
         n(mask) is derived from; None when nothing released contains it."""
-        supersets = [m for m in self.released if mask & ~m == 0]
-        if not supersets:
-            return None
-        return self.released[min(supersets, key=lambda m: (m.bit_count(), m))]
+        read = _read(self.num_vars, self._masks, mask)
+        return None if read is None else self.released[read[1]]
 
     @functools.cached_property
     def total(self):
@@ -229,16 +235,25 @@ class MarginalFamily:
         return check_cell(self, cell, "family")
 
     def require(self, subsets: Sequence[VarSet]) -> None:
-        missing = [a for a in subsets if not self.is_derivable(a)]
-        if missing:
-            raise MissingMarginalError(sorted(set(missing), key=lambda a: a.mask))
+        for a in subsets:
+            check_num_vars(a.num_vars, self.num_vars)
+        _require(self.num_vars, self._masks, [a.mask for a in subsets])
+
+
+def _summed_out(source: int, mask: int) -> tuple[int, ...]:
+    """The axes of the marginal over ``source`` that its counts sum out to
+    give n(mask), ``mask`` inside ``source``: those of the variables outside
+    ``mask``, numbered among the variables of ``source``."""
+    out = source & ~mask
+    return tuple(
+        (source & (1 << j) - 1).bit_count() for j in range(out.bit_length()) if out >> j & 1
+    )
 
 
 def _sum_down(m: MarginalTable, mask: int) -> np.ndarray:
     """n(mask) summed out of the released marginal ``m``, whose variables
     hold those of ``mask``."""
-    drop = tuple(i for i, j in enumerate(m.vars.axes) if not mask >> j & 1)
-    return np.asarray(m.table.counts.sum(axis=drop))
+    return np.asarray(m.table.counts.sum(axis=_summed_out(m.vars.mask, mask)))
 
 
 @dataclass(frozen=True)
@@ -277,15 +292,86 @@ class BoundReport:
         return self.lower <= value <= self.upper
 
 
-def _planned(build):
-    """Memoise a whole-grid plan on its family, keyed by the builder's
-    (hashable) arguments, so that later calls for any cell reuse it."""
+def _planned(recipe):
+    """A bound plan in two parts. ``recipe(num_vars, released, *args)`` is a
+    pure function of the family's structure, its variable count and released
+    masks (ascending): it works out the plan's formula, subsets, ordered
+    terms, the marginals it reads and where each is summed from, and holds
+    no array and no count, so every family of one structure shares it
+    (cached by ``_recipe``, a refusal included). The plan is the recipe's
+    ``evaluate(fam)``, the arithmetic on this family's grids, memoised on the
+    family keyed by the builder's (hashable) arguments, so that later calls
+    for any cell reuse it. The decorated builder takes the family in place
+    of (num_vars, released)."""
+    @functools.wraps(recipe)
     def cached(fam: MarginalFamily, *key):
-        plan = fam._plans.get((build, key))
+        plan = fam._plans.get((recipe, key))
         if plan is None:
-            plan = fam._plans[build, key] = _settled(fam, build(fam, *key))
+            made = _recipe(recipe, fam.num_vars, fam._masks, *key)
+            plan = fam._plans[recipe, key] = _settled(fam, made.evaluate(fam))
         return plan
     return cached
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _recipe(build, num_vars: int, released: tuple[int, ...], *args):
+    """``build``'s recipe for one structure, or the refusal it raised."""
+    try:
+        return build(num_vars, released, *args)
+    except MissingMarginalError as err:
+        return _Refusal(MissingMarginalError, (err.missing,))
+    except RangeError as err:
+        return _Refusal(type(err), err.args)
+
+
+class _Refusal(NamedTuple):
+    """A structure's refusal, raised anew for each family: one raised
+    exception kept in the cache would keep the frames of its raise, and so
+    a family, alive."""
+
+    kind: type
+    args: tuple
+
+    def evaluate(self, fam: MarginalFamily):
+        raise self.kind(*self.args)
+
+
+def _require(num_vars: int, released: tuple[int, ...], masks) -> None:
+    """MissingMarginalError listing the ``masks`` not derivable from the
+    ``released`` ones, ascending, each once."""
+    missing = sorted({m for m in masks if _read(num_vars, released, m) is None})
+    if missing:
+        raise MissingMarginalError([VarSet(m, num_vars) for m in missing])
+
+
+@functools.lru_cache(maxsize=1024)
+def _read(num_vars: int, released: tuple[int, ...], mask: int) -> Optional[tuple]:
+    """How n(mask) is read, shared by every recipe of one structure: (its
+    VarSet, its source, the axes of the source's counts summed out). The
+    source is the released mask over the fewest variables, then the least,
+    that holds ``mask``; None when none does."""
+    source = None
+    for m in released:  # ascending, so the first of the fewest variables is the least
+        if mask & ~m == 0 and (source is None or m.bit_count() < source.bit_count()):
+            source = m
+    if source is None:
+        return None
+    return VarSet(mask, num_vars), source, _summed_out(source, mask)
+
+
+def _grid(fam: MarginalFamily, read: tuple) -> np.ndarray:
+    """``fam.grid(a)`` from its read (``_read``): the released counts, or
+    their sum over the axes ``drop``, broadcast and cached read-only."""
+    a, source, drop = read
+    g = fam._grids.get(a.mask)
+    if g is None:
+        counts = fam.released[source].table.counts
+        if drop:
+            counts = np.asarray(counts.sum(axis=drop))
+        g = fam._grids[a.mask] = np.empty(fam.cardinalities, counts.dtype)
+        g[...] = lift_marginal(counts, a, fam.cardinalities)
+        g.setflags(write=False)
+    return g
 
 
 def _settled(fam: MarginalFamily, plan: "_Plan") -> "_Plan":
@@ -302,7 +388,13 @@ def _settle(fam: MarginalFamily, lower: np.ndarray, upper: np.ndarray) -> np.nda
         return lower
     gap = lower - upper
     rounding = (gap > 0) & (gap <= real_slack(fam.total))
-    return np.where(rounding, upper, lower) if rounding.any() else lower
+    return _frozen(np.where(rounding, upper, lower)) if rounding.any() else lower
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only, like every array a plan holds."""
+    a.setflags(write=False)
+    return a
 
 
 @functools.lru_cache(maxsize=256)
@@ -313,54 +405,115 @@ def _dsubsets(l: int, d: int) -> tuple[VarSet, ...]:
     )
 
 
-def _linear(fam: MarginalFamily, terms: Sequence[tuple[VarSet, int]], den: Optional[int] = None):
-    """(lower, terms) of den x cell >= sum of c x n(a) over ``terms``: ordered
-    (subset, integer coefficient) pairs, each subset derivable, n(∅) the total.
-    The one place a lower is summed: the positive terms less the sum of the
-    negative ones, each in list order. Every margin is at most the total, so
-    each sum stays within its coefficients' sum times the total, and so does
-    their difference: grids stay int64 while the greater of the two sums
-    fits, Python ints beyond. A real family whose sum |c| times the total
-    passes float64 is refused."""
-    terms = [(a, c) for a, c in terms if c]
-    fam.require([a for a, _ in terms])
-    reach = sum(abs(c) for _, c in terms)
-    if fam.kind != INTEGER and reach * fam.total > FLOAT64_MAX:
-        raise CountRangeError(
-            f"bound terms reach {reach} times the total {fam.total}, "
-            f"beyond the float64 limit {FLOAT64_MAX}"
-        )
-    positive = sum(c for _, c in terms if c > 0)
-    wide = fam.kind == INTEGER and max(positive, reach - positive) * fam.total > INT64_MAX
-    pos, neg, inequality = 0, 0, []
-    for a, c in terms:
-        v = fam.total if not a.mask else fam.grid(a).astype(object) if wide else fam.grid(a)
-        if c > 0:
-            pos += v if c == 1 else c * v
-        else:
-            neg += v if c == -1 else -c * v
-        inequality.append({"subset": str(a), "coefficient": c, "value": v})
-    lower, exact = _lower(fam, pos - neg, den)
-    return lower, {"inequality": inequality, "denominator": den or 1, "lower_exact": exact}
+def _linear(num_vars: int, released, formula: str, subsets, terms, den=None, **extra):
+    """The recipe of den x cell >= sum of c x n(a) over ``terms``: ordered
+    (mask, integer coefficient) pairs, zero coefficients dropped, each mask
+    derivable (else the recipe refuses), n(∅) the total; its upper is the
+    least derivable margin among ``subsets``."""
+    rows, reach, positive = [], 0, 0
+    for m, c in terms:
+        if c:
+            read = _read(num_vars, released, m)
+            if read is None:
+                _require(num_vars, released, [mask for mask, coef in terms if coef])
+            rows.append((read if m else None, c, str(read[0])))
+            reach += abs(c)
+            positive += max(c, 0)
+    upper = (_read(num_vars, released, a.mask) for a in subsets)
+    return _Linear(
+        formula,
+        subsets,
+        tuple(rows),
+        den,
+        reach,
+        max(positive, reach - positive),
+        tuple(read for read in upper if read is not None),
+        **extra,
+    )
+
+
+class _Linear(NamedTuple):
+    """The recipe of a linear plan (``_linear``). ``terms`` holds, in list
+    order, (read of n(a), None for the total; coefficient; subset text), or
+    is None where there is no cell bound (the lower is 0). ``reach`` is the
+    sum of |c| and ``width`` the greater of the positive and the negative
+    coefficients' sums; ``upper`` reads the subsets whose least margin is the
+    upper; ``static`` holds (name, value) terms that read no count;
+    ``settle`` is the cover whose decomposition lower the lower is settled
+    against (the literal Fan)."""
+
+    formula: str
+    subsets: tuple[VarSet, ...]
+    terms: Optional[tuple]
+    den: Optional[int]
+    reach: int
+    width: int
+    upper: tuple
+    static: tuple = ()
+    settle: tuple[int, ...] = ()
+
+    def evaluate(self, fam: MarginalFamily) -> "_Plan":
+        upper = _upper(fam, self.upper)
+        if self.terms is None:
+            terms = dict(self.static)
+            return _Plan(self.formula, self.subsets, np.zeros_like(upper), upper, terms)
+        lower, terms = self._sum(fam)
+        if self.settle:
+            lower = _settle(fam, lower, _decomp_plan(fam, self.settle).lower)
+        terms.update(self.static)
+        return _Plan(self.formula, self.subsets, lower, upper, terms)
+
+    def _sum(self, fam: MarginalFamily):
+        """(lower, terms): the one place a lower is summed, the positive
+        terms less the sum of the negative ones, each in list order. Every
+        margin is at most the total, so each sum stays within its
+        coefficients' sum times the total, and so does their difference:
+        grids stay int64 while ``width`` times the total fits, Python ints
+        beyond. A real family whose ``reach`` times the total passes float64
+        is refused."""
+        total, integer = fam.total, fam.kind == INTEGER
+        if not integer and self.reach * total > FLOAT64_MAX:
+            raise CountRangeError(
+                f"bound terms reach {self.reach} times the total {total}, "
+                f"beyond the float64 limit {FLOAT64_MAX}"
+            )
+        wide = integer and self.width * total > INT64_MAX
+        pos, neg, inequality = 0, 0, []
+        for read, c, text in self.terms:
+            if read is None:
+                v = total
+            else:
+                v = _grid(fam, read)
+                if wide:
+                    v = _frozen(v.astype(object))
+            if c > 0:
+                pos += v if c == 1 else c * v
+            else:
+                neg += v if c == -1 else -c * v
+            inequality.append({"subset": text, "coefficient": c, "value": v})
+        lower, exact = _lower(fam, pos - neg, self.den)
+        terms = {"inequality": inequality, "denominator": self.den or 1, "lower_exact": exact}
+        return lower, terms
 
 
 def _lower(fam: MarginalFamily, num, den: Optional[int] = None):
     """(lower, lower_exact) of max(0, num / den): the quotient (num itself
     without ``den``) clamped at zero, and the quotient; in an integer family
     with ``den``, the exact ceiling clamped at zero and, per cell, the rational
-    num[cell] / den (``num`` made read-only, like every array a plan holds)."""
+    num[cell] / den. ``num`` and the quotient are made read-only."""
+    _frozen(num)
     if den is not None and fam.kind == INTEGER:
-        num.setflags(write=False)
         return np.maximum(-(-num // den), 0), lambda cell: Fraction(num.item(cell), den)
-    exact = num if den is None else num / den
+    exact = num if den is None else _frozen(num / den)
     return np.where(exact <= 0, 0, exact), exact
 
 
-def _upper(fam: MarginalFamily, subsets: Sequence[VarSet]) -> np.ndarray:
-    """At every cell, the least derivable margin among ``subsets`` (n is
-    decreasing), or the total where none is derivable."""
-    grids = [fam.grid(a) for a in subsets if fam.is_derivable(a)]
-    return _min(grids) if grids else np.full(fam.cardinalities, fam.total)
+def _upper(fam: MarginalFamily, reads: tuple) -> np.ndarray:
+    """At every cell, the least margin among a recipe's ``reads`` (n is
+    decreasing), or the total where there is none."""
+    if not reads:
+        return np.full(fam.cardinalities, fam.total)
+    return _min([_grid(fam, read) for read in reads])
 
 
 def _min(grids):
@@ -369,17 +522,6 @@ def _min(grids):
 
 def _max(grids):
     return functools.reduce(np.maximum, grids)
-
-
-def _freeze(values) -> None:
-    """Make every array among whole-grid terms read-only, in nested dicts
-    and lists too (most are the family's grids, read-only already)."""
-    for v in values:
-        kind = type(v)
-        if kind is np.ndarray and v.flags.writeable:
-            v.setflags(write=False)
-        elif kind is dict or kind is list:
-            _freeze(v.values() if kind is dict else v)
 
 
 def _at(terms, cell: CellIndex):
@@ -399,7 +541,9 @@ def _at(terms, cell: CellIndex):
 @dataclass(frozen=True)
 class _Plan:
     """One bound family evaluated for every cell at once, with its terms as
-    whole-grid arrays; ``report`` is the per-cell view."""
+    whole-grid arrays; ``report`` is the per-cell view. Its lower and upper
+    are made read-only here; every other array in its terms is a family
+    grid, or was made read-only where the evaluation made it."""
 
     formula: str
     subsets: tuple[VarSet, ...]
@@ -408,7 +552,8 @@ class _Plan:
     terms: dict
 
     def __post_init__(self) -> None:
-        _freeze([self.lower, self.upper, self.terms])
+        self.lower.setflags(write=False)
+        self.upper.setflags(write=False)
 
     def report(self, cell: CellIndex) -> BoundReport:
         lower, upper = self.lower.item(cell), self.upper.item(cell)
@@ -442,6 +587,15 @@ class _TermsAt(Mapping):
         return dict, (dict(self),)
 
 
+class _Renamed(NamedTuple):
+    """The recipe of the ``ddim:1`` plan under another formula name."""
+
+    formula: str
+
+    def evaluate(self, fam: MarginalFamily) -> "_Plan":
+        return replace(_ddim_plan(fam, 1), formula=self.formula)
+
+
 def simple_frechet(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
     """Two-margin bounds on a 2-way cell: min of the margins above,
     their sum minus the total (clamped at zero) below."""
@@ -450,10 +604,10 @@ def simple_frechet(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
 
 
 @_planned
-def _simple_plan(fam: MarginalFamily) -> _Plan:
-    if fam.num_vars != 2:
+def _simple_plan(l: int, released) -> _Renamed:
+    if l != 2:
         raise RangeError("simple_frechet applies to 2-way tables")
-    return replace(_ddim_plan(fam, 1), formula="simple")
+    return _Renamed("simple")
 
 
 def frechet_3way(
@@ -464,22 +618,34 @@ def frechet_3way(
     return _3way_plan(fam, basis).report(cell)
 
 
-@_planned
-def _3way_plan(fam: MarginalFamily, basis: str) -> _Plan:
-    if fam.num_vars != 3:
-        raise RangeError("frechet_3way applies to 3-way tables")
-    if basis == "one-dim":  # the d = 1 case of the d-dimensional bound
-        return replace(_ddim_plan(fam, 1), formula="3way:one-dim")
-    if basis == "two-dim":  # the two-set covers of the decomposition bound
-        pairs = _dsubsets(3, 2)
-        fam.require(pairs)
-        covers = {
-            f"{a}+{b}-{a & b}": _decomp_plan(fam, (a.mask, b.mask))
-            for a, b in itertools.combinations(pairs, 2)
-        }
+class _TwoDim(NamedTuple):
+    """The recipe of ``3way:two-dim``: the greatest decomposition lower over
+    the two-set covers of the pairs, each quoted under ``covers``' key."""
+
+    subsets: tuple[VarSet, ...]
+    covers: tuple[tuple[str, tuple[int, int]], ...]
+    upper: tuple
+
+    def evaluate(self, fam: MarginalFamily) -> "_Plan":
+        covers = {key: _decomp_plan(fam, masks) for key, masks in self.covers}
         lower = _max(p.lower for p in covers.values())
         terms = {key: p.terms["lower_exact"] for key, p in covers.items()}
-        return _Plan("3way:two-dim", pairs, lower, _upper(fam, pairs), terms)
+        return _Plan("3way:two-dim", self.subsets, lower, _upper(fam, self.upper), terms)
+
+
+@_planned
+def _3way_plan(l: int, released, basis: str):
+    if l != 3:
+        raise RangeError("frechet_3way applies to 3-way tables")
+    if basis == "one-dim":  # the d = 1 case of the d-dimensional bound
+        return _Renamed("3way:one-dim")
+    if basis == "two-dim":  # the two-set covers of the decomposition bound
+        pairs = _dsubsets(3, 2)
+        _require(3, released, [a.mask for a in pairs])
+        covers = tuple(
+            (f"{a}+{b}-{a & b}", (a.mask, b.mask)) for a, b in itertools.combinations(pairs, 2)
+        )
+        return _TwoDim(pairs, covers, tuple(_read(3, released, a.mask) for a in pairs))
     raise RangeError(f"unknown basis {basis!r}")
 
 
@@ -496,16 +662,14 @@ def frechet_ddim(fam: MarginalFamily, cell: CellIndex, d: int) -> BoundReport:
 
 
 @_planned
-def _ddim_plan(fam: MarginalFamily, d: int) -> _Plan:
-    l = fam.num_vars
+def _ddim_plan(l: int, released, d: int) -> _Linear:
     if not 1 <= d <= l:
         raise RangeError(f"d={d} out of range 1..{l}")
     subsets = _dsubsets(l, d)
     den = comb(l - 1, d - 1)
     # den times the bound: the d-subset margins less C(l, d) - den totals
-    terms = [(a, 1) for a in subsets] + [(VarSet.empty(l), den - comb(l, d))]
-    lower, terms = _linear(fam, terms, den)
-    return _Plan(f"ddim:{d}", subsets, lower, _upper(fam, subsets), terms)
+    terms = [(a.mask, 1) for a in subsets] + [(0, den - comb(l, d))]
+    return _linear(l, released, f"ddim:{d}", subsets, terms, den)
 
 
 @dataclass(frozen=True)
@@ -556,7 +720,7 @@ class Decomposition:
         for c in cover[1:]:
             check_num_vars(c.num_vars, cover[0].num_vars, "cover set")
         union = functools.reduce(int.__or__, (c.mask for c in cover))
-        if union != VarSet.full(cover[0].num_vars).mask:
+        if union != (1 << cover[0].num_vars) - 1:
             raise RangeError(f"cover {[str(c) for c in cover]} does not equal L")
         object.__setattr__(self, "cover", cover)
 
@@ -566,11 +730,10 @@ class Decomposition:
 
     @property
     def separators(self) -> tuple[VarSet, ...]:
-        seps = []
-        seen = self.cover[0]
+        seps, seen = [], self.cover[0].mask
         for c in self.cover[1:]:
-            seps.append(seen & c)
-            seen = seen | c
+            seps.append(VarSet(seen & c.mask, self.num_vars))
+            seen |= c.mask
         return tuple(seps)
 
 
@@ -590,13 +753,12 @@ def decomposition_bound(
 
 
 @_planned
-def _decomp_plan(fam: MarginalFamily, masks: tuple[int, ...]) -> _Plan:
-    decomp = Decomposition(tuple(VarSet(m, fam.num_vars) for m in masks))
-    fam.require(decomp.cover)  # the separators lie inside it
-    terms = [(c, 1) for c in decomp.cover] + [(s, -1) for s in decomp.separators]
-    lower, terms = _linear(fam, terms)
+def _decomp_plan(l: int, released, masks: tuple[int, ...]) -> _Linear:
+    decomp = Decomposition(tuple(VarSet(m, l) for m in masks))
+    _require(l, released, masks)  # the separators lie inside the cover
+    terms = [(c.mask, 1) for c in decomp.cover] + [(s.mask, -1) for s in decomp.separators]
     formula = "decomp:" + "|".join(str(c) for c in decomp.cover)
-    return _Plan(formula, decomp.cover, lower, _upper(fam, decomp.cover), terms)
+    return _linear(l, released, formula, decomp.cover, terms)
 
 
 def fan_lower_bound(
@@ -631,25 +793,20 @@ def fan_lower_bound(
 
 
 @_planned
-def _fan_plan(fam: MarginalFamily, masks: tuple[int, ...], p: int) -> _Plan:
-    l, q = fam.num_vars, len(masks)
-    full = VarSet.full(l).mask
+def _fan_plan(l: int, released, masks: tuple[int, ...], p: int) -> _Linear:
+    full = (1 << l) - 1
     lhs, rhs = fan_terms(masks, p)  # rhs: (k, coefficient, join of k-wise meets)
     moved = [(k, c) for k, c, m in rhs if m == full]  # occurrences of the cell
-    terms = [(VarSet(m, l), 1) for m in lhs]
-    terms += [(VarSet(m, l), -c) for _, c, m in rhs if m != full]
+    terms = [(m, 1) for m in lhs] + [(m, -c) for _, c, m in rhs if m != full]
+    static = (
+        ("rhs_terms", tuple((k, c, str(VarSet(m, l))) for k, c, m in rhs)),
+        ("moved_k", tuple(k for k, _ in moved)),
+        ("has_cell_bound", bool(moved)),
+    )
     xs = tuple(VarSet(m, l) for m in masks)
-    upper = _upper(fam, xs)
-    fan = {
-        "rhs_terms": tuple((k, c, str(VarSet(m, l))) for k, c, m in rhs),
-        "moved_k": tuple(k for k, _ in moved),
-        "has_cell_bound": bool(moved),
-    }
-    if not moved:
-        fam.require([a for a, _ in terms])
-        return _Plan(f"fan:p={p},q={q}", xs, np.zeros_like(upper), upper, fan)
-    lower, terms = _linear(fam, terms, sum(c for _, c in moved))
-    return _Plan(f"fan:p={p},q={q}", xs, lower, upper, {**terms, **fan})
+    den = sum(c for _, c in moved)
+    recipe = _linear(l, released, f"fan:p={p},q={len(masks)}", xs, terms, den, static=static)
+    return recipe if moved else recipe._replace(terms=None)
 
 
 @dataclass(frozen=True)
@@ -711,14 +868,14 @@ def compare_fan_vs_decomposition(
 
 
 @_planned
-def _literal_fan_plan(fam: MarginalFamily, masks: tuple[int, ...]) -> _Plan:
+def _literal_fan_plan(l: int, released, masks: tuple[int, ...]) -> _Linear:
     """The Fan side of the comparison from the masks of the three cover
     sets and of their separators' join and meet; its lower is settled
     (``_settle``) against the separator route's lower."""
-    *cover, join, meet = (VarSet(m, fam.num_vars) for m in masks)
-    lower, terms = _linear(fam, [(c, 1) for c in cover] + [(join, -1), (meet, -1)])
-    lower = _settle(fam, lower, _decomp_plan(fam, masks[:3]).lower)
-    return _Plan("fan-literal:d=3", tuple(cover), lower, _upper(fam, cover), terms)
+    *cover, join, meet = masks
+    terms = [(c, 1) for c in cover] + [(join, -1), (meet, -1)]
+    cover = tuple(VarSet(m, l) for m in cover)
+    return _linear(l, released, "fan-literal:d=3", cover, terms, settle=masks[:3])
 
 
 def best_bounds(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
@@ -735,33 +892,57 @@ def best_bounds(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
     return _best_plan(fam).report(cell)
 
 
+class _Best(NamedTuple):
+    """The recipe of ``best``: the reads of the released margins, named
+    ``n(a)``, and of the full-set one when it is derivable (``exact``), the
+    dimensions d whose ``ddim:d`` applies, and the name and cover of each
+    released pair that covers L."""
+
+    subsets: tuple[VarSet, ...]
+    uppers: tuple[tuple[str, tuple], ...]
+    ddims: tuple[tuple[str, int], ...]
+    pairs: tuple[tuple[str, tuple[int, int]], ...]
+    exact: Optional[tuple]
+
+    def evaluate(self, fam: MarginalFamily) -> "_Plan":
+        # Candidates by name; on a tie the first in dict order wins.
+        uppers = {name: _grid(fam, read) for name, read in self.uppers}
+        uppers["total"] = total = _frozen(np.full(fam.cardinalities, fam.total))
+        lowers = {"zero": _frozen(np.zeros_like(total))}
+        for name, d in self.ddims:
+            lowers[name] = _ddim_plan(fam, d).lower
+        for name, masks in self.pairs:
+            lowers[name] = _decomp_plan(fam, masks).lower
+        if self.exact is not None:
+            lowers["exact"] = uppers["exact"] = _grid(fam, self.exact)
+        upper = _min(uppers.values())
+        # Settled one by one, so the winning candidate reads as the lower.
+        lowers = {name: _settle(fam, v, upper) for name, v in lowers.items()}
+        terms = {
+            "lowers": lowers,
+            "uppers": uppers,
+            "lower_from": lambda cell: max(lowers, key=lambda name: lowers[name].item(cell)),
+            "upper_from": lambda cell: min(uppers, key=lambda name: uppers[name].item(cell)),
+        }
+        return _Plan("best", self.subsets, _max(lowers.values()), upper, terms)
+
+
 @_planned
-def _best_plan(fam: MarginalFamily) -> _Plan:
-    l = fam.num_vars
-    full = VarSet.full(l)
-    released = fam.subsets()
-    # Candidates by name; on a tie the first in dict order wins.
-    uppers = {f"n({a})": fam.grid(a) for a in released}
-    uppers["total"] = np.full(fam.cardinalities, fam.total)
-    lowers = {"zero": np.zeros_like(uppers["total"])}
-    for d in range(1, l + 1):
-        if all(fam.is_derivable(a) for a in _dsubsets(l, d)):
-            lowers[f"ddim:{d}"] = _ddim_plan(fam, d).lower
-    for a, b in itertools.combinations(released, 2):
-        if (a | b).mask == full.mask:
-            lowers[f"pair:{a}|{b}"] = _decomp_plan(fam, (a.mask, b.mask)).lower
-    if fam.is_derivable(full):
-        lowers["exact"] = uppers["exact"] = fam.grid(full)
-    upper = _min(uppers.values())
-    # Settled one by one, so the winning candidate reads as the lower.
-    lowers = {name: _settle(fam, v, upper) for name, v in lowers.items()}
-    terms = {
-        "lowers": lowers,
-        "uppers": uppers,
-        "lower_from": lambda cell: max(lowers, key=lambda name: lowers[name].item(cell)),
-        "upper_from": lambda cell: min(uppers, key=lambda name: uppers[name].item(cell)),
-    }
-    return _Plan("best", released, _max(lowers.values()), upper, terms)
+def _best_plan(l: int, released) -> _Best:
+    full = (1 << l) - 1
+    subsets = tuple(VarSet(m, l) for m in released)
+    ddims = []
+    for d in range(1, l + 1):  # every d-subset derivable: so are the smaller ones
+        if any(_read(l, released, a.mask) is None for a in _dsubsets(l, d)):
+            break
+        ddims.append((f"ddim:{d}", d))
+    pairs = tuple(
+        (f"pair:{a}|{b}", (a.mask, b.mask))
+        for a, b in itertools.combinations(subsets, 2)
+        if a.mask | b.mask == full
+    )
+    uppers = tuple((f"n({a})", _read(l, released, a.mask)) for a in subsets)
+    return _Best(subsets, uppers, tuple(ddims), pairs, _read(l, released, full))
 
 
 def _parse_int(text: str, what: str, method: str) -> int:

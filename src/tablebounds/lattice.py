@@ -335,8 +335,10 @@ def _monotone_check(fn: LatticeFunction, increasing: bool) -> CheckResult:
     """Check all covering pairs (a, a|{j}); equivalent to all pairs by
     transitivity. They are the local pairs on one axis of the grid (2,)*l
     (``_first_local_violation`` with k = 1), so the witness is the first
-    violation in (a, j) order."""
-    vals, tol = _exact(fn.values)
+    violation in (a, j) order. Integer values compare as they are, with
+    slack 0: adding 0 to one value cannot pass its dtype, so only real values
+    take ``_exact``'s scaled rule."""
+    vals, tol = (fn.values, 0) if fn.integer_valued else _exact(fn.values)
     grid = vals.reshape((2,) * fn.num_vars)
     pair = _first_local_violation(grid, 1, _out_of_order, tol, increasing)
     if pair is None:

@@ -224,6 +224,21 @@ class TestExactness:
         assert (res.witness.a, res.witness.b) == (VarSet(0, 1), VarSet(1, 1))
         assert (res.witness.lhs, res.witness.rhs) == (2**60, 2**60 + 1)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_monotone_step_of_one_at_int64_max(self, dtype):
+        # Integers compare as they are, with slack 0: values at 2^63 - 1 keep
+        # their dtype, and a rise of one to the top of int64 is caught.
+        top = 2**63 - 1
+        values = np.array([top - 1, top - 1, top, top - 2], dtype=dtype)
+        for check, want in ((is_decreasing, (0b00, 0b10, top - 1, top)),
+                            (is_increasing, (0b01, 0b11, top - 1, top - 2))):
+            res = check(LatticeFunction(2, values))
+            assert not res.ok
+            w = res.witness
+            assert (w.a.mask, w.b.mask, w.lhs, w.rhs) == want
+            assert type(w.lhs) is int and type(w.rhs) is int
+        assert is_decreasing(LatticeFunction(2, np.array([top, top - 1, top - 1, top - 1], dtype))).ok
+
 
 def first_supermodular_violation(values, l):
     """The lexicographically first ordered pair (a, b) of all pairs with
