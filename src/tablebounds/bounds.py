@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, prod
@@ -658,7 +659,16 @@ def frechet_ddim(fam: MarginalFamily, cell: CellIndex, d: int) -> BoundReport:
     rational in ``terms``.
     """
     cell = fam.check_cell(cell)
-    return _ddim_plan(fam, d).report(cell)
+    return _ddim_plan(fam, _dimension(d)).report(cell)
+
+
+def _dimension(d) -> int:
+    """The margin dimension ``d`` as a Python int (``operator.index``, so
+    1.0 is refused and True read as 1) before it keys a plan."""
+    try:
+        return operator.index(d)
+    except TypeError:
+        raise RangeError(f"d must be an integer, got {d!r}") from None
 
 
 @_planned
@@ -694,7 +704,7 @@ def kwerel_form(fam: MarginalFamily, cell: CellIndex, d: int) -> KwerelStats:
     Multiplying the bound by the total recovers the unclamped d-dimensional
     lower bound exactly (rational identity, relying on C(l,d)/C(l-1,d-1)=l/d).
     """
-    l = fam.num_vars
+    l, d = fam.num_vars, _dimension(d)
     cell = fam.check_cell(cell)
     total = fam.total
     if total == 0:

@@ -89,7 +89,7 @@ class LatticeFunction:
                 f"expected {1 << self.num_vars} values for {self.num_vars} "
                 f"variables, got shape {vals.shape}"
             )
-        if not np.issubdtype(vals.dtype, np.integer):
+        if vals.dtype.kind not in "iu":  # bool, real and the rest: float64
             vals = np.asarray(vals, dtype=np.float64)
             if not np.all(np.isfinite(vals)):
                 raise RangeError("lattice function values must be finite")
@@ -98,7 +98,7 @@ class LatticeFunction:
 
     @property
     def integer_valued(self) -> bool:
-        return np.issubdtype(self.values.dtype, np.integer)
+        return self.values.dtype.kind in "iu"
 
     def value(self, a: VarSet):
         check_num_vars(a.num_vars, self.num_vars)
@@ -152,24 +152,33 @@ class CheckResult:
         return self.ok
 
 
+@functools.lru_cache(maxsize=None)
+def _int_limits(dtype: np.dtype) -> tuple[int, int]:
+    """The largest magnitudes whose two-term sums and whose products an
+    integer dtype holds: (max // 2, isqrt(max)), read once per dtype."""
+    top = int(np.iinfo(dtype).max)
+    return top // 2, isqrt(top)
+
+
 def _exact(values: np.ndarray, multiplicative: bool = False, negate: bool = False):
     """(values, slack) under the one comparison rule of every pair checker.
 
-    Integer values keep the integer slack 0 and become Python ints when a
-    two-term sum (``multiplicative``: product) could pass their dtype. Real
-    values are divided by max(1, max|v|) and get slack REAL_RTOL: the
-    absolute 1e-9 max(1, max|v|) (products: max(1, max|v|^2)) rescaled, so
-    it and the compared terms stay finite. ``negate`` returns -values, which
-    integers take in int64 while its two-term sums fit, else in Python ints.
+    Integer values (dtype kind "i" or "u", so not bool) keep the integer
+    slack 0 and become Python ints when a two-term sum (``multiplicative``:
+    product) could pass their dtype, by ``_int_limits``. Real values are
+    divided by max(1, max|v|) and get slack REAL_RTOL: the absolute 1e-9
+    max(1, max|v|) (products: max(1, max|v|^2)) rescaled, so it and the
+    compared terms stay finite. ``negate`` returns -values, which integers
+    take in int64 while its two-term sums fit, else in Python ints.
     """
     values = np.asarray(values)
-    if np.issubdtype(values.dtype, np.integer):
+    if values.dtype.kind in "iu":
         big = max(-int(values.min()), int(values.max()))
         if negate:
-            wide = np.int64 if big <= np.iinfo(np.int64).max // 2 else object
+            wide = np.int64 if big <= _int_limits(np.dtype(np.int64))[0] else object
             return -values.astype(wide), 0
-        limit = int(np.iinfo(values.dtype).max)
-        if big > (isqrt(limit) if multiplicative else limit // 2):
+        half, root = _int_limits(values.dtype)
+        if big > (root if multiplicative else half):
             values = values.astype(object)
         return values, 0
     scaled = values / max(1.0, float(np.abs(values).max()))
@@ -219,8 +228,10 @@ def _axis_offsets(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _violates(x, y, lo, hi, multiplicative: bool, tol):
-    """The pair condition: x + y > lo + hi + tol, or x * y > lo * hi + tol."""
-    return x * y > lo * hi + tol if multiplicative else x + y > lo + hi + tol
+    """The pair condition: x + y > lo + hi + tol, or x * y > lo * hi + tol;
+    a zero ``tol`` is not added."""
+    left, right = (x * y, lo * hi) if multiplicative else (x + y, lo + hi)
+    return left > right + tol if tol else left > right
 
 
 def _first_local_violation(
@@ -327,8 +338,10 @@ def pair_violation(
 
 def _out_of_order(lo, hi, tol, increasing: bool):
     """The monotone condition on a covering pair lo < hi: hi + tol < lo when
-    F must increase, else lo + tol < hi."""
-    return hi + tol < lo if increasing else lo + tol < hi
+    F must increase, else lo + tol < hi; a zero ``tol`` is not added."""
+    if tol:
+        return hi + tol < lo if increasing else lo + tol < hi
+    return hi < lo if increasing else lo < hi
 
 
 def _monotone_check(fn: LatticeFunction, increasing: bool) -> CheckResult:

@@ -332,6 +332,34 @@ def lift_marginal(values: np.ndarray, a: VarSet, cardinalities) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _cube_gather(cardinalities: tuple[int, ...]) -> np.ndarray:
+    """The read-only matrix whose product with an anchor x, extended by a
+    1, is the flat index into the marginal cube of each of x's 2^l marginal
+    counts: row a holds axis j's cube stride where bit j of a is set, else
+    0, and last the sum of stride times c_j (summed out) over the axes
+    outside a. Built once per shape, for shapes with a cube only."""
+    l = len(cardinalities)
+    strides = np.array(
+        [prod(c + 1 for c in cardinalities[j + 1 :]) for j in range(l)], dtype=np.intp
+    )
+    bits = np.arange(1 << l)[:, None] >> np.arange(l) & 1
+    summed_out = (1 - bits) @ (strides * np.array(cardinalities, dtype=np.intp))
+    gather = np.column_stack([bits * strides, summed_out])
+    gather.setflags(write=False)
+    return gather
+
+
+def _trusted_fn(num_vars: int, values: np.ndarray) -> LatticeFunction:
+    """A lattice function from 2^num_vars int64 or finite float64 values,
+    the form ``LatticeFunction`` validates values into, built without
+    validating them again; the values become read-only."""
+    values.setflags(write=False)
+    fn = object.__new__(LatticeFunction)
+    fn.__dict__.update(num_vars=num_vars, values=values)
+    return fn
+
+
 def cell_margin_fn(table: ContingencyTable, anchor: CellIndex) -> LatticeFunction:
     """All 2^l marginal counts at one anchor cell, as a lattice function.
 
@@ -340,25 +368,22 @@ def cell_margin_fn(table: ContingencyTable, anchor: CellIndex) -> LatticeFunctio
     count. F is decreasing and supermodular on 2^L for every table and anchor.
 
     Read from the table's marginal cube by one gather, O(2^l) per anchor once
-    the cube is built (O(prod(c_j + 1)), at the first anchor). Its flat
-    indices double over the axes: from the all-summed-out entry, axis j adds
-    a copy of every index so far moved from c_j to x_j. Tables past
-    MARGIN_CUBE_CAP stack (summed out, at the anchor) along each axis in
-    turn, which leaves F on the (2,)*l grid, O(#cells + l 2^l) per anchor.
+    the cube is built (O(prod(c_j + 1)), at the first anchor), through flat
+    indices from one product with the shape's cached ``_cube_gather``.
+    Tables past MARGIN_CUBE_CAP stack (summed out, at the anchor) along each
+    axis in turn, which leaves F on the (2,)*l grid, O(#cells + l 2^l) per
+    anchor. Either way the values are sums of a validated table, int64 or
+    finite float64, so the function is built without validating them again.
     """
     anchor = check_cell(table, anchor)
     l = table.num_vars
     check_lattice_cap(l)
     cube = table._margin_cube
     if cube is not None:
-        strides = [s // cube.itemsize for s in cube.strides]
-        index = np.empty(1 << l, dtype=np.intp)
-        index[0] = sum(s * c for s, c in zip(strides, table.cardinalities))
-        for j, (s, c, x) in enumerate(zip(strides, table.cardinalities, anchor)):
-            np.add(index[: 1 << j], s * (x - c), out=index[1 << j : 2 << j])
-        return LatticeFunction(l, cube.reshape(-1).take(index))
+        index = _cube_gather(table.cardinalities).dot(anchor + (1,))
+        return _trusted_fn(l, cube.take(index))
     grid = table.counts
     for j, x0 in enumerate(anchor):
         grid = np.stack([grid.sum(axis=j), grid.take(x0, axis=j)], axis=j)
     # Axis j in ``a`` -> bit j; transpose so the C-order ravel matches masks.
-    return LatticeFunction(l, grid.transpose(tuple(reversed(range(l)))).reshape(-1))
+    return _trusted_fn(l, grid.transpose(tuple(reversed(range(l)))).reshape(-1))

@@ -283,6 +283,24 @@ class TestFrechetDdim:
         with pytest.raises(RangeError):
             frechet_ddim(fam, (0, 0), 3)
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warmed"])
+    def test_d_read_as_an_index(self, warm):
+        # A plan is keyed by d, so d must be an int before the key: a float
+        # is refused and True is 1, on a fresh family and one holding ddim:1.
+        fam = family_of(lead_table(), [[1], [2]])
+        if warm:
+            frechet_ddim(fam, (0, 0), 1)
+        for d in (1.0, 2.0, "1"):
+            with pytest.raises(RangeError, match="d must be an integer"):
+                frechet_ddim(fam, (0, 0), d)
+            with pytest.raises(RangeError, match="d must be an integer"):
+                kwerel_form(fam, (0, 0), d)
+        for d in (True, np.int64(1), np.uint8(1)):
+            assert frechet_ddim(fam, (0, 0), d) == frechet_ddim(fam, (0, 0), 1)
+            assert frechet_ddim(fam, (0, 0), d).formula == "ddim:1"
+            assert kwerel_form(fam, (0, 0), d) == kwerel_form(fam, (0, 0), 1)
+            assert type(kwerel_form(fam, (0, 0), d).d) is int
+
 
 class TestKwerel:
     def test_binomial_ratio_identity(self):

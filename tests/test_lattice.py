@@ -1,6 +1,7 @@
 """Checkers, constructors, and the Fan evaluator on the subset lattice."""
 
 import itertools
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tablebounds import (
+    CheckResult,
     ContingencyTable,
     CountRangeError,
     LatticeCapError,
     LatticeFunction,
     RangeError,
     VarSet,
+    Witness,
     cell_margin_fn,
     cumulative_fn,
     fan_evaluate,
@@ -238,6 +241,80 @@ class TestExactness:
             assert (w.a.mask, w.b.mask, w.lhs, w.rhs) == want
             assert type(w.lhs) is int and type(w.rhs) is int
         assert is_decreasing(LatticeFunction(2, np.array([top, top - 1, top - 1, top - 1], dtype))).ok
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint32, np.uint64]
+    )
+    def test_every_check_across_integer_dtypes(self, dtype):
+        # Values near the ends of the dtype, whose two-term sums and products
+        # pass it, against the same values as Python ints: the limits read
+        # once per dtype must be that dtype's.
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(int(info.bits) + int(info.min < 0))
+        top, shape, l = int(info.max), (3, 2, 2), 3
+        convex = [top - (1 << 4) + (1 << sum(c)) for c in np.ndindex(*shape)]
+        draws = [rng.integers(info.min, top, size=12, dtype=dtype, endpoint=True).tolist()
+                 for _ in range(6)]
+        # Near the top, sums pass the dtype; past its square root, products.
+        for low, high in ((top // 2 - 3, top), (isqrt(top) + 1, top // 2)):
+            draws += [rng.integers(low, high, size=12, dtype=dtype, endpoint=True).tolist()
+                      for _ in range(6)]
+        verdicts = set()
+        for values in [convex] + draws:
+            grid = np.array(values, dtype=dtype).reshape(shape)
+            for mode in ("local", "exhaustive"):
+                for multiplicative in (False, True):
+                    got = lattice.pair_violation(grid, mode, multiplicative)
+                    assert got == python_first_pair(values, shape, mode, multiplicative)
+                    verdicts.add(got is None)
+            f = values[: 1 << l]
+            fn = LatticeFunction(l, np.array(f, dtype=dtype))
+            for mode in ("local", "exhaustive"):
+                for check, g in ((is_supermodular, f), (is_submodular, [-v for v in f])):
+                    pair = python_first_pair(g, (2,) * l, mode, False)
+                    assert check(fn, mode) == supermodular_result(f, l, pair)
+            for check, increasing in ((is_decreasing, False), (is_increasing, True)):
+                pair = first_monotone_violation(f, l, increasing)
+                expected = CheckResult(True) if pair is None else CheckResult(False, Witness(
+                    "monotone-violation", VarSet(pair[0], l), VarSet(pair[1], l),
+                    f[pair[0]], f[pair[1]]))
+                res = check(fn)
+                assert res == expected
+                assert res.ok or type(res.witness.lhs) is type(res.witness.rhs) is int
+        assert verdicts == {True, False}
+
+
+def python_first_pair(values, shape, mode, multiplicative):
+    """The first flat pair (x, y), in the order the mode scans, of a grid of
+    Python ints with x + y > meet + join (products: x * y > meet * join);
+    None when there is none. Plain Python."""
+    cells = list(itertools.product(*map(range, shape)))
+    flat = {c: k for k, c in enumerate(cells)}
+    if mode == "exhaustive":
+        pairs = itertools.combinations(cells, 2)
+    else:  # one step up on each of two axes p < q from a common corner
+        step = lambda c, j: c[:j] + (c[j] + 1,) + c[j + 1 :]  # noqa: E731
+        pairs = sorted(
+            ((step(lo, q), step(lo, p))
+             for p, q in itertools.combinations(range(len(shape)), 2)
+             for lo in cells if lo[p] + 1 < shape[p] and lo[q] + 1 < shape[q]),
+            key=lambda xy: (flat[xy[0]], flat[xy[1]]),
+        )
+    for x, y in pairs:
+        vx, vy, vlo, vhi = (values[flat[c]] for c in
+                            (x, y, tuple(map(min, x, y)), tuple(map(max, x, y))))
+        if (vx * vy > vlo * vhi) if multiplicative else (vx + vy > vlo + vhi):
+            return flat[x], flat[y]
+    return None
+
+
+def supermodular_result(f, l, pair):
+    """The CheckResult of a supermodularity scan that stopped at ``pair``."""
+    if pair is None:
+        return CheckResult(True)
+    a, b = pair
+    return CheckResult(False, Witness("supermodular-violation", VarSet(a, l), VarSet(b, l),
+                                      f[a | b] + f[a & b], f[a] + f[b]))
 
 
 def first_supermodular_violation(values, l):

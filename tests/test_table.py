@@ -524,6 +524,32 @@ class TestMarginCube:
             assert_bit_equal(cell_margin_fn(table, anchor), stacked_margin_fn(table, anchor))
         assert (table._margin_cube is not None) == built
 
+    @pytest.mark.parametrize("kind", ["integer", "real"])
+    @pytest.mark.parametrize(
+        "cards",
+        [(), (1,), (3, 2), (3, 4, 2, 2, 2), (3,) * 7, (3,) * 6 + (4,), (2,) * 10],
+    )
+    def test_equal_to_validated_functions(self, cards, kind):
+        # Built without validation, on both sides of MARGIN_CUBE_CAP, an
+        # anchored function equals the validating constructor's on its values.
+        rng = np.random.default_rng(43)
+        counts = rng.integers(0, 9, size=prod(cards))
+        table = ContingencyTable.from_flat(cards, counts * (1.5 if kind == "real" else 1), kind=kind)
+        for _ in range(3):
+            fn = cell_margin_fn(table, random_anchor(rng, table))
+            assert type(fn) is LatticeFunction and type(fn.num_vars) is int
+            assert fn.num_vars == len(cards)
+            assert fn.values.shape == (1 << len(cards),)
+            assert fn.values.dtype == (np.int64 if kind == "integer" else np.float64)
+            assert not fn.values.flags.writeable
+            validated = LatticeFunction(fn.num_vars, np.array(fn.values))
+            assert fn == validated
+            assert_bit_equal(fn, validated)
+            assert fn.integer_valued == (kind == "integer")
+            assert repr(fn) == repr(validated)
+        built = prod(c + 1 for c in cards) <= MARGIN_CUBE_CAP
+        assert (table._margin_cube is not None) == built
+
     def test_built_once_read_only_and_not_state(self, lead):
         cell_margin_fn(lead, (0, 0))
         cube = lead._margin_cube
