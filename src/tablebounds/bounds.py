@@ -18,28 +18,30 @@ Bound families implemented, each per target cell and with provenance:
 - a comparison showing the decomposition bound dominates the Fan route on
   three-set covers.
 
-Every lower is one linear inequality over the cell's anchored margins,
-den x cell >= sum of c_a x n(a), summed by ``_Linear._sum``; every upper is
-the least derivable margin of a plan's subsets (``_upper``). ``simple`` and
-``3way:one-dim`` are the ``ddim:1`` plan renamed; ``3way:two-dim`` and
-``best``'s ``pair:`` lowers are the decomposition bound over two-set covers.
+A plan holds rows, each one linear inequality over the cell's anchored
+margins, den x cell >= sum of c_a x n(a): its ordered (subset, coefficient)
+terms, denominator and coefficient sums, and the margins whose least
+derivable one is its upper. One evaluator (``_Row``) sums each row once per
+family and memoises it there, so plans share rows and never evaluate each
+other: ``ddim:d``, ``decomp:``, ``fan:`` and the literal Fan hold one row
+each, ``3way:two-dim`` its three pair-cover rows and ``best`` its ``ddim:d``
+and covering-pair rows, each named; ``simple`` and ``3way:one-dim`` are the
+``ddim:1`` recipe under another formula name.
 
 Each bound is a closed form in the marginals, so the first call for a family
 evaluates it for every cell at once on ``MarginalFamily.grid`` arrays and
 caches the result on the family as a plan of read-only arrays
 (``bounds_grid`` returns its lower and upper). A plan is built in two parts
 (``_planned``). Its recipe depends only on which marginals were released:
-the formula and subsets, the ordered (subset, coefficient) terms with their
-denominator and coefficient sums, the marginals the upper reads, where each
-derived marginal is summed from, ``best``'s candidates, or the refusal to
-raise. It holds no array and no count, and is cached per (variable count,
-released masks, builder, arguments), so families of one structure share it.
-The evaluation then does the arithmetic on one family's grids. The per-cell
-functions are views: they validate the cell, read the two bounds, and hand
-back terms as a read-only mapping over the plan's whole-grid terms at that
-cell, each entry read when it is looked up. A plan holds O(cells x
-candidates) values, which suits desk-scale tables (a binary 10-way table has
-1,024 cells), not millions.
+the formula and subsets, the rows, where each derived marginal is summed
+from, or the refusal to raise. It holds no array and no count, and is cached
+per (variable count, released masks, builder, arguments), so families of one
+structure share it. The evaluation then does the arithmetic on one family's
+grids. The per-cell functions are views: they validate the cell, read the
+two bounds, and hand back terms as a read-only mapping over the plan's
+whole-grid terms at that cell, each entry read when it is looked up. A plan
+holds O(cells x rows) values, which suits desk-scale tables (a binary 10-way
+table has 1,024 cells), not millions.
 
 Divisions are exact: integer families report the ceiling of the rational
 bound (a count is an integer, so rounding up is sound and tighter), by
@@ -52,8 +54,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
 from typing import Iterator, Literal, Mapping, NamedTuple, Optional, Sequence
@@ -82,7 +83,7 @@ from .table import (
     lift_marginal,
     marginalize,
 )
-from .varset import VarSet, check_num_vars
+from .varset import VarSet, _index, check_num_vars
 
 # The bound kernels and the oracle build arrays over a family's whole cell
 # grid, so a family past this many cells is refused before they run.
@@ -132,7 +133,7 @@ class MarginalFamily:
         self._subsets = tuple(self.released[m].vars for m in self._masks)
         self._cache: dict[int, MarginalTable] = dict(self.released)
         self._grids: dict[int, np.ndarray] = {}
-        self._plans: dict[tuple, object] = {}  # bound plans, built on first use
+        self._plans: dict[tuple, object] = {}  # bound plans and their rows, on first use
         self._validate_consistency()
 
     @classmethod
@@ -296,20 +297,20 @@ class BoundReport:
 def _planned(recipe):
     """A bound plan in two parts. ``recipe(num_vars, released, *args)`` is a
     pure function of the family's structure, its variable count and released
-    masks (ascending): it works out the plan's formula, subsets, ordered
-    terms, the marginals it reads and where each is summed from, and holds
-    no array and no count, so every family of one structure shares it
-    (cached by ``_recipe``, a refusal included). The plan is the recipe's
+    masks (ascending): it works out the plan's formula, subsets and rows (the
+    marginals each reads and where each is summed from), and holds no array
+    and no count, so every family of one structure shares it (cached by
+    ``_recipe``, a refusal included). The plan is the recipe's
     ``evaluate(fam)``, the arithmetic on this family's grids, memoised on the
-    family keyed by the builder's (hashable) arguments, so that later calls
-    for any cell reuse it. The decorated builder takes the family in place
-    of (num_vars, released)."""
+    family keyed by the builder's (hashable) arguments, beside the rows it
+    reads, so that later calls for any cell reuse it. The decorated builder
+    takes the family in place of (num_vars, released)."""
     @functools.wraps(recipe)
     def cached(fam: MarginalFamily, *key):
         plan = fam._plans.get((recipe, key))
         if plan is None:
             made = _recipe(recipe, fam.num_vars, fam._masks, *key)
-            plan = fam._plans[recipe, key] = _settled(fam, made.evaluate(fam))
+            plan = fam._plans[recipe, key] = made.evaluate(fam)
         return plan
     return cached
 
@@ -375,12 +376,6 @@ def _grid(fam: MarginalFamily, read: tuple) -> np.ndarray:
     return g
 
 
-def _settled(fam: MarginalFamily, plan: "_Plan") -> "_Plan":
-    """The plan, with its lower settled against its upper (``_settle``)."""
-    lower = _settle(fam, plan.lower, plan.upper)
-    return plan if lower is plan.lower else replace(plan, lower=lower)
-
-
 def _settle(fam: MarginalFamily, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """A real family's lower, set to the upper where it crosses it by
     rounding alone, by at most ``real_slack(total)``; the report at a cell
@@ -406,63 +401,71 @@ def _dsubsets(l: int, d: int) -> tuple[VarSet, ...]:
     )
 
 
-def _linear(num_vars: int, released, formula: str, subsets, terms, den=None, **extra):
-    """The recipe of den x cell >= sum of c x n(a) over ``terms``: ordered
-    (mask, integer coefficient) pairs, zero coefficients dropped, each mask
-    derivable (else the recipe refuses), n(∅) the total; its upper is the
-    least derivable margin among ``subsets``."""
-    rows, reach, positive = [], 0, 0
-    for m, c in terms:
-        if c:
-            read = _read(num_vars, released, m)
-            if read is None:
-                _require(num_vars, released, [mask for mask, coef in terms if coef])
-            rows.append((read if m else None, c, str(read[0])))
-            reach += abs(c)
-            positive += max(c, 0)
-    upper = (_read(num_vars, released, a.mask) for a in subsets)
-    return _Linear(
-        formula,
-        subsets,
-        tuple(rows),
+def _linear(l: int, released, formula, subsets, terms, den=None, static=(), settle=None):
+    """The plan of one row (``_row``), den x cell >= sum of c x n(a) over
+    ``terms``, (mask, integer coefficient) pairs in order, zero ones dropped,
+    each mask derivable (else it refuses), n(∅) the total; its upper reads ``subsets``."""
+    terms = tuple((m, c) for m, c in terms if c)
+    _require(l, released, [m for m, _ in terms])
+    upper = tuple(a.mask for a in subsets)
+    row = _recipe(_row, l, released, den, upper, terms, settle and settle.key)
+    return _Linear(formula, subsets, (row,), static=static)
+
+
+def _row(l: int, released, den, upper, terms, settle) -> "_Row":
+    """The row of ``_linear``'s arguments (``settle`` by that row's own),
+    cached by ``_recipe``; a zero ``den`` (a Fan right side that never
+    reaches L) bounds no cell."""
+    reads = tuple((_read(l, released, m) if m else None, c, str(VarSet(m, l))) for m, c in terms)
+    reach = sum(abs(c) for _, c in terms)
+    positive = sum(c for _, c in terms if c > 0)
+    return _Row(
+        (den, upper, terms, settle),
+        reads if den != 0 else None,
         den,
         reach,
         max(positive, reach - positive),
-        tuple(read for read in upper if read is not None),
-        **extra,
+        tuple(read for read in (_read(l, released, m) for m in upper) if read is not None),
+        settle and _recipe(_row, l, released, *settle),
     )
 
 
-class _Linear(NamedTuple):
-    """The recipe of a linear plan (``_linear``). ``terms`` holds, in list
-    order, (read of n(a), None for the total; coefficient; subset text), or
-    is None where there is no cell bound (the lower is 0). ``reach`` is the
-    sum of |c| and ``width`` the greater of the positive and the negative
-    coefficients' sums; ``upper`` reads the subsets whose least margin is the
-    upper; ``static`` holds (name, value) terms that read no count;
-    ``settle`` is the cover whose decomposition lower the lower is settled
-    against (the literal Fan)."""
+class _Row(NamedTuple):
+    """One inequality den x cell >= sum of c x n(a). ``key``, its arguments
+    to ``_row`` (ints), keys its evaluation in a family's memo. ``terms``
+    holds, in list order, (read of n(a), None for the total; coefficient;
+    subset text), or is None where there is no cell bound (the lower is 0).
+    ``reach`` is the sum of |c| and ``width`` the greater of the positive and
+    the negative coefficients' sums; ``upper`` reads the subsets whose least
+    margin, or the total where there is none, is its upper; ``settle`` is the
+    row whose lower this one's is settled against first (the literal Fan's
+    separator row)."""
 
-    formula: str
-    subsets: tuple[VarSet, ...]
+    key: tuple
     terms: Optional[tuple]
     den: Optional[int]
     reach: int
     width: int
     upper: tuple
-    static: tuple = ()
-    settle: tuple[int, ...] = ()
+    settle: Optional["_Row"]
 
-    def evaluate(self, fam: MarginalFamily) -> "_Plan":
-        upper = _upper(fam, self.upper)
-        if self.terms is None:
-            terms = dict(self.static)
-            return _Plan(self.formula, self.subsets, np.zeros_like(upper), upper, terms)
-        lower, terms = self._sum(fam)
-        if self.settle:
-            lower = _settle(fam, lower, _decomp_plan(fam, self.settle).lower)
-        terms.update(self.static)
-        return _Plan(self.formula, self.subsets, lower, upper, terms)
+    def evaluate(self, fam: MarginalFamily) -> tuple:
+        """(lower, upper, terms) at every cell, read-only, once per family; the
+        lower is settled against ``settle``'s lower, then against the upper."""
+        key = _row, self.key
+        got = fam._plans.get(key)
+        if got is None:
+            grids = [_grid(fam, read) for read in self.upper]  # n is decreasing
+            upper = _frozen(_min(grids) if grids else np.full(fam.cardinalities, fam.total))
+            if self.terms is None:
+                lower, terms = np.zeros_like(upper), {}
+            else:
+                lower, terms = self._sum(fam)
+                if self.settle is not None:
+                    lower = _settle(fam, lower, self.settle.evaluate(fam)[0])
+                lower = _settle(fam, lower, upper)
+            got = fam._plans[key] = (_frozen(lower), upper, terms)
+        return got
 
     def _sum(self, fam: MarginalFamily):
         """(lower, terms): the one place a lower is summed, the positive
@@ -497,6 +500,32 @@ class _Linear(NamedTuple):
         return lower, terms
 
 
+class _Linear(NamedTuple):
+    """The recipe of a plan over rows. A plan of one row has its bounds and
+    terms, with ``static``, (name, value) terms that read no count. One of
+    several (``3way:two-dim``) takes the greatest of their lowers, settled
+    against the least of their uppers, and reports each row's exact lower
+    under its name in ``names``."""
+
+    formula: str
+    subsets: tuple[VarSet, ...]
+    rows: tuple[_Row, ...]
+    names: tuple[str, ...] = ()
+    static: tuple = ()
+
+    def evaluate(self, fam: MarginalFamily) -> "_Plan":
+        rows = [row.evaluate(fam) for row in self.rows]
+        if not self.names:
+            lower, upper, terms = rows[0]
+            terms = {**terms, **dict(self.static)}
+        else:
+            lowers, uppers, terms = zip(*rows)
+            upper = _min(uppers)
+            lower = _settle(fam, _max(lowers), upper)
+            terms = {name: t["lower_exact"] for name, t in zip(self.names, terms)}
+        return _Plan(self.formula, self.subsets, lower, upper, terms)
+
+
 def _lower(fam: MarginalFamily, num, den: Optional[int] = None):
     """(lower, lower_exact) of max(0, num / den): the quotient (num itself
     without ``den``) clamped at zero, and the quotient; in an integer family
@@ -507,14 +536,6 @@ def _lower(fam: MarginalFamily, num, den: Optional[int] = None):
         return np.maximum(-(-num // den), 0), lambda cell: Fraction(num.item(cell), den)
     exact = num if den is None else _frozen(num / den)
     return np.where(exact <= 0, 0, exact), exact
-
-
-def _upper(fam: MarginalFamily, reads: tuple) -> np.ndarray:
-    """At every cell, the least margin among a recipe's ``reads`` (n is
-    decreasing), or the total where there is none."""
-    if not reads:
-        return np.full(fam.cardinalities, fam.total)
-    return _min([_grid(fam, read) for read in reads])
 
 
 def _min(grids):
@@ -588,15 +609,6 @@ class _TermsAt(Mapping):
         return dict, (dict(self),)
 
 
-class _Renamed(NamedTuple):
-    """The recipe of the ``ddim:1`` plan under another formula name."""
-
-    formula: str
-
-    def evaluate(self, fam: MarginalFamily) -> "_Plan":
-        return replace(_ddim_plan(fam, 1), formula=self.formula)
-
-
 def simple_frechet(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
     """Two-margin bounds on a 2-way cell: min of the margins above,
     their sum minus the total (clamped at zero) below."""
@@ -605,10 +617,10 @@ def simple_frechet(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
 
 
 @_planned
-def _simple_plan(l: int, released) -> _Renamed:
+def _simple_plan(l: int, released) -> _Linear:
     if l != 2:
         raise RangeError("simple_frechet applies to 2-way tables")
-    return _Renamed("simple")
+    return _ddim(2, released, 1)._replace(formula="simple")
 
 
 def frechet_3way(
@@ -619,34 +631,19 @@ def frechet_3way(
     return _3way_plan(fam, basis).report(cell)
 
 
-class _TwoDim(NamedTuple):
-    """The recipe of ``3way:two-dim``: the greatest decomposition lower over
-    the two-set covers of the pairs, each quoted under ``covers``' key."""
-
-    subsets: tuple[VarSet, ...]
-    covers: tuple[tuple[str, tuple[int, int]], ...]
-    upper: tuple
-
-    def evaluate(self, fam: MarginalFamily) -> "_Plan":
-        covers = {key: _decomp_plan(fam, masks) for key, masks in self.covers}
-        lower = _max(p.lower for p in covers.values())
-        terms = {key: p.terms["lower_exact"] for key, p in covers.items()}
-        return _Plan("3way:two-dim", self.subsets, lower, _upper(fam, self.upper), terms)
-
-
 @_planned
-def _3way_plan(l: int, released, basis: str):
+def _3way_plan(l: int, released, basis: str) -> _Linear:
     if l != 3:
         raise RangeError("frechet_3way applies to 3-way tables")
     if basis == "one-dim":  # the d = 1 case of the d-dimensional bound
-        return _Renamed("3way:one-dim")
+        return _ddim(3, released, 1)._replace(formula="3way:one-dim")
     if basis == "two-dim":  # the two-set covers of the decomposition bound
         pairs = _dsubsets(3, 2)
         _require(3, released, [a.mask for a in pairs])
-        covers = tuple(
-            (f"{a}+{b}-{a & b}", (a.mask, b.mask)) for a, b in itertools.combinations(pairs, 2)
-        )
-        return _TwoDim(pairs, covers, tuple(_read(3, released, a.mask) for a in pairs))
+        covers = list(itertools.combinations(pairs, 2))
+        rows = tuple(_decomp(3, released, (a.mask, b.mask)).rows[0] for a, b in covers)
+        names = tuple(f"{a}+{b}-{a & b}" for a, b in covers)
+        return _Linear("3way:two-dim", pairs, rows, names)
     raise RangeError(f"unknown basis {basis!r}")
 
 
@@ -659,20 +656,10 @@ def frechet_ddim(fam: MarginalFamily, cell: CellIndex, d: int) -> BoundReport:
     rational in ``terms``.
     """
     cell = fam.check_cell(cell)
-    return _ddim_plan(fam, _dimension(d)).report(cell)
+    return _ddim_plan(fam, _index(d, "d")).report(cell)
 
 
-def _dimension(d) -> int:
-    """The margin dimension ``d`` as a Python int (``operator.index``, so
-    1.0 is refused and True read as 1) before it keys a plan."""
-    try:
-        return operator.index(d)
-    except TypeError:
-        raise RangeError(f"d must be an integer, got {d!r}") from None
-
-
-@_planned
-def _ddim_plan(l: int, released, d: int) -> _Linear:
+def _ddim(l: int, released, d: int) -> _Linear:
     if not 1 <= d <= l:
         raise RangeError(f"d={d} out of range 1..{l}")
     subsets = _dsubsets(l, d)
@@ -680,6 +667,9 @@ def _ddim_plan(l: int, released, d: int) -> _Linear:
     # den times the bound: the d-subset margins less C(l, d) - den totals
     terms = [(a.mask, 1) for a in subsets] + [(0, den - comb(l, d))]
     return _linear(l, released, f"ddim:{d}", subsets, terms, den)
+
+
+_ddim_plan = _planned(_ddim)
 
 
 @dataclass(frozen=True)
@@ -704,7 +694,7 @@ def kwerel_form(fam: MarginalFamily, cell: CellIndex, d: int) -> KwerelStats:
     Multiplying the bound by the total recovers the unclamped d-dimensional
     lower bound exactly (rational identity, relying on C(l,d)/C(l-1,d-1)=l/d).
     """
-    l, d = fam.num_vars, _dimension(d)
+    l, d = fam.num_vars, _index(d, "d")
     cell = fam.check_cell(cell)
     total = fam.total
     if total == 0:
@@ -762,13 +752,15 @@ def decomposition_bound(
     return _decomp_plan(fam, tuple(c.mask for c in decomp.cover)).report(cell)
 
 
-@_planned
-def _decomp_plan(l: int, released, masks: tuple[int, ...]) -> _Linear:
+def _decomp(l: int, released, masks: tuple[int, ...]) -> _Linear:
     decomp = Decomposition(tuple(VarSet(m, l) for m in masks))
     _require(l, released, masks)  # the separators lie inside the cover
     terms = [(c.mask, 1) for c in decomp.cover] + [(s.mask, -1) for s in decomp.separators]
     formula = "decomp:" + "|".join(str(c) for c in decomp.cover)
     return _linear(l, released, formula, decomp.cover, terms)
+
+
+_decomp_plan = _planned(_decomp)
 
 
 def fan_lower_bound(
@@ -799,7 +791,7 @@ def fan_lower_bound(
     cell = fam.check_cell(cell)
     for x in xs:
         check_num_vars(x.num_vars, fam.num_vars, "sequence element")
-    return _fan_plan(fam, tuple(x.mask for x in xs), p).report(cell)
+    return _fan_plan(fam, tuple(x.mask for x in xs), _index(p, "p")).report(cell)
 
 
 @_planned
@@ -814,9 +806,8 @@ def _fan_plan(l: int, released, masks: tuple[int, ...], p: int) -> _Linear:
         ("has_cell_bound", bool(moved)),
     )
     xs = tuple(VarSet(m, l) for m in masks)
-    den = sum(c for _, c in moved)
-    recipe = _linear(l, released, f"fan:p={p},q={len(masks)}", xs, terms, den, static=static)
-    return recipe if moved else recipe._replace(terms=None)
+    den = sum(c for _, c in moved)  # 0: no cell bound
+    return _linear(l, released, f"fan:p={p},q={len(masks)}", xs, terms, den, static=static)
 
 
 @dataclass(frozen=True)
@@ -884,8 +875,10 @@ def _literal_fan_plan(l: int, released, masks: tuple[int, ...]) -> _Linear:
     (``_settle``) against the separator route's lower."""
     *cover, join, meet = masks
     terms = [(c, 1) for c in cover] + [(join, -1), (meet, -1)]
+    _require(l, released, masks)  # before the separator row's own refusal
+    separator = _decomp(l, released, masks[:3]).rows[0]
     cover = tuple(VarSet(m, l) for m in cover)
-    return _linear(l, released, "fan-literal:d=3", cover, terms, settle=masks[:3])
+    return _linear(l, released, "fan-literal:d=3", cover, terms, settle=separator)
 
 
 def best_bounds(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
@@ -904,14 +897,14 @@ def best_bounds(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
 
 class _Best(NamedTuple):
     """The recipe of ``best``: the reads of the released margins, named
-    ``n(a)``, and of the full-set one when it is derivable (``exact``), the
-    dimensions d whose ``ddim:d`` applies, and the name and cover of each
-    released pair that covers L."""
+    ``n(a)``, and of the full-set one when it is derivable (``exact``), and
+    the rows named in ``names``: ``ddim:d`` for every d whose subsets are
+    derivable, then the decomposition over each released pair covering L."""
 
     subsets: tuple[VarSet, ...]
     uppers: tuple[tuple[str, tuple], ...]
-    ddims: tuple[tuple[str, int], ...]
-    pairs: tuple[tuple[str, tuple[int, int]], ...]
+    rows: tuple[_Row, ...]
+    names: tuple[str, ...]
     exact: Optional[tuple]
 
     def evaluate(self, fam: MarginalFamily) -> "_Plan":
@@ -919,10 +912,7 @@ class _Best(NamedTuple):
         uppers = {name: _grid(fam, read) for name, read in self.uppers}
         uppers["total"] = total = _frozen(np.full(fam.cardinalities, fam.total))
         lowers = {"zero": _frozen(np.zeros_like(total))}
-        for name, d in self.ddims:
-            lowers[name] = _ddim_plan(fam, d).lower
-        for name, masks in self.pairs:
-            lowers[name] = _decomp_plan(fam, masks).lower
+        lowers.update((name, row.evaluate(fam)[0]) for name, row in zip(self.names, self.rows))
         if self.exact is not None:
             lowers["exact"] = uppers["exact"] = _grid(fam, self.exact)
         upper = _min(uppers.values())
@@ -941,18 +931,17 @@ class _Best(NamedTuple):
 def _best_plan(l: int, released) -> _Best:
     full = (1 << l) - 1
     subsets = tuple(VarSet(m, l) for m in released)
-    ddims = []
+    named = {}  # the one-row recipes whose rows are the lower candidates
     for d in range(1, l + 1):  # every d-subset derivable: so are the smaller ones
         if any(_read(l, released, a.mask) is None for a in _dsubsets(l, d)):
             break
-        ddims.append((f"ddim:{d}", d))
-    pairs = tuple(
-        (f"pair:{a}|{b}", (a.mask, b.mask))
-        for a, b in itertools.combinations(subsets, 2)
-        if a.mask | b.mask == full
-    )
+        named[f"ddim:{d}"] = _ddim(l, released, d)
+    for a, b in itertools.combinations(subsets, 2):
+        if a.mask | b.mask == full:
+            named[f"pair:{a}|{b}"] = _decomp(l, released, (a.mask, b.mask))
+    rows = tuple(recipe.rows[0] for recipe in named.values())
     uppers = tuple((f"n({a})", _read(l, released, a.mask)) for a in subsets)
-    return _Best(subsets, uppers, tuple(ddims), pairs, _read(l, released, full))
+    return _Best(subsets, uppers, rows, tuple(named), _read(l, released, full))
 
 
 def _parse_int(text: str, what: str, method: str) -> int:

@@ -46,7 +46,7 @@ from typing import Literal, Optional, Sequence
 import numpy as np
 
 from .errors import CountRangeError, RangeError
-from .varset import VarSet, check_lattice_cap, check_num_vars
+from .varset import VarSet, _index, check_lattice_cap, check_num_vars
 
 REAL_RTOL = 1e-9
 
@@ -525,6 +525,7 @@ def fan_terms(
     q = len(masks)
     if q == 0:
         raise RangeError("the Fan inequality needs at least one lattice element")
+    p = _index(p, "p")
     if not 1 <= p <= q:
         raise RangeError(f"p={p} out of range 1..{q}")
     if q > FAN_SEQUENCE_CAP:
@@ -562,7 +563,7 @@ def fan_evaluate(
     """
     for x in xs:
         check_num_vars(x.num_vars, fn.num_vars, "sequence element")
-    vals = fn.values
+    vals, p = fn.values, _index(p, "p")
     lhs_masks, rhs_masks = fan_terms([x.mask for x in xs], p, form)
     lhs = sum(vals[m].item() for m in lhs_masks)
     terms = tuple(

@@ -57,7 +57,7 @@ import numpy as np
 from .bounds import BoundReport, MarginalFamily
 from .errors import BudgetExhaustedError, CertificationError, RangeError
 from .table import INTEGER, CellIndex, ContingencyTable, _trusted_table, lift_marginal
-from .varset import VarSet
+from .varset import VarSet, _index
 
 COMPLETE = "complete"
 EXHAUSTED = "exhausted"
@@ -87,6 +87,7 @@ class EnumerationBudget:
     outcome: Optional[str] = None
 
     def __post_init__(self) -> None:
+        self.max_nodes = _index(self.max_nodes, "max_nodes")
         if self.max_nodes < 1:
             raise RangeError(f"max_nodes must be at least 1, got {self.max_nodes}")
 

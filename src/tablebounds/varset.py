@@ -28,6 +28,14 @@ def check_lattice_cap(num_vars: int) -> None:
         )
 
 
+def _index(value, name: str) -> int:
+    """An integer argument as an int (``operator.index``: 1.0 refused, True 1)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise RangeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_num_vars(got: int, expected: int, what: str = "subset") -> None:
     """Refuse ``what``, an input over ``got`` variables, where ``expected``
     are in play: read over the wrong l, it would name other lattice elements."""

@@ -405,6 +405,22 @@ class TestFanLowerBound:
         with pytest.raises(RangeError, match="exceeds cap"):
             method_report(lead_family, method, (0, 0))
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warmed"])
+    def test_p_read_as_an_index(self, warm):
+        # A plan is keyed by p, so p must be an int before the key: a float
+        # is refused on a fresh family and on one holding the p = 1 plan,
+        # and True and numpy integers are read as 1.
+        fam = family_of(lead_table(), [[1], [2]])
+        xs = [VarSet.from_vars([1], 2), VarSet.from_vars([2], 2)]
+        if warm:
+            fan_lower_bound(fam, xs, 1, (0, 0))
+        for p in (1.0, 2.5, "1", None):
+            with pytest.raises(RangeError, match="p must be an integer"):
+                fan_lower_bound(fam, xs, p, (0, 0))
+        for p in (True, np.int64(1), np.uint8(1)):
+            assert fan_lower_bound(fam, xs, p, (0, 0)).formula == "fan:p=1,q=2"
+            assert fan_lower_bound(fam, xs, p, (0, 0)) == fan_lower_bound(fam, xs, 1, (0, 0))
+
     def test_shares_the_fan_guards(self, lead_family):
         one = VarSet.from_vars([1], 2)
         for xs, p in (([], 1), ([one], 0), ([one], 2), ([one] * 21, 1)):
@@ -679,6 +695,16 @@ class TestSharedKernels:
             decomp = _decomp_plan(fam, (a.mask, b.mask))
             assert lowers[f"pair:{a}|{b}"] is decomp.lower
             assert two.terms[f"{a}+{b}-{a & b}"] is decomp.terms["lower_exact"]
+
+    @pytest.mark.parametrize("best_first", [True, False])
+    def test_best_ddim_lowers_are_ddim_lowers(self, best_first):
+        fam = family_of(random_table(np.random.default_rng(25), 3), [[1, 2], [1, 3], [2, 3]])
+        if best_first:
+            _best_plan(fam)
+        grids = {d: bounds_grid(fam, f"ddim:{d}")[0] for d in (1, 2)}
+        lowers = _best_plan(fam).terms["lowers"]
+        for d, grid in grids.items():
+            assert lowers[f"ddim:{d}"] is grid
 
 
 class TestExactLowerTypes:

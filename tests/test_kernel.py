@@ -567,8 +567,40 @@ def test_every_inequality_holds_on_every_single_record_table(l):
         reports.append(compare_fan_vs_decomposition(fam, Decomposition(cover), cell).fan)
     if l in (2, 3):
         reports.append(method_report(fam, "simple" if l == 2 else "3way:one-dim", cell))
+    if l == 3:
+        reports.append(method_report(fam, "3way:two-dim", cell))
     for rep in reports:
-        assert violations(rep.terms, l) == [], rep.formula
+        if "inequality" in rep.terms:
+            assert violations(rep.terms, l) == [], rep.formula
+    # Every row of every recipe built, those of best (on the full table and
+    # on the (l-1)-subsets, whose pairs cover L) and of 3way:two-dim included.
+    sides = MarginalFamily.from_table(
+        ContingencyTable.from_flat((2,) * l, [1] * (1 << l)),
+        [VarSet((1 << l) - 1 & ~(1 << j), l) for j in range(l)],
+    )
+    names = []
+    for f in (fam, sides):
+        best_bounds(f, cell)
+        for build, key in f._plans:
+            recipe = tb_bounds._recipe(build, l, f._masks, *key)
+            names += getattr(recipe, "names", ())
+            for row in rows_of(recipe):
+                inequality = [{"subset": t, "coefficient": c} for _, c, t in row.terms or ()]
+                terms = {"inequality": inequality, "denominator": row.den or 1}
+                assert violations(terms, l) == [], row.key
+    assert {f"ddim:{d}" for d in range(1, l + 1)} <= set(names)
+    assert any(name.startswith("pair:") for name in names)
+    assert l != 3 or {"{1,2}+{1,3}-{1}", "{1,2}+{2,3}-{2}", "{1,3}+{2,3}-{3}"} <= set(names)
+
+
+def rows_of(recipe):
+    """The rows a recipe holds, each row's settle row included."""
+    if isinstance(recipe, tb_bounds._Row):
+        yield recipe
+        if recipe.settle is not None:
+            yield from rows_of(recipe.settle)
+    for row in getattr(recipe, "rows", ()):
+        yield from rows_of(row)
 
 
 def test_a_forged_inequality_is_refused():

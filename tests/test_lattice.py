@@ -741,3 +741,16 @@ class TestFanEvaluate:
             fan_evaluate(fn, [], p=1)
         with pytest.raises(RangeError, match="unknown form"):
             fan_evaluate(fn, [x], p=1, form="primial")
+
+    def test_p_read_as_an_index(self):
+        fn = cell_margin_fn(lead_table(), (0, 0))
+        xs = [VarSet.from_vars([1], 2), VarSet.from_vars([2], 2)]
+        for p in (1.0, 2.5, "1", None):
+            with pytest.raises(RangeError, match="p must be an integer"):
+                fan_evaluate(fn, xs, p)
+            with pytest.raises(RangeError, match="p must be an integer"):
+                lattice.fan_terms([1, 2], p)
+        for p in (True, np.int64(1), np.uint8(1)):
+            ev = fan_evaluate(fn, xs, p)
+            assert ev == fan_evaluate(fn, xs, 1) and type(ev.p) is int
+            assert lattice.fan_terms([1, 2], p) == lattice.fan_terms([1, 2], 1)

@@ -240,6 +240,16 @@ class TestBudget:
         with pytest.raises(RangeError, match=f"{field} must be at least 1, got {value}"):
             EnumerationBudget(**{field: value})
 
+    @pytest.mark.parametrize("value", ["5", None, 2.5, 5.0])
+    def test_max_nodes_must_be_an_integer(self, value):
+        with pytest.raises(RangeError, match="max_nodes must be an integer"):
+            EnumerationBudget(max_nodes=value)
+
+    @pytest.mark.parametrize("value", [True, np.int64(5), np.uint16(5)])
+    def test_max_nodes_read_as_an_index(self, value):
+        budget = EnumerationBudget(max_nodes=value)
+        assert budget.max_nodes == int(value) and type(budget.max_nodes) is int
+
     def test_permutation_family_past_a_million_tables(self):
         # Its 10! tables are the permutation matrices; nodes alone bound the
         # search, so it completes.
