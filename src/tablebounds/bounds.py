@@ -402,20 +402,20 @@ def _dsubsets(l: int, d: int) -> tuple[VarSet, ...]:
 
 
 def _linear(l: int, released, formula, subsets, terms, den=None, static=(), settle=None):
-    """The plan of one row (``_row``), den x cell >= sum of c x n(a) over
-    ``terms``, (mask, integer coefficient) pairs in order, zero ones dropped,
-    each mask derivable (else it refuses), n(∅) the total; its upper reads ``subsets``."""
+    """The plan of one row (``_row``), den x cell >= sum of c x n(a) over ``terms``,
+    (mask, integer coefficient) pairs in order, zero ones dropped, each mask derivable
+    (else it refuses), n(∅) the total; its upper reads ``subsets``; ``settle``: the
+    ``_row`` arguments of the row its lower is settled against first."""
     terms = tuple((m, c) for m, c in terms if c)
     _require(l, released, [m for m, _ in terms])
     upper = tuple(a.mask for a in subsets)
-    row = _recipe(_row, l, released, den, upper, terms, settle and settle.key)
+    row = _recipe(_row, l, released, den, upper, terms, settle)
     return _Linear(formula, subsets, (row,), static=static)
 
 
 def _row(l: int, released, den, upper, terms, settle) -> "_Row":
-    """The row of ``_linear``'s arguments (``settle`` by that row's own),
-    cached by ``_recipe``; a zero ``den`` (a Fan right side that never
-    reaches L) bounds no cell."""
+    """The row of ``_linear``'s arguments, cached by ``_recipe``; a zero
+    ``den`` (a Fan right side that never reaches L) bounds no cell."""
     reads = tuple((_read(l, released, m) if m else None, c, str(VarSet(m, l))) for m, c in terms)
     reach = sum(abs(c) for _, c in terms)
     positive = sum(c for _, c in terms if c > 0)
@@ -873,11 +873,11 @@ def _literal_fan_plan(l: int, released, masks: tuple[int, ...]) -> _Linear:
     """The Fan side of the comparison from the masks of the three cover
     sets and of their separators' join and meet; its lower is settled
     (``_settle``) against the separator route's lower."""
-    *cover, join, meet = masks
-    terms = [(c, 1) for c in cover] + [(join, -1), (meet, -1)]
-    _require(l, released, masks)  # before the separator row's own refusal
-    separator = _decomp(l, released, masks[:3]).rows[0]
-    cover = tuple(VarSet(m, l) for m in cover)
+    cover = tuple(VarSet(m, l) for m in masks[:3])
+    plus = [(c.mask, 1) for c in cover]
+    seps = [(s.mask, -1) for s in Decomposition(cover).separators]
+    separator = (None, masks[:3], tuple(plus + seps), None)  # _decomp's row, by its arguments
+    terms = plus + [(masks[3], -1), (masks[4], -1)]  # the separators' join and meet
     return _linear(l, released, "fan-literal:d=3", cover, terms, settle=separator)
 
 

@@ -34,6 +34,7 @@ from tablebounds import lattice
 from tablebounds.bounds import method_report
 from tablebounds.cli import _report_doc
 from tablebounds.io import family_from_doc
+from tablebounds.table import MarginalTable
 
 MARGINS = ("one-way", "pairs", "chain")
 
@@ -567,11 +568,8 @@ def test_every_inequality_holds_on_every_single_record_table(l):
         reports.append(compare_fan_vs_decomposition(fam, Decomposition(cover), cell).fan)
     if l in (2, 3):
         reports.append(method_report(fam, "simple" if l == 2 else "3way:one-dim", cell))
-    if l == 3:
-        reports.append(method_report(fam, "3way:two-dim", cell))
     for rep in reports:
-        if "inequality" in rep.terms:
-            assert violations(rep.terms, l) == [], rep.formula
+        assert violations(rep.terms, l) == [], rep.formula
     # Every row of every recipe built, those of best (on the full table and
     # on the (l-1)-subsets, whose pairs cover L) and of 3way:two-dim included.
     sides = MarginalFamily.from_table(
@@ -579,6 +577,8 @@ def test_every_inequality_holds_on_every_single_record_table(l):
         [VarSet((1 << l) - 1 & ~(1 << j), l) for j in range(l)],
     )
     names = []
+    if l == 3:
+        method_report(fam, "3way:two-dim", cell)  # its rows, walked below
     for f in (fam, sides):
         best_bounds(f, cell)
         for build, key in f._plans:
@@ -631,3 +631,84 @@ def test_separator_route_dominates_literal_fan_on_every_table(l):
         )
         assert (lattice.subset_sum_transform(gap, l) >= 0).all(), masks
         fam._plans.clear()  # thousands of covers: keep the family small
+
+
+def released(arrays):
+    """A real binary 3-way family from its released marginals, by text."""
+    return MarginalFamily(
+        (2, 2, 2),
+        [
+            MarginalTable(VarSet.parse(k, 3), ContingencyTable(v.shape, v, None, "real"))
+            for k, v in arrays.items()
+        ],
+    )
+
+
+# Families whose released marginals disagree inside the consistency slack
+# (about 1 at these totals of 1e9), so that a lower crosses an upper by up to
+# twice real_slack(total): each pins the order in which a lower is settled.
+N = 1e9
+
+
+def test_a_row_is_settled_against_its_own_upper_before_best_reads_it():
+    # ddim:1 sums to N + 1.8, past its upper min n({i}) = N + 1 by 0.8, and
+    # best's upper is N + 0.5: the row settled first reads N + 1, which best
+    # settles to N + 0.5; unsettled, N + 1.8 would cross best's upper by 1.3.
+    fam = released({
+        "1,2": np.array([[N + 0.5, 0.5], [0.5, 0.0]]),
+        "1,3": np.array([[N + 1.4, 0.5], [1.4, 0.0]]),
+        "2,3": np.array([[N + 0.5, 0.5], [1.4, 0.0]]),
+    })
+    cell, slack = (0, 0, 0), lattice.real_slack(fam.total)
+    ddim = method_report(fam, "ddim:1", cell)
+    summed = ddim.terms["lower_exact"]
+    assert 0 < summed - ddim.upper <= slack
+    assert ddim.lower == ddim.upper
+    best = best_bounds(fam, cell)
+    assert 0 < ddim.upper - best.upper <= slack < summed - best.upper
+    assert best.terms["lowers"]["ddim:1"] == best.lower == best.upper
+
+
+def test_two_dim_reads_each_pair_row_settled():
+    # With n({1}) released, each of n({1,2}) and n({1,3}) at the cell can
+    # exceed the others on their common margins by 0.9: the row
+    # {1,2}+{1,3}-{1} sums to N + 1.8, its own upper is N + 0.9, and the
+    # plan's upper, n({2,3}), is N: settled first, it reads N.
+    fam = released({
+        "1": np.array([N, 0.0]),
+        "1,2": np.array([[N + 0.9, 0.0], [0.0, 0.0]]),
+        "1,3": np.array([[N + 0.9, 0.0], [0.0, 0.0]]),
+        "2,3": np.array([[N, 0.0], [0.0, 0.0]]),
+    })
+    cell = (0, 0, 0)
+    pair = method_report(fam, "decomp:{1,2}|{1,3}", cell)
+    assert pair.lower == pair.upper < pair.terms["lower_exact"]
+    rep = method_report(fam, "3way:two-dim", cell)
+    assert rep.terms["{1,2}+{1,3}-{1}"] == pair.terms["lower_exact"]
+    assert rep.upper < pair.upper
+    assert pair.terms["lower_exact"] - rep.upper > lattice.real_slack(fam.total)
+    assert rep.lower == rep.upper
+
+
+def test_literal_fan_is_settled_against_the_separator_lower_then_its_upper():
+    # Over {2}|{2,3}|{1,3} at (1, 0, 0) the literal Fan sums to N + 0.9 and
+    # the separator route to N - 0.9, 1.8 apart; the shared upper is N.
+    # Settled against the separator lower first, past the slack, it stays,
+    # then meets its upper: N. The other order would read N - 0.9.
+    fam = released({
+        "1": np.array([0.9, N]),
+        "1,2": np.array([[0.0, 0.9], [N + 0.9, 0.0]]),
+        "1,3": np.array([[0.9, 0.0], [N + 0.9, 0.0]]),
+        "2,3": np.array([[N, 0.0], [0.9, 0.0]]),
+    })
+    cell, slack = (1, 0, 0), lattice.real_slack(fam.total)
+    cover = tuple(VarSet.parse(text, 3) for text in ("2", "2,3", "1,3"))
+    s2, s3 = Decomposition(cover).separators
+    masks = tuple(c.mask for c in cover) + ((s2 | s3).mask, (s2 & s3).mask)
+    fan = tb_bounds._literal_fan_plan(fam, masks).report(cell)
+    separator = decomposition_bound(fam, Decomposition(cover), cell)
+    assert separator.upper == fan.upper
+    assert fan.terms["lower_exact"] - separator.lower > slack
+    assert 0 < fan.terms["lower_exact"] - fan.upper <= slack
+    assert 0 < fan.upper - separator.lower <= slack
+    assert fan.lower == fan.upper
