@@ -812,7 +812,9 @@ def _fan_plan(l: int, released, masks: tuple[int, ...], p: int) -> _Linear:
 
 @dataclass(frozen=True)
 class FanDecompositionComparison:
-    """Side-by-side lowers for a 3-set cover: separator route vs Fan route."""
+    """Side-by-side lowers for a 3-set cover: separator route vs Fan route.
+    ``dominance_holds`` compares them as reported, so in a real family it
+    can read False by the marginals' disagreement alone."""
 
     cell: CellIndex
     decomposition: BoundReport
@@ -840,10 +842,11 @@ def compare_fan_vs_decomposition(
     versus the separator route's n(S2) + n(S3). Supermodularity of the
     anchored marginal function makes the separator route at least as tight
     whenever both sides are defined, so a violation past rounding raises (it
-    would falsify the implementation, not the inequality). When the Fan side
-    needs a marginal the family cannot provide -- for covers whose separators
-    join to the full set, that is the secret cell itself -- the Fan side is
-    reported undefined rather than erroring.
+    would falsify the implementation, not the inequality); in a real family,
+    past what its marginals' disagreement can carry (``_dominance_slack``).
+    When the Fan side needs a marginal the family cannot provide -- for
+    covers whose separators join to the full set, that is the secret cell
+    itself -- the Fan side is reported undefined rather than erroring.
 
     Note the distinction from fan_lower_bound, which treats every full-set
     right-hand term as an occurrence of the unknown and folds it into the
@@ -860,12 +863,36 @@ def compare_fan_vs_decomposition(
         fan = _literal_fan_plan(fam, masks).report(cell)
     except MissingMarginalError as gap:
         return FanDecompositionComparison(cell, dec, fan=None, fan_missing=gap.missing)
-    if dec.lower < fan.lower:
+    if dec.lower + _dominance_slack(fam, s2, s3) < fan.lower:
         raise RangeError(
             f"separator bound {dec.lower} fell below the literal fan bound "
             f"{fan.lower} at cell {cell}; this falsifies the implementation"
         )
     return FanDecompositionComparison(cell=cell, decomposition=dec, fan=fan)
+
+
+def _dominance_slack(fam: MarginalFamily, s2: VarSet, s3: VarSet):
+    """How far a literal Fan lower may pass the separator lower over the
+    separators s2 and s3 without falsifying anything: 0 in an integer family.
+
+    The two lowers differ by n(s2) + n(s3) - n(s2 | s3) - n(s2 & s3), at most
+    0 when all four are read from M, the source of n(s2 | s3). A read from
+    another released marginal A sums as many entries of the marginal common
+    to A and M as the product of the cardinalities in (A & M) minus the read
+    subset, and the family's check lets each entry differ from M's by
+    ``real_slack`` of at most the greatest released total. Settling the
+    lowers moves their gap by at most one such slack, and one more covers
+    the rounding of their sums."""
+    if fam.kind == INTEGER:
+        return 0
+    join = fam._source((s2 | s3).mask).vars.mask
+    entries = 2
+    for a in (s2, s3, s2 & s3):
+        source = fam._source(a.mask).vars.mask
+        if source != join:
+            summed = source & join & ~a.mask
+            entries += prod(c for j, c in enumerate(fam.cardinalities) if summed >> j & 1)
+    return entries * real_slack(max(m.total for m in fam.released.values()))
 
 
 @_planned

@@ -24,14 +24,17 @@ over the local pairs on k axes: two for the pair condition, one for the
 covering pairs (a, a | 2^j) of the monotone check. It gathers through their
 flat indices, built once per grid shape and k and cached read-only
 (``_local_pairs``), while they fit LOCAL_PAIR_CAP, and compares shifted views
-per set of axes past it. Only the all-pairs scans compare a block of rows
-with all their partners at a time (``_first_in_blocks``): blocks start small
-and grow to about PAIR_BLOCK pairs, so a scan that fails early costs little
-more than one row and a long one keeps its temporaries small. All-pairs meets
-and joins are the bitwise AND and OR of flat indices on grids of binary axes,
-2^L among them; on any other grid the meet's flat index is the sum over axes
-of the smaller of the two cells' coordinates times the axis stride, read from
-one cached array per shape (``_axis_offsets``).
+per set of axes past it. The all-pairs scans, on every grid shape, compare
+aligned blocks of rows and columns: the axes split into a high prefix and a
+low suffix of w cells (``_pair_blocks``), a block being the w cells that share
+a high prefix. The meet of two cells is the meet of their high prefixes
+times w plus the meet of their low suffixes, read from a cached w x w table;
+the join is x + y minus the meet; and a meet's flat index is the sum over
+axes of the smaller of the two coordinates times the axis stride. Once per
+scan the values at every block's low meets and joins are gathered into two
+slabs, so a block of rows reads its right-hand sides by whole-slab gathers.
+Integer values compare in the narrowest of int32, int64 and Python ints
+that holds their sums (or products) exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, isqrt, prod
 from typing import Literal, Optional, Sequence
 
@@ -50,10 +53,14 @@ from .varset import VarSet, _index, check_lattice_cap, check_num_vars
 
 REAL_RTOL = 1e-9
 
-# Blocked scans hold about this many pairs per temporary array. On a 2-core
-# box (Python 3.11.7, numpy 2.4), blocks of 2^14 made the l=10 exhaustive
-# scans about twice as slow as 2^13.
-PAIR_BLOCK = 1 << 13
+# The all-pairs scan compares a block of w rows, w the cells of its low axes,
+# with about PAIR_BLOCK pairs of columns per step. w is at most _LOW_CELLS, and
+# its two slabs of w values per cell stay within _SLAB_CELLS (or w is 1). On a
+# 2-core box (Python 3.11.7, numpy 2.4) the l = 10 scans took about 1.45 ms
+# at these values, 1.55-1.8 ms at 2^13 or 2^15 pairs, and 1.8-2.2 ms at w = 32.
+PAIR_BLOCK = 1 << 14
+_LOW_CELLS = 64
+_SLAB_CELLS = 1 << 20
 # Local scans on k axes whose pairs could pass this count (C(l, k) times the
 # cells bounds them) skip the cached index arrays, 16 k bytes per pair, and
 # compare shifted views one set of axes at a time: the pair condition past
@@ -164,23 +171,20 @@ def _exact(values: np.ndarray, multiplicative: bool = False, negate: bool = Fals
     """(values, slack) under the one comparison rule of every pair checker.
 
     Integer values (dtype kind "i" or "u", so not bool) keep the integer
-    slack 0 and become Python ints when a two-term sum (``multiplicative``:
-    product) could pass their dtype, by ``_int_limits``. Real values are
-    divided by max(1, max|v|) and get slack REAL_RTOL: the absolute 1e-9
-    max(1, max|v|) (products: max(1, max|v|^2)) rescaled, so it and the
-    compared terms stay finite. ``negate`` returns -values, which integers
-    take in int64 while its two-term sums fit, else in Python ints.
+    slack 0 and take the narrowest of int32, int64 and Python ints that holds
+    every two-term sum (``multiplicative``: product), by ``_int_limits``.
+    Real values are divided by max(1, max|v|) and get slack REAL_RTOL: the
+    absolute 1e-9 max(1, max|v|) (products: max(1, max|v|^2)) rescaled, so it
+    and the compared terms stay finite. ``negate`` returns -values, in the
+    same dtype.
     """
     values = np.asarray(values)
     if values.dtype.kind in "iu":
         big = max(-int(values.min()), int(values.max()))
-        if negate:
-            wide = np.int64 if big <= _int_limits(np.dtype(np.int64))[0] else object
-            return -values.astype(wide), 0
-        half, root = _int_limits(values.dtype)
-        if big > (root if multiplicative else half):
-            values = values.astype(object)
-        return values, 0
+        for dtype in (np.int32, np.int64, object):
+            if dtype is object or big <= _int_limits(np.dtype(dtype))[multiplicative]:
+                values = values.astype(dtype, copy=False)
+                return (-values if negate else values), 0
     scaled = values / max(1.0, float(np.abs(values).max()))
     return (-scaled if negate else scaled), REAL_RTOL
 
@@ -216,15 +220,40 @@ def _local_pairs(shape: tuple[int, ...], k: int) -> np.ndarray:
     return pairs
 
 
+def _axis_meets(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Per axis of ``shape``, the table of min(i, j) times the axis's
+    stride: the meet of two cells has the flat index sum over the axes of
+    each table at their two coordinates."""
+    tables = []
+    for k, c in enumerate(shape):
+        offsets = np.arange(c) * prod(shape[k + 1 :])
+        tables.append(np.minimum.outer(offsets, offsets))
+    return tables
+
+
 @functools.lru_cache(maxsize=32)
-def _axis_offsets(shape: tuple[int, ...]) -> np.ndarray:
-    """The read-only array s whose row k holds each cell's coordinate on
-    axis k times that axis's stride: the meet of cells x and y has the flat
-    index sum over k of min(s[k, x], s[k, y])."""
-    strides = [prod(shape[k + 1 :]) for k in range(len(shape))]
-    offsets = np.indices(shape).reshape(len(shape), -1) * np.array(strides)[:, None]
-    offsets.setflags(write=False)
-    return offsets
+def _pair_blocks(shape: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray, tuple]:
+    """The block geometry of the all-pairs scan, arrays read-only: (w, meet,
+    join, high). The low suffix of the axes is the longest with w cells, w at
+    most _LOW_CELLS and w times the grid's cells at most _SLAB_CELLS (the
+    empty suffix, w = 1, always qualifies); a flat index is then the high
+    prefix's times w plus the low suffix's. ``meet`` and ``join`` are the
+    w x w flat-index tables of the low suffix, and ``high`` the
+    ``_axis_meets`` of the high prefix."""
+    cap = min(_LOW_CELLS, _SLAB_CELLS // prod(shape))
+    split, w = len(shape), 1
+    while split and w * shape[split - 1] <= cap:
+        split -= 1
+        w *= shape[split]
+    low = _axis_meets(shape[split:])
+    meet = functools.reduce(np.add.outer, low, np.intp(0))  # axes (x1, y1, x2, y2, ...)
+    meet = meet.transpose(*range(0, 2 * len(low), 2), *range(1, 2 * len(low), 2)).reshape(w, w)
+    cells = np.arange(w)
+    join = cells[:, None] + cells - meet
+    high = tuple(_axis_meets(shape[:split]))
+    for table in (meet, join, *high):
+        table.setflags(write=False)
+    return w, meet, join, high
 
 
 def _violates(x, y, lo, hi, multiplicative: bool, tol):
@@ -264,63 +293,49 @@ def _first_local_violation(
     return best
 
 
-def _first_in_blocks(rows: int, width: int, bad_rows) -> Optional[tuple[int, int]]:
-    """The row-major first True of a boolean comparison built a block of
-    rows at a time: ``bad_rows(start, stop)`` gives rows start..stop-1 and
-    the column number of its first column; the first row is ``width`` long.
-    The first block holds about PAIR_BLOCK/16 pairs and each later one four
-    times as many, up to PAIR_BLOCK, in whole rows (at least one). Returns
-    (row, column), or None. It serves the all-pairs scans only: the local
-    ones, the monotone check among them, go through ``_first_local_violation``.
-
-    The exhaustive scans check a condition that is symmetric in the pair and
-    holds on the diagonal, so each block meets only the columns past its
-    first row. A row's columns up to itself then hold its own pair, which
-    never violates, or the pair of an earlier row of the block: the first
-    row with a violation is the first row of any violating pair, and its
-    first violating column lies past it."""
-    start, budget = 0, PAIR_BLOCK >> 4
-    while start < rows:
-        stop = min(rows, start + max(1, budget // max(1, width)))
-        bad, first_col = bad_rows(start, stop)
-        hit = bad.any(axis=1)
-        if hit.any():
-            row = int(np.argmax(hit))
-            return start + row, first_col + int(np.argmax(bad[row]))
-        start, width, budget = stop, bad.shape[1], min(4 * budget, PAIR_BLOCK)
-    return None
-
-
 def _first_violation(grid, multiplicative: bool, tol, local: bool) -> Optional[tuple[int, int]]:
     """The lexicographically first flat pair (x, y), x < y, of a grid that
     violates the pair condition (``_violates``), lo and hi the pair's
     componentwise meet and join; None when there is none. ``local`` scans
     local pairs only (``_first_local_violation``).
 
-    Otherwise rows x meet, a block at a time, every y past the block's first
-    row (``_first_in_blocks``); comparable pairs hold with equality. On grids
-    of binary axes (2^L among them) strides are powers of two, so meet and
-    join are the AND and OR of flat indices; elsewhere the meet is the sum
-    over axes of the smaller offset of the two cells (``_axis_offsets``) and
-    the join is x + y - meet."""
+    Otherwise each block of w rows (``_pair_blocks``) meets its own block
+    and every later one, about PAIR_BLOCK pairs per step; comparable pairs
+    hold with equality. Its right-hand sides are w x w slabs of ``below``
+    and ``above``, the values at every block's low meets and joins, taken at
+    the blocks of the high meets and joins. The condition is symmetric in
+    the pair and holds on the diagonal, so a row's columns up to its own in
+    its block hold its own pair or that of an earlier row: the first row of
+    a block with a violation is the first row of any violating pair, and its
+    first violating column lies past it. Every step of a block is scanned,
+    over the rows before the first hit so far, so that row's first
+    violating column is found."""
     if local:
         return _first_local_violation(grid, 2, _violates, multiplicative, tol)
-    flat, n = grid.reshape(-1), grid.size
-    cells = np.arange(n)
-    binary = all(c <= 2 for c in grid.shape)  # a 0-d grid too
-    offsets = None if binary else _axis_offsets(grid.shape)
-
-    def bad_rows(start, stop):
-        rows, cols = cells[start:stop, None], cells[start + 1 :]
-        if binary:
-            meet, join = rows & cols, rows | cols
-        else:
-            meet = sum(np.minimum(s[start:stop, None], s[start + 1 :]) for s in offsets)
-            join = rows + cols - meet
-        x, y = flat[start:stop, None], flat[start + 1 :]
-        return _violates(x, y, flat.take(meet), flat.take(join), multiplicative, tol), start + 1
-
-    return _first_in_blocks(n - 1, n - 1, bad_rows)
+    w, meet, join, high = _pair_blocks(grid.shape)
+    values = grid.reshape(-1, w)
+    below, above = values[:, meet], values[:, join]
+    blocks, step = len(values), max(1, PAIR_BLOCK // (w * w))
+    for a, coords in enumerate(product(*(range(len(m)) for m in high))):
+        # The high meets of block a with every block, kept from block a on.
+        lo = functools.reduce(np.add.outer, [m[i] for m, i in zip(high, coords)], np.intp(0))
+        lo = lo.reshape(-1)[a:]
+        hi = np.arange(2 * a, a + blocks) - lo  # a + b - lo
+        x, rows, first = values[a, :, None], w, None
+        for b in range(a, blocks, step):
+            s = slice(b - a, b - a + step)
+            bad = _violates(
+                x[:rows], values[b : b + step, None], below[lo[s], :rows],
+                above[hi[s], :rows], multiplicative, tol,
+            )
+            if bad.any():
+                rows = int(np.argmax(bad.any(axis=(0, 2))))
+                first = rows, b * w + int(np.argmax(bad[:, rows]))
+                if not rows:
+                    break
+        if first is not None:
+            return a * w + first[0], first[1]
+    return None
 
 
 def pair_violation(

@@ -712,3 +712,26 @@ def test_literal_fan_is_settled_against_the_separator_lower_then_its_upper():
     assert 0 < fan.terms["lower_exact"] - fan.upper <= slack
     assert 0 < fan.upper - separator.lower <= slack
     assert fan.lower == fan.upper
+
+
+def test_comparison_reports_a_gap_the_marginals_disagreement_carries():
+    # The family above at (1, 0, 0): the separator lower N - 0.9 sits 0.9
+    # under the literal Fan's settled N. The two differ by n({2}) + n({3})
+    # - n({2,3}) - n(∅), at most 0 when all four are read from n({2,3});
+    # here n({2}), n({3}) and n(∅) come from {1,2}, {1,3} and {1}, each off
+    # by up to one consistency slack (about 1), so the gap falsifies
+    # nothing and the comparison reports it, where it used to raise.
+    fam = released({
+        "1": np.array([0.9, N]),
+        "1,2": np.array([[0.0, 0.9], [N + 0.9, 0.0]]),
+        "1,3": np.array([[0.9, 0.0], [N + 0.9, 0.0]]),
+        "2,3": np.array([[N, 0.0], [0.9, 0.0]]),
+    })
+    cover = Decomposition(tuple(VarSet.parse(text, 3) for text in ("2", "2,3", "1,3")))
+    cmpr = compare_fan_vs_decomposition(fam, cover, (1, 0, 0))
+    slack = lattice.real_slack(fam.total)
+    assert 0 < cmpr.fan.lower - cmpr.decomposition.lower <= slack
+    assert cmpr.dominance_holds is False
+    s2, s3 = cover.separators
+    # Three reads off n({2,3})'s source, one settle and one rounding.
+    assert tb_bounds._dominance_slack(fam, s2, s3) == pytest.approx(5 * slack)

@@ -1,7 +1,7 @@
 """Checkers, constructors, and the Fan evaluator on the subset lattice."""
 
 import itertools
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -337,23 +337,16 @@ def first_monotone_violation(values, l, increasing):
     return None
 
 
-def block_starts(rows, width_at):
-    """First rows of the blocks a blocked scan visits, row r being
-    width_at(r) long."""
-    starts = []
-
-    def record(start, stop):
-        starts.append(start)
-        return np.zeros((stop - start, width_at(start)), dtype=bool), 0
-
-    assert lattice._first_in_blocks(rows, width_at(0), record) is None
-    return starts
+def block_starts(shape):
+    """First rows of the row blocks of the all-pairs scan of a grid: its
+    flat indices, w at a time."""
+    return list(range(0, prod(shape), lattice._pair_blocks(shape)[0]))
 
 
 def exhaustive_starts(size):
-    """Block starts of the exhaustive supermodularity scan, whose row a
-    holds the masks b > a."""
-    return block_starts(size - 1, lambda a: size - 1 - a)
+    """Block starts of the exhaustive supermodularity scan of 2^L, the grid
+    (2,)*l of ``size`` cells."""
+    return block_starts((2,) * (size.bit_length() - 1))
 
 
 def planted_pair(l, m, i, j):
@@ -442,12 +435,12 @@ class TestReferenceWitnesses:
         # breaks only the covering pairs (a, a|{j}). At l = 12 one gather
         # through the cached one-axis local pairs finds it; at l = 15, past
         # LOCAL_PAIR_CAP, the shifted views per axis do. The rows are placed
-        # at the block boundaries of a blocked scan of width l. Lifted by
-        # 2^62, the values compare as Python ints; mirrored, F(a) = 2|a|
+        # at the row-block boundaries of the all-pairs scan of (2,)*l. Lifted
+        # by 2^62, the values compare as Python ints; mirrored, F(a) = 2|a|
         # raised by 3 at a breaks the increasing check at the same pairs.
         assert (l << l > lattice.LOCAL_PAIR_CAP) == (l == 15)
         size = 1 << l
-        starts = block_starts(size, lambda a: l)
+        starts = block_starts((2,) * l)
         a = {
             "later-block": starts[3] + 7,
             "block-first-row": starts[3],

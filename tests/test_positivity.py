@@ -209,15 +209,9 @@ def first_violation(values, cards, combine):
 
 
 def block_starts(n):
-    """First rows x of the blocks the exhaustive scan of n cells visits."""
-    starts = []
-
-    def record(start, stop):
-        starts.append(start)
-        return np.zeros((stop - start, n - start - 1), dtype=bool), start + 1
-
-    assert lattice._first_in_blocks(n - 1, n - 1, record) is None
-    return starts
+    """First rows x of the row blocks the exhaustive scan of the binary grid
+    of n cells visits: its flat indices, w at a time."""
+    return list(range(0, n, lattice._pair_blocks((2,) * (n.bit_length() - 1))[0]))
 
 
 class TestWitnessRule:
@@ -355,14 +349,22 @@ class TestWitnessRule:
     @pytest.mark.parametrize("cards", [(2,) * 8, (3, 3, 3, 3), (5, 4, 4, 3), (70, 2)])
     def test_meet_tables_give_the_meet(self, cards):
         # On a binary, a cubic and two mixed grids, one with an axis of 70
-        # categories, the summed per-axis minima are the meet's flat index.
+        # categories, the high prefixes' summed per-axis minima times w plus
+        # the low suffixes' meet table are the meet's flat index, and the
+        # join is read the same way; every table is read-only.
         cells = np.indices(cards).reshape(len(cards), -1)
         lows = np.minimum(cells[:, :, None], cells[:, None, :])
-        expected = np.ravel_multi_index(tuple(lows), cards)
-        offsets = lattice._axis_offsets(cards)
-        got = sum(np.minimum(s[:, None], s[None, :]) for s in offsets)
-        assert np.array_equal(got, expected)
-        assert not offsets.flags.writeable
+        highs = np.maximum(cells[:, :, None], cells[:, None, :])
+        w, meet, join, high = lattice._pair_blocks(cards)
+        block, low = np.divmod(np.arange(cells.shape[1]), w)
+        coords = np.indices([len(m) for m in high]).reshape(len(high), -1)
+        high_meet = sum(m[c][:, c] for m, c in zip(high, coords))[block][:, block]
+        high_join = block[:, None] + block[None, :] - high_meet
+        got = high_meet * w + meet[low[:, None], low[None, :]]
+        assert np.array_equal(got, np.ravel_multi_index(tuple(lows), cards))
+        got = high_join * w + join[low[:, None], low[None, :]]
+        assert np.array_equal(got, np.ravel_multi_index(tuple(highs), cards))
+        assert not any(a.flags.writeable for a in (meet, join, *high))
 
 class TestRelabelingSearch:
     def test_lead_additive_has_no_relabeling(self):

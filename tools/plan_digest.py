@@ -18,9 +18,19 @@ meet. For each family it hashes:
   24 cells on larger families, with every term's value and type;
 - every refusal: its class, message and ``missing``.
 
-It prints the digest and what it covered. Two trees that report alike print
-the same digest; run it in each checkout (it imports ``tablebounds`` from
-``src`` and only reads ``bench/``). It takes about 20 s on 2 cores.
+It prints the digest and what it covered. On a line of its own it then prints
+a second digest, over every pair checker's result and witness:
+``is_supermodular`` and ``is_submodular`` in both modes, the two MTP2 checks
+in both modes, ``search_mtp2_relabeling`` in both criteria and
+``is_log_supermodular``. Their inputs are the ``audit`` pool at seed 3 (its
+tables, the marginal functions at its cells, and its tables' {1, 2}
+marginals) and grids drawn from that seed: integer, real, and integer next
+to the largest values whose sums or products int32 and int64 hold (the
+relabeling search on those of at most two axes).
+
+Two trees that report alike print the same digests; run it in each checkout
+(it imports ``tablebounds`` from ``src`` and only reads ``bench/``). It takes
+about 20 s on 2 cores, the pair digest about 1 s of it.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ import hashlib
 import itertools
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,23 +50,33 @@ import numpy as np  # noqa: E402
 
 from tablebounds import (  # noqa: E402
     BoundReport,
+    CheckResult,
     ContingencyTable,
     Decomposition,
     FanDecompositionComparison,
     KwerelStats,
+    LatticeFunction,
     MarginalFamily,
     MarginalTable,
+    Relabeling,
     TableBoundsError,
     VarSet,
     best_bounds,
     bounds_grid,
+    cell_margin_fn,
     compare_fan_vs_decomposition,
     decomposition_bound,
     fan_lower_bound,
     frechet_3way,
     frechet_ddim,
+    is_log_supermodular,
+    is_mtp2_additive,
+    is_mtp2_multiplicative,
+    is_submodular,
+    is_supermodular,
     kwerel_form,
     marginalize,
+    search_mtp2_relabeling,
     simple_frechet,
 )
 from tablebounds.bounds import method_report  # noqa: E402
@@ -90,6 +111,12 @@ def typed(value):
                 typed(value.num_vars))
     if isinstance(value, VarSet):
         return ("VarSet", value.mask, value.num_vars)
+    if isinstance(value, CheckResult):
+        w = value.witness
+        return ("check", value.ok, w and (w.kind, typed(w.a), typed(w.b), typed(w.lhs),
+                                          typed(w.rhs)))
+    if isinstance(value, Relabeling):
+        return ("relabeling", typed(value.perms))
     if isinstance(value, Fraction):
         return ("Fraction", value.numerator, value.denominator)
     return (type(value).__name__, repr(value))
@@ -229,6 +256,78 @@ def random_families():
             yield kind, MarginalFamily(cards, margs)
 
 
+# The largest magnitudes whose sums (products) int32 and int64 hold, and
+# one past each.
+LIMITS = (2**30 - 1, 2**30, 46_340, 46_341, 2**62 - 1, 2**62, 3_037_000_499, 3_037_000_500)
+
+
+def table_checks(table):
+    """Both MTP2 checks in both modes on ``table``."""
+    for check in (is_mtp2_additive, is_mtp2_multiplicative):
+        for mode in ("exhaustive", "local"):
+            yield check.__name__, mode, outcome(lambda: check(table, mode))
+
+
+def lattice_checks(fn):
+    """Both modular checks in both modes on ``fn``, and the log-supermodular
+    check on fn shifted to be positive."""
+    for check in (is_supermodular, is_submodular):
+        for mode in ("exhaustive", "local"):
+            yield check.__name__, mode, outcome(lambda: check(fn, mode))
+    positive = np.asarray(fn.values, dtype=np.float64) - float(np.min(fn.values)) + 1.0
+    yield "is_log_supermodular", outcome(lambda: is_log_supermodular(
+        LatticeFunction(fn.num_vars, positive)))
+
+
+def relabel_checks(table):
+    for criterion in ("additive", "multiplicative"):
+        yield criterion, outcome(lambda: search_mtp2_relabeling(table, criterion))
+
+
+def pair_inputs():
+    """(what, checks) for every pair-checker input, in a fixed order."""
+    for k, (table, _, cells) in enumerate(make_pool("audit", SEED, None)):
+        l = table.num_vars
+        yield ("audit", k), table_checks(table)
+        for cell in cells:
+            yield ("audit", k, cell), lattice_checks(cell_margin_fn(table, cell))
+        two = marginalize(table, VarSet.from_vars([1, 2], l)).table
+        yield ("audit", k, "{1,2}"), relabel_checks(two)
+    rng = np.random.default_rng([SEED, 28])
+    for kind in ("integer", "real", *LIMITS):
+        for _ in range(RANDOM_FAMILIES):
+            l = int(rng.integers(0, 7))
+            cards = tuple(int(c) for c in rng.integers(1, 5, size=int(rng.integers(1, 5))))
+            if kind == "real":
+                lattice_values = rng.random(1 << l) * 10
+                counts = rng.random(prod(cards)) * 10
+            else:
+                top = 9 if kind == "integer" else kind
+                low = 0 if kind == "integer" else max(0, kind - 3)
+                lattice_values = rng.integers(low, top + 1, size=1 << l) * rng.choice(
+                    [-1, 1], size=1 << l)
+                counts = rng.integers(low, top + 1, size=prod(cards)) * (
+                    rng.random(prod(cards)) < 0.8)
+            yield (kind, l), lattice_checks(LatticeFunction(l, lattice_values))
+            if kind == "real" or sum(int(c) for c in counts) < 2**63:
+                table = ContingencyTable.from_flat(
+                    cards, counts.tolist(), kind="real" if kind == "real" else "integer")
+                yield (kind, cards), table_checks(table)
+                if len(cards) <= 2:  # at most 4! 4! relabelings
+                    yield (kind, cards, "relabel"), relabel_checks(table)
+
+
+def pair_digest() -> str:
+    digest, inputs, results = hashlib.sha256(), 0, 0
+    for what, checks in pair_inputs():
+        inputs += 1
+        digest.update(repr(what).encode())
+        for result in checks:
+            results += 1
+            digest.update(repr(result).encode())
+    return f"pairs sha256 {digest.hexdigest()} over {inputs} inputs and {results} results"
+
+
 def main() -> None:
     digest, families, items = hashlib.sha256(), 0, 0
     rng = np.random.default_rng([SEED, 0])
@@ -239,6 +338,7 @@ def main() -> None:
             items += 1
             digest.update(repr(item).encode())
     print(f"sha256 {digest.hexdigest()} over {families} families and {items} items")
+    print(pair_digest())
 
 
 if __name__ == "__main__":
