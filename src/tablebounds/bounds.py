@@ -18,30 +18,22 @@ Bound families implemented, each per target cell and with provenance:
 - a comparison showing the decomposition bound dominates the Fan route on
   three-set covers.
 
-A plan holds rows, each one linear inequality over the cell's anchored
-margins, den x cell >= sum of c_a x n(a): its ordered (subset, coefficient)
-terms, denominator and coefficient sums, and the margins whose least
-derivable one is its upper. One evaluator (``_Row``) sums each row once per
-family and memoises it there, so plans share rows and never evaluate each
-other: ``ddim:d``, ``decomp:``, ``fan:`` and the literal Fan hold one row
-each, ``3way:two-dim`` its three pair-cover rows and ``best`` its ``ddim:d``
-and covering-pair rows, each named; ``simple`` and ``3way:one-dim`` are the
-``ddim:1`` recipe under another formula name.
-
-Each bound is a closed form in the marginals, so the first call for a family
-evaluates it for every cell at once on ``MarginalFamily.grid`` arrays and
-caches the result on the family as a plan of read-only arrays
-(``bounds_grid`` returns its lower and upper). A plan is built in two parts
-(``_planned``). Its recipe depends only on which marginals were released:
-the formula and subsets, the rows, where each derived marginal is summed
-from, or the refusal to raise. It holds no array and no count, and is cached
-per (variable count, released masks, builder, arguments), so families of one
-structure share it. The evaluation then does the arithmetic on one family's
-grids. The per-cell functions are views: they validate the cell, read the
-two bounds, and hand back terms as a read-only mapping over the plan's
-whole-grid terms at that cell, each entry read when it is looked up. A plan
-holds O(cells x rows) values, which suits desk-scale tables (a binary 10-way
-table has 1,024 cells), not millions.
+Every plan is one recipe (``_Recipe``) of rows, each one linear inequality
+den x cell >= sum of c_a x n(a) over the cell's anchored margins:
+``ddim:d``, ``decomp:`` and ``fan:`` hold one row, the literal Fan its own
+and the separator row it is settled against, ``3way:two-dim`` three
+pair-cover rows and ``best`` its ``ddim:d`` and covering-pair rows, each
+named; ``simple`` and ``3way:one-dim`` are ``ddim:1`` renamed. The recipe
+depends only on which marginals were released, holds no array and no
+count, and families of one structure share it (``_planned``). The first
+call for a family evaluates the plan for every cell at once and caches it
+as read-only arrays (``bounds_grid`` returns its lower and upper): the
+column grids are stacked once and every row not yet in the family's memo
+summed in one pass over term positions, so plans share rows. The per-cell
+functions are views: they validate the cell, read the two bounds, and read
+each term at the cell when it is looked up. A plan holds O(cells x rows)
+values, which suits desk-scale tables (a binary 10-way table has 1,024
+cells), not millions.
 
 Divisions are exact: integer families report the ceiling of the rational
 bound (a count is an integer, so rounding up is sound and tighter), by
@@ -132,8 +124,9 @@ class MarginalFamily:
         self._masks = tuple(sorted(self.released))  # the structure recipes are keyed by
         self._subsets = tuple(self.released[m].vars for m in self._masks)
         self._cache: dict[int, MarginalTable] = dict(self.released)
-        self._grids: dict[int, np.ndarray] = {}
-        self._plans: dict[tuple, object] = {}  # bound plans and their rows, on first use
+        self._grids: dict[Optional[int], np.ndarray] = {}  # by mask, None for the total
+        self._plans: dict[tuple, object] = {}  # bound plans, on first use
+        self._rows: dict[tuple, tuple] = {}  # their evaluated rows, shared
         self._validate_consistency()
 
     @classmethod
@@ -297,14 +290,11 @@ class BoundReport:
 def _planned(recipe):
     """A bound plan in two parts. ``recipe(num_vars, released, *args)`` is a
     pure function of the family's structure, its variable count and released
-    masks (ascending): it works out the plan's formula, subsets and rows (the
-    marginals each reads and where each is summed from), and holds no array
-    and no count, so every family of one structure shares it (cached by
+    masks (ascending), so every family of one structure shares it (cached by
     ``_recipe``, a refusal included). The plan is the recipe's
-    ``evaluate(fam)``, the arithmetic on this family's grids, memoised on the
-    family keyed by the builder's (hashable) arguments, beside the rows it
-    reads, so that later calls for any cell reuse it. The decorated builder
-    takes the family in place of (num_vars, released)."""
+    ``evaluate(fam)``, memoised on the family keyed by the builder's
+    (hashable) arguments. The decorated builder takes the family in place of
+    (num_vars, released)."""
     @functools.wraps(recipe)
     def cached(fam: MarginalFamily, *key):
         plan = fam._plans.get((recipe, key))
@@ -361,18 +351,23 @@ def _read(num_vars: int, released: tuple[int, ...], mask: int) -> Optional[tuple
     return VarSet(mask, num_vars), source, _summed_out(source, mask)
 
 
-def _grid(fam: MarginalFamily, read: tuple) -> np.ndarray:
+def _grid(fam: MarginalFamily, read: Optional[tuple]) -> np.ndarray:
     """``fam.grid(a)`` from its read (``_read``): the released counts, or
-    their sum over the axes ``drop``, broadcast and cached read-only."""
-    a, source, drop = read
-    g = fam._grids.get(a.mask)
+    their sum over the axes ``drop``, broadcast and cached read-only; the
+    total for the read None."""
+    mask = read and read[0].mask
+    g = fam._grids.get(mask)
     if g is None:
-        counts = fam.released[source].table.counts
-        if drop:
-            counts = np.asarray(counts.sum(axis=drop))
-        g = fam._grids[a.mask] = np.empty(fam.cardinalities, counts.dtype)
-        g[...] = lift_marginal(counts, a, fam.cardinalities)
-        g.setflags(write=False)
+        if read is None:
+            g = np.full(fam.cardinalities, fam.total)
+        else:
+            a, source, drop = read
+            counts = fam.released[source].table.counts
+            if drop:
+                counts = np.asarray(counts.sum(axis=drop))
+            g = np.empty(fam.cardinalities, counts.dtype)
+            g[...] = lift_marginal(counts, a, fam.cardinalities)
+        fam._grids[mask] = _frozen(g)
     return g
 
 
@@ -396,146 +391,165 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _dsubsets(l: int, d: int) -> tuple[VarSet, ...]:
     """All C(l, d) subsets of size d, in lexicographic order."""
-    return tuple(
-        VarSet.from_vars(c, l) for c in itertools.combinations(range(1, l + 1), d)
-    )
+    return tuple(VarSet.from_vars(c, l) for c in itertools.combinations(range(1, l + 1), d))
 
 
-def _linear(l: int, released, formula, subsets, terms, den=None, static=(), settle=None):
-    """The plan of one row (``_row``), den x cell >= sum of c x n(a) over ``terms``,
-    (mask, integer coefficient) pairs in order, zero ones dropped, each mask derivable
-    (else it refuses), n(∅) the total; its upper reads ``subsets``; ``settle``: the
-    ``_row`` arguments of the row its lower is settled against first."""
-    terms = tuple((m, c) for m, c in terms if c)
-    _require(l, released, [m for m, _ in terms])
-    upper = tuple(a.mask for a in subsets)
-    row = _recipe(_row, l, released, den, upper, terms, settle)
-    return _Linear(formula, subsets, (row,), static=static)
+def _rows(l: int, released, formula, subsets, rows, layout="one", upper=(), static=()):
+    """The recipe over ``rows``, each (terms, den, name, upper, settle) by
+    masks: (mask, coefficient) terms in order, zero ones dropped, each
+    derivable (else it refuses), n(∅) the total; den None (no division), 0
+    (no cell bound: lower 0) or the denominator; the masks whose least margin
+    (else the total) is its upper; the later row its lower is first settled
+    against, or None. ``upper``: ``best``'s (name, mask or None) uppers."""
+    columns: dict = {}  # read, None for the total -> column, in order of first use
+    built, keys, sizes = [], [], []
+    for terms, den, name, up, settle in rows:
+        terms = tuple((m, c) for m, c in terms if c)
+        _require(l, released, [m for m, _ in terms])
+        keys.append((terms, den, tuple(up)))
+        plus, minus = sum(c for _, c in terms if c > 0), sum(-c for _, c in terms if c < 0)
+        sizes.append((plus + minus, max(plus, minus)))
+        reads = [read for read in (_read(l, released, m) for m in up) if read is not None]
+        reads = [_read(l, released, m) if m else None for m, _ in terms] + (reads or [None])
+        cols = [columns.setdefault(read, len(columns)) for read in reads]
+        terms = tuple(zip(cols, (c for _, c in terms)))
+        built.append((terms, den, name, tuple(cols[len(terms):]), settle))
+    keys = tuple((*key, None if row[4] is None else keys[row[4]]) for key, row in zip(keys, built))
+    reads = [(name, m if m is None else _read(l, released, m)) for name, m in upper]
+    upper = tuple((name, columns.setdefault(read, len(columns))) for name, read in reads)
+    columns = tuple((str(VarSet(read[0].mask if read else 0, l)), read) for read in columns)
+    built, sizes = tuple(built), tuple(sizes)
+    return _Recipe(formula, subsets, layout, columns, built, keys, sizes, upper, static)
 
 
-def _row(l: int, released, den, upper, terms, settle) -> "_Row":
-    """The row of ``_linear``'s arguments, cached by ``_recipe``; a zero
-    ``den`` (a Fan right side that never reaches L) bounds no cell."""
-    reads = tuple((_read(l, released, m) if m else None, c, str(VarSet(m, l))) for m, c in terms)
-    reach = sum(abs(c) for _, c in terms)
-    positive = sum(c for _, c in terms if c > 0)
-    return _Row(
-        (den, upper, terms, settle),
-        reads if den != 0 else None,
-        den,
-        reach,
-        max(positive, reach - positive),
-        tuple(read for read in (_read(l, released, m) for m in upper) if read is not None),
-        settle and _recipe(_row, l, released, *settle),
-    )
-
-
-class _Row(NamedTuple):
-    """One inequality den x cell >= sum of c x n(a). ``key``, its arguments
-    to ``_row`` (ints), keys its evaluation in a family's memo. ``terms``
-    holds, in list order, (read of n(a), None for the total; coefficient;
-    subset text), or is None where there is no cell bound (the lower is 0).
-    ``reach`` is the sum of |c| and ``width`` the greater of the positive and
-    the negative coefficients' sums; ``upper`` reads the subsets whose least
-    margin, or the total where there is none, is its upper; ``settle`` is the
-    row whose lower this one's is settled against first (the literal Fan's
-    separator row)."""
-
-    key: tuple
-    terms: Optional[tuple]
-    den: Optional[int]
-    reach: int
-    width: int
-    upper: tuple
-    settle: Optional["_Row"]
-
-    def evaluate(self, fam: MarginalFamily) -> tuple:
-        """(lower, upper, terms) at every cell, read-only, once per family; the
-        lower is settled against ``settle``'s lower, then against the upper."""
-        key = _row, self.key
-        got = fam._plans.get(key)
-        if got is None:
-            grids = [_grid(fam, read) for read in self.upper]  # n is decreasing
-            upper = _frozen(_min(grids) if grids else np.full(fam.cardinalities, fam.total))
-            if self.terms is None:
-                lower, terms = np.zeros_like(upper), {}
-            else:
-                lower, terms = self._sum(fam)
-                if self.settle is not None:
-                    lower = _settle(fam, lower, self.settle.evaluate(fam)[0])
-                lower = _settle(fam, lower, upper)
-            got = fam._plans[key] = (_frozen(lower), upper, terms)
-        return got
-
-    def _sum(self, fam: MarginalFamily):
-        """(lower, terms): the one place a lower is summed, the positive
-        terms less the sum of the negative ones, each in list order. Every
-        margin is at most the total, so each sum stays within its
-        coefficients' sum times the total, and so does their difference:
-        grids stay int64 while ``width`` times the total fits, Python ints
-        beyond. A real family whose ``reach`` times the total passes float64
-        is refused."""
-        total, integer = fam.total, fam.kind == INTEGER
-        if not integer and self.reach * total > FLOAT64_MAX:
-            raise CountRangeError(
-                f"bound terms reach {self.reach} times the total {total}, "
-                f"beyond the float64 limit {FLOAT64_MAX}"
-            )
-        wide = integer and self.width * total > INT64_MAX
-        pos, neg, inequality = 0, 0, []
-        for read, c, text in self.terms:
-            if read is None:
-                v = total
-            else:
-                v = _grid(fam, read)
-                if wide:
-                    v = _frozen(v.astype(object))
-            if c > 0:
-                pos += v if c == 1 else c * v
-            else:
-                neg += v if c == -1 else -c * v
-            inequality.append({"subset": text, "coefficient": c, "value": v})
-        lower, exact = _lower(fam, pos - neg, self.den)
-        terms = {"inequality": inequality, "denominator": self.den or 1, "lower_exact": exact}
-        return lower, terms
-
-
-class _Linear(NamedTuple):
-    """The recipe of a plan over rows. A plan of one row has its bounds and
-    terms, with ``static``, (name, value) terms that read no count. One of
-    several (``3way:two-dim``) takes the greatest of their lowers, settled
-    against the least of their uppers, and reports each row's exact lower
-    under its name in ``names``."""
+class _Recipe(NamedTuple):
+    """A plan's recipe in Python ints: ``rows`` (``_rows``) by column of
+    ``columns``, (subset text, read), None for the total. Per row, ``keys``
+    (by mask) keys its evaluation in the family's memo, and ``sizes`` holds
+    its sum of |c| and its width, the greater of its positive and negative
+    sums. ``layout``: ``one`` reports the first row with ``static`` terms,
+    ``named`` the greatest lower settled against the least upper and each
+    exact lower by name, ``best`` the rows and ``upper`` as candidates."""
 
     formula: str
     subsets: tuple[VarSet, ...]
-    rows: tuple[_Row, ...]
-    names: tuple[str, ...] = ()
-    static: tuple = ()
+    layout: str
+    columns: tuple
+    rows: tuple
+    keys: tuple
+    sizes: tuple
+    upper: tuple
+    static: tuple
 
     def evaluate(self, fam: MarginalFamily) -> "_Plan":
-        rows = [row.evaluate(fam) for row in self.rows]
-        if not self.names:
-            lower, upper, terms = rows[0]
-            terms = {**terms, **dict(self.static)}
-        else:
-            lowers, uppers, terms = zip(*rows)
-            upper = _min(uppers)
-            lower = _settle(fam, _max(lowers), upper)
-            terms = {name: t["lower_exact"] for name, t in zip(self.names, terms)}
-        return _Plan(self.formula, self.subsets, lower, upper, terms)
+        rows = [fam._rows.get(key) for key in self.keys]
+        if None in rows:
+            self._evaluate_rows(fam, rows)
+        if self.layout == "one":
+            den, (lower, upper, exact, inequality) = self.rows[0][1], rows[0]
+            terms = {} if den == 0 else {
+                "inequality": inequality, "denominator": den or 1, "lower_exact": exact
+            }
+            terms.update(self.static)
+            return _Plan(self.formula, self.subsets, lower, upper, terms)
+        if self.layout == "named":
+            upper = _min([row[1] for row in rows])
+            lower = _settle(fam, _max([row[0] for row in rows]), upper)
+            terms = {row[2]: got[2] for row, got in zip(self.rows, rows)}
+            return _Plan(self.formula, self.subsets, lower, upper, terms)
+        # best. Candidates by name; on a tie the first in dict order wins.
+        uppers = {name: _grid(fam, self.columns[c][1]) for name, c in self.upper}
+        lowers = {"zero": _frozen(np.zeros_like(uppers["total"]))}
+        lowers.update((row[2], got[0]) for row, got in zip(self.rows, rows))
+        if "exact" in uppers:
+            lowers["exact"] = uppers["exact"]
+        upper = _min(uppers.values())
+        # Settled one by one, so the winning candidate reads as the lower.
+        lowers = {name: _settle(fam, v, upper) for name, v in lowers.items()}
+        terms = {
+            "lowers": lowers,
+            "uppers": uppers,
+            "lower_from": lambda cell: max(lowers, key=lambda name: lowers[name].item(cell)),
+            "upper_from": lambda cell: min(uppers, key=lambda name: uppers[name].item(cell)),
+        }
+        return _Plan(self.formula, self.subsets, _max(lowers.values()), upper, terms)
+
+    def _evaluate_rows(self, fam: MarginalFamily, rows: list) -> None:
+        """Fill in the rows missing from ``rows``, and the memo: (lower,
+        upper, lower_exact, inequality), read-only. The one place a lower is
+        summed: the grids are stacked once and the rows summed together a
+        term position at a time, positive and negative terms each in the
+        row's order, so a real row's float sum is its term list's, not a
+        matrix product's. A row is int64 while its width times the total
+        fits, Python ints beyond; a real row past float64 is refused. Each
+        lower is divided, clamped and settled against its settle row's lower,
+        then its own upper."""
+        total, integer = fam.total, fam.kind == INTEGER
+        grids = [_grid(fam, read) for _, read in self.columns]
+        missing = [r for r, row in enumerate(rows) if row is None]
+        summed = {r: k for k, r in enumerate(r for r in missing if self.rows[r][1] != 0)}
+        for reach, _ in [] if integer else [self.sizes[r] for r in summed]:
+            if reach * total > FLOAT64_MAX:
+                raise CountRangeError(f"bound terms reach {reach} times the total {total}, "
+                                      f"beyond the float64 limit {FLOAT64_MAX}")
+        wide = [integer and self.sizes[r][1] * total > INT64_MAX for r in summed]
+        if summed:
+            block = np.array(grids + [np.zeros(fam.cardinalities, grids[0].dtype)])
+            if any(wide):
+                block = _frozen(block.astype(object))
+            steps = _positions(tuple(self.rows[r][0] for r in summed), len(grids), fam.num_vars)
+            sides = np.zeros((2 * len(summed),) + fam.cardinalities, block.dtype)
+            for cols, coefs in steps:  # each side from zero, a term position at a time
+                part = block.take(cols, axis=0)
+                if coefs is not None:
+                    part *= coefs
+                sides += part
+            num = _frozen(sides[: len(summed)] - sides[len(summed):])
+            dens, exact = [self.rows[r][1] or 1 for r in summed], num
+            if max(dens) > 1:
+                dens = np.array(dens).reshape((-1,) + (1,) * fam.num_vars)
+                exact = _frozen(-(-num // dens) if integer else num / dens)
+            lowers = _frozen(np.maximum(exact, 0) if integer else np.where(exact <= 0, 0, exact))
+        for r in reversed(missing):  # a settle row comes after the rows settled against it
+            terms, den, _, up, settle = self.rows[r]
+            upper = _frozen(_min([grids[c] for c in up]))  # n is decreasing
+            if r not in summed:  # no cell bound
+                lower, lower_exact, inequality = np.zeros_like(upper), None, []
+            else:
+                k = summed[r]
+                n, lower = num[k], lowers[k]
+                if block.dtype == object and not wide[k]:  # this row fits int64
+                    n, lower = _frozen(n.astype(np.int64)), _frozen(lower.astype(np.int64))
+                lower_exact = n if integer else exact[k]
+                if integer and den is not None:  # the rational num / den at a cell
+                    lower_exact = lambda cell, n=n, d=den: Fraction(n.item(cell), d)  # noqa: E731
+                source = block if wide[k] else grids
+                inequality = [
+                    {"subset": self.columns[col][0], "coefficient": c,
+                     "value": total if self.columns[col][1] is None else source[col]}
+                    for col, c in terms
+                ]
+            if settle is not None:
+                lower = _settle(fam, lower, rows[settle][0])
+            lower = _frozen(_settle(fam, lower, upper))
+            rows[r] = fam._rows[self.keys[r]] = (lower, upper, lower_exact, inequality)
 
 
-def _lower(fam: MarginalFamily, num, den: Optional[int] = None):
-    """(lower, lower_exact) of max(0, num / den): the quotient (num itself
-    without ``den``) clamped at zero, and the quotient; in an integer family
-    with ``den``, the exact ceiling clamped at zero and, per cell, the rational
-    num[cell] / den. ``num`` and the quotient are made read-only."""
-    _frozen(num)
-    if den is not None and fam.kind == INTEGER:
-        return np.maximum(-(-num // den), 0), lambda cell: Fraction(num.item(cell), den)
-    exact = num if den is None else _frozen(num / den)
-    return np.where(exact <= 0, 0, exact), exact
+@functools.lru_cache(maxsize=1024)
+def _positions(terms: tuple, zero: int, ndim: int) -> tuple:
+    """Per term position of the rows' ``terms``, each row in two sides (its
+    positive terms, then its negated negative ones), read-only arrays of the
+    columns the sides add (``zero``, of zeros, past a side's last term) and of
+    their coefficients shaped for ``ndim``-axis grids, None if all are 1."""
+    sides = [[(col, c) for col, c in row if c > 0] for row in terms]
+    sides += [[(col, -c) for col, c in row if c < 0] for row in terms]
+    steps = []
+    for j in range(max(map(len, sides))):
+        cols = [side[j][0] if j < len(side) else zero for side in sides]
+        coefs = [side[j][1] if j < len(side) else 1 for side in sides]
+        coefs = None if coefs == [1] * len(coefs) else np.reshape(coefs, (-1,) + (1,) * ndim)
+        steps.append((_frozen(np.array(cols)), coefs if coefs is None else _frozen(coefs)))
+    return tuple(steps)
 
 
 def _min(grids):
@@ -617,7 +631,7 @@ def simple_frechet(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
 
 
 @_planned
-def _simple_plan(l: int, released) -> _Linear:
+def _simple_plan(l: int, released) -> _Recipe:
     if l != 2:
         raise RangeError("simple_frechet applies to 2-way tables")
     return _ddim(2, released, 1)._replace(formula="simple")
@@ -632,7 +646,7 @@ def frechet_3way(
 
 
 @_planned
-def _3way_plan(l: int, released, basis: str) -> _Linear:
+def _3way_plan(l: int, released, basis: str) -> _Recipe:
     if l != 3:
         raise RangeError("frechet_3way applies to 3-way tables")
     if basis == "one-dim":  # the d = 1 case of the d-dimensional bound
@@ -640,10 +654,9 @@ def _3way_plan(l: int, released, basis: str) -> _Linear:
     if basis == "two-dim":  # the two-set covers of the decomposition bound
         pairs = _dsubsets(3, 2)
         _require(3, released, [a.mask for a in pairs])
-        covers = list(itertools.combinations(pairs, 2))
-        rows = tuple(_decomp(3, released, (a.mask, b.mask)).rows[0] for a, b in covers)
-        names = tuple(f"{a}+{b}-{a & b}" for a, b in covers)
-        return _Linear("3way:two-dim", pairs, rows, names)
+        covers = itertools.combinations(pairs, 2)
+        rows = [_cover_row(3, (a.mask, b.mask), f"{a}+{b}-{a & b}") for a, b in covers]
+        return _rows(3, released, "3way:two-dim", pairs, rows, "named")
     raise RangeError(f"unknown basis {basis!r}")
 
 
@@ -659,14 +672,18 @@ def frechet_ddim(fam: MarginalFamily, cell: CellIndex, d: int) -> BoundReport:
     return _ddim_plan(fam, _index(d, "d")).report(cell)
 
 
-def _ddim(l: int, released, d: int) -> _Linear:
+def _ddim(l: int, released, d: int) -> _Recipe:
     if not 1 <= d <= l:
         raise RangeError(f"d={d} out of range 1..{l}")
+    return _rows(l, released, f"ddim:{d}", _dsubsets(l, d), [_ddim_row(l, d)])
+
+
+def _ddim_row(l: int, d: int) -> tuple:
+    """``ddim:d``'s row: den x cell >= the d-subset margins less C(l, d) - den totals."""
     subsets = _dsubsets(l, d)
     den = comb(l - 1, d - 1)
-    # den times the bound: the d-subset margins less C(l, d) - den totals
     terms = [(a.mask, 1) for a in subsets] + [(0, den - comb(l, d))]
-    return _linear(l, released, f"ddim:{d}", subsets, terms, den)
+    return terms, den, f"ddim:{d}", [a.mask for a in subsets], None
 
 
 _ddim_plan = _planned(_ddim)
@@ -752,12 +769,20 @@ def decomposition_bound(
     return _decomp_plan(fam, tuple(c.mask for c in decomp.cover)).report(cell)
 
 
-def _decomp(l: int, released, masks: tuple[int, ...]) -> _Linear:
-    decomp = Decomposition(tuple(VarSet(m, l) for m in masks))
+def _decomp(l: int, released, masks: tuple[int, ...]) -> _Recipe:
+    cover = tuple(VarSet(m, l) for m in masks)
+    formula = "decomp:" + "|".join(str(c) for c in cover)
+    row = _cover_row(l, masks, formula)
     _require(l, released, masks)  # the separators lie inside the cover
+    return _rows(l, released, formula, cover, [row])
+
+
+def _cover_row(l: int, masks: tuple[int, ...], name: str) -> tuple:
+    """The row over the cover ``masks``: its margins less its separators'.
+    A cover that misses a variable is refused."""
+    decomp = Decomposition(tuple(VarSet(m, l) for m in masks))
     terms = [(c.mask, 1) for c in decomp.cover] + [(s.mask, -1) for s in decomp.separators]
-    formula = "decomp:" + "|".join(str(c) for c in decomp.cover)
-    return _linear(l, released, formula, decomp.cover, terms)
+    return terms, None, name, masks, None
 
 
 _decomp_plan = _planned(_decomp)
@@ -795,7 +820,7 @@ def fan_lower_bound(
 
 
 @_planned
-def _fan_plan(l: int, released, masks: tuple[int, ...], p: int) -> _Linear:
+def _fan_plan(l: int, released, masks: tuple[int, ...], p: int) -> _Recipe:
     full = (1 << l) - 1
     lhs, rhs = fan_terms(masks, p)  # rhs: (k, coefficient, join of k-wise meets)
     moved = [(k, c) for k, c, m in rhs if m == full]  # occurrences of the cell
@@ -806,8 +831,9 @@ def _fan_plan(l: int, released, masks: tuple[int, ...], p: int) -> _Linear:
         ("has_cell_bound", bool(moved)),
     )
     xs = tuple(VarSet(m, l) for m in masks)
-    den = sum(c for _, c in moved)  # 0: no cell bound
-    return _linear(l, released, f"fan:p={p},q={len(masks)}", xs, terms, den, static=static)
+    formula = f"fan:p={p},q={len(masks)}"
+    row = (terms, sum(c for _, c in moved), formula, masks, None)  # den 0: no cell bound
+    return _rows(l, released, formula, xs, [row], static=static)
 
 
 @dataclass(frozen=True)
@@ -896,16 +922,16 @@ def _dominance_slack(fam: MarginalFamily, s2: VarSet, s3: VarSet):
 
 
 @_planned
-def _literal_fan_plan(l: int, released, masks: tuple[int, ...]) -> _Linear:
+def _literal_fan_plan(l: int, released, masks: tuple[int, ...]) -> _Recipe:
     """The Fan side of the comparison from the masks of the three cover
-    sets and of their separators' join and meet; its lower is settled
-    (``_settle``) against the separator route's lower."""
-    cover = tuple(VarSet(m, l) for m in masks[:3])
-    plus = [(c.mask, 1) for c in cover]
-    seps = [(s.mask, -1) for s in Decomposition(cover).separators]
-    separator = (None, masks[:3], tuple(plus + seps), None)  # _decomp's row, by its arguments
-    terms = plus + [(masks[3], -1), (masks[4], -1)]  # the separators' join and meet
-    return _linear(l, released, "fan-literal:d=3", cover, terms, settle=separator)
+    sets and of their separators' join and meet, the cover's margins less
+    those two; its lower is settled against its second row's, the separator
+    route's."""
+    cover, formula = masks[:3], "fan-literal:d=3"
+    separator = _cover_row(l, cover, formula)
+    terms = [(m, 1) for m in cover] + [(masks[3], -1), (masks[4], -1)]
+    rows = [(terms, None, formula, cover, 1), separator]
+    return _rows(l, released, formula, tuple(VarSet(m, l) for m in cover), rows)
 
 
 def best_bounds(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
@@ -922,53 +948,22 @@ def best_bounds(fam: MarginalFamily, cell: CellIndex) -> BoundReport:
     return _best_plan(fam).report(cell)
 
 
-class _Best(NamedTuple):
-    """The recipe of ``best``: the reads of the released margins, named
-    ``n(a)``, and of the full-set one when it is derivable (``exact``), and
-    the rows named in ``names``: ``ddim:d`` for every d whose subsets are
-    derivable, then the decomposition over each released pair covering L."""
-
-    subsets: tuple[VarSet, ...]
-    uppers: tuple[tuple[str, tuple], ...]
-    rows: tuple[_Row, ...]
-    names: tuple[str, ...]
-    exact: Optional[tuple]
-
-    def evaluate(self, fam: MarginalFamily) -> "_Plan":
-        # Candidates by name; on a tie the first in dict order wins.
-        uppers = {name: _grid(fam, read) for name, read in self.uppers}
-        uppers["total"] = total = _frozen(np.full(fam.cardinalities, fam.total))
-        lowers = {"zero": _frozen(np.zeros_like(total))}
-        lowers.update((name, row.evaluate(fam)[0]) for name, row in zip(self.names, self.rows))
-        if self.exact is not None:
-            lowers["exact"] = uppers["exact"] = _grid(fam, self.exact)
-        upper = _min(uppers.values())
-        # Settled one by one, so the winning candidate reads as the lower.
-        lowers = {name: _settle(fam, v, upper) for name, v in lowers.items()}
-        terms = {
-            "lowers": lowers,
-            "uppers": uppers,
-            "lower_from": lambda cell: max(lowers, key=lambda name: lowers[name].item(cell)),
-            "upper_from": lambda cell: min(uppers, key=lambda name: uppers[name].item(cell)),
-        }
-        return _Plan("best", self.subsets, _max(lowers.values()), upper, terms)
-
-
 @_planned
-def _best_plan(l: int, released) -> _Best:
+def _best_plan(l: int, released) -> _Recipe:
     full = (1 << l) - 1
     subsets = tuple(VarSet(m, l) for m in released)
-    named = {}  # the one-row recipes whose rows are the lower candidates
+    rows = []  # the lower candidates: ddim:d, then the released pairs covering L
     for d in range(1, l + 1):  # every d-subset derivable: so are the smaller ones
         if any(_read(l, released, a.mask) is None for a in _dsubsets(l, d)):
             break
-        named[f"ddim:{d}"] = _ddim(l, released, d)
+        rows.append(_ddim_row(l, d))
     for a, b in itertools.combinations(subsets, 2):
         if a.mask | b.mask == full:
-            named[f"pair:{a}|{b}"] = _decomp(l, released, (a.mask, b.mask))
-    rows = tuple(recipe.rows[0] for recipe in named.values())
-    uppers = tuple((f"n({a})", _read(l, released, a.mask)) for a in subsets)
-    return _Best(subsets, uppers, rows, tuple(named), _read(l, released, full))
+            rows.append(_cover_row(l, (a.mask, b.mask), f"pair:{a}|{b}"))
+    upper = [(f"n({a})", a.mask) for a in subsets] + [("total", None)]
+    if _read(l, released, full) is not None:
+        upper.append(("exact", full))
+    return _rows(l, released, "best", subsets, rows, "best", upper)
 
 
 def _parse_int(text: str, what: str, method: str) -> int:

@@ -295,6 +295,25 @@ def test_lower_stays_int64_while_each_sum_fits(total, dtype):
     assert lower[0, 0, 0] == total - 12
 
 
+def test_one_wide_row_leaves_the_other_rows_int64():
+    # Between INT64_MAX / 3 and INT64_MAX / 2 the ddim rows' sums (widths 3)
+    # need Python ints and the pair rows' (widths 2) do not: best's lowers
+    # keep each row's own dtype.
+    total = INT64_MAX // 3 + 1
+    table = ContingencyTable.from_flat((2, 2, 2), [total - 7] + [1] * 7)
+    fam = MarginalFamily.from_table(table, vs(3, [1, 2], [1, 3], [2, 3]))
+    lowers = tb_bounds._best_plan(fam).terms["lowers"]
+    dtypes = {name: lower.dtype for name, lower in lowers.items()}
+    assert dtypes == {
+        "zero": np.int64, "ddim:1": object, "ddim:2": object,
+        "pair:{1,2}|{1,3}": np.int64, "pair:{1,2}|{2,3}": np.int64,
+        "pair:{1,3}|{2,3}": np.int64,
+    }
+    for cell in cells(fam):
+        assert (best_bounds(fam, cell).lower, best_bounds(fam, cell).upper) == ref_best(fam, cell)
+        assert lowers["ddim:2"][cell] == max(ref_ddim(2)(fam, cell)[0], 0)
+
+
 def test_grid_is_read_only_and_cached():
     table = ContingencyTable.from_flat((2, 3), [1, 2, 3, 4, 5, 6])
     fam = MarginalFamily.from_table(table, vs(2, [1], [2]))
@@ -386,6 +405,73 @@ def test_reports_match_an_eager_term_walk(fam):
                 assert want["uppers"][want["upper_from"]] == upper
                 assert want["lower_from"] == first_winner(want["lowers"], max)
                 assert want["upper_from"] == first_winner(want["uppers"], min)
+
+
+def one_row_spellings(l):
+    """Every spelling of a one-row plan on a family of all pairs: each
+    ``ddim:d``, the chain and the two-pair covers for ``decomp:``, and the
+    chain and the pairs as Fan sequences at every p."""
+    pairs = [[a, b] for a, b in itertools.combinations(range(1, l + 1), 2)]
+    chain = "|".join(str(VarSet.from_vars([j, j + 1], l)) for j in range(1, l))
+    out = [f"ddim:{d}" for d in range(1, l + 1)] + [f"decomp:{chain}"]
+    for a, b in itertools.combinations(pairs, 2):
+        if len(set(a) | set(b)) == l:
+            out.append(f"decomp:{VarSet.from_vars(a, l)}|{VarSet.from_vars(b, l)}")
+    for xs in (chain, "|".join(str(VarSet.from_vars(p, l)) for p in pairs)):
+        out += [f"fan:{xs},{p}" for p in range(1, xs.count("|") + 2)]
+    return out
+
+
+def ordered_sum(terms):
+    """A report's inequality summed in plain Python: the positive terms in
+    list order, less the negative terms in list order, each term its
+    coefficient times its value; and the denominator."""
+    positive = negative = 0
+    for t in terms["inequality"]:
+        if t["coefficient"] > 0:
+            positive += t["coefficient"] * t["value"]
+        else:
+            negative += -t["coefficient"] * t["value"]
+    return positive - negative, terms["denominator"]
+
+
+def test_lower_exact_is_the_ordered_sum_of_its_inequality():
+    # The summation rule of every one-row plan, on seeded families of all
+    # pairs: a real family's lower_exact is the ordered float sum over its
+    # inequality, divided by its denominator, bit for bit (a matrix product
+    # sums in another order and moves the last bits); an integer family's is
+    # that rational exactly.
+    rng = np.random.default_rng(29)
+    checked = 0
+    for kind in ["real"] * 120 + ["integer"] * 30:
+        l = int(rng.integers(2, 5))
+        cards = tuple(int(c) for c in rng.integers(2, 4, size=l))
+        size = int(np.prod(cards))
+        if kind == "real":
+            table = ContingencyTable.from_flat(cards, rng.random(size) * 10, kind="real")
+        else:
+            table = ContingencyTable.from_flat(cards, rng.integers(0, 9, size))
+        pairs = [VarSet.from_vars(p, l) for p in itertools.combinations(range(1, l + 1), 2)]
+        fam = MarginalFamily.from_table(table, pairs)
+        reports = []
+        for method in one_row_spellings(l):
+            try:
+                reports += [method_report(fam, method, cell) for cell in cells(fam)]
+            except MissingMarginalError:
+                continue
+        if l >= 3:  # the literal Fan, where its separators' join is released
+            cover = Decomposition((pairs[0], pairs[-1], pairs[1]))
+            reports += [compare_fan_vs_decomposition(fam, cover, c).fan for c in cells(fam)]
+        for rep in reports:
+            if rep is None or "inequality" not in rep.terms:  # no cell bound
+                continue
+            num, den = ordered_sum(rep.terms)
+            if kind == "real":
+                assert (num / den).hex() == rep.terms["lower_exact"].hex(), rep.formula
+            else:
+                assert Fraction(num, den) == rep.terms["lower_exact"], rep.formula
+            checked += 1
+    assert checked > 10_000, checked
 
 
 @pytest.mark.parametrize("scale", [1, 2**56], ids=["int64", "python-int"])
@@ -548,7 +634,7 @@ def full_release(l):
     return MarginalFamily.from_table(table, [VarSet.full(l)])
 
 
-@pytest.mark.parametrize("l", range(2, 7))
+@pytest.mark.parametrize("l", range(2, 9))
 def test_every_inequality_holds_on_every_single_record_table(l):
     rng = np.random.default_rng(l)
     fam, cell = full_release(l), (0,) * l
@@ -583,24 +669,17 @@ def test_every_inequality_holds_on_every_single_record_table(l):
         best_bounds(f, cell)
         for build, key in f._plans:
             recipe = tb_bounds._recipe(build, l, f._masks, *key)
-            names += getattr(recipe, "names", ())
-            for row in rows_of(recipe):
-                inequality = [{"subset": t, "coefficient": c} for _, c, t in row.terms or ()]
-                terms = {"inequality": inequality, "denominator": row.den or 1}
-                assert violations(terms, l) == [], row.key
+            if recipe.layout != "one":
+                names += [name for _, _, name, _, _ in recipe.rows]
+            for terms, den, name, _, _ in recipe.rows:
+                inequality = [
+                    {"subset": recipe.columns[col][0], "coefficient": c} for col, c in terms
+                ]
+                terms = {"inequality": inequality, "denominator": den or 1}
+                assert violations(terms, l) == [], (recipe.formula, name)
     assert {f"ddim:{d}" for d in range(1, l + 1)} <= set(names)
     assert any(name.startswith("pair:") for name in names)
     assert l != 3 or {"{1,2}+{1,3}-{1}", "{1,2}+{2,3}-{2}", "{1,3}+{2,3}-{3}"} <= set(names)
-
-
-def rows_of(recipe):
-    """The rows a recipe holds, each row's settle row included."""
-    if isinstance(recipe, tb_bounds._Row):
-        yield recipe
-        if recipe.settle is not None:
-            yield from rows_of(recipe.settle)
-    for row in getattr(recipe, "rows", ()):
-        yield from rows_of(row)
 
 
 def test_a_forged_inequality_is_refused():
@@ -631,6 +710,7 @@ def test_separator_route_dominates_literal_fan_on_every_table(l):
         )
         assert (lattice.subset_sum_transform(gap, l) >= 0).all(), masks
         fam._plans.clear()  # thousands of covers: keep the family small
+        fam._rows.clear()
 
 
 def released(arrays):

@@ -215,7 +215,7 @@ def test_cached_recipes_hold_no_array_and_no_family():
         for part in walk(recipe, set()):
             assert not isinstance(part, (np.ndarray, np.generic, MarginalFamily)), type(recipe)
             assert not callable(part) or isinstance(part, type), type(recipe)
-    assert kinds == {"_Linear", "_Row", "_Best", "_Refusal"}
+    assert kinds == {"_Recipe", "_Refusal"}
     # Released data does not outlive its family through the caches.
     probe = weakref.ref(fams[-1].released[1].table.counts)
     del fams, fam, recipes

@@ -7,7 +7,10 @@ The families are the ``sweep``, ``deep`` and ``audit`` pools of
 integer, real, integer with a total near 2^62 (sums past int64, so
 Python ints), and mostly-zero real families whose released marginals
 disagree within the consistency slack, so that rounding crosses bounds that
-meet. For each family it hashes:
+meet. Last come the three real binary 3-way families of the settle-order
+tests in ``tests/test_kernel.py``, whose marginals disagree by up to about 1
+at totals near 1e9, so that the order in which a lower is settled against
+other bounds shows in the values. For each family it hashes:
 
 - every method spelling's ``bounds_grid`` arrays: values, dtype and
   read-only flag;
@@ -16,6 +19,8 @@ meet. For each family it hashes:
   ``decomposition_bound``, ``fan_lower_bound``, ``best_bounds``,
   ``compare_fan_vs_decomposition``) at every cell, or at a seeded sample of
   24 cells on larger families, with every term's value and type;
+- on the settle-order families, ``compare_fan_vs_decomposition`` at every
+  cell over every ordered three-set cover of the variables;
 - every refusal: its class, message and ``missing``.
 
 It prints the digest and what it covered. On a line of its own it then prints
@@ -183,7 +188,15 @@ def views(fam, cell):
     return out
 
 
-def family_items(fam, rng):
+def three_covers(l):
+    """Every ordered triple of nonempty subsets whose union is L."""
+    full = (1 << l) - 1
+    return [tuple(VarSet(m, l) for m in masks)
+            for masks in itertools.product(range(1, full + 1), repeat=3)
+            if masks[0] | masks[1] | masks[2] == full]
+
+
+def family_items(fam, rng, every_three_cover=False):
     """The hashed items of one family, in a fixed order."""
     cells = list(itertools.product(*(range(c) for c in fam.cardinalities)))
     if len(cells) > CELL_SAMPLE:
@@ -197,6 +210,9 @@ def family_items(fam, rng):
             yield method, outcome(lambda: method_report(fam, method, cell))
         for k, view in enumerate(views(fam, cell)):
             yield k, outcome(view)
+        for cover in three_covers(fam.num_vars) if every_three_cover else ():
+            yield spelled(cover), outcome(
+                lambda: compare_fan_vs_decomposition(fam, Decomposition(cover), cell))
 
 
 def pool_families():
@@ -254,6 +270,28 @@ def random_families():
                     m.table.cardinalities, m.table.counts.ravel() + nudge, kind="real")
                 margs[k] = MarginalTable(m.vars, moved)
             yield kind, MarginalFamily(cards, margs)
+
+
+N = 1e9
+# The released marginals of the settle-order tests' families, by subset.
+SETTLE_FAMILIES = (
+    {"1,2": [[N + 0.5, 0.5], [0.5, 0.0]], "1,3": [[N + 1.4, 0.5], [1.4, 0.0]],
+     "2,3": [[N + 0.5, 0.5], [1.4, 0.0]]},
+    {"1": [N, 0.0], "1,2": [[N + 0.9, 0.0], [0.0, 0.0]],
+     "1,3": [[N + 0.9, 0.0], [0.0, 0.0]], "2,3": [[N, 0.0], [0.0, 0.0]]},
+    {"1": [0.9, N], "1,2": [[0.0, 0.9], [N + 0.9, 0.0]],
+     "1,3": [[0.9, 0.0], [N + 0.9, 0.0]], "2,3": [[N, 0.0], [0.9, 0.0]]},
+)
+
+
+def settle_families():
+    for arrays in SETTLE_FAMILIES:
+        margs = []
+        for text, counts in arrays.items():
+            counts = np.array(counts)
+            table = ContingencyTable.from_flat(counts.shape, counts.ravel(), kind="real")
+            margs.append(MarginalTable(VarSet.parse(text, 3), table))
+        yield "settle", MarginalFamily((2, 2, 2), margs)
 
 
 # The largest magnitudes whose sums (products) int32 and int64 hold, and
@@ -331,10 +369,11 @@ def pair_digest() -> str:
 def main() -> None:
     digest, families, items = hashlib.sha256(), 0, 0
     rng = np.random.default_rng([SEED, 0])
-    for source, fam in itertools.chain(pool_families(), random_families()):
+    every = itertools.chain(pool_families(), random_families(), settle_families())
+    for source, fam in every:
         families += 1
         digest.update(repr((source, typed(fam.cardinalities), typed(fam.subsets()))).encode())
-        for item in family_items(fam, rng):
+        for item in family_items(fam, rng, every_three_cover=source == "settle"):
             items += 1
             digest.update(repr(item).encode())
     print(f"sha256 {digest.hexdigest()} over {families} families and {items} items")
