@@ -839,19 +839,21 @@ def _fan_plan(l: int, released, masks: tuple[int, ...], p: int) -> _Recipe:
 @dataclass(frozen=True)
 class FanDecompositionComparison:
     """Side-by-side lowers for a 3-set cover: separator route vs Fan route.
-    ``dominance_holds`` compares them as reported, so in a real family it
-    can read False by the marginals' disagreement alone."""
+    ``dominance_holds`` is the comparison's verdict: the separator lower plus
+    ``_slack``, what the marginals' disagreement can carry
+    (``_dominance_slack``, 0 in an integer family), is at least the Fan's."""
 
     cell: CellIndex
     decomposition: BoundReport
     fan: Optional[BoundReport]
     fan_missing: tuple[VarSet, ...] = ()
+    _slack: float = 0
 
     @property
     def dominance_holds(self) -> Optional[bool]:
         if self.fan is None:
             return None
-        return self.decomposition.lower >= self.fan.lower
+        return self.decomposition.lower + self._slack >= self.fan.lower
 
 
 def compare_fan_vs_decomposition(
@@ -889,12 +891,13 @@ def compare_fan_vs_decomposition(
         fan = _literal_fan_plan(fam, masks).report(cell)
     except MissingMarginalError as gap:
         return FanDecompositionComparison(cell, dec, fan=None, fan_missing=gap.missing)
-    if dec.lower + _dominance_slack(fam, s2, s3) < fan.lower:
+    comparison = FanDecompositionComparison(cell, dec, fan, _slack=_dominance_slack(fam, s2, s3))
+    if not comparison.dominance_holds:
         raise RangeError(
             f"separator bound {dec.lower} fell below the literal fan bound "
             f"{fan.lower} at cell {cell}; this falsifies the implementation"
         )
-    return FanDecompositionComparison(cell=cell, decomposition=dec, fan=fan)
+    return comparison
 
 
 def _dominance_slack(fam: MarginalFamily, s2: VarSet, s3: VarSet):

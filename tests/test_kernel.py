@@ -811,7 +811,7 @@ def test_comparison_reports_a_gap_the_marginals_disagreement_carries():
     cmpr = compare_fan_vs_decomposition(fam, cover, (1, 0, 0))
     slack = lattice.real_slack(fam.total)
     assert 0 < cmpr.fan.lower - cmpr.decomposition.lower <= slack
-    assert cmpr.dominance_holds is False
+    assert cmpr.dominance_holds is True
     s2, s3 = cover.separators
     # Three reads off n({2,3})'s source, one settle and one rounding.
     assert tb_bounds._dominance_slack(fam, s2, s3) == pytest.approx(5 * slack)
