@@ -447,10 +447,8 @@ class _Recipe(NamedTuple):
             self._evaluate_rows(fam, rows)
         if self.layout == "one":
             den, (lower, upper, exact, inequality) = self.rows[0][1], rows[0]
-            terms = {} if den == 0 else {
-                "inequality": inequality, "denominator": den or 1, "lower_exact": exact
-            }
-            terms.update(self.static)
+            terms = {"inequality": inequality, "denominator": den or 1, "lower_exact": exact}
+            terms = {**({} if den == 0 else terms), **dict(self.static)}
             return _Plan(self.formula, self.subsets, lower, upper, terms)
         if self.layout == "named":
             upper = _min([row[1] for row in rows])
@@ -477,37 +475,35 @@ class _Recipe(NamedTuple):
     def _evaluate_rows(self, fam: MarginalFamily, rows: list) -> None:
         """Fill in the rows missing from ``rows``, and the memo: (lower,
         upper, lower_exact, inequality), read-only. The one place a lower is
-        summed: the grids are stacked once and the rows summed together a
-        term position at a time, positive and negative terms each in the
-        row's order, so a real row's float sum is its term list's, not a
-        matrix product's. A row is int64 while its width times the total
-        fits, Python ints beyond; a real row past float64 is refused. Each
-        lower is divided, clamped and settled against its settle row's lower,
-        then its own upper."""
+        summed: the grids stacked once, the rows summed together a term
+        position at a time, positive and negative terms each in the row's
+        order (so not a matrix product's float sum), int64 while a row's
+        width times the total fits, Python ints beyond; a real row past
+        float64 is refused. Each lower is divided, clamped and settled
+        against its settle row's lower, then its own upper."""
         total, integer = fam.total, fam.kind == INTEGER
         grids = [_grid(fam, read) for _, read in self.columns]
         missing = [r for r, row in enumerate(rows) if row is None]
-        summed = {r: k for k, r in enumerate(r for r in missing if self.rows[r][1] != 0)}
+        summed = [r for r in missing if self.rows[r][1] != 0]
         for reach, _ in [] if integer else [self.sizes[r] for r in summed]:
             if reach * total > FLOAT64_MAX:
                 raise CountRangeError(f"bound terms reach {reach} times the total {total}, "
                                       f"beyond the float64 limit {FLOAT64_MAX}")
         wide = [integer and self.sizes[r][1] * total > INT64_MAX for r in summed]
         if summed:
-            block = np.array(grids + [np.zeros(fam.cardinalities, grids[0].dtype)])
+            used, steps, dens = _positions(tuple(self.rows[r][:2] for r in summed), fam.num_vars)
+            zeros = np.zeros(fam.cardinalities, grids[0].dtype)
+            block = np.array([grids[c] for c in used] + [zeros])
             if any(wide):
                 block = _frozen(block.astype(object))
-            steps = _positions(tuple(self.rows[r][0] for r in summed), len(grids), fam.num_vars)
             sides = np.zeros((2 * len(summed),) + fam.cardinalities, block.dtype)
             for cols, coefs in steps:  # each side from zero, a term position at a time
                 part = block.take(cols, axis=0)
                 if coefs is not None:
                     part *= coefs
                 sides += part
-            num = _frozen(sides[: len(summed)] - sides[len(summed):])
-            dens, exact = [self.rows[r][1] or 1 for r in summed], num
-            if max(dens) > 1:
-                dens = np.array(dens).reshape((-1,) + (1,) * fam.num_vars)
+            num = exact = _frozen(sides[: len(summed)] - sides[len(summed):])
+            if dens is not None:
                 exact = _frozen(-(-num // dens) if integer else num / dens)
             lowers = _frozen(np.maximum(exact, 0) if integer else np.where(exact <= 0, 0, exact))
         for r in reversed(missing):  # a settle row comes after the rows settled against it
@@ -516,14 +512,14 @@ class _Recipe(NamedTuple):
             if r not in summed:  # no cell bound
                 lower, lower_exact, inequality = np.zeros_like(upper), None, []
             else:
-                k = summed[r]
+                k = summed.index(r)
                 n, lower = num[k], lowers[k]
                 if block.dtype == object and not wide[k]:  # this row fits int64
                     n, lower = _frozen(n.astype(np.int64)), _frozen(lower.astype(np.int64))
                 lower_exact = n if integer else exact[k]
                 if integer and den is not None:  # the rational num / den at a cell
                     lower_exact = lambda cell, n=n, d=den: Fraction(n.item(cell), d)  # noqa: E731
-                source = block if wide[k] else grids
+                source = dict(zip(used, block)) if wide[k] else grids
                 inequality = [
                     {"subset": self.columns[col][0], "coefficient": c,
                      "value": total if self.columns[col][1] is None else source[col]}
@@ -536,20 +532,25 @@ class _Recipe(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1024)
-def _positions(terms: tuple, zero: int, ndim: int) -> tuple:
-    """Per term position of the rows' ``terms``, each row in two sides (its
-    positive terms, then its negated negative ones), read-only arrays of the
-    columns the sides add (``zero``, of zeros, past a side's last term) and of
-    their coefficients shaped for ``ndim``-axis grids, None if all are 1."""
-    sides = [[(col, c) for col, c in row if c > 0] for row in terms]
-    sides += [[(col, -c) for col, c in row if c < 0] for row in terms]
+def _positions(rows: tuple, ndim: int) -> tuple:
+    """How rows of these (terms, den) are summed over ``ndim``-axis grids:
+    the columns used, to be stacked with a column of zeros after them; per
+    term position, over each row's positive terms, then its negated negative
+    ones, the stacked column each adds (zeros past its last term) and their
+    coefficients (None if all 1); the denominators (None if all 1)."""
+    used = sorted({col for terms, _ in rows for col, _ in terms})
+    at = {col: k for k, col in enumerate(used)}
+    sides = [[(at[col], c) for col, c in terms if c > 0] for terms, _ in rows]
+    sides += [[(at[col], -c) for col, c in terms if c < 0] for terms, _ in rows]
     steps = []
     for j in range(max(map(len, sides))):
-        cols = [side[j][0] if j < len(side) else zero for side in sides]
+        cols = [side[j][0] if j < len(side) else len(used) for side in sides]
         coefs = [side[j][1] if j < len(side) else 1 for side in sides]
         coefs = None if coefs == [1] * len(coefs) else np.reshape(coefs, (-1,) + (1,) * ndim)
         steps.append((_frozen(np.array(cols)), coefs if coefs is None else _frozen(coefs)))
-    return tuple(steps)
+    dens = [den or 1 for _, den in rows]
+    dens = None if dens == [1] * len(dens) else _frozen(np.reshape(dens, (-1,) + (1,) * ndim))
+    return tuple(used), tuple(steps), dens
 
 
 def _min(grids):
@@ -926,10 +927,9 @@ def _dominance_slack(fam: MarginalFamily, s2: VarSet, s3: VarSet):
 
 @_planned
 def _literal_fan_plan(l: int, released, masks: tuple[int, ...]) -> _Recipe:
-    """The Fan side of the comparison from the masks of the three cover
-    sets and of their separators' join and meet, the cover's margins less
-    those two; its lower is settled against its second row's, the separator
-    route's."""
+    """The Fan side of the comparison, the three cover sets' margins less
+    their separators' join and meet (``masks``, in that order); its lower is
+    settled against its second row's, the separator route's."""
     cover, formula = masks[:3], "fan-literal:d=3"
     separator = _cover_row(l, cover, formula)
     terms = [(m, 1) for m in cover] + [(masks[3], -1), (masks[4], -1)]
