@@ -27,9 +27,9 @@ named; ``simple`` and ``3way:one-dim`` are ``ddim:1`` renamed. The recipe
 depends only on which marginals were released, holds no array and no
 count, and families of one structure share it (``_planned``). The first
 call for a family evaluates the plan for every cell at once and caches it
-as read-only arrays (``bounds_grid`` returns its lower and upper): the
-column grids are stacked once and every row not yet in the family's memo
-summed in one pass over term positions, so plans share rows. The per-cell
+as read-only arrays (``bounds_grid`` returns its lower and upper): each
+row not yet in the family's memo is summed term by term over the family's
+grids, in the row's order, and kept there, so plans share rows. The per-cell
 functions are views: they validate the cell, read the two bounds, and read
 each term at the cell when it is looked up. A plan holds O(cells x rows)
 values, which suits desk-scale tables (a binary 10-way table has 1,024
@@ -391,7 +391,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _dsubsets(l: int, d: int) -> tuple[VarSet, ...]:
     """All C(l, d) subsets of size d, in lexicographic order."""
-    return tuple(VarSet.from_vars(c, l) for c in itertools.combinations(range(1, l + 1), d))
+    return tuple(
+        VarSet.from_vars(c, l) for c in itertools.combinations(range(1, l + 1), d)
+    )
 
 
 def _rows(l: int, released, formula, subsets, rows, layout="one", upper=(), static=()):
@@ -399,26 +401,30 @@ def _rows(l: int, released, formula, subsets, rows, layout="one", upper=(), stat
     masks: (mask, coefficient) terms in order, zero ones dropped, each
     derivable (else it refuses), n(∅) the total; den None (no division), 0
     (no cell bound: lower 0) or the denominator; the masks whose least margin
-    (else the total) is its upper; the later row its lower is first settled
+    (else the total) is its upper; the earlier row its lower is first settled
     against, or None. ``upper``: ``best``'s (name, mask or None) uppers."""
     columns: dict = {}  # read, None for the total -> column, in order of first use
+
+    def column(read) -> int:
+        return columns.setdefault(read, len(columns))
+
     built, keys, sizes = [], [], []
     for terms, den, name, up, settle in rows:
         terms = tuple((m, c) for m, c in terms if c)
         _require(l, released, [m for m, _ in terms])
-        keys.append((terms, den, tuple(up)))
-        plus, minus = sum(c for _, c in terms if c > 0), sum(-c for _, c in terms if c < 0)
+        keys.append((terms, den, tuple(up), None if settle is None else keys[settle]))
+        plus = sum(c for _, c in terms if c > 0)
+        minus = sum(-c for _, c in terms if c < 0)
         sizes.append((plus + minus, max(plus, minus)))
+        terms = tuple((column(_read(l, released, m) if m else None), c) for m, c in terms)
         reads = [read for read in (_read(l, released, m) for m in up) if read is not None]
-        reads = [_read(l, released, m) if m else None for m, _ in terms] + (reads or [None])
-        cols = [columns.setdefault(read, len(columns)) for read in reads]
-        terms = tuple(zip(cols, (c for _, c in terms)))
-        built.append((terms, den, name, tuple(cols[len(terms):]), settle))
-    keys = tuple((*key, None if row[4] is None else keys[row[4]]) for key, row in zip(keys, built))
-    reads = [(name, m if m is None else _read(l, released, m)) for name, m in upper]
-    upper = tuple((name, columns.setdefault(read, len(columns))) for name, read in reads)
+        up = tuple(column(read) for read in reads) if reads else (column(None),)
+        built.append((terms, den, name, up, settle))
+    upper = tuple(
+        (name, column(None if m is None else _read(l, released, m))) for name, m in upper
+    )
     columns = tuple((str(VarSet(read[0].mask if read else 0, l)), read) for read in columns)
-    built, sizes = tuple(built), tuple(sizes)
+    built, keys, sizes = tuple(built), tuple(keys), tuple(sizes)
     return _Recipe(formula, subsets, layout, columns, built, keys, sizes, upper, static)
 
 
@@ -427,7 +433,7 @@ class _Recipe(NamedTuple):
     ``columns``, (subset text, read), None for the total. Per row, ``keys``
     (by mask) keys its evaluation in the family's memo, and ``sizes`` holds
     its sum of |c| and its width, the greater of its positive and negative
-    sums. ``layout``: ``one`` reports the first row with ``static`` terms,
+    sums. ``layout``: ``one`` reports the last row with ``static`` terms,
     ``named`` the greatest lower settled against the least upper and each
     exact lower by name, ``best`` the rows and ``upper`` as candidates."""
 
@@ -442,11 +448,14 @@ class _Recipe(NamedTuple):
     static: tuple
 
     def evaluate(self, fam: MarginalFamily) -> "_Plan":
-        rows = [fam._rows.get(key) for key in self.keys]
-        if None in rows:
-            self._evaluate_rows(fam, rows)
+        rows = []  # each (lower, upper, lower_exact, inequality), shared through fam._rows
+        for r, key in enumerate(self.keys):
+            row = fam._rows.get(key)
+            if row is None:
+                row = fam._rows[key] = self._row(fam, r, rows)
+            rows.append(row)
         if self.layout == "one":
-            den, (lower, upper, exact, inequality) = self.rows[0][1], rows[0]
+            den, (lower, upper, exact, inequality) = self.rows[-1][1], rows[-1]
             terms = {"inequality": inequality, "denominator": den or 1, "lower_exact": exact}
             terms = {**({} if den == 0 else terms), **dict(self.static)}
             return _Plan(self.formula, self.subsets, lower, upper, terms)
@@ -472,85 +481,58 @@ class _Recipe(NamedTuple):
         }
         return _Plan(self.formula, self.subsets, _max(lowers.values()), upper, terms)
 
-    def _evaluate_rows(self, fam: MarginalFamily, rows: list) -> None:
-        """Fill in the rows missing from ``rows``, and the memo: (lower,
-        upper, lower_exact, inequality), read-only. The one place a lower is
-        summed: the grids stacked once, the rows summed together a term
-        position at a time, positive and negative terms each in the row's
-        order (so not a matrix product's float sum), int64 while a row's
-        width times the total fits, Python ints beyond; a real row past
-        float64 is refused. Each lower is divided, clamped and settled
-        against its settle row's lower, then its own upper."""
+    def _row(self, fam: MarginalFamily, r: int, rows: list) -> tuple:
+        """Row ``r`` at every cell, read-only: (lower, upper, lower_exact,
+        inequality). Its lower is settled against its settle row's lower (in
+        ``rows``, the rows before it), then against its own upper."""
+        _, den, _, up, settle = self.rows[r]
+        upper = _frozen(_min([_grid(fam, self.columns[c][1]) for c in up]))  # n is decreasing
+        if den == 0:  # no cell bound
+            return _frozen(np.zeros_like(upper)), upper, None, []
+        lower, exact, inequality = self._sum(fam, r)
+        if settle is not None:
+            lower = _settle(fam, lower, rows[settle][0])
+        return _frozen(_settle(fam, lower, upper)), upper, exact, inequality
+
+    def _sum(self, fam: MarginalFamily, r: int) -> tuple:
+        """(lower, lower_exact, inequality) of row ``r``: the one place a
+        lower is summed, the positive terms less the sum of the negative
+        ones, each in the row's order (so not a matrix product's float sum),
+        divided and clamped at zero. Every margin is at most the total, so
+        each sum stays within its coefficients' sum times the total, and so
+        does their difference: grids stay int64 while the row's width times
+        the total fits, Python ints beyond. A real row whose sum of |c| times
+        the total passes float64 is refused. In an integer family the lower
+        is the exact ceiling, and lower_exact the rational num / den."""
+        terms, den = self.rows[r][:2]
+        reach, width = self.sizes[r]
         total, integer = fam.total, fam.kind == INTEGER
-        grids = [_grid(fam, read) for _, read in self.columns]
-        missing = [r for r, row in enumerate(rows) if row is None]
-        summed = [r for r in missing if self.rows[r][1] != 0]
-        for reach, _ in [] if integer else [self.sizes[r] for r in summed]:
-            if reach * total > FLOAT64_MAX:
-                raise CountRangeError(f"bound terms reach {reach} times the total {total}, "
-                                      f"beyond the float64 limit {FLOAT64_MAX}")
-        wide = [integer and self.sizes[r][1] * total > INT64_MAX for r in summed]
-        if summed:
-            used, steps, dens = _positions(tuple(self.rows[r][:2] for r in summed), fam.num_vars)
-            zeros = np.zeros(fam.cardinalities, grids[0].dtype)
-            block = np.array([grids[c] for c in used] + [zeros])
-            if any(wide):
-                block = _frozen(block.astype(object))
-            sides = np.zeros((2 * len(summed),) + fam.cardinalities, block.dtype)
-            for cols, coefs in steps:  # each side from zero, a term position at a time
-                part = block.take(cols, axis=0)
-                if coefs is not None:
-                    part *= coefs
-                sides += part
-            num = exact = _frozen(sides[: len(summed)] - sides[len(summed):])
-            if dens is not None:
-                exact = _frozen(-(-num // dens) if integer else num / dens)
-            lowers = _frozen(np.maximum(exact, 0) if integer else np.where(exact <= 0, 0, exact))
-        for r in reversed(missing):  # a settle row comes after the rows settled against it
-            terms, den, _, up, settle = self.rows[r]
-            upper = _frozen(_min([grids[c] for c in up]))  # n is decreasing
-            if r not in summed:  # no cell bound
-                lower, lower_exact, inequality = np.zeros_like(upper), None, []
+        if not integer and reach * total > FLOAT64_MAX:
+            raise CountRangeError(
+                f"bound terms reach {reach} times the total {total}, "
+                f"beyond the float64 limit {FLOAT64_MAX}"
+            )
+        wide = integer and width * total > INT64_MAX
+        pos, neg, inequality = 0, 0, []
+        for col, c in terms:
+            text, read = self.columns[col]
+            if read is None:
+                v = total
             else:
-                k = summed.index(r)
-                n, lower = num[k], lowers[k]
-                if block.dtype == object and not wide[k]:  # this row fits int64
-                    n, lower = _frozen(n.astype(np.int64)), _frozen(lower.astype(np.int64))
-                lower_exact = n if integer else exact[k]
-                if integer and den is not None:  # the rational num / den at a cell
-                    lower_exact = lambda cell, n=n, d=den: Fraction(n.item(cell), d)  # noqa: E731
-                source = dict(zip(used, block)) if wide[k] else grids
-                inequality = [
-                    {"subset": self.columns[col][0], "coefficient": c,
-                     "value": total if self.columns[col][1] is None else source[col]}
-                    for col, c in terms
-                ]
-            if settle is not None:
-                lower = _settle(fam, lower, rows[settle][0])
-            lower = _frozen(_settle(fam, lower, upper))
-            rows[r] = fam._rows[self.keys[r]] = (lower, upper, lower_exact, inequality)
-
-
-@functools.lru_cache(maxsize=1024)
-def _positions(rows: tuple, ndim: int) -> tuple:
-    """How rows of these (terms, den) are summed over ``ndim``-axis grids:
-    the columns used, to be stacked with a column of zeros after them; per
-    term position, over each row's positive terms, then its negated negative
-    ones, the stacked column each adds (zeros past its last term) and their
-    coefficients (None if all 1); the denominators (None if all 1)."""
-    used = sorted({col for terms, _ in rows for col, _ in terms})
-    at = {col: k for k, col in enumerate(used)}
-    sides = [[(at[col], c) for col, c in terms if c > 0] for terms, _ in rows]
-    sides += [[(at[col], -c) for col, c in terms if c < 0] for terms, _ in rows]
-    steps = []
-    for j in range(max(map(len, sides))):
-        cols = [side[j][0] if j < len(side) else len(used) for side in sides]
-        coefs = [side[j][1] if j < len(side) else 1 for side in sides]
-        coefs = None if coefs == [1] * len(coefs) else np.reshape(coefs, (-1,) + (1,) * ndim)
-        steps.append((_frozen(np.array(cols)), coefs if coefs is None else _frozen(coefs)))
-    dens = [den or 1 for _, den in rows]
-    dens = None if dens == [1] * len(dens) else _frozen(np.reshape(dens, (-1,) + (1,) * ndim))
-    return tuple(used), tuple(steps), dens
+                v = _grid(fam, read)
+                if wide:
+                    v = _frozen(v.astype(object))
+            if c > 0:
+                pos += v if c == 1 else c * v
+            else:
+                neg += v if c == -1 else -c * v
+            inequality.append({"subset": text, "coefficient": c, "value": v})
+        num = _frozen(pos - neg)
+        if den is not None and integer:
+            exact = lambda cell: Fraction(num.item(cell), den)  # noqa: E731
+            return np.maximum(-(-num // den), 0), exact, inequality
+        exact = num if den is None else _frozen(num / den)
+        return np.where(exact <= 0, 0, exact), exact, inequality
 
 
 def _min(grids):
@@ -842,13 +824,14 @@ class FanDecompositionComparison:
     """Side-by-side lowers for a 3-set cover: separator route vs Fan route.
     ``dominance_holds`` is the comparison's verdict: the separator lower plus
     ``_slack``, what the marginals' disagreement can carry
-    (``_dominance_slack``, 0 in an integer family), is at least the Fan's."""
+    (``_dominance_slack``, 0 in an integer family), is at least the Fan's.
+    ``_slack`` is private: only ``compare_fan_vs_decomposition`` sets it."""
 
     cell: CellIndex
     decomposition: BoundReport
     fan: Optional[BoundReport]
     fan_missing: tuple[VarSet, ...] = ()
-    _slack: float = 0
+    _slack: float = field(default=0, repr=False)
 
     @property
     def dominance_holds(self) -> Optional[bool]:
@@ -929,11 +912,11 @@ def _dominance_slack(fam: MarginalFamily, s2: VarSet, s3: VarSet):
 def _literal_fan_plan(l: int, released, masks: tuple[int, ...]) -> _Recipe:
     """The Fan side of the comparison, the three cover sets' margins less
     their separators' join and meet (``masks``, in that order); its lower is
-    settled against its second row's, the separator route's."""
+    settled against its first row's, the separator route's."""
     cover, formula = masks[:3], "fan-literal:d=3"
     separator = _cover_row(l, cover, formula)
     terms = [(m, 1) for m in cover] + [(masks[3], -1), (masks[4], -1)]
-    rows = [(terms, None, formula, cover, 1), separator]
+    rows = [separator, (terms, None, formula, cover, 0)]
     return _rows(l, released, formula, tuple(VarSet(m, l) for m in cover), rows)
 
 
