@@ -75,7 +75,7 @@ from .table import (
     lift_marginal,
     marginalize,
 )
-from .varset import VarSet, _index, check_num_vars
+from .varset import VarSet, _index, _members, check_num_vars
 
 # The bound kernels and the oracle build arrays over a family's whole cell
 # grid, so a family past this many cells is refused before they run.
@@ -123,8 +123,7 @@ class MarginalFamily:
         self.kind = kinds.pop()
         self._masks = tuple(sorted(self.released))  # the structure recipes are keyed by
         self._subsets = tuple(self.released[m].vars for m in self._masks)
-        self._cache: dict[int, MarginalTable] = dict(self.released)
-        self._grids: dict[Optional[int], np.ndarray] = {}  # by mask, None for the total
+        self._grids: dict[int, np.ndarray] = {}  # n(a) over the whole grid, by mask
         self._plans: dict[tuple, object] = {}  # bound plans, on first use
         self._rows: dict[tuple, tuple] = {}  # their evaluated rows, shared
         self._validate_consistency()
@@ -183,32 +182,25 @@ class MarginalFamily:
         return _read(self.num_vars, self._masks, a.mask) is not None
 
     def marginal(self, a: VarSet) -> MarginalTable:
-        """n(a), released directly or derived from the smallest released superset."""
+        """n(a), released directly or derived from the smallest released
+        superset, summed anew on each call."""
         check_num_vars(a.num_vars, self.num_vars)
-        if a.mask in self._cache:
-            return self._cache[a.mask]
+        if a.mask in self.released:
+            return self.released[a.mask]
         src = self._source(a.mask)
         if src is None:
             raise MissingMarginalError([a])
         counts, labels = _sum_down(src, a.mask), src.table.labels
         if labels is not None:
             labels = tuple(labels[i] for i, j in enumerate(src.vars.axes) if a.mask >> j & 1)
-        table = _trusted_table(counts.shape, counts, labels, src.table.kind)
-        result = self._cache[a.mask] = MarginalTable(a, table)
-        return result
+        return MarginalTable(a, _trusted_table(counts.shape, counts, labels, src.table.kind))
 
     def grid(self, a: VarSet) -> np.ndarray:
         """n(a) at every cell of the full grid, read-only: the marginal
         reshaped with a singleton axis for each variable outside ``a`` and
         broadcast. Cached per subset."""
-        g = self._grids.get(a.mask)
-        if g is None or a.num_vars != self.num_vars:
-            check_num_vars(a.num_vars, self.num_vars)
-            read = _read(self.num_vars, self._masks, a.mask)
-            if read is None:
-                raise MissingMarginalError([a])
-            g = _grid(self, read)
-        return g
+        self.require([a])
+        return _grid(self, a.mask)
 
     def value(self, a: VarSet, cell: CellIndex):
         """The marginal count n(a) at the projection of a full cell index."""
@@ -351,22 +343,18 @@ def _read(num_vars: int, released: tuple[int, ...], mask: int) -> Optional[tuple
     return VarSet(mask, num_vars), source, _summed_out(source, mask)
 
 
-def _grid(fam: MarginalFamily, read: Optional[tuple]) -> np.ndarray:
-    """``fam.grid(a)`` from its read (``_read``): the released counts, or
-    their sum over the axes ``drop``, broadcast and cached read-only; the
-    total for the read None."""
-    mask = read and read[0].mask
+def _grid(fam: MarginalFamily, mask: int) -> np.ndarray:
+    """n(mask) at every cell, ``mask`` derivable (0 the total), as ``_read``
+    reads it: the released counts, or their sum over the axes ``drop``,
+    broadcast and cached read-only in ``fam._grids``."""
     g = fam._grids.get(mask)
     if g is None:
-        if read is None:
-            g = np.full(fam.cardinalities, fam.total)
-        else:
-            a, source, drop = read
-            counts = fam.released[source].table.counts
-            if drop:
-                counts = np.asarray(counts.sum(axis=drop))
-            g = np.empty(fam.cardinalities, counts.dtype)
-            g[...] = lift_marginal(counts, a, fam.cardinalities)
+        a, source, drop = _read(fam.num_vars, fam._masks, mask)
+        counts = fam.released[source].table.counts
+        if drop:
+            counts = np.asarray(counts.sum(axis=drop))
+        g = np.empty(fam.cardinalities, counts.dtype)
+        g[...] = lift_marginal(counts, a, fam.cardinalities)
         fam._grids[mask] = _frozen(g)
     return g
 
@@ -398,16 +386,12 @@ def _dsubsets(l: int, d: int) -> tuple[VarSet, ...]:
 
 def _rows(l: int, released, formula, subsets, rows, layout="one", upper=(), static=()):
     """The recipe over ``rows``, each (terms, den, name, upper, settle) by
-    masks: (mask, coefficient) terms in order, zero ones dropped, each
-    derivable (else it refuses), n(∅) the total; den None (no division), 0
-    (no cell bound: lower 0) or the denominator; the masks whose least margin
-    (else the total) is its upper; the earlier row its lower is first settled
-    against, or None. ``upper``: ``best``'s (name, mask or None) uppers."""
-    columns: dict = {}  # read, None for the total -> column, in order of first use
-
-    def column(read) -> int:
-        return columns.setdefault(read, len(columns))
-
+    masks, 0 the total: (mask, coefficient) terms in order, zero ones
+    dropped, each derivable (else it refuses); den None (no division), 0 (no
+    cell bound: lower 0) or the denominator; the masks whose least margin is
+    its upper, those not derivable dropped (none left: the total); the
+    earlier row its lower is first settled against, or None. ``upper``:
+    ``best``'s (name, mask) uppers."""
     built, keys, sizes = [], [], []
     for terms, den, name, up, settle in rows:
         terms = tuple((m, c) for m, c in terms if c)
@@ -416,31 +400,23 @@ def _rows(l: int, released, formula, subsets, rows, layout="one", upper=(), stat
         plus = sum(c for _, c in terms if c > 0)
         minus = sum(-c for _, c in terms if c < 0)
         sizes.append((plus + minus, max(plus, minus)))
-        terms = tuple((column(_read(l, released, m) if m else None), c) for m, c in terms)
-        reads = [read for read in (_read(l, released, m) for m in up) if read is not None]
-        up = tuple(column(read) for read in reads) if reads else (column(None),)
+        up = tuple(m for m in up if _read(l, released, m) is not None) or (0,)
         built.append((terms, den, name, up, settle))
-    upper = tuple(
-        (name, column(None if m is None else _read(l, released, m))) for name, m in upper
-    )
-    columns = tuple((str(VarSet(read[0].mask if read else 0, l)), read) for read in columns)
     built, keys, sizes = tuple(built), tuple(keys), tuple(sizes)
-    return _Recipe(formula, subsets, layout, columns, built, keys, sizes, upper, static)
+    return _Recipe(formula, subsets, layout, built, keys, sizes, tuple(upper), static)
 
 
 class _Recipe(NamedTuple):
-    """A plan's recipe in Python ints: ``rows`` (``_rows``) by column of
-    ``columns``, (subset text, read), None for the total. Per row, ``keys``
-    (by mask) keys its evaluation in the family's memo, and ``sizes`` holds
-    its sum of |c| and its width, the greater of its positive and negative
-    sums. ``layout``: ``one`` reports the last row with ``static`` terms,
-    ``named`` the greatest lower settled against the least upper and each
-    exact lower by name, ``best`` the rows and ``upper`` as candidates."""
+    """A plan's recipe in Python ints: ``rows`` (``_rows``) by mask. Per
+    row, ``keys`` keys its evaluation in the family's memo, and ``sizes``
+    holds its sum of |c| and its width, the greater of its positive and
+    negative sums. ``layout``: ``one`` reports the last row with ``static``
+    terms, ``named`` the greatest lower settled against the least upper and
+    each exact lower by name, ``best`` the rows and ``upper`` as candidates."""
 
     formula: str
     subsets: tuple[VarSet, ...]
     layout: str
-    columns: tuple
     rows: tuple
     keys: tuple
     sizes: tuple
@@ -460,17 +436,17 @@ class _Recipe(NamedTuple):
             terms = {**({} if den == 0 else terms), **dict(self.static)}
             return _Plan(self.formula, self.subsets, lower, upper, terms)
         if self.layout == "named":
-            upper = _min([row[1] for row in rows])
-            lower = _settle(fam, _max([row[0] for row in rows]), upper)
+            upper = _frozen(_min([row[1] for row in rows]))
+            lower = _frozen(_settle(fam, _max([row[0] for row in rows]), upper))
             terms = {row[2]: got[2] for row, got in zip(self.rows, rows)}
             return _Plan(self.formula, self.subsets, lower, upper, terms)
         # best. Candidates by name; on a tie the first in dict order wins.
-        uppers = {name: _grid(fam, self.columns[c][1]) for name, c in self.upper}
+        uppers = {name: _grid(fam, m) for name, m in self.upper}
         lowers = {"zero": _frozen(np.zeros_like(uppers["total"]))}
         lowers.update((row[2], got[0]) for row, got in zip(self.rows, rows))
         if "exact" in uppers:
             lowers["exact"] = uppers["exact"]
-        upper = _min(uppers.values())
+        upper = _frozen(_min(uppers.values()))
         # Settled one by one, so the winning candidate reads as the lower.
         lowers = {name: _settle(fam, v, upper) for name, v in lowers.items()}
         terms = {
@@ -479,14 +455,15 @@ class _Recipe(NamedTuple):
             "lower_from": lambda cell: max(lowers, key=lambda name: lowers[name].item(cell)),
             "upper_from": lambda cell: min(uppers, key=lambda name: uppers[name].item(cell)),
         }
-        return _Plan(self.formula, self.subsets, _max(lowers.values()), upper, terms)
+        lower = _frozen(_max(lowers.values()))
+        return _Plan(self.formula, self.subsets, lower, upper, terms)
 
     def _row(self, fam: MarginalFamily, r: int, rows: list) -> tuple:
         """Row ``r`` at every cell, read-only: (lower, upper, lower_exact,
         inequality). Its lower is settled against its settle row's lower (in
         ``rows``, the rows before it), then against its own upper."""
         _, den, _, up, settle = self.rows[r]
-        upper = _frozen(_min([_grid(fam, self.columns[c][1]) for c in up]))  # n is decreasing
+        upper = _frozen(_min([_grid(fam, m) for m in up]))  # n is decreasing
         if den == 0:  # no cell bound
             return _frozen(np.zeros_like(upper)), upper, None, []
         lower, exact, inequality = self._sum(fam, r)
@@ -514,18 +491,18 @@ class _Recipe(NamedTuple):
             )
         wide = integer and width * total > INT64_MAX
         pos, neg, inequality = 0, 0, []
-        for col, c in terms:
-            text, read = self.columns[col]
-            if read is None:
+        for m, c in terms:
+            if m == 0:
                 v = total
             else:
-                v = _grid(fam, read)
+                v = _grid(fam, m)
                 if wide:
                     v = _frozen(v.astype(object))
             if c > 0:
                 pos += v if c == 1 else c * v
             else:
                 neg += v if c == -1 else -c * v
+            text = _members(m, fam.num_vars)[2]
             inequality.append({"subset": text, "coefficient": c, "value": v})
         num = _frozen(pos - neg)
         if den is not None and integer:
@@ -557,22 +534,16 @@ def _at(terms, cell: CellIndex):
     return terms
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """One bound family evaluated for every cell at once, with its terms as
-    whole-grid arrays; ``report`` is the per-cell view. Its lower and upper
-    are made read-only here; every other array in its terms is a family
-    grid, or was made read-only where the evaluation made it."""
+    whole-grid arrays; ``report`` is the per-cell view. Every array it holds
+    is a family grid, or was made read-only where the evaluation made it."""
 
     formula: str
     subsets: tuple[VarSet, ...]
     lower: np.ndarray
     upper: np.ndarray
     terms: dict
-
-    def __post_init__(self) -> None:
-        self.lower.setflags(write=False)
-        self.upper.setflags(write=False)
 
     def report(self, cell: CellIndex) -> BoundReport:
         lower, upper = self.lower.item(cell), self.upper.item(cell)
@@ -946,7 +917,7 @@ def _best_plan(l: int, released) -> _Recipe:
     for a, b in itertools.combinations(subsets, 2):
         if a.mask | b.mask == full:
             rows.append(_cover_row(l, (a.mask, b.mask), f"pair:{a}|{b}"))
-    upper = [(f"n({a})", a.mask) for a in subsets] + [("total", None)]
+    upper = [(f"n({a})", a.mask) for a in subsets] + [("total", 0)]
     if _read(l, released, full) is not None:
         upper.append(("exact", full))
     return _rows(l, released, "best", subsets, rows, "best", upper)

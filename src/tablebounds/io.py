@@ -262,6 +262,7 @@ def marginal_to_doc(marg: MarginalTable) -> dict:
         return {"schema": SCHEMA_VERSION, "vars": [], "total": marg.table.total}
     doc = {
         "schema": SCHEMA_VERSION,
+        "kind": marg.table.kind,
         "vars": list(marg.vars),
         "cardinalities": list(marg.table.cardinalities),
         "counts": [v.item() for v in marg.table.flat],

@@ -706,6 +706,12 @@ class TestSharedKernels:
         for d, grid in grids.items():
             assert lowers[f"ddim:{d}"] is grid
 
+    def test_a_family_has_one_total_grid(self, lead_family):
+        # best's total upper is n(∅), read like every other margin.
+        total = _best_plan(lead_family).terms["uppers"]["total"]
+        assert total is lead_family.grid(VarSet.empty(2))
+        assert set(lead_family._grids) == {0, 1, 2}
+
 
 class TestExactLowerTypes:
     """``lower_exact`` per kernel and kind: an integer family's divided

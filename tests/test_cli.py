@@ -215,6 +215,19 @@ class TestMarginalizeCommand:
         code, _, _ = run_cli(capsys, "marginalize", str(bad), "--vars", "1")
         assert code == 2
 
+    def test_real_marginal_reads_back_as_real(self, capsys, tmp_path):
+        # Without its kind the marginal would read back as an integer
+        # document and be refused for its fractional counts.
+        table = ContingencyTable.from_flat((2, 2), [0.5, 1.25, 2.0, 3.5], kind="real")
+        path, out = tmp_path / "real.json", tmp_path / "marginal.json"
+        path.write_text(json.dumps(table_to_doc(table)))
+        code, doc, _ = run_cli(capsys, "marginalize", str(path), "--vars", "1")
+        assert (code, doc["counts"]) == (0, [1.75, 5.5])
+        out.write_text(json.dumps(doc))
+        again = load_table(str(out))
+        assert again.kind == "real"
+        assert again.counts.tolist() == [1.75, 5.5]
+
 
 class TestBoundsCommand:
     def test_simple_with_labels(self, capsys, lead_family_file):

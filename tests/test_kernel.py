@@ -672,9 +672,7 @@ def test_every_inequality_holds_on_every_single_record_table(l):
             if recipe.layout != "one":
                 names += [name for _, _, name, _, _ in recipe.rows]
             for terms, den, name, _, _ in recipe.rows:
-                inequality = [
-                    {"subset": recipe.columns[col][0], "coefficient": c} for col, c in terms
-                ]
+                inequality = [{"subset": str(VarSet(m, l)), "coefficient": c} for m, c in terms]
                 terms = {"inequality": inequality, "denominator": den or 1}
                 assert violations(terms, l) == [], (recipe.formula, name)
     assert {f"ddim:{d}" for d in range(1, l + 1)} <= set(names)
