@@ -17,13 +17,17 @@ tables back from the memo once the search is over. A bound report is
 certified by checking it contains the sharp bounds.
 
 Two engines expand those states and give identical extremes and counts,
-node counts included. The memoized DFS costs about 0.5-1.3 us per node and
+node counts included. The memoized DFS costs about 0.5-1.4 us per node and
 keeps about 73 bytes per node in its memo. The layered engine expands one
-cell's states at a time in a few numpy operations, at a fixed 20-35 us or so
-per cell plus about 0.02-0.05 us per node (``tools/oracle_costs.py``
+cell's states at a time in a few numpy operations, at a fixed 20-40 us or so
+per cell plus about 0.02-0.06 us per node (``tools/oracle_costs.py``
 measures both); it keeps at most about 5 bytes per node plus per-state
 offsets and counts, and up to about 250 bytes per edge of the layer it
-builds. A cell that opens a line merges nothing, as no two of its edges
+builds. Its residuals are state-major, one row per state and one column per
+line, so a layer gathers its states' residuals as one row each, in one
+``take``, and reads and updates only the columns of the cell's lines; a
+line the cell closes is never read again and is left as it is. A cell that
+opens a line merges nothing, as no two of its edges
 reach one child; a free cell that opens none merges the states before it
 by base and builds no edge; a forced one merges its edges by child. Each
 search that keeps no table picks its engine before either runs, from
@@ -63,11 +67,11 @@ COMPLETE = "complete"
 EXHAUSTED = "exhausted"
 # Families whose ``_node_bound`` is at most this many nodes per cell run the
 # memoized DFS, all others the layered engine. The summed time of the routed
-# engines at this cut is within 1.2% of the least over all cuts:
+# engines at this cut is within 1.5% of the least over all cuts:
 # `python3 tools/oracle_costs.py` printed ``routed_time_at_cut_over_least``
-# 1.0059-1.0116 on four runs (2 cores, Python 3.11.7, numpy 2.4). The sum
+# 1.0083-1.0146 on three runs (2 cores, Python 3.11.7, numpy 2.4). The sum
 # stays within about 3% of its least from 100 to 400, so the least cut
-# itself (``predictor_cut_per_cell``, 123-178 on those runs) moves with
+# itself (``predictor_cut_per_cell``, 160-178 on those runs) moves with
 # noise.
 DFS_NODES_PER_CELL = 252
 
@@ -79,7 +83,8 @@ class EnumerationBudget:
     A run stops, ``exhausted``, on its next node past ``max_nodes``, at least
     1. ``tables`` is the exact number of matching tables found. A budget
     passed to several runs keeps running totals, so ``nodes`` and ``tables``
-    are cumulative; each entry point reports its own run's table count."""
+    are cumulative, integers from 0; each entry point reports its own run's
+    table count."""
 
     max_nodes: int = 10_000_000
     nodes: int = 0
@@ -87,9 +92,11 @@ class EnumerationBudget:
     outcome: Optional[str] = None
 
     def __post_init__(self) -> None:
-        self.max_nodes = _index(self.max_nodes, "max_nodes")
-        if self.max_nodes < 1:
-            raise RangeError(f"max_nodes must be at least 1, got {self.max_nodes}")
+        for name, least in (("max_nodes", 1), ("nodes", 0), ("tables", 0)):
+            value = _index(getattr(self, name), name)
+            if value < least:
+                raise RangeError(f"{name} must be at least {least}, got {value}")
+            setattr(self, name, value)
 
     @property
     def complete(self) -> bool:
@@ -428,11 +435,13 @@ def _dfs_extremes(targets, cell_groups, closing_groups, slots, budget, track):
 
 @functools.lru_cache(maxsize=256)
 def _layer_plan(cell_groups, closing_groups, slots):
-    """Per cell: its groups as an index array, its first closing group (None
-    for a free cell) and whether it opens a group of ``slots``. They depend
+    """Per cell: its groups, its first closing group (None for a free cell),
+    whether it opens a group of ``slots``, and its groups it does not close:
+    no later cell reads the residual of a group the cell closes. They depend
     on the shape alone."""
     opening = {k for slot in slots for _, k in slot}
-    return [(np.array(grp, dtype=np.intp), closing[0] if closing else None, k in opening)
+    return [(grp, closing[0] if closing else None, k in opening,
+             tuple(g for g in grp if g not in closing))
             for k, (grp, closing) in enumerate(zip(cell_groups, closing_groups))]
 
 
@@ -464,7 +473,7 @@ def _layered_extremes(targets, cell_groups, closing_groups, slots, budget):
     caller's budget would be reached.
 
     Layer k holds the distinct states before cell k that the DFS expands, as
-    columns of residuals, one row per group, with their ``_state_code``s, a
+    rows of residuals, one column per group, with their ``_state_code``s, a
     column of int64 words each. The forward pass gives each state the
     ``[lo, hi]`` of ``_cell_range``, one node per value (a forced cell: one
     from each state that admits its value), so ``nodes`` is the DFS's, and
@@ -495,24 +504,28 @@ def _layered_extremes(targets, cell_groups, closing_groups, slots, budget):
     nodes_left = budget.max_nodes - budget.nodes
     # Residuals fit the least signed dtype that holds every target + 1.
     small = np.min_scalar_type(-2 - top) if top < 2**31 else np.int64
-    R = np.array(targets, dtype=small)[:, None]  # R[g, s]: residual g of state s
+    R = np.array(targets, dtype=small)[None, :]  # R[s, g]: residual g of state s
     step, add, words = _state_code(targets, cell_groups, slots)
     codes = np.array([[c >> 63 * i & 2**63 - 1 for c in step + add] for i in range(words)])
     steps, adds = codes[:, :n], codes[:, n:]  # one int64 row per word
     code = np.zeros((words, 1), dtype=np.int64)  # code[:, s]: state s's code
-    # Per cell, an edge layer's (value, inverse, start, ok): one edge per
+    # Per cell, an edge layer's (value, inverse, start, parent): one edge per
     # entry of ``value``, whose child state is its entry of ``inverse`` (None:
     # the edges are the children, in order). A free cell's edges run per
     # state from ``start``; a forced cell's come one each from the states
-    # ``ok``. A merged layer's (hi, head): state s's children run from
-    # head[s] to head[s] + hi[s], for the values hi[s] down to 0.
+    # ``parent``, out of ``start`` states. A merged layer's (hi, head): state
+    # s's children run from head[s] to head[s] + hi[s], for the values hi[s]
+    # down to 0.
     layers, nodes = [], 0
-    for k, (grp, closing, opens) in enumerate(_layer_plan(cell_groups, closing_groups, slots)):
-        hi = R[grp].min(axis=0)
+    plan = _layer_plan(cell_groups, closing_groups, slots)
+    for k, (grp, closing, opens, still) in enumerate(plan):
+        hi = R[:, grp[0]]
+        for g in grp[1:]:
+            hi = np.minimum(hi, R[:, g])
         if closing is not None:
             # Forced to the closing residual, which fits where it is the
             # least residual of the cell's groups (``_cell_range``).
-            lo = R[closing]
+            lo = R[:, closing]
             ok = hi == lo
             parent = ok.nonzero()[0]
             nodes += len(parent)
@@ -520,14 +533,14 @@ def _layered_extremes(targets, cell_groups, closing_groups, slots, budget):
                 return None
             value = lo[parent]
             keys = code.take(parent, axis=1) - steps[:, k, None] * value
-            edges = (value, None, None, ok)
+            edges = (value, None, len(ok), parent)
             if not opens:  # states that differ only in closing residuals meet
                 first, inverse = _dedup(keys)
-                edges = (value, inverse, None, ok)
+                edges = (value, inverse, len(ok), parent)
                 keys, parent, value = keys.take(first, axis=1), parent[first], value[first]
             layers.append(edges)
         else:
-            if R.shape[1] * (top + 1) >= 2**63:  # the widths' sum could wrap
+            if len(R) * (top + 1) >= 2**63:  # the widths' sum could wrap
                 return None
             nodes += int(hi.sum()) + len(hi)
             if nodes > nodes_left:
@@ -545,22 +558,22 @@ def _layered_extremes(targets, cell_groups, closing_groups, slots, budget):
             if opens:
                 layers.append((value, None, start, None))
             else:  # child j of a class, from its first state: value hi - j
-                layers.append((hi, start[inverse]))
+                layers.append((hi, start.take(inverse)))
                 parent = first[parent]
                 value = hi[parent] - value
             keys = code.take(parent, axis=1) - steps[:, k, None] * value
         code = keys
         if add[k + 1]:
             code += adds[:, k + 1, None]
-        R = R.take(parent, axis=1)
-        for g in cell_groups[k]:
-            R[g] -= value
+        R = R.take(parent, axis=0)
+        for g in still:
+            R[:, g] -= value
     # Backward: counts[s] = tables below state s of the layer below. A state
     # sums at most top + 1 children, so a layer whose counts all stay below
     # ``limit`` is summed in int64 by the layer above; past it, in Python
     # ints. ``bound`` caps the counts so far, so most layers skip the check.
     limit, bound = (2**63 - 1) // (top + 1), 1
-    counts = np.ones(R.shape[1], dtype=np.int64)
+    counts = np.ones(len(R), dtype=np.int64)
     mins, maxs = [top + 1] * n, [-1] * n
     for k in reversed(range(n)):
         layer = layers.pop()
@@ -583,17 +596,17 @@ def _layered_extremes(targets, cell_groups, closing_groups, slots, budget):
                 maxs[k] = int((last - above)[held].max())
             bound *= top + 1
         else:
-            value, inverse, start, ok = layer
-            below = counts if inverse is None else counts[inverse]
+            value, inverse, start, parent = layer
+            below = counts if inverse is None else counts.take(inverse)
             held = value[below > 0]
             if held.size:
                 mins[k], maxs[k] = int(held.min()), int(held.max())
-            if ok is None:  # every state has at least one edge
+            if parent is None:  # every state has at least one edge
                 total = np.add.reduceat(below, start)
                 bound *= top + 1
             else:  # at most one edge per state
-                total = np.zeros(len(ok), dtype=below.dtype)
-                total[ok] = below
+                total = np.zeros(start, dtype=below.dtype)
+                total[parent] = below
         if bound >= limit and total.max(initial=0) >= limit:
             total = total.astype(object, copy=False)
         counts = total

@@ -250,6 +250,22 @@ class TestBudget:
         budget = EnumerationBudget(max_nodes=value)
         assert budget.max_nodes == int(value) and type(budget.max_nodes) is int
 
+    @pytest.mark.parametrize("field", ["nodes", "tables"])
+    def test_running_counts_read_as_nonnegative_integers(self, field):
+        # A fractional count would be summed into the search's report, and a
+        # negative one would let a search run past ``max_nodes``.
+        for value in (1.5, "5", None):
+            with pytest.raises(RangeError, match=f"{field} must be an integer"):
+                EnumerationBudget(**{field: value})
+        with pytest.raises(RangeError, match=f"{field} must be at least 0, got -100"):
+            EnumerationBudget(max_nodes=10, **{field: -100})
+        budget = EnumerationBudget(**{field: np.uint16(7)})
+        assert getattr(budget, field) == 7 and type(getattr(budget, field)) is int
+        fam = two_way_family([25, 5, 4], [8, 7, 19])
+        sharp_bounds_all(fam, budget)
+        assert (budget.nodes, budget.tables) == (978 + 7 * (field == "nodes"),
+                                                 309 + 7 * (field == "tables"))
+
     def test_permutation_family_past_a_million_tables(self):
         # Its 10! tables are the permutation matrices; nodes alone bound the
         # search, so it completes.
@@ -1116,6 +1132,30 @@ class TestEngineChoice:
         budget = EnumerationBudget(max_nodes)
         oracle._extremes(fam, budget, 4)
         assert engines == [("_dfs_extremes", (*cons, budget, 4))]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("cards, base, ones", [((2, 2, 2, 2), 3, 8), ((3, 3, 3), 1, 13)],
+                             ids=["2x2x2x2", "3x3x3"])
+    def test_near_uniform_pair_families_run_the_layered_engine(
+        self, engines, cards, base, ones, seed
+    ):
+        # Every pair released from a table of ``base`` counts with ``ones``
+        # cells one higher, placed by the seed: the layered engine's widest
+        # layers, thousands of states over 25 or 28 groups. It gives the
+        # DFS's extremes, nodes and tables.
+        rng = np.random.default_rng(seed)
+        counts = np.full(math.prod(cards), base)
+        counts[rng.choice(counts.size, size=ones, replace=False)] += 1
+        pairs = [list(p) for p in itertools.combinations(range(1, len(cards) + 1), 2)]
+        fam = family_of(ContingencyTable.from_flat(cards, counts), pairs)
+        cons = oracle._build_constraints(fam)
+        budget, dfs = EnumerationBudget(), EnumerationBudget()
+        got = oracle._extremes(fam, budget)
+        assert engines == [("_layered_extremes", (*cons, budget))]
+        assert oracle._dfs_extremes(*cons, dfs, None)[:4] == got
+        assert (budget.nodes, budget.tables, budget.outcome) == (
+            dfs.nodes, dfs.tables, "complete"
+        )
 
     def test_passing_certify_runs_the_layered_engine_once(self, engines):
         fam = two_way_family([8, 8, 8], [8, 8, 8])
